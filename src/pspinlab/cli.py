@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import datetime
 import io
 import json
@@ -20,12 +19,13 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from . import disorder as dis
 from . import experiments as ex
-from .disorder import DisorderValidationError
+from .disorder import DisorderValidationError, SeedPath, experiment_id, sample_couplings
 from .expansion import (
     coefficient_row,
     expansion_coefficient,
@@ -51,51 +51,11 @@ _TOP_KEYS = {"experiment", "model", "disorder", "params", "replicates", "seed",
 _MODEL_KEYS = {"n_sites", "betas", "field"}
 _FUNCTION_KEYS = {"kind", "power", "sites"}
 
-# per-experiment allowed keys inside "params"
-_EXPERIMENTS: dict[str, tuple[set, str]] = {
-    "gg-gap": ({"n", "p", "function"},
-               "replica-coupling gap linking the (n+1)-replica overlap moment "
-               "to the n-replica ones"),
-    "gg-thermal-gap": ({"n", "p", "function"},
-                       "purely thermal replica-coupling combination over n+2 replicas"),
-    "self-averaging": ({"p", "mode"},
-                       "concentration of the order-p interaction energy "
-                       "(thermal variance or centered absolute deviation)"),
-    "universality-gap": ({"function", "disorder_b"},
-                         "difference of Gibbs averages between two disorder families"),
-    "interpolation-sweep": ({"function", "t_grid"},
-                            "Gibbs average along the square-root interpolation "
-                            "between a law and the Gaussian"),
-    "cavity-identity": ({"n_cavity", "cavity_sets"},
-                        "two-route check of the cavity-field representation of "
-                        "spin marginals"),
-    "derivative-moment-sum": ({"n", "m", "function"},
-                              "tuple-averaged m-th coupling derivative of a Gibbs "
-                              "average, via squared multi-overlaps"),
-    "vb-logz-increment": ({"alpha", "beta_prime"},
-                          "per-edge log-partition gain from a diluted pair "
-                          "interaction; lies in [0, beta'] on average"),
-    "poisson-ibp": ({"alpha", "beta_prime", "n", "function"},
-                    "paired two-sided check of the Poisson integration-by-parts "
-                    "identity for the diluted term"),
-    "free-energy-fluctuation": (set(),
-                                "disorder variance of the free energy density"),
-    "ibp-battery": (set(),
-                    "approximate-integration-by-parts remainders and envelope "
-                    "bounds over the standard laws and smooth functions"),
-    "trend-suite": ({"n_values"},
-                    "the recorded six-series finite-size trend battery"),
-}
-
-# experiments that run without model/disorder sections
-_SELF_CONTAINED = {"ibp-battery", "trend-suite"}
-
-VERIFY_SUITES = ("expansion", "ibp", "cavity", "gg", "universality", "vb")
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run request; round-trips losslessly through to_dict."""
+    """A validated run request; round-trips losslessly through to_dict.
+    ``values`` holds the params as their registry types, defaults filled in."""
 
     experiment: str
     n_sites_list: tuple[int, ...]
@@ -108,6 +68,7 @@ class RunConfig:
     output: str
     emit_format: str = "csv"
     workers: int | None = None
+    values: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -118,7 +79,7 @@ class RunConfig:
             "output": self.output,
             "format": self.emit_format,
         }
-        if self.experiment not in _SELF_CONTAINED:
+        if not EXPERIMENTS[self.experiment].self_contained:
             out["model"] = {
                 "n_sites": list(self.n_sites_list),
                 "betas": {str(p): b for p, b in self.betas.items()},
@@ -141,16 +102,14 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("config must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config")
     name = raw.get("experiment")
-    if name not in _EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; known: {sorted(_EXPERIMENTS)}")
+    if name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
+    entry = EXPERIMENTS[name]
 
-    if name in _SELF_CONTAINED:
+    if entry.self_contained:
         if "model" in raw or "disorder" in raw:
             raise ConfigError(f"experiment {name!r} takes no model/disorder sections")
-        sizes: tuple[int, ...] = ()
-        betas: dict[int, float] = {}
-        field_h = 0.0
-        disorder: dict = {}
+        sizes, betas, field_h, disorder = (), {}, 0.0, {}
     else:
         model = raw.get("model")
         if not isinstance(model, dict):
@@ -171,8 +130,8 @@ def parse_config(raw: dict) -> RunConfig:
                 raise ConfigError(f"model.betas key {key!r} is not an integer order") from None
             if p < 2:
                 raise ConfigError(f"model.betas key {key!r}: p must be >= 2")
-            betas[p] = float(value)
-        field_h = float(model.get("field", 0.0))
+            betas[p] = _convert(value, 0.0, f"model.betas[{key!r}]")
+        field_h = _convert(model.get("field", 0.0), 0.0, "model.field")
         disorder = raw.get("disorder")
         if not isinstance(disorder, dict) or "family" not in disorder:
             raise ConfigError("config needs a 'disorder' object with a 'family'")
@@ -180,8 +139,9 @@ def parse_config(raw: dict) -> RunConfig:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("'params' must be an object")
-    allowed, _ = _EXPERIMENTS[name]
-    _reject_unknown(params, allowed, f"params for {name!r}")
+    _reject_unknown(params, set(entry.params), f"params for {name!r}")
+    values = {key: _convert(params[key], default, f"params.{key}") if key in params else default
+              for key, default in entry.params.items()}
 
     replicates = raw.get("replicates", 1)
     if not isinstance(replicates, int) or replicates < 1:
@@ -199,15 +159,19 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(output, str) or not output:
         raise ConfigError(f"output must be a directory path, got {output!r}")
     return RunConfig(name, sizes, betas, field_h, disorder or {}, dict(params),
-                     replicates, seed, output, emit, workers)
+                     replicates, seed, output, emit, workers, values)
 
 
 def _build_law(spec: dict) -> dis.DisorderSpec:
+    if not isinstance(spec, dict) or "family" not in spec:
+        raise ConfigError("a disorder law must be an object with a 'family'")
     spec = dict(spec)
     family = spec.pop("family")
     try:
         return dis.by_name(family, **spec)
-    except TypeError as err:
+    except DisorderValidationError:
+        raise
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"bad parameters for disorder family {family!r}: {err}") from None
 
 
@@ -227,83 +191,123 @@ def _build_function(spec) -> ex.TestFunction:
     raise ConfigError(f"unknown function kind {kind!r}")
 
 
-# -- dispatch ----------------------------------------------------------------
+_BUILDERS = {ex.TestFunction: _build_function, dis.DisorderSpec: _build_law}
+
+
+def _convert(value, default, where: str):
+    """``value`` as the type of ``default``; tuples convert element-wise."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return tuple(_convert(v, default[0], where) for v in value)
+    try:
+        return _BUILDERS.get(type(default), type(default))(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{where}: {err}") from None
+
+
+# -- experiment registry -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """``params`` maps each allowed param to its default, whose type is the
+    param's type.  ``run(config, mspec, law, **values)`` gives one size's rows;
+    self-contained experiments run once as ``run(config, **values)``."""
+
+    description: str
+    params: dict
+    run: Callable[..., list]
+    self_contained: bool = False
+
+
+def _cavity_rows(c: RunConfig, mspec: ModelSpec, law, n_cavity: int, cavity_sets):
+    got = ex.cavity_identity_check(mspec, law, n_cavity, cavity_sets, c.replicates, c.seed)
+    return [ex.EstimatorResult("cavity-identity", got["max_factor_residual"], 0.0, c.replicates,
+                               {"N": mspec.n_sites, "n_cavity": n_cavity,
+                                "product_residual": got["product_residual"], "seed": c.seed})]
+
+
+def _battery_rows(c: RunConfig):
+    return [ex.EstimatorResult(
+        "ibp-battery", entry["residual"], 0.0, 1,
+        {"law": entry["law"], "function": entry["function"],
+         "gamma": entry["gamma"], "seed": c.seed}) for entry in battery()]
+
+
+_F = ex.overlap_square()
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "gg-gap": Experiment(
+        "replica-coupling gap linking the (n+1)-replica overlap moment to the n-replica ones",
+        {"n": 2, "p": 2, "function": _F},
+        lambda c, mspec, law, n, p, function: [ex.gg_gap(
+            mspec, law, n, p, function, c.replicates, c.seed, c.workers)]),
+    "gg-thermal-gap": Experiment(
+        "purely thermal replica-coupling combination over n+2 replicas",
+        {"n": 2, "p": 2, "function": _F},
+        lambda c, mspec, law, n, p, function: [ex.gg_thermal_gap(
+            mspec, law, n, p, function, c.replicates, c.seed, c.workers)]),
+    "self-averaging": Experiment(
+        "concentration of the order-p interaction energy "
+        "(thermal variance or centered absolute deviation)",
+        {"p": 2, "mode": "thermal"},
+        lambda c, mspec, law, p, mode: [ex.self_averaging(
+            mspec, law, p, c.replicates, c.seed, mode=mode, workers=c.workers)]),
+    "universality-gap": Experiment(
+        "difference of Gibbs averages between two disorder families",
+        {"function": _F, "disorder_b": dis.rademacher()},
+        lambda c, mspec, law, function, disorder_b: [ex.universality_gap(
+            mspec, law, disorder_b, function, c.replicates, c.seed, c.workers)]),
+    "interpolation-sweep": Experiment(
+        "Gibbs average along the square-root interpolation between a law and the Gaussian",
+        {"function": _F, "t_grid": (0.0, 0.5, 1.0)},
+        lambda c, mspec, law, function, t_grid: ex.interpolation_sweep(
+            mspec, law, t_grid, function, c.replicates, c.seed, c.workers)),
+    "cavity-identity": Experiment(
+        "two-route check of the cavity-field representation of spin marginals",
+        {"n_cavity": 1, "cavity_sets": ((0,),)}, _cavity_rows),
+    "derivative-moment-sum": Experiment(
+        "tuple-averaged m-th coupling derivative of a Gibbs average, via squared multi-overlaps",
+        {"n": 2, "m": 4, "function": ex.spin_monomial(((0, 1, 2),))},
+        lambda c, mspec, law, n, m, function: [ex.derivative_moment_sum(
+            mspec, law, n, m, function, c.replicates, c.seed, c.workers)]),
+    "vb-logz-increment": Experiment(
+        "per-edge log-partition gain from a diluted pair "
+        "interaction; lies in [0, beta'] on average",
+        {"alpha": 0.5, "beta_prime": 0.5},
+        lambda c, mspec, law, alpha, beta_prime: [ex.vb_logz_increment(
+            mspec, law, alpha, beta_prime, c.replicates, c.seed, workers=c.workers)]),
+    "poisson-ibp": Experiment(
+        "paired two-sided check of the Poisson integration-by-parts identity for the diluted term",
+        {"alpha": 0.5, "beta_prime": 0.5, "n": 2, "function": _F},
+        lambda c, mspec, law, alpha, beta_prime, n, function: [ex.poisson_ibp_check(
+            mspec, law, alpha, beta_prime, n, function, c.replicates, c.seed,
+            workers=c.workers)]),
+    "free-energy-fluctuation": Experiment(
+        "disorder variance of the free energy density",
+        {}, lambda c, mspec, law: [ex.free_energy_fluctuation(
+            mspec, law, c.replicates, c.seed, c.workers)]),
+    "ibp-battery": Experiment(
+        "approximate-integration-by-parts remainders and envelope "
+        "bounds over the standard laws and smooth functions",
+        {}, _battery_rows, self_contained=True),
+    "trend-suite": Experiment(
+        "the recorded six-series finite-size trend battery",
+        {"n_values": ex.TREND_SIZES},
+        lambda c, n_values: ex.trend_suite(n_values, c.replicates, c.seed, c.workers),
+        self_contained=True),
+}
 
 
 def _dispatch(config: RunConfig) -> list[ex.EstimatorResult]:
-    name = config.experiment
-    p = config.params
-    if name == "ibp-battery":
-        rows = []
-        for entry in battery():
-            rows.append(ex.EstimatorResult(
-                "ibp-battery", entry["residual"], 0.0, 1,
-                {"law": entry["law"], "function": entry["function"],
-                 "gamma": entry["gamma"], "seed": config.seed}))
-        return rows
-    if name == "trend-suite":
-        sizes = tuple(p.get("n_values", ex.TREND_SIZES))
-        return ex.trend_suite(sizes, config.replicates, config.seed, config.workers)
-
+    entry = EXPERIMENTS[config.experiment]
+    if entry.self_contained:
+        return entry.run(config, **config.values)
     law = _build_law(config.disorder)
-    results: list[ex.EstimatorResult] = []
-    for n_sites in config.n_sites_list:
-        mspec = ModelSpec(n_sites, dict(config.betas), config.field_h)
-        if name == "gg-gap":
-            results.append(ex.gg_gap(mspec, law, int(p.get("n", 2)), int(p.get("p", 2)),
-                                     _build_function(p.get("function")),
-                                     config.replicates, config.seed, config.workers))
-        elif name == "gg-thermal-gap":
-            results.append(ex.gg_thermal_gap(mspec, law, int(p.get("n", 2)), int(p.get("p", 2)),
-                                             _build_function(p.get("function")),
-                                             config.replicates, config.seed, config.workers))
-        elif name == "self-averaging":
-            results.append(ex.self_averaging(mspec, law, int(p.get("p", 2)),
-                                             config.replicates, config.seed,
-                                             mode=p.get("mode", "thermal"),
-                                             workers=config.workers))
-        elif name == "universality-gap":
-            law_b = _build_law(p.get("disorder_b", {"family": "rademacher"}))
-            results.append(ex.universality_gap(mspec, law, law_b,
-                                               _build_function(p.get("function")),
-                                               config.replicates, config.seed, config.workers))
-        elif name == "interpolation-sweep":
-            results.extend(ex.interpolation_sweep(mspec, law, p.get("t_grid", (0.0, 0.5, 1.0)),
-                                                  _build_function(p.get("function")),
-                                                  config.replicates, config.seed, config.workers))
-        elif name == "cavity-identity":
-            n_cavity = int(p.get("n_cavity", 1))
-            sets = tuple(tuple(c) for c in p.get("cavity_sets", [[0]]))
-            got = ex.cavity_identity_check(mspec, law, n_cavity, sets,
-                                           config.replicates, config.seed)
-            results.append(ex.EstimatorResult(
-                "cavity-identity", got["max_factor_residual"], 0.0, config.replicates,
-                {"N": n_sites, "n_cavity": n_cavity,
-                 "product_residual": got["product_residual"], "seed": config.seed}))
-        elif name == "derivative-moment-sum":
-            results.append(ex.derivative_moment_sum(mspec, law, int(p.get("n", 2)),
-                                                    int(p.get("m", 4)),
-                                                    _build_function(p.get("function")),
-                                                    config.replicates, config.seed,
-                                                    config.workers))
-        elif name == "vb-logz-increment":
-            results.append(ex.vb_logz_increment(mspec, law, float(p.get("alpha", 0.5)),
-                                                float(p.get("beta_prime", 0.5)),
-                                                config.replicates, config.seed,
-                                                workers=config.workers))
-        elif name == "poisson-ibp":
-            results.append(ex.poisson_ibp_check(mspec, law, float(p.get("alpha", 0.5)),
-                                                float(p.get("beta_prime", 0.5)),
-                                                int(p.get("n", 2)),
-                                                _build_function(p.get("function")),
-                                                config.replicates, config.seed,
-                                                workers=config.workers))
-        elif name == "free-energy-fluctuation":
-            results.append(ex.free_energy_fluctuation(mspec, law, config.replicates,
-                                                      config.seed, config.workers))
-        else:
-            raise ConfigError(f"experiment {name!r} has no dispatcher")
-    return results
+    return [row for n_sites in config.n_sites_list
+            for row in entry.run(config, ModelSpec(n_sites, dict(config.betas), config.field_h),
+                                 law, **config.values)]
 
 
 # -- output writing ----------------------------------------------------------
@@ -404,8 +408,6 @@ class _Check:
 
 
 def _checks_expansion() -> list[_Check]:
-    from .disorder import SeedPath, experiment_id, sample_couplings
-
     known = {(2, 1): 1, (3, 1): 1, (3, 2): -2, (4, 1): 1, (4, 2): -8}
     exact = max(abs(expansion_coefficient(m, a) - v) for (m, a), v in known.items())
     support = 0.0
@@ -455,8 +457,6 @@ def _checks_cavity() -> list[_Check]:
 
 
 def _checks_gg() -> list[_Check]:
-    from .disorder import SeedPath, experiment_id, sample_couplings
-
     worst = 0.0
     eid = experiment_id(57, "verify-gg")
     for r in range(10):
@@ -483,8 +483,6 @@ def _checks_universality() -> list[_Check]:
 
 
 def _checks_vb() -> list[_Check]:
-    from .disorder import SeedPath, experiment_id, sample_couplings, sample_vb
-
     mspec = ModelSpec(4, {2: 0.6}, 0.2)
     law = dis.rademacher()
     zero = ex.vb_logz_increment(mspec, law, 0.5, 0.0, replicates=10, seed=61)
@@ -519,6 +517,7 @@ _VERIFY = {
     "universality": _checks_universality,
     "vb": _checks_vb,
 }
+VERIFY_SUITES = tuple(_VERIFY)
 
 
 def run_verify(suite: str, output: str | None = None) -> int:
@@ -553,7 +552,7 @@ def run_config_file(path: str, workers_override: int | None = None) -> int:
     try:
         config = parse_config(raw)
         if workers_override is not None:
-            config = dataclasses.replace(config, workers=workers_override)
+            config = replace(config, workers=workers_override)
         started = time.monotonic()
         results = _dispatch(config)
         paths = write_outputs(config, results, time.monotonic() - started)
@@ -572,10 +571,9 @@ def run_config_file(path: str, workers_override: int | None = None) -> int:
 
 
 def list_experiments() -> int:
-    width = max(len(name) for name in _EXPERIMENTS)
-    for name in sorted(_EXPERIMENTS):
-        _, description = _EXPERIMENTS[name]
-        print(f"{name:<{width}}  {description}")
+    width = max(len(name) for name in EXPERIMENTS)
+    for name in sorted(EXPERIMENTS):
+        print(f"{name:<{width}}  {EXPERIMENTS[name].description}")
     return 0
 
 

@@ -5,7 +5,8 @@ seed path to its own counter-based stream, the per-replicate quantity is an
 exact thermal computation on a freshly drawn disorder realization, and the
 Monte Carlo part is only the average over realizations.  Reductions use
 exact summation (math.fsum), so results do not depend on reduction order or
-on the worker count.
+on the worker count.  ``_estimate`` is that pattern for every estimator that
+reports a mean with its standard error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -32,10 +34,7 @@ from .gibbs import (
     sites_to_mask,
 )
 from .model import (
-    EXACT_ENUMERATION_CAP,
-    CouplingAssignment,
     ModelSpec,
-    ResourceCapError,
     interpolated_couplings,
     spin_matrix,
     tuple_sum_batch,
@@ -168,7 +167,10 @@ def resolve_workers(workers: int | None) -> int:
         return max(1, int(workers))
     env = os.environ.get("PSPINLAB_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ExperimentError(f"PSPINLAB_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -182,9 +184,35 @@ def _map_replicates(fn, count: int, workers: int | None):
         return list(pool.map(fn, range(count), chunksize=chunk))
 
 
+def _estimate(name: str, replicate, replicates: int, seed: int, workers: int | None,
+              params: dict, key: str | None = None) -> EstimatorResult:
+    """Mean and standard error of ``replicate(exp_id, r)`` over the replicates.
+
+    The seed stream is keyed by ``key``, or by ``name`` when that is None.
+    """
+    exp_id = experiment_id(seed, key or name)
+    values = _map_replicates(functools.partial(replicate, exp_id), replicates, workers)
+    value, err = mean_stderr(values)
+    return EstimatorResult(name, value, err, replicates, {**params, "seed": seed})
+
+
 def _draw_oracle(mspec: ModelSpec, law: DisorderSpec, path: SeedPath) -> GibbsOracle:
     rng = path.generator()
     return build_oracle(mspec, sample_couplings(mspec, law, rng))
+
+
+def _on_oracle(realization, mspec: ModelSpec, law: DisorderSpec, stream: int,
+               exp_id: int, r: int) -> float:
+    """``realization`` applied to the oracle of one coupling draw."""
+    return realization(_draw_oracle(mspec, law, SeedPath(exp_id, r, stream)))
+
+
+def _draw_dressed(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
+                  j_law: DisorderSpec, exp_id: int, r: int):
+    """Couplings (stream 0) and a diluted pair interaction (stream 1)."""
+    couplings = sample_couplings(mspec, law, SeedPath(exp_id, r, 0).generator())
+    vb = sample_vb(alpha, mspec.n_sites, beta_prime, SeedPath(exp_id, r, 1).generator(), j_law)
+    return couplings, vb
 
 
 # -- replica-coupling gaps ---------------------------------------------------
@@ -235,12 +263,9 @@ def gg_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction
            replicates: int, seed: int, workers: int | None = 1) -> EstimatorResult:
     """Disorder average of the replica-coupling gap; the product term uses an
     independent realization per replicate so it is unbiased for E<R^p> E<F>."""
-    exp_id = experiment_id(seed, "gg-gap")
-    worker = functools.partial(_gg_gap_replicate, mspec, law, n, p, fn, exp_id)
-    values = _map_replicates(worker, replicates, workers)
-    value, err = mean_stderr(values)
-    return EstimatorResult("gg-gap", value, err, replicates,
-                           {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label, "seed": seed})
+    return _estimate("gg-gap", functools.partial(_gg_gap_replicate, mspec, law, n, p, fn),
+                     replicates, seed, workers,
+                     {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
 
 
 def gg_thermal_gap_realization(oracle: GibbsOracle, n: int, p: int, fn: TestFunction) -> float:
@@ -266,55 +291,32 @@ def gg_thermal_gap_realization(oracle: GibbsOracle, n: int, p: int, fn: TestFunc
     return 2.0 * first - 2.0 * n * second + n * (n + 1) * third
 
 
-def _gg_thermal_replicate(mspec: ModelSpec, law: DisorderSpec, n: int, p: int,
-                          fn: TestFunction, exp_id: int, r: int) -> float:
-    oracle = _draw_oracle(mspec, law, SeedPath(exp_id, r, 0))
-    return gg_thermal_gap_realization(oracle, n, p, fn)
-
-
 def gg_thermal_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction,
                    replicates: int, seed: int, workers: int | None = 1) -> EstimatorResult:
-    exp_id = experiment_id(seed, "gg-thermal-gap")
-    worker = functools.partial(_gg_thermal_replicate, mspec, law, n, p, fn, exp_id)
-    values = _map_replicates(worker, replicates, workers)
-    value, err = mean_stderr(values)
-    return EstimatorResult("gg-thermal-gap", value, err, replicates,
-                           {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label, "seed": seed})
+    realization = functools.partial(gg_thermal_gap_realization, n=n, p=p, fn=fn)
+    return _estimate("gg-thermal-gap", functools.partial(_on_oracle, realization, mspec, law, 0),
+                     replicates, seed, workers,
+                     {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
 
 
 # -- self-averaging ----------------------------------------------------------
 
 
-def _interaction_values(mspec: ModelSpec, couplings: CouplingAssignment, oracle: GibbsOracle,
-                        p: int) -> np.ndarray:
-    return (mspec.betas[p] * mspec.scale(p)
-            * tuple_sum_batch(couplings.tables[p], oracle.configs))
-
-
-def _self_avg_thermal_replicate(mspec: ModelSpec, law: DisorderSpec, p: int,
-                                exp_id: int, r: int) -> float:
-    rng = SeedPath(exp_id, r, 0).generator()
+def _self_avg_replicate(mspec: ModelSpec, law: DisorderSpec, p: int, mode: str,
+                        center: float, exp_id: int, r: int) -> float:
+    """One draw of the order-p energy statistic: the thermal variance
+    ("thermal"), the thermal mean ("center", on stream 1) or the mean
+    absolute deviation from ``center`` ("full")."""
+    rng = SeedPath(exp_id, r, 1 if mode == "center" else 0).generator()
     couplings = sample_couplings(mspec, law, rng)
     oracle = build_oracle(mspec, couplings)
-    values = _interaction_values(mspec, couplings, oracle, p)
-    mean = oracle.thermal_mean(values)
-    return (oracle.thermal_mean(values ** 2) - mean ** 2) / mspec.n_sites ** 2
-
-
-def _self_avg_center_replicate(mspec: ModelSpec, law: DisorderSpec, p: int,
-                               exp_id: int, r: int) -> float:
-    rng = SeedPath(exp_id, r, 1).generator()
-    couplings = sample_couplings(mspec, law, rng)
-    oracle = build_oracle(mspec, couplings)
-    return oracle.thermal_mean(_interaction_values(mspec, couplings, oracle, p))
-
-
-def _self_avg_full_replicate(mspec: ModelSpec, law: DisorderSpec, p: int, center: float,
-                             exp_id: int, r: int) -> float:
-    rng = SeedPath(exp_id, r, 0).generator()
-    couplings = sample_couplings(mspec, law, rng)
-    oracle = build_oracle(mspec, couplings)
-    values = _interaction_values(mspec, couplings, oracle, p)
+    values = (mspec.betas[p] * mspec.scale(p)
+              * tuple_sum_batch(couplings.tables[p], oracle.configs))
+    if mode == "thermal":
+        mean = oracle.thermal_mean(values)
+        return (oracle.thermal_mean(values ** 2) - mean ** 2) / mspec.n_sites ** 2
+    if mode == "center":
+        return oracle.thermal_mean(values)
     return oracle.thermal_mean(np.abs(values - center)) / mspec.n_sites
 
 
@@ -328,31 +330,18 @@ def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int,
     """
     if p not in mspec.betas:
         raise ExperimentError(f"model has no order-{p} interaction")
-    exp_id = experiment_id(seed, f"self-averaging-{mode}")
-    if mode == "thermal":
-        worker = functools.partial(_self_avg_thermal_replicate, mspec, law, p, exp_id)
-        values = _map_replicates(worker, replicates, workers)
-    elif mode == "full":
-        centers = _map_replicates(
-            functools.partial(_self_avg_center_replicate, mspec, law, p, exp_id),
-            replicates, workers)
-        center = math.fsum(centers) / len(centers)
-        worker = functools.partial(_self_avg_full_replicate, mspec, law, p, center, exp_id)
-        values = _map_replicates(worker, replicates, workers)
-    else:
+    if mode not in ("thermal", "full"):
         raise ExperimentError(f"unknown self-averaging mode {mode!r}")
-    value, err = mean_stderr(values)
-    return EstimatorResult(f"self-averaging-{mode}", value, err, replicates,
-                           {"N": mspec.n_sites, "p": p, "seed": seed})
+    name = f"self-averaging-{mode}"
+    center = 0.0
+    if mode == "full":
+        centers = functools.partial(_self_avg_replicate, mspec, law, p, "center", 0.0)
+        center = _estimate(name, centers, replicates, seed, workers, {}).value
+    return _estimate(name, functools.partial(_self_avg_replicate, mspec, law, p, mode, center),
+                     replicates, seed, workers, {"N": mspec.n_sites, "p": p})
 
 
 # -- universality and interpolation -----------------------------------------
-
-
-def _plain_f_replicate(mspec: ModelSpec, law: DisorderSpec, fn: TestFunction, n: int,
-                       exp_id: int, stream: int, r: int) -> float:
-    oracle = _draw_oracle(mspec, law, SeedPath(exp_id, r, stream))
-    return _f_expectation(oracle, fn, n)
 
 
 def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
@@ -362,19 +351,16 @@ def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
 
     No common random numbers: the laws differ, so pairing would be fiction.
     """
-    n = max(2, fn.min_replicas)
-    exp_id = experiment_id(seed, "universality-gap")
-    va = _map_replicates(functools.partial(_plain_f_replicate, mspec, law_a, fn, n, exp_id, 0),
-                         replicates, workers)
-    vb = _map_replicates(functools.partial(_plain_f_replicate, mspec, law_b, fn, n, exp_id, 1),
-                         replicates, workers)
-    mean_a, err_a = mean_stderr(va)
-    mean_b, err_b = mean_stderr(vb)
-    return EstimatorResult("universality-gap", abs(mean_a - mean_b),
-                           math.sqrt(err_a ** 2 + err_b ** 2), replicates,
+    realization = functools.partial(_f_expectation, fn=fn, n=max(2, fn.min_replicas))
+    a, b = (_estimate("universality-gap",
+                      functools.partial(_on_oracle, realization, mspec, law, stream),
+                      replicates, seed, workers, {})
+            for stream, law in enumerate((law_a, law_b)))
+    return EstimatorResult("universality-gap", abs(a.value - b.value),
+                           math.sqrt(a.std_error ** 2 + b.std_error ** 2), replicates,
                            {"N": mspec.n_sites, "F": fn.label,
                             "family_a": law_a.family, "family_b": law_b.family,
-                            "mean_a": mean_a, "mean_b": mean_b, "seed": seed})
+                            "mean_a": a.value, "mean_b": b.value, "seed": seed})
 
 
 def _sweep_replicate(mspec: ModelSpec, law: DisorderSpec, t_grid: tuple[float, ...],
@@ -430,15 +416,9 @@ def cavity_identity_realization(mspec: ModelSpec, law: DisorderSpec, n_cavity: i
     joint system and once by the tanh/cosh reweighting of the bulk system,
     and must agree to rounding.
     """
-    n_full = mspec.n_sites
-    n_bulk = n_full - n_cavity
+    n_bulk = mspec.n_sites - n_cavity
     if n_bulk < 1:
         raise ExperimentError("cavity check needs at least one bulk site")
-    if n_full > EXACT_ENUMERATION_CAP:
-        raise ResourceCapError(
-            f"joint enumeration needs 2**{n_full} states, beyond the cap of "
-            f"2**{EXACT_ENUMERATION_CAP}"
-        )
     for block in cavity_sets:
         for j in block:
             if not 0 <= j < n_cavity:
@@ -549,30 +529,19 @@ def derivative_sum_realization(oracle: GibbsOracle, n: int, m: int,
     return total
 
 
-def _derivative_sum_replicate(mspec: ModelSpec, law: DisorderSpec, n: int, m: int,
-                              fn: TestFunction, exp_id: int, r: int) -> float:
-    oracle = _draw_oracle(mspec, law, SeedPath(exp_id, r, 0))
-    return derivative_sum_realization(oracle, n, m, fn)
-
-
 def derivative_moment_sum(mspec: ModelSpec, law: DisorderSpec, n: int, m: int,
                           fn: TestFunction, replicates: int, seed: int,
                           workers: int | None = 1) -> EstimatorResult:
     """Disorder average of the tuple-summed m-th derivative of <F>."""
-    exp_id = experiment_id(seed, f"derivative-moment-sum-m{m}")
-    worker = functools.partial(_derivative_sum_replicate, mspec, law, n, m, fn, exp_id)
-    values = _map_replicates(worker, replicates, workers)
-    value, err = mean_stderr(values)
-    return EstimatorResult("derivative-moment-sum", value, err, replicates,
-                           {"N": mspec.n_sites, "n": n, "m": m, "F": fn.label, "seed": seed})
+    realization = functools.partial(derivative_sum_realization, n=n, m=m, fn=fn)
+    return _estimate("derivative-moment-sum",
+                     functools.partial(_on_oracle, realization, mspec, law, 0),
+                     replicates, seed, workers,
+                     {"N": mspec.n_sites, "n": n, "m": m, "F": fn.label},
+                     key=f"derivative-moment-sum-m{m}")
 
 
 # -- free energy fluctuation -------------------------------------------------
-
-
-def _fe_replicate(mspec: ModelSpec, law: DisorderSpec, exp_id: int, r: int) -> float:
-    oracle = _draw_oracle(mspec, law, SeedPath(exp_id, r, 0))
-    return oracle.free_energy_density
 
 
 def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int, seed: int,
@@ -582,7 +551,8 @@ def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int
     The standard error of the variance uses the distribution-free fourth
     central moment formula."""
     exp_id = experiment_id(seed, "free-energy-fluctuation")
-    worker = functools.partial(_fe_replicate, mspec, law, exp_id)
+    worker = functools.partial(_on_oracle, operator.attrgetter("free_energy_density"),
+                               mspec, law, 0, exp_id)
     values = _map_replicates(worker, replicates, workers)
     m = len(values)
     mean = math.fsum(values) / m
@@ -598,10 +568,7 @@ def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int
 
 def _vb_replicate(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
                   j_law: DisorderSpec, exp_id: int, r: int) -> float:
-    rng_coup = SeedPath(exp_id, r, 0).generator()
-    rng_vb = SeedPath(exp_id, r, 1).generator()
-    couplings = sample_couplings(mspec, law, rng_coup)
-    vb = sample_vb(alpha, mspec.n_sites, beta_prime, rng_vb, j_law)
+    couplings, vb = _draw_dressed(mspec, law, alpha, beta_prime, j_law, exp_id, r)
     base = build_oracle(mspec, couplings)
     dressed = build_oracle(mspec, couplings, vb=vb)
     return (dressed.log_z - base.log_z) / (alpha * mspec.n_sites)
@@ -618,13 +585,10 @@ def vb_logz_increment(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
     if alpha <= 0:
         raise ExperimentError(f"alpha must be positive, got {alpha}")
     j_law = j_law if j_law is not None else dis.rademacher()
-    exp_id = experiment_id(seed, "vb-logz-increment")
-    worker = functools.partial(_vb_replicate, mspec, law, alpha, beta_prime, j_law, exp_id)
-    values = _map_replicates(worker, replicates, workers)
-    value, err = mean_stderr(values)
-    return EstimatorResult("vb-logz-increment", value, err, replicates,
-                           {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime,
-                            "seed": seed})
+    return _estimate("vb-logz-increment",
+                     functools.partial(_vb_replicate, mspec, law, alpha, beta_prime, j_law),
+                     replicates, seed, workers,
+                     {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime})
 
 
 def _pair_weighted_matrix(oracle: GibbsOracle, fn: ReplicaFunctional, k_labels) -> np.ndarray:
@@ -686,10 +650,7 @@ def poisson_ibp_realization(oracle: GibbsOracle, vb, alpha: float, beta_prime: f
 def _poisson_ibp_replicate(mspec: ModelSpec, law: DisorderSpec, alpha: float,
                            beta_prime: float, n: int, fn: TestFunction,
                            j_law: DisorderSpec, exp_id: int, r: int) -> float:
-    rng_coup = SeedPath(exp_id, r, 0).generator()
-    rng_vb = SeedPath(exp_id, r, 1).generator()
-    couplings = sample_couplings(mspec, law, rng_coup)
-    vb = sample_vb(alpha, mspec.n_sites, beta_prime, rng_vb, j_law)
+    couplings, vb = _draw_dressed(mspec, law, alpha, beta_prime, j_law, exp_id, r)
     oracle = build_oracle(mspec, couplings, vb=vb)
     left, right = poisson_ibp_realization(oracle, vb, alpha, beta_prime, n, fn, j_law)
     return left - right
@@ -704,14 +665,12 @@ def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
     if alpha <= 0 or beta_prime == 0.0:
         raise ExperimentError("the identity needs alpha > 0 and beta_prime != 0")
     j_law = j_law if j_law is not None else dis.rademacher()
-    exp_id = experiment_id(seed, "poisson-ibp")
-    worker = functools.partial(_poisson_ibp_replicate, mspec, law, alpha, beta_prime,
-                               n, fn, j_law, exp_id)
-    values = _map_replicates(worker, replicates, workers)
-    value, err = mean_stderr(values)
-    return EstimatorResult("poisson-ibp", value, err, replicates,
-                           {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime,
-                            "n": n, "F": fn.label, "seed": seed})
+    return _estimate("poisson-ibp",
+                     functools.partial(_poisson_ibp_replicate, mspec, law, alpha, beta_prime,
+                                       n, fn, j_law),
+                     replicates, seed, workers,
+                     {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime,
+                      "n": n, "F": fn.label})
 
 
 def taylor_coefficient_realization(oracle: GibbsOracle, n: int, m: int,
@@ -805,10 +764,7 @@ def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
     exp_id = experiment_id(seed, "taylor-coefficients")
     worst = {m: {"pointwise": 0.0, "averaged": 0.0} for m in m_values}
     for r in range(realizations):
-        rng_coup = SeedPath(exp_id, r, 0).generator()
-        rng_vb = SeedPath(exp_id, r, 1).generator()
-        couplings = sample_couplings(mspec, law, rng_coup)
-        vb = sample_vb(alpha, mspec.n_sites, beta_prime, rng_vb, j_law)
+        couplings, vb = _draw_dressed(mspec, law, alpha, beta_prime, j_law, exp_id, r)
         oracle = build_oracle(mspec, couplings, vb=vb)
         for m in m_values:
             got = taylor_coefficient_realization(oracle, n, m, fn)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +30,6 @@ from .model import (
     DilutedPairAssignment,
     batch_energies,
     spin_matrix,
-    tuple_sum_batch,
     vb_batch_energies,
 )
 
@@ -60,13 +58,6 @@ def fwht(vec: np.ndarray) -> np.ndarray:
         x[:, 1, :] = odd
         h *= 2
     return a
-
-
-def xor_convolve(weights: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """(weights *_xor kernel)[c] = sum_d weights[d] * kernel[c ^ d]."""
-    if weights.size != kernel.size:
-        raise ValueError("xor convolution needs equal lengths")
-    return fwht(fwht(weights) * fwht(kernel)) / weights.size
 
 
 def sites_to_mask(sites) -> int:
@@ -338,9 +329,6 @@ class GibbsOracle:
             self._moments[mask] = got
         return got
 
-    def moment_sites(self, sites) -> float:
-        return self.moment(sites_to_mask(sites))
-
     def thermal_mean(self, values: np.ndarray) -> float:
         return float(self.weights @ values)
 
@@ -378,28 +366,10 @@ class GibbsOracle:
     def overlap_power_moment(self, power: int) -> float:
         return self.star_overlap_expectation([power])
 
-    def overlap_distribution(self) -> tuple[np.ndarray, np.ndarray]:
-        """Support and probabilities of R_{1,2} under two independent replicas."""
-        n = self.n_sites
-        if self._weights_hat is None:
-            self._weights_hat = fwht(self.weights)
-        pair = fwht(self._weights_hat ** 2) / (1 << n)
-        pc = _popcounts(n)
-        probs = np.zeros(n + 1)
-        np.add.at(probs, pc, pair)
-        values = (n - 2.0 * np.arange(n + 1)) / n
-        return values, probs
-
-
 def build_oracle(spec: ModelSpec, couplings: CouplingAssignment,
                  vb: DilutedPairAssignment | None = None,
                  extra: list[np.ndarray] | None = None) -> GibbsOracle:
     return GibbsOracle.build(spec, couplings, vb=vb, extra=extra)
-
-
-def replica_expectation(oracle: GibbsOracle, fn: ReplicaFunctional) -> float:
-    """<F> via the factorized route (independent replicas, cached moments)."""
-    return fn.evaluate(oracle)
 
 
 def naive_replica_expectation(oracle: GibbsOracle, fn, n_replicas: int | None = None,
@@ -499,166 +469,3 @@ def _component_expectation(oracle: GibbsOracle, nodes: set[int], comp_edges) -> 
     for a, b, p in comp_edges:
         fn = fn * overlap_power(a, b, p, oracle.n_sites)
     return fn.evaluate(oracle)
-
-
-# -- Markov chain sampling ---------------------------------------------------
-
-
-@dataclass
-class MetropolisConfig:
-    """Single-spin-flip chain settings: sweeps kept, burn-in, thinning."""
-
-    n_samples: int
-    burn_in: int = 100
-    thinning: int = 1
-
-    def __post_init__(self):
-        if self.n_samples < 1 or self.burn_in < 0 or self.thinning < 1:
-            raise ModelValidationError("chain settings must be positive (thinning >= 1)")
-
-
-def _flip_delta(spec: ModelSpec, couplings: CouplingAssignment, spins: np.ndarray,
-                site: int) -> float:
-    """Energy change from flipping one site, in O(sum_p p * N**(p-1)) work."""
-    delta = -2.0 * spins[site]
-    total = 2.0 * spec.field_h * (-spins[site])
-    for p in spec.orders:
-        table = couplings.tables[p]
-        coef = spec.betas[p] * spec.scale(p)
-        acc = 0.0
-        for k in range(1, p + 1):
-            for positions in itertools.combinations(range(p), k):
-                idx = [slice(None)] * p
-                for a in positions:
-                    idx[a] = site
-                sub = np.asarray(table[tuple(idx)])
-                for _ in range(p - k):
-                    sub = sub @ spins
-                acc += (delta ** k) * float(sub)
-        total += coef * acc
-    return total
-
-
-def _vb_flip_delta(vb: DilutedPairAssignment, spins: np.ndarray, site: int) -> float:
-    hits = (vb.left_sites == site) | (vb.right_sites == site)
-    if not hits.any():
-        return 0.0
-    before = (vb.j_values[hits] * spins[vb.left_sites[hits]] * spins[vb.right_sites[hits]]).sum()
-    flipped = spins.copy()
-    flipped[site] = -flipped[site]
-    after = (vb.j_values[hits] * flipped[vb.left_sites[hits]] * flipped[vb.right_sites[hits]]).sum()
-    return vb.beta_prime * float(after - before)
-
-
-def metropolis_chain(spec: ModelSpec, couplings: CouplingAssignment, config: MetropolisConfig,
-                     rng: np.random.Generator, vb: DilutedPairAssignment | None = None,
-                     initial: np.ndarray | None = None):
-    """Sequential-sweep Metropolis sampler targeting exp(+H).
-
-    Sites are visited in fixed order within each sweep; flips accept with
-    probability min(1, exp(delta H)).  Energies update incrementally and are
-    recomputed from scratch after every sweep; the worst incremental drift
-    seen is reported.
-
-    Returns:
-        (samples, info): samples is an (n_samples, N) int8 array of kept
-        configurations; info holds acceptance rate and max energy drift.
-    """
-    couplings.validate(spec)
-    n = spec.n_sites
-    spins = (initial.astype(np.float64).copy() if initial is not None
-             else rng.choice([-1.0, 1.0], size=n))
-
-    def full_energy(s):
-        e = float(spec.field_h * s.sum())
-        for p in spec.orders:
-            e += spec.betas[p] * spec.scale(p) * tuple_sum_batch(couplings.tables[p], s[None, :])[0]
-        if vb is not None:
-            e += vb.beta_prime * float((vb.j_values * s[vb.left_sites] * s[vb.right_sites]).sum())
-        return e
-
-    energy = full_energy(spins)
-    samples = np.empty((config.n_samples, n), dtype=np.int8)
-    kept = 0
-    accepted = 0
-    proposed = 0
-    max_drift = 0.0
-    sweep = 0
-    while kept < config.n_samples:
-        for site in range(n):
-            delta = _flip_delta(spec, couplings, spins, site)
-            if vb is not None:
-                delta += _vb_flip_delta(vb, spins, site)
-            proposed += 1
-            if delta >= 0.0 or rng.random() < math.exp(delta):
-                spins[site] = -spins[site]
-                energy += delta
-                accepted += 1
-        fresh = full_energy(spins)
-        max_drift = max(max_drift, abs(fresh - energy))
-        energy = fresh
-        sweep += 1
-        if sweep > config.burn_in and (sweep - config.burn_in) % config.thinning == 0:
-            samples[kept] = spins.astype(np.int8)
-            kept += 1
-    info = {"acceptance": accepted / max(1, proposed), "max_drift": max_drift}
-    return samples, info
-
-
-def detailed_balance_residual(spec: ModelSpec, couplings: CouplingAssignment,
-                              rng: np.random.Generator, n_pairs: int = 64) -> float:
-    """max |w(s) P(s -> s') - w(s') P(s' -> s)| over random single-flip pairs.
-
-    Weights are normalized on the pair to keep the scale near 1.
-    """
-    n = spec.n_sites
-    worst = 0.0
-    for _ in range(n_pairs):
-        spins = rng.choice([-1.0, 1.0], size=n)
-        site = int(rng.integers(n))
-        e1 = float(batch_energies(spec, couplings, spins[None, :])[0])
-        other = spins.copy()
-        other[site] = -other[site]
-        e2 = float(batch_energies(spec, couplings, other[None, :])[0])
-        shift = max(e1, e2)
-        w1, w2 = math.exp(e1 - shift), math.exp(e2 - shift)
-        p12 = min(1.0, math.exp(e2 - e1))
-        p21 = min(1.0, math.exp(e1 - e2))
-        worst = max(worst, abs(w1 * p12 - w2 * p21))
-    return worst
-
-
-def free_energy_density(spec: ModelSpec, couplings: CouplingAssignment,
-                        method: str = "exact",
-                        chain_config: MetropolisConfig | None = None,
-                        rng: np.random.Generator | None = None,
-                        n_grid: int = 21) -> tuple[float, float]:
-    """(1/N) log Z, exactly or by thermodynamic integration along a scale sweep.
-
-    The chain route integrates d/ds log Z(s) = <H>_s for the family
-    H_s = s * H from s=0 (free spins, log Z = N log 2) to s=1 with the
-    trapezoid rule, one independent chain per grid point.
-    """
-    if method == "exact":
-        oracle = GibbsOracle.build(spec, couplings)
-        return oracle.free_energy_density, 0.0
-    if method != "chain":
-        raise ModelValidationError(f"unknown free-energy method {method!r}")
-    if chain_config is None or rng is None:
-        raise ModelValidationError("chain free energy needs a MetropolisConfig and an rng")
-    grid = np.linspace(0.0, 1.0, n_grid)
-    means = np.empty(n_grid)
-    variances = np.empty(n_grid)
-    for k, s in enumerate(grid):
-        scaled = ModelSpec(spec.n_sites, {p: s * b for p, b in spec.betas.items()}, s * spec.field_h)
-        samples, _ = metropolis_chain(scaled, couplings, chain_config, rng)
-        energies = batch_energies(spec, couplings, samples.astype(np.float64))
-        means[k] = energies.mean()
-        variances[k] = energies.var(ddof=1) / len(energies)
-    # trapezoid weights on a uniform grid
-    w = np.full(n_grid, grid[1] - grid[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    value = math.log(2.0) + float(w @ means) / spec.n_sites
-    stderr = math.sqrt(float(w ** 2 @ variances)) / spec.n_sites
-    return value, stderr

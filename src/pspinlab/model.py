@@ -27,10 +27,6 @@ import numpy as np
 # feed it) stops being a reasonable object to build.
 EXACT_ENUMERATION_CAP = 20
 
-# Order cap for large systems: dense N**p tables with p >= 4 are only
-# accepted while N stays small enough to enumerate exactly.
-LARGE_SYSTEM_MAX_ORDER = 3
-
 _CONTRACT_CHUNK = 1 << 23  # max scratch elements in batched contractions
 
 
@@ -47,7 +43,7 @@ class ModelSpec:
     """Sizes and strengths of a mixed p-spin model.
 
     Args:
-        n_sites: number of spins N. Must be >= 1.
+        n_sites: number of spins N, from 1 to EXACT_ENUMERATION_CAP.
         betas: mapping {p: beta_p} of interaction orders to inverse-temperature
             weights. Orders must be integers >= 2.
         field: external field h applied uniformly to every site.
@@ -60,6 +56,11 @@ class ModelSpec:
     def __post_init__(self):
         if not isinstance(self.n_sites, int) or self.n_sites < 1:
             raise ModelValidationError(f"n_sites must be a positive integer, got {self.n_sites!r}")
+        if self.n_sites > EXACT_ENUMERATION_CAP:
+            raise ResourceCapError(
+                f"N={self.n_sites} needs 2**{self.n_sites} configurations "
+                f"(cap N <= {EXACT_ENUMERATION_CAP})"
+            )
         for p, beta in self.betas.items():
             if not isinstance(p, int) or p < 2:
                 raise ModelValidationError(f"interaction orders must be integers >= 2, got {p!r}")
@@ -67,13 +68,6 @@ class ModelSpec:
                 raise ModelValidationError(f"beta_{p} must be finite, got {beta!r}")
         if not math.isfinite(self.field_h):
             raise ModelValidationError(f"field must be finite, got {self.field_h!r}")
-        if self.n_sites > EXACT_ENUMERATION_CAP:
-            bad = [p for p in self.betas if p > LARGE_SYSTEM_MAX_ORDER]
-            if bad:
-                raise ModelValidationError(
-                    f"orders {sorted(bad)} need dense N**p tables; with N={self.n_sites} "
-                    f"only p <= {LARGE_SYSTEM_MAX_ORDER} is supported"
-                )
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -164,14 +158,6 @@ def tuple_sum_batch(table: np.ndarray, configs: np.ndarray) -> np.ndarray:
     return out
 
 
-def interaction_energy(spec: ModelSpec, couplings: CouplingAssignment, spins: np.ndarray,
-                       p: int, n_total: int | None = None) -> float:
-    """Energy of the order-p interaction alone (no field)."""
-    table = couplings.tables[p]
-    raw = tuple_sum_batch(table, np.asarray(spins, dtype=np.float64)[None, :])[0]
-    return spec.betas[p] * spec.scale(p, n_total) * raw
-
-
 def hamiltonian_energy(spec: ModelSpec, couplings: CouplingAssignment, spins: np.ndarray) -> float:
     """Total energy H(sigma), interactions plus field."""
     spins = np.asarray(spins, dtype=np.float64)
@@ -180,7 +166,8 @@ def hamiltonian_energy(spec: ModelSpec, couplings: CouplingAssignment, spins: np
     couplings.validate(spec)
     total = spec.field_h * float(spins.sum())
     for p in spec.orders:
-        total += interaction_energy(spec, couplings, spins, p)
+        raw = tuple_sum_batch(couplings.tables[p], spins[None, :])[0]
+        total += spec.betas[p] * spec.scale(p) * raw
     return total
 
 
@@ -239,116 +226,6 @@ def vb_batch_energies(assignment: DilutedPairAssignment, configs: np.ndarray) ->
         return np.zeros(configs.shape[0])
     prod = configs[:, assignment.left_sites] * configs[:, assignment.right_sites]
     return assignment.beta_prime * (prod * assignment.j_values[None, :]).sum(axis=1)
-
-
-def remainder_tuple_count(p: int, n_bulk: int, n_cavity: int) -> int:
-    """Number of order-p tuples touching at least two cavity sites."""
-    return sum(math.comb(p, k) * n_cavity ** k * n_bulk ** (p - k) for k in range(2, p + 1))
-
-
-@dataclass
-class CavityDecomposition:
-    """Partition of a full coupling table around the first ``n_cavity`` sites.
-
-    Tuples over the full system {0..N+n'-1} are classified by how many of
-    their entries fall in the cavity block {0..n'-1}: none (bulk), exactly one
-    (linear field seen by that cavity spin), or at least two (remainder).
-    Bulk and field tables are re-indexed to the N bulk sites, but every energy
-    keeps the full-system normalization (N+n')**(-(p-1)/2).
-    """
-
-    spec: ModelSpec            # full model over N + n' sites
-    n_cavity: int
-    bulk: CouplingAssignment   # tables of shape (N,)*p
-    # field[p] has shape (n', p) + (N,)*(p-1): cavity site j, slot a, rest k
-    fields: dict[int, np.ndarray]
-    # remainder[p] is (indices, values) with indices (n_rem, p) in full-system coords
-    remainder: dict[int, tuple[np.ndarray, np.ndarray]]
-
-    @property
-    def n_bulk(self) -> int:
-        return self.spec.n_sites - self.n_cavity
-
-    def bulk_energies(self, configs: np.ndarray) -> np.ndarray:
-        """Interaction energy of the cavity-free tuples for bulk configs."""
-        total = np.zeros(configs.shape[0])
-        for p in self.spec.orders:
-            total += (self.spec.betas[p] * self.spec.scale(p)
-                      * tuple_sum_batch(self.bulk.tables[p], configs))
-        return total
-
-    def field_energies(self, configs: np.ndarray) -> np.ndarray:
-        """Linear cavity fields: (n', n_configs) array of h_j(sigma) values."""
-        out = np.zeros((self.n_cavity, configs.shape[0]))
-        for p in self.spec.orders:
-            tabs = self.fields[p]
-            coef = self.spec.betas[p] * self.spec.scale(p)
-            for j in range(self.n_cavity):
-                if p == 2:
-                    # slot tables are 1-d; contraction is a plain matvec
-                    out[j] += coef * (configs @ tabs[j].sum(axis=0))
-                else:
-                    eff = tabs[j].sum(axis=0)
-                    out[j] += coef * tuple_sum_batch(eff, configs)
-        return out
-
-    def remainder_energy(self, cavity_spins: np.ndarray, bulk_spins: np.ndarray) -> float:
-        """Energy of tuples with >= 2 cavity entries, one (eps, sigma) pair."""
-        full = np.concatenate([np.asarray(cavity_spins, dtype=np.float64),
-                               np.asarray(bulk_spins, dtype=np.float64)])
-        total = 0.0
-        for p in self.spec.orders:
-            idx, vals = self.remainder[p]
-            if len(vals) == 0:
-                continue
-            prods = full[idx].prod(axis=1)
-            total += self.spec.betas[p] * self.spec.scale(p) * float(vals @ prods)
-        return total
-
-
-def cavity_split(spec: ModelSpec, couplings: CouplingAssignment, n_cavity: int) -> CavityDecomposition:
-    """Classify every coupling tuple by its cavity-site count.
-
-    The input spec/couplings describe the full system of N + n' sites; the
-    first ``n_cavity`` sites are the cavity block.
-    """
-    couplings.validate(spec)
-    if not 0 < n_cavity < spec.n_sites:
-        raise ModelValidationError(
-            f"n_cavity must lie strictly between 0 and N+n'={spec.n_sites}, got {n_cavity}"
-        )
-    n_bulk = spec.n_sites - n_cavity
-    bulk_tables: dict[int, np.ndarray] = {}
-    field_tables: dict[int, np.ndarray] = {}
-    remainder: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for p in spec.orders:
-        table = couplings.tables[p]
-        bulk_slice = (slice(n_cavity, None),) * p
-        bulk_tables[p] = table[bulk_slice].copy()
-        fields = np.empty((n_cavity, p) + (n_bulk,) * (p - 1))
-        for j in range(n_cavity):
-            for a in range(p):
-                idx = [slice(n_cavity, None)] * p
-                idx[a] = j
-                fields[j, a] = table[tuple(idx)]
-        field_tables[p] = fields
-        rem_idx = []
-        rem_val = []
-        for tup in np.ndindex(*table.shape):
-            if sum(1 for e in tup if e < n_cavity) >= 2:
-                rem_idx.append(tup)
-                rem_val.append(table[tup])
-        want = remainder_tuple_count(p, n_bulk, n_cavity)
-        if len(rem_idx) != want:
-            raise AssertionError(f"remainder class has {len(rem_idx)} tuples, expected {want}")
-        remainder[p] = (np.array(rem_idx, dtype=np.intp).reshape(len(rem_idx), p),
-                        np.array(rem_val))
-    bulk_spec = ModelSpec(n_bulk, dict(spec.betas), spec.field_h) if n_bulk >= 1 else None
-    if bulk_spec is None:
-        raise ModelValidationError("cavity split needs at least one bulk site")
-    return CavityDecomposition(spec=spec, n_cavity=n_cavity,
-                               bulk=CouplingAssignment(bulk_tables),
-                               fields=field_tables, remainder=remainder)
 
 
 def interpolated_couplings(first: CouplingAssignment, second: CouplingAssignment,

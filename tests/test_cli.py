@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -191,15 +194,33 @@ def test_run_size_list_gives_one_row_per_size(tmp_path, capsys):
     assert len(body.splitlines()) == 3
 
 
+# inputs that must exit 2 with one error line, never a traceback or exit 1
+_BAD_VALUES = {
+    "badbeta": minimal_config(model={"n_sites": 3, "betas": {"2": "hot"}}),
+    "badparam": minimal_config(params={"n": "two"}),
+    "badpower": minimal_config(params={"function": {"kind": "overlap-power", "power": "x"}}),
+    "badtgrid": minimal_config(experiment="interpolation-sweep", params={"t_grid": "abc"}),
+    "badworkersenv": minimal_config(),
+    "oversize": {"experiment": "gg-gap",
+                 "model": {"n_sites": 100000, "betas": {"3": 1.0}},
+                 "disorder": {"family": "gaussian"}},
+}
+
+
 @pytest.mark.parametrize("breaker,expected", [
     ("missing", cli.USAGE_ERROR),
     ("badjson", cli.USAGE_ERROR),
     ("unknownkey", cli.USAGE_ERROR),
     ("badfamily", cli.USAGE_ERROR),
     ("badmodel", cli.USAGE_ERROR),
-])
-def test_run_failure_exit_codes(tmp_path, capsys, breaker, expected):
-    if breaker == "missing":
+] + [(name, cli.USAGE_ERROR) for name in _BAD_VALUES])
+def test_run_failure_exit_codes(tmp_path, capsys, monkeypatch, breaker, expected):
+    if breaker in _BAD_VALUES:
+        if breaker == "badworkersenv":
+            monkeypatch.setenv("PSPINLAB_WORKERS", "abc")
+        raw = dict(_BAD_VALUES[breaker], output=str(tmp_path / "out"))
+        code = cli.main(["run", write_config(tmp_path, raw)])
+    elif breaker == "missing":
         code = cli.main(["run", str(tmp_path / "nope.json")])
     elif breaker == "badjson":
         path = tmp_path / "broken.json"
@@ -214,7 +235,9 @@ def test_run_failure_exit_codes(tmp_path, capsys, breaker, expected):
         raw = minimal_config(model={"n_sites": 3, "betas": {"2": float("nan")}})
         code = cli.main(["run", write_config(tmp_path, raw)])
     assert code == expected
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert "Traceback" not in err
 
 
 def test_list_prints_known_experiments(capsys):
@@ -222,6 +245,36 @@ def test_list_prints_known_experiments(capsys):
     out = capsys.readouterr().out
     for name in ("gg-gap", "ibp-battery", "cavity-identity", "trend-suite"):
         assert name in out
+    assert [line.split()[0] for line in out.splitlines()] == sorted(cli.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
+def test_every_registered_experiment_runs(tmp_path, name):
+    raw = {"experiment": name, "replicates": 2, "seed": 3, "output": str(tmp_path / "out")}
+    if not cli.EXPERIMENTS[name].self_contained:
+        raw["model"] = {"n_sites": 4, "betas": {"2": 1.0, "3": 0.5}}
+        raw["disorder"] = {"family": "rademacher"}
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+    assert (tmp_path / "out" / f"{name}-3.csv").exists()
+
+
+def test_output_independent_of_blas_threads_and_workers(tmp_path):
+    raw = {"experiment": "trend-suite", "params": {"n_values": [4, 8, 12]},
+           "replicates": 6, "seed": 7}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    blobs = {}
+    for threads, workers in (("1", "1"), ("2", "1"), ("1", "2"), ("2", "2")):
+        tag = f"t{threads}-w{workers}"
+        path = write_config(tmp_path, dict(raw, output=str(tmp_path / tag)), f"{tag}.json")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "pspinlab.cli", "run", path,
+                               "--workers", workers], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        blobs[tag] = (tmp_path / tag / "trend-suite-7.csv").read_bytes()
+    assert len(set(blobs.values())) == 1, sorted(blobs)
 
 
 def test_verify_gg_suite_passes(capsys, tmp_path):

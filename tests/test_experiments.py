@@ -78,6 +78,9 @@ def test_resolve_workers_precedence(monkeypatch):
     assert ex.resolve_workers(0) == 1
     monkeypatch.setenv("PSPINLAB_WORKERS", "2")
     assert ex.resolve_workers(None) == 2
+    monkeypatch.setenv("PSPINLAB_WORKERS", "abc")
+    with pytest.raises(ex.ExperimentError):
+        ex.resolve_workers(None)
     monkeypatch.delenv("PSPINLAB_WORKERS")
     assert ex.resolve_workers(None) >= 1
 
@@ -236,10 +239,9 @@ def test_cavity_identity_validation():
     with pytest.raises(ex.ExperimentError):
         ex.cavity_identity_realization(mspec, dis.gaussian(), 1, ((3,),),
                                        SeedPath(1, 0, 0))
-    big = ModelSpec(21, {2: 1.0}, 0.0)
     with pytest.raises(ResourceCapError):
-        ex.cavity_identity_realization(big, dis.gaussian(), 1, ((0,),),
-                                       SeedPath(1, 0, 0))
+        ex.cavity_identity_realization(ModelSpec(21, {2: 1.0}, 0.0), dis.gaussian(), 1,
+                                       ((0,),), SeedPath(1, 0, 0))
 
 
 # -- derivative moment sums ---------------------------------------------------

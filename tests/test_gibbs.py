@@ -14,22 +14,16 @@ from pspinlab.model import (
 )
 from pspinlab.gibbs import (
     GibbsOracle,
-    MetropolisConfig,
     ReplicaFunctional,
     build_oracle,
-    detailed_balance_residual,
-    free_energy_density,
     fwht,
     mask_to_sites,
-    metropolis_chain,
     multi_overlap,
     naive_replica_expectation,
     overlap_power,
     overlap_product_expectation,
     replica_difference,
-    replica_expectation,
     sites_to_mask,
-    xor_convolve,
 )
 
 
@@ -169,7 +163,7 @@ def test_replica_difference_kills_exchangeable_means():
     fn = overlap_power(1, 2, 2, 4)
     diff = replica_difference(fn, 1)
     # label permutations cannot change a product of i.i.d. replica moments
-    assert replica_expectation(oracle, diff) == pytest.approx(0.0, abs=1e-15)
+    assert diff.evaluate(oracle) == pytest.approx(0.0, abs=1e-15)
 
 
 # -- oracle basics ------------------------------------------------------------
@@ -226,22 +220,11 @@ def test_fwht_involution():
     assert np.allclose(fwht(fwht(x)), 16 * x, atol=1e-12)
 
 
-def test_xor_convolve_matches_naive():
-    rng = np.random.default_rng(1)
-    w = rng.normal(size=8)
-    k = rng.normal(size=8)
-    got = xor_convolve(w, k)
-    want = np.array([sum(w[d] * k[c ^ d] for d in range(8)) for c in range(8)])
-    assert np.allclose(got, want, atol=1e-12)
-    with pytest.raises(ValueError):
-        xor_convolve(w, k[:4])
-
-
 @pytest.mark.parametrize("power", [1, 2, 3])
 def test_overlap_power_moment_routes_agree(power):
     oracle = small_oracle(3, seed=4)
     fn = overlap_power(1, 2, power, 3)
-    fact = replica_expectation(oracle, fn)
+    fact = fn.evaluate(oracle)
     fast = oracle.overlap_power_moment(power)
     brute = naive_replica_expectation(oracle, fn)
     assert fast == pytest.approx(fact, abs=1e-12)
@@ -251,7 +234,7 @@ def test_overlap_power_moment_routes_agree(power):
 def test_star_expectation_matches_factorized():
     oracle = small_oracle(3, seed=6)
     fn = overlap_power(1, 2, 2, 3, 3) * overlap_power(1, 3, 1, 3, 3)
-    want = replica_expectation(oracle, fn)
+    want = fn.evaluate(oracle)
     got = oracle.star_overlap_expectation([2, 1])
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -283,16 +266,6 @@ def test_overlap_triangle_falls_back_to_generic():
     assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_overlap_distribution_consistency():
-    oracle = small_oracle(4, seed=9)
-    values, probs = oracle.overlap_distribution()
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(probs >= -1e-14)
-    assert values[0] == 1.0 and values[-1] == -1.0
-    second = float((values ** 2) @ probs)
-    assert second == pytest.approx(oracle.overlap_power_moment(2), abs=1e-12)
-
-
 def test_naive_expectation_caps_and_callable_route():
     oracle = small_oracle(3, seed=10)
     with pytest.raises(ResourceCapError):
@@ -313,82 +286,10 @@ def test_overlap_moments_bounded(seed, power):
     assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
 
-# -- chain sampling -----------------------------------------------------------
-
-
-def test_metropolis_config_validation():
-    with pytest.raises(ModelValidationError):
-        MetropolisConfig(0)
-    with pytest.raises(ModelValidationError):
-        MetropolisConfig(5, burn_in=-1)
-    with pytest.raises(ModelValidationError):
-        MetropolisConfig(5, thinning=0)
-
-
-def test_detailed_balance_is_exact():
-    rng = np.random.default_rng(11)
-    spec = ModelSpec(4, {2: 0.9, 3: 0.5}, 0.2)
-    couplings = random_assignment(spec, rng)
-    assert detailed_balance_residual(spec, couplings, rng) <= 1e-12
-
-
-def test_chain_accepts_everything_at_zero_energy():
-    spec = ModelSpec(4, {2: 0.0}, 0.0)
-    couplings = CouplingAssignment({2: np.zeros((4, 4))})
-    rng = np.random.default_rng(12)
-    samples, info = metropolis_chain(spec, couplings, MetropolisConfig(50, burn_in=10), rng)
-    assert info["acceptance"] == 1.0
-    assert samples.shape == (50, 4)
-    assert set(np.unique(samples)) <= {-1, 1}
-
-
-def test_chain_incremental_energy_tracks_full():
-    rng = np.random.default_rng(13)
-    spec = ModelSpec(4, {2: 0.8, 3: 0.4}, 0.3)
-    couplings = random_assignment(spec, rng)
-    _, info = metropolis_chain(spec, couplings, MetropolisConfig(30, burn_in=20), rng)
-    assert info["max_drift"] <= 1e-8
-
-
-def test_chain_marginal_matches_exact():
-    rng = np.random.default_rng(14)
-    spec = ModelSpec(4, {2: 0.7}, 0.4)
-    couplings = random_assignment(spec, rng)
-    oracle = build_oracle(spec, couplings)
-    exact = np.array([oracle.moment(1 << s) for s in range(4)])
-    samples, _ = metropolis_chain(
-        spec, couplings, MetropolisConfig(4000, burn_in=200), rng)
-    got = samples.mean(axis=0)
-    # correlated sweeps; allow a generous band around the i.i.d. error scale
-    assert np.all(np.abs(got - exact) < 0.1)
-
-
 # -- free energy --------------------------------------------------------------
 
 
 def test_free_energy_exact_closed_forms():
     spec = ModelSpec(5, {}, 0.9)
-    value, err = free_energy_density(spec, CouplingAssignment({}))
-    assert err == 0.0
+    value = GibbsOracle.build(spec, CouplingAssignment({})).free_energy_density
     assert value == pytest.approx(math.log(2 * math.cosh(0.9)), rel=1e-13)
-
-
-def test_free_energy_chain_near_exact():
-    rng = np.random.default_rng(15)
-    spec = ModelSpec(4, {2: 0.6}, 0.3)
-    couplings = random_assignment(spec, rng)
-    exact, _ = free_energy_density(spec, couplings)
-    approx, stderr = free_energy_density(
-        spec, couplings, method="chain",
-        chain_config=MetropolisConfig(400, burn_in=100), rng=rng, n_grid=11)
-    assert stderr > 0.0
-    # trapezoid bias plus chain noise; this is a smoke bound, not a tolerance
-    assert abs(approx - exact) < 0.05
-
-
-def test_free_energy_method_validation():
-    spec = ModelSpec(3, {}, 0.1)
-    with pytest.raises(ModelValidationError):
-        free_energy_density(spec, CouplingAssignment({}), method="bogus")
-    with pytest.raises(ModelValidationError):
-        free_energy_density(spec, CouplingAssignment({}), method="chain")

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pspinlab.model import (
@@ -13,11 +13,9 @@ from pspinlab.model import (
     ResourceCapError,
     DilutedPairAssignment,
     batch_energies,
-    cavity_split,
     hamiltonian_energy,
     index_to_spins,
     interpolated_couplings,
-    remainder_tuple_count,
     spin_matrix,
     spins_to_index,
     tuple_sum_batch,
@@ -63,11 +61,11 @@ def test_spec_allows_empty_and_zero_betas():
 
 
 def test_large_system_order_cap():
-    # dense N**4 tables are only allowed while exact enumeration is possible
+    # every order stops where exact enumeration does
     ModelSpec(EXACT_ENUMERATION_CAP, {4: 1.0})
-    with pytest.raises(ModelValidationError):
-        ModelSpec(EXACT_ENUMERATION_CAP + 1, {4: 1.0})
-    ModelSpec(EXACT_ENUMERATION_CAP + 5, {2: 1.0, 3: 0.5})
+    for betas in ({}, {2: 1.0}, {3: 0.5}, {2: 1.0, 3: 0.5}, {4: 1.0}):
+        with pytest.raises(ResourceCapError):
+            ModelSpec(EXACT_ENUMERATION_CAP + 1, betas)
 
 
 def test_scale_matches_power_law():
@@ -177,45 +175,6 @@ def test_vb_empty_and_validation():
     assert vb_energy(empty, np.array([1.0, -1.0])) == 0.0
     with pytest.raises(ModelValidationError):
         DilutedPairAssignment(1.0, np.array([1.0]), np.array([0]), np.array([0, 1]))
-
-
-@pytest.mark.parametrize("p,n_bulk,n_cavity", [(2, 3, 1), (2, 4, 2), (3, 3, 2), (4, 2, 2)])
-def test_remainder_tuple_count_vs_enumeration(p, n_bulk, n_cavity):
-    total = n_bulk + n_cavity
-    count = sum(1 for tup in itertools.product(range(total), repeat=p)
-                if sum(1 for e in tup if e < n_cavity) >= 2)
-    assert remainder_tuple_count(p, n_bulk, n_cavity) == count
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=1, max_value=2))
-def test_cavity_split_reassembles_hamiltonian(seed, n_cavity):
-    """Bulk + linear-field + remainder classes partition every coupling tuple."""
-    rng = np.random.default_rng(seed)
-    n_full = 4
-    spec = ModelSpec(n_full, {2: 0.8, 3: -0.5}, 0.3)
-    coup = CouplingAssignment({2: rng.standard_normal((n_full,) * 2),
-                               3: rng.standard_normal((n_full,) * 3)})
-    split = cavity_split(spec, coup, n_cavity)
-    eps = rng.choice([-1.0, 1.0], size=n_cavity)
-    sigma = rng.choice([-1.0, 1.0], size=n_full - n_cavity)
-    full_spins = np.concatenate([eps, sigma])
-    want = hamiltonian_energy(spec, coup, full_spins)
-    fields = split.field_energies(sigma[None, :])[:, 0]
-    got = (spec.field_h * full_spins.sum()
-           + split.bulk_energies(sigma[None, :])[0]
-           + float(eps @ fields)
-           + split.remainder_energy(eps, sigma))
-    assert got == pytest.approx(want, abs=1e-10)
-
-
-def test_cavity_split_validation():
-    spec = ModelSpec(3, {2: 1.0})
-    coup = CouplingAssignment({2: np.zeros((3, 3))})
-    with pytest.raises(ModelValidationError):
-        cavity_split(spec, coup, 0)
-    with pytest.raises(ModelValidationError):
-        cavity_split(spec, coup, 3)
 
 
 def test_interpolated_couplings_endpoints_and_variance():
