@@ -301,16 +301,18 @@ def series_identity_check(a_coeffs, b: float, x: float, n_replicas: int,
     total = 0.0
     m = 0
     tail = math.inf
-    last = 0.0
     while True:
         c_m = sum(math.comb(n + m - a, n) * a_coeffs[a] * b ** (m - a)
                   for a in range(0, min(m, n + 1) + 1))
-        last = c_m * x ** m
-        total += last
+        total += c_m * x ** m
         if m > 2 * n + 2:
             ratio = q * (n + m + 1) / (m - n)
             if ratio < 1.0:
-                tail = abs(last) * ratio / (1.0 - ratio)
+                # bound by the majorant term sum_a C(n+m-a, n) |A_a| |B|**(m-a) |x|**m:
+                # c_m itself can vanish at one m while the tail does not
+                size = sum(math.comb(n + m - a, n) * abs(a_coeffs[a]) * abs(b) ** (m - a)
+                           for a in range(n + 2)) * abs(x) ** m
+                tail = size * ratio / (1.0 - ratio)
                 if tail <= tail_target:
                     break
         m += 1

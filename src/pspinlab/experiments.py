@@ -28,6 +28,7 @@ from .gibbs import (
     GibbsOracle,
     ReplicaFunctional,
     build_oracle,
+    fwht,
     overlap_power,
     overlap_product_expectation,
     replica_difference,
@@ -37,6 +38,7 @@ from .model import (
     ModelSpec,
     interpolated_couplings,
     spin_matrix,
+    tuple_coefficients,
     tuple_sum_batch,
 )
 
@@ -310,8 +312,7 @@ def _self_avg_replicate(mspec: ModelSpec, law: DisorderSpec, p: int, mode: str,
     rng = SeedPath(exp_id, r, 1 if mode == "center" else 0).generator()
     couplings = sample_couplings(mspec, law, rng)
     oracle = build_oracle(mspec, couplings)
-    values = (mspec.betas[p] * mspec.scale(p)
-              * tuple_sum_batch(couplings.tables[p], oracle.configs))
+    values = fwht(tuple_coefficients(mspec.betas[p] * mspec.scale(p) * couplings.tables[p]))
     if mode == "thermal":
         mean = oracle.thermal_mean(values)
         return (oracle.thermal_mean(values ** 2) - mean ** 2) / mspec.n_sites ** 2

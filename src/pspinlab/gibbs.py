@@ -1,16 +1,20 @@
 """Exact Gibbs oracles and replica functionals over small hypercubes.
 
-The oracle enumerates all 2**N configurations once, stores max-shifted
-normalized weights, and answers thermal averages exactly.  Replica
-functionals are finite linear combinations of products of spin monomials
-evaluated on independent replicas drawn from one Gibbs measure; since
-sigma_i**2 = 1, each replica's monomial is reduced at construction to a set
-of sites with odd multiplicity, held as a bitmask.
+The oracle holds the Gibbs weights of all 2**N configurations and answers
+every thermal query from Walsh-Hadamard transforms, never from a matrix of
+configurations.  The energy vector is one transform of the Hamiltonian's
+Walsh coefficients; one transform of the weights, the spectrum w^, holds every
+moment <sigma_A> = (-1)**|A| w^[A]; a pair-moment matrix is a gather from it
+at A ^ {u} ^ {v}; and overlap powers, which are XOR kernels, are products
+with the kernel's transform.  Replica functionals are finite linear
+combinations of products of spin monomials evaluated on independent replicas
+drawn from one Gibbs measure; since sigma_i**2 = 1, each replica's monomial is
+reduced at construction to a set of sites with odd multiplicity, held as a
+bitmask.
 
-Two independent evaluation routes are kept side by side on purpose: the
-factorized route (products of per-replica moments) and a brute-force sum
-over all replica tuples.  Fast paths for overlap polynomials (XOR-transform
-kernels, pair-moment matrices) are cross-checked against both in the tests.
+The naive route, a brute-force sum over all replica tuples of explicit
+configurations, never touches the spectrum and is kept as the independent
+cross-check of the factorized, star and pair-matrix routes.
 """
 
 from __future__ import annotations
@@ -28,9 +32,8 @@ from .model import (
     ModelValidationError,
     ResourceCapError,
     DilutedPairAssignment,
-    batch_energies,
+    energy_coefficients,
     spin_matrix,
-    vb_batch_energies,
 )
 
 NAIVE_MAX_BITS = 16        # brute-force replica sums enumerate 2**(n*N) tuples
@@ -43,6 +46,15 @@ def _popcounts(n_sites: int) -> np.ndarray:
     out = np.zeros(1 << n_sites, dtype=np.int64)
     for b in range(n_sites):
         out += (codes >> b) & 1
+    return out
+
+
+@lru_cache(maxsize=8)
+def _kernel_spectrum(n_sites: int, power: int) -> np.ndarray:
+    """Transform of the XOR kernel c -> R(c, 0)**power (8 MB an entry at N=20)."""
+    overlaps = (n_sites - 2.0 * _popcounts(n_sites)) / n_sites
+    out = fwht(overlaps ** power)
+    out.flags.writeable = False
     return out
 
 
@@ -270,8 +282,10 @@ def replica_difference(fn: ReplicaFunctional, label: int) -> ReplicaFunctional:
 class GibbsOracle:
     """Exact Gibbs measure over all 2**N configurations.
 
-    Weights are exp(H - max H) normalized; log Z keeps the shift.  Moments,
-    pair-moment matrices, and XOR-kernel transforms are cached per oracle.
+    Weights are exp(H - max H) normalized; log Z keeps the shift.  The
+    spectrum w^ = fwht(weights) is computed once, on first use, and answers
+    moments, pair-moment matrices and star overlaps; there is no
+    configuration matrix.
     """
 
     def __init__(self, n_sites: int, energies: np.ndarray):
@@ -290,24 +304,16 @@ class GibbsOracle:
         z = float(weights.sum())
         self.weights = weights / z
         self.log_z = shift + math.log(z)
-        self.configs = spin_matrix(n_sites)
-        self._moments: dict[int, float] = {0: 1.0}
+        self._spectrum: np.ndarray | None = None
         self._pair_matrices: dict[int, np.ndarray] = {}
         self._leaf_kernels: dict[int, np.ndarray] = {}
-        self._weights_hat: np.ndarray | None = None
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def build(spec: ModelSpec, couplings: CouplingAssignment,
-              vb: DilutedPairAssignment | None = None,
-              extra: list[np.ndarray] | None = None) -> "GibbsOracle":
-        configs = spin_matrix(spec.n_sites)
-        extras = list(extra) if extra else []
-        if vb is not None:
-            extras.append(vb_batch_energies(vb, configs))
-        energies = batch_energies(spec, couplings, configs, extras or None)
-        return GibbsOracle(spec.n_sites, energies)
+              vb: DilutedPairAssignment | None = None) -> "GibbsOracle":
+        return GibbsOracle(spec.n_sites, fwht(energy_coefficients(spec, couplings, vb)))
 
     # -- basic queries ------------------------------------------------------
 
@@ -315,19 +321,19 @@ class GibbsOracle:
     def free_energy_density(self) -> float:
         return self.log_z / self.n_sites
 
-    def column_product(self, mask: int) -> np.ndarray:
-        prod = np.ones(self.configs.shape[0])
-        for s in mask_to_sites(mask):
-            prod = prod * self.configs[:, s]
-        return prod
+    @property
+    def spectrum(self) -> np.ndarray:
+        """w^[A] = sum_c weights[c] * (-1)**|A & c|."""
+        if self._spectrum is None:
+            self._spectrum = fwht(self.weights)
+        return self._spectrum
 
     def moment(self, mask: int) -> float:
         """<sigma_A> for the site set encoded by ``mask``."""
-        got = self._moments.get(mask)
-        if got is None:
-            got = float(self.weights @ self.column_product(mask))
-            self._moments[mask] = got
-        return got
+        if not mask:
+            return 1.0
+        value = float(self.spectrum[mask])
+        return -value if int(mask).bit_count() & 1 else value
 
     def thermal_mean(self, values: np.ndarray) -> float:
         return float(self.weights @ values)
@@ -335,11 +341,15 @@ class GibbsOracle:
     # -- overlap fast paths -------------------------------------------------
 
     def pair_moment_matrix(self, mask: int = 0) -> np.ndarray:
-        """P[u, v] = <sigma_u sigma_v sigma_A>, computed as one weighted Gram."""
+        """P[u, v] = <sigma_u sigma_v sigma_A>, gathered from the spectrum and
+        cached per mask; {u} ^ {v} has even size, so every entry carries the
+        sign of A."""
         got = self._pair_matrices.get(mask)
         if got is None:
-            w = self.weights * self.column_product(mask) if mask else self.weights
-            got = self.configs.T @ (w[:, None] * self.configs)
+            bits = np.left_shift(1, np.arange(self.n_sites, dtype=np.int64))
+            got = self.spectrum[mask ^ bits[:, None] ^ bits[None, :]]
+            if int(mask).bit_count() & 1:
+                got = -got
             self._pair_matrices[mask] = got
         return got
 
@@ -347,29 +357,28 @@ class GibbsOracle:
         """u_p[c] = E_{c' ~ G} R(c, c')**p via one XOR convolution."""
         got = self._leaf_kernels.get(power)
         if got is None:
-            n = self.n_sites
-            overlaps = (n - 2.0 * _popcounts(n)) / n
-            kernel = overlaps ** power
-            if self._weights_hat is None:
-                self._weights_hat = fwht(self.weights)
-            got = fwht(self._weights_hat * fwht(kernel)) / kernel.size
+            kernel_hat = _kernel_spectrum(self.n_sites, power)
+            got = fwht(self.spectrum * kernel_hat) / kernel_hat.size
             self._leaf_kernels[power] = got
         return got
 
     def star_overlap_expectation(self, leg_powers) -> float:
         """< prod_k R_{center, leaf_k}**p_k > for distinct leaves of one center."""
-        value = np.ones(self.configs.shape[0])
+        value = np.ones(1 << self.n_sites)
         for power in leg_powers:
             value = value * self._leaf_values(power)
         return float(self.weights @ value)
 
     def overlap_power_moment(self, power: int) -> float:
-        return self.star_overlap_expectation([power])
+        """<R_12**power> by Parseval: 2**-N sum_A w^[A]**2 * k^_p[A]."""
+        kernel_hat = _kernel_spectrum(self.n_sites, power)
+        spectrum = self.spectrum
+        return float((spectrum * spectrum * kernel_hat).sum()) / kernel_hat.size
+
 
 def build_oracle(spec: ModelSpec, couplings: CouplingAssignment,
-                 vb: DilutedPairAssignment | None = None,
-                 extra: list[np.ndarray] | None = None) -> GibbsOracle:
-    return GibbsOracle.build(spec, couplings, vb=vb, extra=extra)
+                 vb: DilutedPairAssignment | None = None) -> GibbsOracle:
+    return GibbsOracle.build(spec, couplings, vb=vb)
 
 
 def naive_replica_expectation(oracle: GibbsOracle, fn, n_replicas: int | None = None,
@@ -390,6 +399,7 @@ def naive_replica_expectation(oracle: GibbsOracle, fn, n_replicas: int | None = 
             f"naive replica sum needs 2**{bits} terms (cap 2**{max_bits})"
         )
     n_cfg = 1 << oracle.n_sites
+    spins = spin_matrix(oracle.n_sites)
     if isinstance(fn, ReplicaFunctional):
         grids = np.indices((n_cfg,) * n_replicas).reshape(n_replicas, -1)
         weight = np.ones(grids.shape[1])
@@ -399,7 +409,8 @@ def naive_replica_expectation(oracle: GibbsOracle, fn, n_replicas: int | None = 
         for key, coeff in fn.terms.items():
             term = np.full(grids.shape[1], coeff)
             for replica, mask in key:
-                term = term * oracle.column_product(mask)[grids[replica - 1]]
+                column = np.prod(spins[:, list(mask_to_sites(mask))], axis=1)
+                term = term * column[grids[replica - 1]]
             values += term
         return float(weight @ values)
     total = 0.0
@@ -407,7 +418,7 @@ def naive_replica_expectation(oracle: GibbsOracle, fn, n_replicas: int | None = 
         w = 1.0
         for c in tup:
             w *= oracle.weights[c]
-        total += w * fn([oracle.configs[c] for c in tup])
+        total += w * fn([spins[c] for c in tup])
     return total
 
 

@@ -14,12 +14,17 @@ Gibbs weights use exp(+H).
 Site indices are 0-based throughout the code.  Dense tables of shape (N,)*p
 are stored row-major, so ``table[i1, i2, ..., ip]`` is the coupling of the
 ordered tuple (i1, ..., ip).
+
+The energies of all 2**N configurations come from the Walsh coefficient
+vector of H (``energy_coefficients``); ``hamiltonian_energy`` and
+``vb_energy`` evaluate one configuration directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,23 +176,6 @@ def hamiltonian_energy(spec: ModelSpec, couplings: CouplingAssignment, spins: np
     return total
 
 
-def batch_energies(spec: ModelSpec, couplings: CouplingAssignment, configs: np.ndarray,
-                   extra: list[np.ndarray] | None = None) -> np.ndarray:
-    """Energies of many configurations; `extra` adds per-config energy vectors."""
-    couplings.validate(spec)
-    total = spec.field_h * configs.sum(axis=1)
-    for p in spec.orders:
-        total = total + spec.betas[p] * spec.scale(p) * tuple_sum_batch(couplings.tables[p], configs)
-    if extra is not None:
-        for vec in extra:
-            if vec.shape != total.shape:
-                raise ModelValidationError(
-                    f"extra energy vector has shape {vec.shape}, expected {total.shape}"
-                )
-            total = total + vec
-    return total
-
-
 @dataclass
 class DilutedPairAssignment:
     """A realized diluted pair interaction: K edges with bounded couplings.
@@ -221,11 +209,54 @@ def vb_energy(assignment: DilutedPairAssignment, spins: np.ndarray) -> float:
                  * (assignment.j_values * spins[assignment.left_sites] * spins[assignment.right_sites]).sum())
 
 
-def vb_batch_energies(assignment: DilutedPairAssignment, configs: np.ndarray) -> np.ndarray:
-    if assignment.n_edges == 0:
-        return np.zeros(configs.shape[0])
-    prod = configs[:, assignment.left_sites] * configs[:, assignment.right_sites]
-    return assignment.beta_prime * (prod * assignment.j_values[None, :]).sum(axis=1)
+# -- Walsh coefficients -------------------------------------------------------
+#
+# Bit b of configuration index c is set iff sigma_b = +1, so a spin monomial is
+# sigma_A = (-1)**|A| * (-1)**|A & c|.  The coefficient vector of an energy,
+# indexed by site mask A, is one fast Walsh-Hadamard transform away from the
+# energies of all 2**N configurations.
+
+
+@lru_cache(maxsize=16)
+def _tuple_masks(n_sites: int, p: int) -> np.ndarray:
+    """Parity mask of every ordered p-tuple of sites, in row-major table order."""
+    bits = np.left_shift(1, np.arange(n_sites, dtype=np.int64))
+    masks = np.zeros(1, dtype=np.int64)
+    for _ in range(p):
+        masks = (masks[:, None] ^ bits[None, :]).ravel()
+    masks.flags.writeable = False
+    return masks
+
+
+def tuple_coefficients(table: np.ndarray) -> np.ndarray:
+    """Walsh coefficients of sum_i xi_i * sigma_{i_1}...sigma_{i_p}.
+
+    A p-tuple parity-reduces to a mask with |A| = p mod 2, so every term
+    carries the same sign (-1)**p.  ``bincount`` adds the couplings of each
+    mask in table order, a fixed-order sum.
+    """
+    n, p = table.shape[0], table.ndim
+    coeffs = np.bincount(_tuple_masks(n, p), weights=table.ravel(), minlength=1 << n)
+    return -coeffs if p % 2 else coeffs
+
+
+def energy_coefficients(spec: ModelSpec, couplings: CouplingAssignment,
+                        vb: DilutedPairAssignment | None = None) -> np.ndarray:
+    """Walsh coefficients of H, plus the diluted pair energy when ``vb`` is given."""
+    couplings.validate(spec)
+    n = spec.n_sites
+    coeffs = np.zeros(1 << n)
+    for p in spec.orders:
+        coeffs += tuple_coefficients(spec.betas[p] * spec.scale(p) * couplings.tables[p])
+    coeffs[np.left_shift(1, np.arange(n))] -= spec.field_h
+    if vb is not None and vb.n_edges:
+        left = np.asarray(vb.left_sites, dtype=np.int64)
+        right = np.asarray(vb.right_sites, dtype=np.int64)
+        if min(left.min(), right.min()) < 0 or max(left.max(), right.max()) >= n:
+            raise ModelValidationError(f"diluted edge sites must lie in 0..{n - 1}")
+        coeffs += np.bincount(np.left_shift(1, left) ^ np.left_shift(1, right),
+                              weights=vb.beta_prime * vb.j_values, minlength=1 << n)
+    return coeffs
 
 
 def interpolated_couplings(first: CouplingAssignment, second: CouplingAssignment,

@@ -219,6 +219,13 @@ def test_series_identity_within_tail_bound(data):
     assert out["residual"] <= out["tail_bound"] + 1e-12
 
 
+def test_series_identity_tail_bound_survives_a_vanishing_term():
+    # c_m = 0.5 m - 3.5 vanishes at m = 7, where the truncation used to stop
+    out = series_identity_check([-1.5, 0.0, 2.0], 1.0, 0.25, 1)
+    assert out["residual"] <= out["tail_bound"] + 1e-12
+    assert out["residual"] <= 1e-12
+
+
 def test_series_identity_validation():
     with pytest.raises(ModelValidationError):
         series_identity_check([1.0, 0.0], 0.5, 0.1, 1)

@@ -11,6 +11,7 @@ from pspinlab.model import (
     ModelSpec,
     ModelValidationError,
     ResourceCapError,
+    spin_matrix,
 )
 from pspinlab.gibbs import (
     GibbsOracle,
@@ -188,9 +189,10 @@ def test_oracle_field_only_moments():
 
 def test_oracle_moment_matches_direct_sum():
     oracle = small_oracle(4, seed=1, betas={2: 0.6, 3: 0.4})
+    spins = spin_matrix(4)
     for mask in (0b1, 0b1010, 0b1111):
         direct = float(oracle.weights @ np.prod(
-            [oracle.configs[:, s] for s in mask_to_sites(mask)], axis=0))
+            [spins[:, s] for s in mask_to_sites(mask)], axis=0))
         assert oracle.moment(mask) == pytest.approx(direct, abs=1e-14)
 
 
@@ -202,6 +204,17 @@ def test_pair_moment_matrix_entries():
             for v in range(3):
                 want = oracle.moment(sites_to_mask((u, v)) ^ mask)
                 assert mat[u, v] == pytest.approx(want, abs=1e-12)
+
+
+def test_pair_moment_matrix_matches_weighted_gram():
+    """The spectrum gather against an explicit weighted Gram of spin columns;
+    masks 0b00011 and 0b10110 contain some of the pair sites u, v."""
+    oracle = small_oracle(5, seed=3, betas={2: 0.7, 3: 0.5}, field=-0.2)
+    spins = spin_matrix(5)
+    for mask in (0, 0b00001, 0b00011, 0b00111, 0b10110, 0b11111):
+        column = np.prod(spins[:, list(mask_to_sites(mask))], axis=1)
+        gram = spins.T @ ((oracle.weights * column)[:, None] * spins)
+        assert np.allclose(oracle.pair_moment_matrix(mask), gram, rtol=0, atol=1e-13)
 
 
 def test_oracle_rejects_oversize_and_bad_shape():
@@ -220,15 +233,19 @@ def test_fwht_involution():
     assert np.allclose(fwht(fwht(x)), 16 * x, atol=1e-12)
 
 
-@pytest.mark.parametrize("power", [1, 2, 3])
+@pytest.mark.parametrize("power", [1, 2, 3, 4])
 def test_overlap_power_moment_routes_agree(power):
+    """Parseval on the spectrum against the star route and the naive sum,
+    which never touches the spectrum."""
     oracle = small_oracle(3, seed=4)
     fn = overlap_power(1, 2, power, 3)
     fact = fn.evaluate(oracle)
     fast = oracle.overlap_power_moment(power)
     brute = naive_replica_expectation(oracle, fn)
     assert fast == pytest.approx(fact, abs=1e-12)
+    assert fast == pytest.approx(oracle.star_overlap_expectation([power]), abs=1e-13)
     assert brute == pytest.approx(fact, abs=1e-10)
+    assert brute == pytest.approx(fast, abs=1e-12)
 
 
 def test_star_expectation_matches_factorized():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pspinlab.gibbs import fwht
 from pspinlab.model import (
     CouplingAssignment,
     EXACT_ENUMERATION_CAP,
@@ -12,14 +13,13 @@ from pspinlab.model import (
     ModelValidationError,
     ResourceCapError,
     DilutedPairAssignment,
-    batch_energies,
+    energy_coefficients,
     hamiltonian_energy,
     index_to_spins,
     interpolated_couplings,
     spin_matrix,
     spins_to_index,
     tuple_sum_batch,
-    vb_batch_energies,
     vb_energy,
 )
 
@@ -124,28 +124,6 @@ def test_hamiltonian_energy_explicit_formula():
     assert hamiltonian_energy(spec, coup, spins) == pytest.approx(want, abs=1e-12)
 
 
-def test_batch_energies_match_single_site_route():
-    rng = np.random.default_rng(7)
-    spec = ModelSpec(4, {2: 1.1}, -0.3)
-    coup = CouplingAssignment({2: rng.standard_normal((4, 4))})
-    configs = spin_matrix(4)
-    batch = batch_energies(spec, coup, configs)
-    for row, spins in zip(batch, configs):
-        assert row == pytest.approx(hamiltonian_energy(spec, coup, spins), abs=1e-10)
-
-
-def test_batch_energies_extra_vector():
-    rng = np.random.default_rng(3)
-    spec = ModelSpec(3, {2: 1.0})
-    coup = CouplingAssignment({2: rng.standard_normal((3, 3))})
-    configs = spin_matrix(3)
-    extra = rng.standard_normal(configs.shape[0])
-    plain = batch_energies(spec, coup, configs)
-    assert np.allclose(batch_energies(spec, coup, configs, [extra]), plain + extra)
-    with pytest.raises(ModelValidationError):
-        batch_energies(spec, coup, configs, [extra[:-1]])
-
-
 def test_coupling_validation():
     spec = ModelSpec(3, {2: 1.0})
     with pytest.raises(ModelValidationError):
@@ -165,8 +143,33 @@ def test_vb_energy_naive():
     # last edge is the self-loop (2, 2): contributes the constant J=2
     want = 0.5 * (1.0 * 1.0 * -1.0 + -1.0 * -1.0 * 1.0 + 2.0)
     assert vb_energy(vb, spins) == pytest.approx(want)
-    batch = vb_batch_energies(vb, spins[None, :])
-    assert batch[0] == pytest.approx(want)
+
+
+@pytest.mark.parametrize("betas,n", [({2: 1.1}, 6), ({3: -0.7}, 5), ({2: 0.9, 3: 0.5}, 6),
+                                     ({4: 0.8}, 4)])
+def test_spectrum_energies_match_direct_route(betas, n):
+    """fwht of the Walsh coefficients against hamiltonian_energy + vb_energy
+    on every configuration; dense tables include the diagonal tuples, and
+    the diluted edges include a self-loop."""
+    rng = np.random.default_rng(n + sum(betas))
+    spec = ModelSpec(n, betas, -0.4)
+    coup = CouplingAssignment({p: rng.standard_normal((n,) * p) for p in betas})
+    vb = DilutedPairAssignment(0.6, rng.standard_normal(4),
+                               np.array([0, 1, 2, n - 1]), np.array([1, 3, 2, 0]))
+    energies = fwht(energy_coefficients(spec, coup, vb))
+    for c, spins in enumerate(spin_matrix(n)):
+        want = hamiltonian_energy(spec, coup, spins) + vb_energy(vb, spins)
+        assert energies[c] == pytest.approx(want, abs=1e-12)
+
+
+def test_energy_coefficients_validation():
+    spec = ModelSpec(3, {2: 1.0})
+    coup = CouplingAssignment({2: np.zeros((3, 3))})
+    with pytest.raises(ModelValidationError):
+        energy_coefficients(spec, CouplingAssignment({2: np.zeros((2, 2))}))
+    bad = DilutedPairAssignment(1.0, np.array([1.0]), np.array([0]), np.array([3]))
+    with pytest.raises(ModelValidationError):
+        energy_coefficients(spec, coup, bad)
 
 
 def test_vb_empty_and_validation():
