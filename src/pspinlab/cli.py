@@ -32,7 +32,7 @@ from .expansion import (
     series_identity_check,
     verify_expansion,
 )
-from .gibbs import build_oracle
+from .gibbs import GibbsOracle
 from .ibp import battery
 from .model import ModelSpec, ModelValidationError, ResourceCapError
 
@@ -420,7 +420,7 @@ def _checks_expansion() -> list[_Check]:
     for draw, law in enumerate((dis.gaussian(), dis.rademacher())):
         for n_sites in (2, 3):
             mspec = ModelSpec(n_sites, {2: 0.8}, 0.25)
-            oracle = build_oracle(mspec, sample_couplings(
+            oracle = GibbsOracle.build(mspec, sample_couplings(
                 mspec, law, SeedPath(eid, draw, n_sites).generator()))
             fns = [ex.spin_monomial(((0,),)).functional(n_sites, 1),
                    ex.overlap_square().functional(n_sites, 2)]
@@ -461,7 +461,7 @@ def _checks_gg() -> list[_Check]:
     eid = experiment_id(57, "verify-gg")
     for r in range(10):
         mspec = ModelSpec(4, {2: 0.9}, 0.3)
-        oracle = build_oracle(mspec, sample_couplings(
+        oracle = GibbsOracle.build(mspec, sample_couplings(
             mspec, dis.golden_skew(), SeedPath(eid, r, 0).generator()))
         for n in (2, 3):
             worst = max(worst,

@@ -21,7 +21,6 @@ import numpy as np
 from .gibbs import (
     GibbsOracle,
     ReplicaFunctional,
-    build_oracle,
     multi_overlap,
     sites_to_mask,
 )
@@ -215,14 +214,14 @@ def verify_ode(spec: ModelSpec, couplings: CouplingAssignment, order_p: int, sit
         def f(x):
             shifted = couplings.copy()
             shifted.tables[order_p][sites] = x
-            return functional.evaluate(build_oracle(spec, shifted))
+            return functional.evaluate(GibbsOracle.build(spec, shifted))
         return f
 
     scale = float(spec.n_sites) ** ((order_p - 1) / 2.0)
     m = basis_order
     basis_fn = signed_basis(sites, m, n) * fn
     lhs = scale / beta * _richardson_first(averaged(basis_fn), base, step)
-    oracle = build_oracle(spec, couplings)
+    oracle = GibbsOracle.build(spec, couplings)
     down = (signed_basis(sites, m - 1, n) * fn).evaluate(oracle)
     up = (signed_basis(sites, m + 1, n) * fn).evaluate(oracle)
     ladder = abs(lhs - (-m * (m - 1) * down + up))

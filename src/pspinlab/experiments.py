@@ -27,20 +27,13 @@ from .expansion import derivative_power_tuple_sum, signed_basis
 from .gibbs import (
     GibbsOracle,
     ReplicaFunctional,
-    build_oracle,
     fwht,
     overlap_power,
     overlap_product_expectation,
     replica_difference,
     sites_to_mask,
 )
-from .model import (
-    ModelSpec,
-    interpolated_couplings,
-    spin_matrix,
-    tuple_coefficients,
-    tuple_sum_batch,
-)
+from .model import ModelSpec, interpolated_couplings, tuple_coefficients
 
 
 class ExperimentError(ValueError):
@@ -200,7 +193,7 @@ def _estimate(name: str, replicate, replicates: int, seed: int, workers: int | N
 
 def _draw_oracle(mspec: ModelSpec, law: DisorderSpec, path: SeedPath) -> GibbsOracle:
     rng = path.generator()
-    return build_oracle(mspec, sample_couplings(mspec, law, rng))
+    return GibbsOracle.build(mspec, sample_couplings(mspec, law, rng))
 
 
 def _on_oracle(realization, mspec: ModelSpec, law: DisorderSpec, stream: int,
@@ -228,13 +221,13 @@ def _f_expectation(oracle: GibbsOracle, fn: TestFunction, n: int) -> float:
 
 
 def _coupled_expectation(oracle: GibbsOracle, fn: TestFunction, n: int,
-                         leaf: int, power: int) -> float:
-    """<R_{1,leaf}**power * F> through the fastest applicable route."""
+                         a: int, b: int, power: int) -> float:
+    """<R_{a,b}**power * F> through the fastest applicable route (a < b)."""
     edges = fn.overlap_edges()
     if edges is not None:
-        return overlap_product_expectation(oracle, edges + [(1, leaf, power)])
-    base = fn.functional(oracle.n_sites, max(n, leaf))
-    coupled = overlap_power(1, leaf, power, oracle.n_sites, max(n, leaf)) * base
+        return overlap_product_expectation(oracle, edges + [(a, b, power)])
+    top = max(n, b)
+    coupled = overlap_power(a, b, power, oracle.n_sites, top) * fn.functional(oracle.n_sites, top)
     return coupled.evaluate(oracle)
 
 
@@ -248,9 +241,9 @@ def gg_gap_realization(oracle: GibbsOracle, oracle_indep: GibbsOracle, n: int, p
     """
     if n < 2:
         raise ExperimentError(f"the gap needs n >= 2 replicas, got {n}")
-    lead = _coupled_expectation(oracle, fn, n, n + 1, p)
+    lead = _coupled_expectation(oracle, fn, n, 1, n + 1, p)
     boundary = oracle_indep.overlap_power_moment(p) * _f_expectation(oracle, fn, n)
-    inner = math.fsum(_coupled_expectation(oracle, fn, n, l, p) for l in range(2, n + 1))
+    inner = math.fsum(_coupled_expectation(oracle, fn, n, 1, l, p) for l in range(2, n + 1))
     return lead - boundary / n - inner / n
 
 
@@ -276,17 +269,10 @@ def gg_thermal_gap_realization(oracle: GibbsOracle, n: int, p: int, fn: TestFunc
     2 sum_{l<l'<=n} <R_{l,l'}^p F> - 2n sum_{l<=n} <R_{l,n+1}^p F>
     + n(n+1) <R_{n+1,n+2}^p F>.
     """
-    if n < 1:
-        raise ExperimentError(f"need n >= 1 replicas, got {n}")
-    edges = fn.overlap_edges()
-
-    def coupled(a: int, b: int) -> float:
-        if edges is not None:
-            return overlap_product_expectation(oracle, edges + [(a, b, p)])
-        top = max(n, b, fn.min_replicas)
-        mixed = overlap_power(a, b, p, oracle.n_sites, top) * fn.functional(oracle.n_sites, top)
-        return mixed.evaluate(oracle)
-
+    least = max(1, fn.min_replicas)
+    if n < least:
+        raise ExperimentError(f"{fn.label} needs n >= {least} replicas, got {n}")
+    coupled = functools.partial(_coupled_expectation, oracle, fn, n, power=p)
     first = math.fsum(coupled(a, b) for a, b in itertools.combinations(range(1, n + 1), 2))
     second = math.fsum(coupled(l, n + 1) for l in range(1, n + 1))
     third = coupled(n + 1, n + 2)
@@ -311,7 +297,7 @@ def _self_avg_replicate(mspec: ModelSpec, law: DisorderSpec, p: int, mode: str,
     absolute deviation from ``center`` ("full")."""
     rng = SeedPath(exp_id, r, 1 if mode == "center" else 0).generator()
     couplings = sample_couplings(mspec, law, rng)
-    oracle = build_oracle(mspec, couplings)
+    oracle = GibbsOracle.build(mspec, couplings)
     values = fwht(tuple_coefficients(mspec.betas[p] * mspec.scale(p) * couplings.tables[p]))
     if mode == "thermal":
         mean = oracle.thermal_mean(values)
@@ -372,7 +358,7 @@ def _sweep_replicate(mspec: ModelSpec, law: DisorderSpec, t_grid: tuple[float, .
     gauss = sample_couplings(mspec, dis.gaussian(), rng_g)
     out = []
     for t in t_grid:
-        oracle = build_oracle(mspec, interpolated_couplings(xi, gauss, t))
+        oracle = GibbsOracle.build(mspec, interpolated_couplings(xi, gauss, t))
         out.append(_f_expectation(oracle, fn, n))
     return tuple(out)
 
@@ -413,9 +399,13 @@ def cavity_identity_realization(mspec: ModelSpec, law: DisorderSpec, n_cavity: i
     the cavity interpolation is bulk interactions over the N bulk sites plus
     independent Gaussian linear fields seen by each cavity spin, all with the
     full-system normalization, plus the external field everywhere.  Cavity
-    marginals <prod_{j in C} eps_j> are then computed once by enumerating the
-    joint system and once by the tanh/cosh reweighting of the bulk system,
-    and must agree to rounding.
+    marginals <prod_{j in C} eps_j> are then computed once as moments of the
+    joint system's oracle and once by the tanh/cosh reweighting of the bulk
+    system's oracle, and must agree to rounding.
+
+    Cavity spin j is site n_bulk + j, so eps_j * sigma_B is the monomial on
+    B | 2**(n_bulk + j): its Walsh coefficients are those of the field of j
+    plus h, negated because the mask gains one site.
     """
     n_bulk = mspec.n_sites - n_cavity
     if n_bulk < 1:
@@ -424,51 +414,33 @@ def cavity_identity_realization(mspec: ModelSpec, law: DisorderSpec, n_cavity: i
         for j in block:
             if not 0 <= j < n_cavity:
                 raise ExperimentError(f"cavity site {j} outside 0..{n_cavity - 1}")
-    configs = spin_matrix(n_bulk)
     rng_bulk = path.child(stream=0).generator()
     rng_field = path.child(stream=1).generator()
-    h = mspec.field_h
-    bulk_energy = h * configs.sum(axis=1)
-    cavity_fields = np.zeros((n_cavity, configs.shape[0]))
+    size = 1 << n_bulk
+    bulk = np.zeros(size)
+    bulk[np.left_shift(1, np.arange(n_bulk))] = -mspec.field_h
+    fields = np.zeros((n_cavity, size))
+    fields[:, 0] = mspec.field_h
     for p in mspec.orders:
         coef = mspec.betas[p] * mspec.scale(p)  # full-system N + n' scale
-        bulk_table = law.sample(rng_bulk, (n_bulk,) * p)
-        bulk_energy = bulk_energy + coef * tuple_sum_batch(bulk_table, configs)
+        bulk += tuple_coefficients(coef * law.sample(rng_bulk, (n_bulk,) * p))
         slots = rng_field.standard_normal((n_cavity, p) + (n_bulk,) * (p - 1))
         for j in range(n_cavity):
-            eff = slots[j].sum(axis=0)
-            if p == 2:
-                cavity_fields[j] += coef * (configs @ eff)
-            else:
-                cavity_fields[j] += coef * tuple_sum_batch(eff, configs)
-
-    # joint enumeration over (eps, sigma)
-    shifted = cavity_fields + h
-    eps_matrix = spin_matrix(n_cavity)
-    joint_log = bulk_energy[None, :] + eps_matrix @ shifted
-    shift = joint_log.max()
-    joint_w = np.exp(joint_log - shift)
-    joint_z = joint_w.sum()
-
-    # bulk reweighting route
-    log_w = bulk_energy + np.logaddexp(shifted, -shifted).sum(axis=0)  # log prod 2cosh
-    peak = log_w.max()
-    bulk_w = np.exp(log_w - peak)
-    den = bulk_w.sum()
+            fields[j] += tuple_coefficients(coef * slots[j].sum(axis=0))
+    coeffs = np.zeros((1 << n_cavity, size))  # row E holds the masks B | E << n_bulk
+    coeffs[0] = bulk
+    coeffs[np.left_shift(1, np.arange(n_cavity))] = -fields
+    joint = GibbsOracle(mspec.n_sites, fwht(coeffs.ravel()))
+    shifted = np.array([fwht(f) for f in fields])
+    reweighted = GibbsOracle(n_bulk, fwht(bulk) + np.logaddexp(shifted, -shifted).sum(axis=0))
+    tanh_fields = np.tanh(shifted)
 
     worst = 0.0
     prod_lhs = 1.0
     prod_rhs = 1.0
-    tanh_fields = np.tanh(shifted)
     for block in cavity_sets:
-        eps_prod = np.ones(1 << n_cavity)
-        for j in block:
-            eps_prod = eps_prod * eps_matrix[:, j]
-        lhs = float((eps_prod[:, None] * joint_w).sum() / joint_z)
-        factor = np.ones(configs.shape[0])
-        for j in block:
-            factor = factor * tanh_fields[j]
-        rhs = float((bulk_w * factor).sum() / den)
+        lhs = joint.moment(sites_to_mask(n_bulk + j for j in block))
+        rhs = reweighted.thermal_mean(np.prod(tanh_fields[list(block)], axis=0))
         worst = max(worst, abs(lhs - rhs))
         prod_lhs *= lhs
         prod_rhs *= rhs
@@ -523,6 +495,8 @@ def derivative_sum_realization(oracle: GibbsOracle, n: int, m: int,
         fixed = fn.fixed_masks()
     else:
         raise ExperimentError("derivative sums support constant or monomial F only")
+    if n < fn.min_replicas:
+        raise ExperimentError(f"{fn.label} needs n >= {fn.min_replicas} replicas, got {n}")
     table = derivative_power_tuple_sum(m, n)
     total = 0.0
     for labels, coeff in sorted(table.items(), key=lambda kv: sorted(kv[0])):
@@ -551,6 +525,8 @@ def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int
 
     The standard error of the variance uses the distribution-free fourth
     central moment formula."""
+    if replicates < 2:
+        raise ExperimentError(f"a variance needs at least 2 replicates, got {replicates}")
     exp_id = experiment_id(seed, "free-energy-fluctuation")
     worker = functools.partial(_on_oracle, operator.attrgetter("free_energy_density"),
                                mspec, law, 0, exp_id)
@@ -570,8 +546,8 @@ def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int
 def _vb_replicate(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
                   j_law: DisorderSpec, exp_id: int, r: int) -> float:
     couplings, vb = _draw_dressed(mspec, law, alpha, beta_prime, j_law, exp_id, r)
-    base = build_oracle(mspec, couplings)
-    dressed = build_oracle(mspec, couplings, vb=vb)
+    base = GibbsOracle.build(mspec, couplings)
+    dressed = GibbsOracle.build(mspec, couplings, vb=vb)
     return (dressed.log_z - base.log_z) / (alpha * mspec.n_sites)
 
 
@@ -613,6 +589,18 @@ def _pair_weighted_matrix(oracle: GibbsOracle, fn: ReplicaFunctional, k_labels) 
     return out
 
 
+def _graded_pair_sums(oracle: GibbsOracle, delta: ReplicaFunctional, n: int) -> list[np.ndarray]:
+    """G_a = sum over S in {1..n+1} with |S| = a of the pair-weighted matrix
+    of ``delta`` with the pair monomial on the replicas of S ^ {1}, a = 0..n+1."""
+    out = []
+    for size in range(0, n + 2):
+        total = np.zeros((oracle.n_sites, oracle.n_sites))
+        for subset in itertools.combinations(range(1, n + 2), size):
+            total += _pair_weighted_matrix(oracle, delta, set(subset) ^ {1})
+        out.append(total)
+    return out
+
+
 def poisson_ibp_realization(oracle: GibbsOracle, vb, alpha: float, beta_prime: float,
                             n: int, fn: TestFunction,
                             j_law: DisorderSpec) -> tuple[float, float]:
@@ -635,14 +623,11 @@ def poisson_ibp_realization(oracle: GibbsOracle, vb, alpha: float, beta_prime: f
     left /= alpha * n_sites
     # right side: exact average over fresh (J, u, v)
     p0 = oracle.pair_moment_matrix(0)
+    graded = _graded_pair_sums(oracle, delta, n)
     right = 0.0
     for j_atom, j_prob in zip(j_law.atoms, j_law.probs):
         lam = math.tanh(beta_prime * j_atom)
-        numer = np.zeros((n_sites, n_sites))
-        for size in range(0, n + 2):
-            for subset in itertools.combinations(range(1, n + 2), size):
-                k_labels = set(subset) ^ {1}
-                numer += lam ** size * _pair_weighted_matrix(oracle, delta, k_labels)
+        numer = sum(lam ** a * g for a, g in enumerate(graded))
         ratio = numer / (1.0 + lam * p0) ** (n + 1)
         right += j_prob * j_atom * float(ratio.mean())
     return left, right
@@ -652,7 +637,7 @@ def _poisson_ibp_replicate(mspec: ModelSpec, law: DisorderSpec, alpha: float,
                            beta_prime: float, n: int, fn: TestFunction,
                            j_law: DisorderSpec, exp_id: int, r: int) -> float:
     couplings, vb = _draw_dressed(mspec, law, alpha, beta_prime, j_law, exp_id, r)
-    oracle = build_oracle(mspec, couplings, vb=vb)
+    oracle = GibbsOracle.build(mspec, couplings, vb=vb)
     left, right = poisson_ibp_realization(oracle, vb, alpha, beta_prime, n, fn, j_law)
     return left - right
 
@@ -674,10 +659,11 @@ def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
                       "n": n, "F": fn.label})
 
 
-def taylor_coefficient_realization(oracle: GibbsOracle, n: int, m: int,
-                                   fn: TestFunction) -> dict[str, float]:
+def taylor_coefficient_realization(oracle: GibbsOracle, n: int, m_values,
+                                   fn: TestFunction) -> dict[int, dict[str, float]]:
     """Equality of the double-sum and basis forms of the edge-expansion
-    coefficient, checked at every endpoint pair of one realization.
+    coefficient of each order m, checked at every endpoint pair of one
+    realization.
 
     The double sum runs over ordered replica subsets of size a <= min(m, n+1)
     with alternating signs and binomial weights times powers of the plain
@@ -685,35 +671,37 @@ def taylor_coefficient_realization(oracle: GibbsOracle, n: int, m: int,
     applied to sigma^1_{uv} Delta_1 F.  Also checks the endpoint-averaged
     value against the squared-multi-overlap route.
     """
-    if not 1 <= m <= 5:
-        raise ExperimentError(f"coefficient order must be in 1..5, got {m}")
+    for m in m_values:
+        if not 1 <= m <= 5:
+            raise ExperimentError(f"coefficient order must be in 1..5, got {m}")
     n_sites = oracle.n_sites
     delta = replica_difference(fn.functional(n_sites, n), 1)
     p0 = oracle.pair_moment_matrix(0)
-    lhs = np.zeros((n_sites, n_sites))
-    for a in range(0, min(m, n + 1) + 1):
-        inner = np.zeros((n_sites, n_sites))
-        for combo in itertools.combinations(range(1, n + 2), a):
-            inner += _pair_weighted_matrix(oracle, delta, set(combo) ^ {1})
-        lhs += (-1.0) ** (m - a) * math.comb(n + m - a, n) * inner * p0 ** (m - a)
-    # basis route, expanded symbolically over the basis terms; the monomial
-    # site mask is a placeholder since only the label structure is used here
-    rhs = np.zeros((n_sites, n_sites))
-    basis = signed_basis(1, m, n + 1)
-    pref = 1.0 / math.factorial(m)
-    for key, coeff in basis.terms.items():
-        labels = {l for l, _ in key}
-        rhs += pref * coeff * _pair_weighted_matrix(oracle, delta, labels ^ {1})
-    pointwise = float(np.max(np.abs(lhs - rhs)))
-    # endpoint-averaged value against the squared-multi-overlap evaluator
-    averaged = float(rhs.mean())
-    total = 0.0
-    for key, coeff in basis.terms.items():
-        labels = frozenset(l for l, _ in key) ^ {1}
-        for dkey, dcoeff in delta.terms.items():
-            total += (pref * coeff * dcoeff
-                      * multioverlap_sq_expectation(oracle, labels, dict(dkey)))
-    return {"pointwise": pointwise, "averaged": abs(averaged - total)}
+    graded = _graded_pair_sums(oracle, delta, n)
+    out = {}
+    for m in m_values:
+        lhs = np.zeros((n_sites, n_sites))
+        for a in range(0, min(m, n + 1) + 1):
+            lhs += (-1.0) ** (m - a) * math.comb(n + m - a, n) * graded[a] * p0 ** (m - a)
+        # basis route, expanded symbolically over the basis terms; the monomial
+        # site mask is a placeholder since only the label structure is used here
+        rhs = np.zeros((n_sites, n_sites))
+        basis = signed_basis(1, m, n + 1)
+        pref = 1.0 / math.factorial(m)
+        for key, coeff in basis.terms.items():
+            labels = {l for l, _ in key}
+            rhs += pref * coeff * _pair_weighted_matrix(oracle, delta, labels ^ {1})
+        pointwise = float(np.max(np.abs(lhs - rhs)))
+        # endpoint-averaged value against the squared-multi-overlap evaluator
+        averaged = float(rhs.mean())
+        total = 0.0
+        for key, coeff in basis.terms.items():
+            labels = frozenset(l for l, _ in key) ^ {1}
+            for dkey, dcoeff in delta.terms.items():
+                total += (pref * coeff * dcoeff
+                          * multioverlap_sq_expectation(oracle, labels, dict(dkey)))
+        out[m] = {"pointwise": pointwise, "averaged": abs(averaged - total)}
+    return out
 
 
 # -- recorded trend suite ----------------------------------------------------
@@ -766,9 +754,8 @@ def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
     worst = {m: {"pointwise": 0.0, "averaged": 0.0} for m in m_values}
     for r in range(realizations):
         couplings, vb = _draw_dressed(mspec, law, alpha, beta_prime, j_law, exp_id, r)
-        oracle = build_oracle(mspec, couplings, vb=vb)
-        for m in m_values:
-            got = taylor_coefficient_realization(oracle, n, m, fn)
+        oracle = GibbsOracle.build(mspec, couplings, vb=vb)
+        for m, got in taylor_coefficient_realization(oracle, n, m_values, fn).items():
             for key in got:
                 worst[m][key] = max(worst[m][key], got[key])
     return worst

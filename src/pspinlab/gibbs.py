@@ -2,11 +2,14 @@
 
 The oracle holds the Gibbs weights of all 2**N configurations and answers
 every thermal query from Walsh-Hadamard transforms, never from a matrix of
-configurations.  The energy vector is one transform of the Hamiltonian's
-Walsh coefficients; one transform of the weights, the spectrum w^, holds every
-moment <sigma_A> = (-1)**|A| w^[A]; a pair-moment matrix is a gather from it
-at A ^ {u} ^ {v}; and overlap powers, which are XOR kernels, are products
-with the kernel's transform.  Replica functionals are finite linear
+configurations.  ``GibbsOracle.build`` makes it from a model: the energy
+vector is one transform of the Hamiltonian's Walsh coefficients.  Any other
+log-weight vector, such as the cavity check's joint and tanh-reweighted
+measures, goes straight to ``GibbsOracle(n_sites, log_weights)``.  One
+transform of the weights, the spectrum w^, holds every moment
+<sigma_A> = (-1)**|A| w^[A]; a pair-moment matrix is a gather from it at
+A ^ {u} ^ {v}; and overlap powers, which are XOR kernels, are products with
+the kernel's transform.  Replica functionals are finite linear
 combinations of products of spin monomials evaluated on independent replicas
 drawn from one Gibbs measure; since sigma_i**2 = 1, each replica's monomial is
 reduced at construction to a set of sites with odd multiplicity, held as a
@@ -282,7 +285,8 @@ def replica_difference(fn: ReplicaFunctional, label: int) -> ReplicaFunctional:
 class GibbsOracle:
     """Exact Gibbs measure over all 2**N configurations.
 
-    Weights are exp(H - max H) normalized; log Z keeps the shift.  The
+    ``energies`` are the log-weights H of every configuration; weights are
+    exp(H - max H) normalized and log Z keeps the shift.  The
     spectrum w^ = fwht(weights) is computed once, on first use, and answers
     moments, pair-moment matrices and star overlaps; there is no
     configuration matrix.
@@ -298,7 +302,6 @@ class GibbsOracle:
                 f"energy vector has shape {energies.shape}, expected {(1 << n_sites,)}"
             )
         self.n_sites = n_sites
-        self.energies = energies
         shift = float(energies.max())
         weights = np.exp(energies - shift)
         z = float(weights.sum())
@@ -374,11 +377,6 @@ class GibbsOracle:
         kernel_hat = _kernel_spectrum(self.n_sites, power)
         spectrum = self.spectrum
         return float((spectrum * spectrum * kernel_hat).sum()) / kernel_hat.size
-
-
-def build_oracle(spec: ModelSpec, couplings: CouplingAssignment,
-                 vb: DilutedPairAssignment | None = None) -> GibbsOracle:
-    return GibbsOracle.build(spec, couplings, vb=vb)
 
 
 def naive_replica_expectation(oracle: GibbsOracle, fn, n_replicas: int | None = None,

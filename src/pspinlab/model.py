@@ -16,8 +16,9 @@ are stored row-major, so ``table[i1, i2, ..., ip]`` is the coupling of the
 ordered tuple (i1, ..., ip).
 
 The energies of all 2**N configurations come from the Walsh coefficient
-vector of H (``energy_coefficients``); ``hamiltonian_energy`` and
-``vb_energy`` evaluate one configuration directly.
+vector of H (``energy_coefficients``, built per order by
+``tuple_coefficients``); ``hamiltonian_energy`` and ``vb_energy`` evaluate
+one configuration directly and are the independent reference for it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ import numpy as np
 # Beyond this many sites a dense 2**N enumeration (and the N**p tables that
 # feed it) stops being a reasonable object to build.
 EXACT_ENUMERATION_CAP = 20
-
-_CONTRACT_CHUNK = 1 << 23  # max scratch elements in batched contractions
 
 
 class ModelValidationError(ValueError):
@@ -78,10 +77,9 @@ class ModelSpec:
     def orders(self) -> tuple[int, ...]:
         return tuple(sorted(self.betas))
 
-    def scale(self, p: int, n_total: int | None = None) -> float:
-        """Normalization N**(-(p-1)/2); n_total overrides N for cavity pieces."""
-        n = self.n_sites if n_total is None else n_total
-        return float(n) ** (-(p - 1) / 2.0)
+    def scale(self, p: int) -> float:
+        """Normalization N**(-(p-1)/2)."""
+        return float(self.n_sites) ** (-(p - 1) / 2.0)
 
 
 @dataclass
@@ -141,28 +139,6 @@ def spin_matrix(n_sites: int) -> np.ndarray:
     return out
 
 
-def tuple_sum_batch(table: np.ndarray, configs: np.ndarray) -> np.ndarray:
-    """sum_i xi_i * sigma_{i_1}...sigma_{i_p} for every config row at once.
-
-    Contracts one tensor axis per pass, keeping the scratch array within a
-    fixed element budget by chunking over configurations.
-    """
-    n = configs.shape[1]
-    p = table.ndim
-    rows = n ** (p - 1)
-    n_cfg = configs.shape[0]
-    chunk = max(1, min(n_cfg, _CONTRACT_CHUNK // max(1, rows)))
-    out = np.empty(n_cfg, dtype=np.float64)
-    flat = table.reshape(rows, n)
-    for start in range(0, n_cfg, chunk):
-        block = configs[start:start + chunk]
-        acc = flat @ block.T
-        for _ in range(p - 1):
-            acc = (acc.reshape(-1, n, block.shape[0]) * block.T[None, :, :]).sum(axis=1)
-        out[start:start + chunk] = acc.reshape(block.shape[0])
-    return out
-
-
 def hamiltonian_energy(spec: ModelSpec, couplings: CouplingAssignment, spins: np.ndarray) -> float:
     """Total energy H(sigma), interactions plus field."""
     spins = np.asarray(spins, dtype=np.float64)
@@ -171,8 +147,10 @@ def hamiltonian_energy(spec: ModelSpec, couplings: CouplingAssignment, spins: np
     couplings.validate(spec)
     total = spec.field_h * float(spins.sum())
     for p in spec.orders:
-        raw = tuple_sum_batch(couplings.tables[p], spins[None, :])[0]
-        total += spec.betas[p] * spec.scale(p) * raw
+        raw = couplings.tables[p]
+        for _ in range(p):
+            raw = raw @ spins
+        total += spec.betas[p] * spec.scale(p) * float(raw)
     return total
 
 

@@ -28,7 +28,7 @@ from pspinlab.expansion import (
     verify_expansion,
     verify_ode,
 )
-from pspinlab.gibbs import build_oracle, naive_replica_expectation
+from pspinlab.gibbs import GibbsOracle, naive_replica_expectation
 from pspinlab.ibp import battery
 from pspinlab.model import CouplingAssignment, ModelSpec
 
@@ -48,7 +48,7 @@ def test_criterion_01_expansion_identity_grid():
             suite = ex.default_suite(n_sites)
             for draw in range(20):
                 path = SeedPath(eid, 1000 * law_idx + draw, n_sites)
-                oracle = build_oracle(mspec, sample_couplings(mspec, law, path.generator()))
+                oracle = GibbsOracle.build(mspec, sample_couplings(mspec, law, path.generator()))
                 tuples = ((0, 1), (0, 1, 2) if n_sites >= 3 else (0, 0, 1))
                 for sites in tuples:
                     for fn_spec in suite:
@@ -173,7 +173,7 @@ def test_criterion_07_fourth_power_tuple_average():
     fn = ex.overlap_square()
     for r in range(50):
         mspec = ModelSpec(3, {2: 0.8}, 0.3)
-        oracle = build_oracle(mspec, sample_couplings(
+        oracle = GibbsOracle.build(mspec, sample_couplings(
             mspec, dis.gaussian(), SeedPath(eid, r, 0).generator()))
         lhs, rhs = fourth_power_identity_check(oracle, fn.functional(3, 2))
         worst = max(worst, abs(lhs - rhs))
@@ -188,7 +188,7 @@ def test_criterion_08_exact_zeros():
     worst = 0.0
     for r in range(10):
         mspec = ModelSpec(4, {2: 0.9}, 0.3)
-        oracle = build_oracle(mspec, sample_couplings(
+        oracle = GibbsOracle.build(mspec, sample_couplings(
             mspec, dis.golden_skew(), SeedPath(eid, r, 0).generator()))
         for n in (2, 3):
             worst = max(worst, abs(ex.gg_gap_realization(

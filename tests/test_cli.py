@@ -201,6 +201,12 @@ _BAD_VALUES = {
     "badpower": minimal_config(params={"function": {"kind": "overlap-power", "power": "x"}}),
     "badtgrid": minimal_config(experiment="interpolation-sweep", params={"t_grid": "abc"}),
     "badworkersenv": minimal_config(),
+    "fewreplicas": minimal_config(params={"n": 1}),
+    "fewreplicasderiv": minimal_config(
+        experiment="derivative-moment-sum",
+        params={"n": 1, "m": 3, "function": {"kind": "spin-monomial", "sites": [[0], [1], [2]]}}),
+    "onereplicate": minimal_config(experiment="free-energy-fluctuation", params={},
+                                   replicates=1),
     "oversize": {"experiment": "gg-gap",
                  "model": {"n_sites": 100000, "betas": {"3": 1.0}},
                  "disorder": {"family": "gaussian"}},

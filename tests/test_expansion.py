@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pspinlab.gibbs import (
+    GibbsOracle,
     ReplicaFunctional,
-    build_oracle,
     naive_replica_expectation,
     overlap_power,
 )
@@ -32,7 +32,7 @@ def random_oracle(n_sites, seed, betas=None, field=0.3):
     couplings = CouplingAssignment(
         {p: rng.normal(size=(n_sites,) * p) for p in spec.orders}
     )
-    return spec, couplings, build_oracle(spec, couplings)
+    return spec, couplings, GibbsOracle.build(spec, couplings)
 
 
 # -- integer coefficient table ------------------------------------------------

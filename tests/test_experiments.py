@@ -8,7 +8,7 @@ import pspinlab.disorder as dis
 import pspinlab.experiments as ex
 from pspinlab.disorder import SeedPath, experiment_id
 from pspinlab.expansion import derivative_power
-from pspinlab.gibbs import build_oracle
+from pspinlab.gibbs import GibbsOracle
 from pspinlab.model import ModelSpec, ResourceCapError
 
 
@@ -16,7 +16,7 @@ def draw_oracle(n_sites, seed, betas=None, field=0.3, law=None):
     mspec = ModelSpec(n_sites, betas if betas is not None else {2: 0.8}, field)
     rng = SeedPath(seed, 0, 0).generator()
     couplings = dis.sample_couplings(mspec, law or dis.gaussian(), rng)
-    return mspec, build_oracle(mspec, couplings)
+    return mspec, GibbsOracle.build(mspec, couplings)
 
 
 # -- test-function family -----------------------------------------------------
@@ -127,6 +127,10 @@ def test_thermal_gap_validation():
     _, oracle = draw_oracle(3, seed=5)
     with pytest.raises(ex.ExperimentError):
         ex.gg_thermal_gap_realization(oracle, 0, 2, ex.constant_one())
+    # F's replicas would collide with the fresh replicas n+1, n+2
+    for fn in (ex.overlap_square(), ex.spin_monomial(((0,), (1,)))):
+        with pytest.raises(ex.ExperimentError):
+            ex.gg_thermal_gap_realization(oracle, 1, 2, fn)
 
 
 def test_gg_estimators_on_constant_function():
@@ -362,9 +366,9 @@ def test_taylor_coefficient_identity(m, n):
 def test_taylor_coefficient_order_guard():
     _, oracle = draw_oracle(3, seed=23)
     with pytest.raises(ex.ExperimentError):
-        ex.taylor_coefficient_realization(oracle, 1, 0, ex.constant_one())
+        ex.taylor_coefficient_realization(oracle, 1, (0,), ex.constant_one())
     with pytest.raises(ex.ExperimentError):
-        ex.taylor_coefficient_realization(oracle, 1, 6, ex.constant_one())
+        ex.taylor_coefficient_realization(oracle, 1, (2, 6), ex.constant_one())
 
 
 # -- determinism --------------------------------------------------------------

@@ -16,7 +16,6 @@ from pspinlab.model import (
 from pspinlab.gibbs import (
     GibbsOracle,
     ReplicaFunctional,
-    build_oracle,
     fwht,
     mask_to_sites,
     multi_overlap,
@@ -37,7 +36,7 @@ def random_assignment(spec, rng):
 def small_oracle(n_sites=3, seed=0, betas=None, field=0.3):
     rng = np.random.default_rng(seed)
     spec = ModelSpec(n_sites, betas if betas is not None else {2: 0.8}, field)
-    return build_oracle(spec, random_assignment(spec, rng))
+    return GibbsOracle.build(spec, random_assignment(spec, rng))
 
 
 # -- masks and functional algebra ---------------------------------------------
@@ -172,7 +171,7 @@ def test_replica_difference_kills_exchangeable_means():
 
 def test_oracle_free_spins_is_uniform():
     spec = ModelSpec(4, {}, 0.0)
-    oracle = build_oracle(spec, CouplingAssignment({}))
+    oracle = GibbsOracle.build(spec, CouplingAssignment({}))
     assert np.allclose(oracle.weights, 1.0 / 16)
     assert oracle.log_z == pytest.approx(4 * math.log(2.0), rel=1e-14)
     assert oracle.free_energy_density == pytest.approx(math.log(2.0), rel=1e-14)
@@ -181,7 +180,7 @@ def test_oracle_free_spins_is_uniform():
 def test_oracle_field_only_moments():
     h = 0.7
     spec = ModelSpec(3, {}, h)
-    oracle = build_oracle(spec, CouplingAssignment({}))
+    oracle = GibbsOracle.build(spec, CouplingAssignment({}))
     assert oracle.moment(0b001) == pytest.approx(math.tanh(h), abs=1e-14)
     assert oracle.moment(0b110) == pytest.approx(math.tanh(h) ** 2, abs=1e-14)
     assert oracle.log_z == pytest.approx(3 * math.log(2 * math.cosh(h)), rel=1e-14)

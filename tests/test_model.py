@@ -19,7 +19,7 @@ from pspinlab.model import (
     interpolated_couplings,
     spin_matrix,
     spins_to_index,
-    tuple_sum_batch,
+    tuple_coefficients,
     vb_energy,
 )
 
@@ -72,7 +72,6 @@ def test_scale_matches_power_law():
     spec = ModelSpec(9, {2: 1.0, 3: 1.0})
     assert spec.scale(2) == pytest.approx(9.0 ** -0.5)
     assert spec.scale(3) == pytest.approx(1.0 / 9.0)
-    assert spec.scale(2, n_total=16) == pytest.approx(0.25)
 
 
 @given(st.integers(min_value=1, max_value=10), st.data())
@@ -102,12 +101,13 @@ def test_spin_matrix_cap():
         spin_matrix(EXACT_ENUMERATION_CAP + 1)
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (2, 4), (3, 3), (4, 2)])
-def test_tuple_sum_batch_vs_naive(p, n):
+@pytest.mark.parametrize("p,n", [(1, 4), (2, 2), (2, 4), (3, 3), (4, 2)])
+def test_tuple_coefficients_vs_naive(p, n):
+    # p = 1 is the 1-D table of a cavity field in the order-2 model
     rng = np.random.default_rng(11)
     table = rng.standard_normal((n,) * p)
     configs = spin_matrix(n)
-    got = tuple_sum_batch(table, configs)
+    got = fwht(tuple_coefficients(table))
     for row, spins in zip(got, configs):
         assert row == pytest.approx(naive_tuple_sum(table, spins), abs=1e-10)
 
