@@ -91,6 +91,11 @@ class RunConfig:
         return out
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: true and false are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
@@ -117,7 +122,7 @@ def parse_config(raw: dict) -> RunConfig:
         _reject_unknown(model, _MODEL_KEYS, "model")
         n_raw = model.get("n_sites")
         sizes = tuple(n_raw) if isinstance(n_raw, list) else (n_raw,)
-        if not sizes or not all(isinstance(n, int) and n >= 1 for n in sizes):
+        if not sizes or not all(_is_int(n) and n >= 1 for n in sizes):
             raise ConfigError(f"model.n_sites must be a positive integer or list, got {n_raw!r}")
         betas_raw = model.get("betas", {})
         if not isinstance(betas_raw, dict):
@@ -144,16 +149,16 @@ def parse_config(raw: dict) -> RunConfig:
               for key, default in entry.params.items()}
 
     replicates = raw.get("replicates", 1)
-    if not isinstance(replicates, int) or replicates < 1:
+    if not _is_int(replicates) or replicates < 1:
         raise ConfigError(f"replicates must be a positive integer, got {replicates!r}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or not 0 <= seed < (1 << 64):
+    if not _is_int(seed) or not 0 <= seed < (1 << 64):
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     emit = raw.get("format", "csv")
     if emit not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {emit!r}")
     workers = raw.get("workers")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
+    if workers is not None and (not _is_int(workers) or workers < 1):
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
     output = raw.get("output", "results")
     if not isinstance(output, str) or not output:

@@ -74,11 +74,9 @@ class TestFunction:
 
     @property
     def min_replicas(self) -> int:
-        if self.kind == "one":
-            return 1
         if self.kind == "overlap-power":
             return 2
-        return len(self.sites)
+        return max(1, len(self.sites))
 
     @property
     def label(self) -> str:
@@ -89,40 +87,37 @@ class TestFunction:
         inner = ";".join(",".join(str(s) for s in block) for block in self.sites)
         return f"monomial[{inner}]"
 
-    def functional(self, n_sites: int, n_replicas: int) -> ReplicaFunctional:
+    @property
+    def edges(self) -> list[tuple[int, int, int]]:
+        """Overlap edges (l1, l2, power) of F; empty unless F is an overlap power."""
+        return [(1, 2, self.power)] if self.kind == "overlap-power" else []
+
+    @property
+    def masks(self) -> dict[int, int]:
+        """Nonzero parity masks of F's spin monomial by replica; empty for the
+        other kinds."""
+        masks = {l: sites_to_mask(block) for l, block in enumerate(self.sites, start=1)}
+        return {l: mask for l, mask in masks.items() if mask}
+
+    def check(self, n_sites: int, n_replicas: int) -> None:
+        """Raise ExperimentError unless F lives on n_replicas replicas of N sites."""
         if n_replicas < self.min_replicas:
             raise ExperimentError(
                 f"{self.label} needs at least {self.min_replicas} replicas, got {n_replicas}"
             )
-        if self.kind == "one":
-            return ReplicaFunctional.one(n_replicas)
-        if self.kind == "overlap-power":
-            return overlap_power(1, 2, self.power, n_sites, n_replicas)
         for block in self.sites:
             for s in block:
                 if not 0 <= s < n_sites:
                     raise ExperimentError(f"site {s} out of range for N={n_sites}")
+
+    def functional(self, n_sites: int, n_replicas: int) -> ReplicaFunctional:
+        self.check(n_sites, n_replicas)
+        if self.kind == "one":
+            return ReplicaFunctional.one(n_replicas)
+        if self.kind == "overlap-power":
+            return overlap_power(1, 2, self.power, n_sites, n_replicas)
         return ReplicaFunctional.monomial(
             {l + 1: block for l, block in enumerate(self.sites)}, n_replicas)
-
-    def overlap_edges(self):
-        """Edge list for the overlap fast path, or None for monomials."""
-        if self.kind == "one":
-            return []
-        if self.kind == "overlap-power":
-            return [(1, 2, self.power)]
-        return None
-
-    def fixed_masks(self) -> dict[int, int]:
-        """Per-replica parity masks (spin monomials only)."""
-        if self.kind != "spin-monomial":
-            raise ExperimentError("fixed masks only exist for spin monomials")
-        out = {}
-        for l, block in enumerate(self.sites):
-            mask = sites_to_mask(block)
-            if mask:
-                out[l + 1] = mask
-        return out
 
 
 def constant_one() -> TestFunction:
@@ -213,22 +208,19 @@ def _draw_dressed(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime:
 # -- replica-coupling gaps ---------------------------------------------------
 
 
-def _f_expectation(oracle: GibbsOracle, fn: TestFunction, n: int) -> float:
-    edges = fn.overlap_edges()
-    if edges is not None:
-        return overlap_product_expectation(oracle, edges)
-    return fn.functional(oracle.n_sites, n).evaluate(oracle)
+def _require_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ExperimentError(f"{name} must be >= 1, got {value}")
 
 
-def _coupled_expectation(oracle: GibbsOracle, fn: TestFunction, n: int,
-                         a: int, b: int, power: int) -> float:
-    """<R_{a,b}**power * F> through the fastest applicable route (a < b)."""
-    edges = fn.overlap_edges()
-    if edges is not None:
-        return overlap_product_expectation(oracle, edges + [(a, b, power)])
-    top = max(n, b)
-    coupled = overlap_power(a, b, power, oracle.n_sites, top) * fn.functional(oracle.n_sites, top)
-    return coupled.evaluate(oracle)
+def _f_expectation(oracle: GibbsOracle, fn: TestFunction) -> float:
+    return overlap_product_expectation(oracle, fn.edges, fn.masks)
+
+
+def _coupled_expectation(oracle: GibbsOracle, fn: TestFunction, a: int, b: int,
+                         power: int) -> float:
+    """<R_{a,b}**power * F>."""
+    return overlap_product_expectation(oracle, fn.edges + [(a, b, power)], fn.masks)
 
 
 def gg_gap_realization(oracle: GibbsOracle, oracle_indep: GibbsOracle, n: int, p: int,
@@ -241,9 +233,10 @@ def gg_gap_realization(oracle: GibbsOracle, oracle_indep: GibbsOracle, n: int, p
     """
     if n < 2:
         raise ExperimentError(f"the gap needs n >= 2 replicas, got {n}")
-    lead = _coupled_expectation(oracle, fn, n, 1, n + 1, p)
-    boundary = oracle_indep.overlap_power_moment(p) * _f_expectation(oracle, fn, n)
-    inner = math.fsum(_coupled_expectation(oracle, fn, n, 1, l, p) for l in range(2, n + 1))
+    fn.check(oracle.n_sites, n)
+    lead = _coupled_expectation(oracle, fn, 1, n + 1, p)
+    boundary = oracle_indep.overlap_power_moment(p) * _f_expectation(oracle, fn)
+    inner = math.fsum(_coupled_expectation(oracle, fn, 1, l, p) for l in range(2, n + 1))
     return lead - boundary / n - inner / n
 
 
@@ -258,6 +251,10 @@ def gg_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction
            replicates: int, seed: int, workers: int | None = 1) -> EstimatorResult:
     """Disorder average of the replica-coupling gap; the product term uses an
     independent realization per replicate so it is unbiased for E<R^p> E<F>."""
+    if n < 2:
+        raise ExperimentError(f"the gap needs n >= 2 replicas, got {n}")
+    _require_positive("p", p)
+    fn.check(mspec.n_sites, n)
     return _estimate("gg-gap", functools.partial(_gg_gap_replicate, mspec, law, n, p, fn),
                      replicates, seed, workers,
                      {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
@@ -269,10 +266,8 @@ def gg_thermal_gap_realization(oracle: GibbsOracle, n: int, p: int, fn: TestFunc
     2 sum_{l<l'<=n} <R_{l,l'}^p F> - 2n sum_{l<=n} <R_{l,n+1}^p F>
     + n(n+1) <R_{n+1,n+2}^p F>.
     """
-    least = max(1, fn.min_replicas)
-    if n < least:
-        raise ExperimentError(f"{fn.label} needs n >= {least} replicas, got {n}")
-    coupled = functools.partial(_coupled_expectation, oracle, fn, n, power=p)
+    fn.check(oracle.n_sites, n)
+    coupled = functools.partial(_coupled_expectation, oracle, fn, power=p)
     first = math.fsum(coupled(a, b) for a, b in itertools.combinations(range(1, n + 1), 2))
     second = math.fsum(coupled(l, n + 1) for l in range(1, n + 1))
     third = coupled(n + 1, n + 2)
@@ -281,6 +276,8 @@ def gg_thermal_gap_realization(oracle: GibbsOracle, n: int, p: int, fn: TestFunc
 
 def gg_thermal_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction,
                    replicates: int, seed: int, workers: int | None = 1) -> EstimatorResult:
+    _require_positive("p", p)
+    fn.check(mspec.n_sites, n)
     realization = functools.partial(gg_thermal_gap_realization, n=n, p=p, fn=fn)
     return _estimate("gg-thermal-gap", functools.partial(_on_oracle, realization, mspec, law, 0),
                      replicates, seed, workers,
@@ -338,7 +335,8 @@ def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
 
     No common random numbers: the laws differ, so pairing would be fiction.
     """
-    realization = functools.partial(_f_expectation, fn=fn, n=max(2, fn.min_replicas))
+    fn.check(mspec.n_sites, fn.min_replicas)
+    realization = functools.partial(_f_expectation, fn=fn)
     a, b = (_estimate("universality-gap",
                       functools.partial(_on_oracle, realization, mspec, law, stream),
                       replicates, seed, workers, {})
@@ -351,7 +349,7 @@ def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
 
 
 def _sweep_replicate(mspec: ModelSpec, law: DisorderSpec, t_grid: tuple[float, ...],
-                     fn: TestFunction, n: int, exp_id: int, r: int) -> tuple:
+                     fn: TestFunction, exp_id: int, r: int) -> tuple:
     rng_xi = SeedPath(exp_id, r, 0).generator()
     rng_g = SeedPath(exp_id, r, 1).generator()
     xi = sample_couplings(mspec, law, rng_xi)
@@ -359,7 +357,7 @@ def _sweep_replicate(mspec: ModelSpec, law: DisorderSpec, t_grid: tuple[float, .
     out = []
     for t in t_grid:
         oracle = GibbsOracle.build(mspec, interpolated_couplings(xi, gauss, t))
-        out.append(_f_expectation(oracle, fn, n))
+        out.append(_f_expectation(oracle, fn))
     return tuple(out)
 
 
@@ -372,12 +370,14 @@ def interpolation_sweep(mspec: ModelSpec, law: DisorderSpec, t_grid, fn: TestFun
     the pair across the grid makes the curve smooth in t.
     """
     t_grid = tuple(float(t) for t in t_grid)
+    if not t_grid:
+        raise ExperimentError("the interpolation grid needs at least one point")
     for t in t_grid:
         if not 0.0 <= t <= 1.0:
             raise ExperimentError(f"interpolation points must lie in [0, 1], got {t}")
-    n = max(2, fn.min_replicas)
+    fn.check(mspec.n_sites, fn.min_replicas)
     exp_id = experiment_id(seed, "interpolation-sweep")
-    worker = functools.partial(_sweep_replicate, mspec, law, t_grid, fn, n, exp_id)
+    worker = functools.partial(_sweep_replicate, mspec, law, t_grid, fn, exp_id)
     rows = _map_replicates(worker, replicates, workers)
     results = []
     for k, t in enumerate(t_grid):
@@ -411,6 +411,8 @@ def cavity_identity_realization(mspec: ModelSpec, law: DisorderSpec, n_cavity: i
     if n_bulk < 1:
         raise ExperimentError("cavity check needs at least one bulk site")
     for block in cavity_sets:
+        if len(set(block)) != len(block):
+            raise ExperimentError(f"cavity block {list(block)} repeats a site")
         for j in block:
             if not 0 <= j < n_cavity:
                 raise ExperimentError(f"cavity site {j} outside 0..{n_cavity - 1}")
@@ -489,14 +491,10 @@ def derivative_sum_realization(oracle: GibbsOracle, n: int, m: int,
                                fn: TestFunction) -> float:
     """N**-2 sum over site pairs of <(derivative factor)**m F>, one draw,
     evaluated through the squared-multi-overlap reformulation."""
-    if fn.kind == "one":
-        fixed: dict[int, int] = {}
-    elif fn.kind == "spin-monomial":
-        fixed = fn.fixed_masks()
-    else:
+    if fn.edges:
         raise ExperimentError("derivative sums support constant or monomial F only")
-    if n < fn.min_replicas:
-        raise ExperimentError(f"{fn.label} needs n >= {fn.min_replicas} replicas, got {n}")
+    fn.check(oracle.n_sites, n)
+    fixed = fn.masks
     table = derivative_power_tuple_sum(m, n)
     total = 0.0
     for labels, coeff in sorted(table.items(), key=lambda kv: sorted(kv[0])):
@@ -508,6 +506,10 @@ def derivative_moment_sum(mspec: ModelSpec, law: DisorderSpec, n: int, m: int,
                           fn: TestFunction, replicates: int, seed: int,
                           workers: int | None = 1) -> EstimatorResult:
     """Disorder average of the tuple-summed m-th derivative of <F>."""
+    if fn.edges:
+        raise ExperimentError("derivative sums support constant or monomial F only")
+    _require_positive("m", m)
+    fn.check(mspec.n_sites, n)
     realization = functools.partial(derivative_sum_realization, n=n, m=m, fn=fn)
     return _estimate("derivative-moment-sum",
                      functools.partial(_on_oracle, realization, mspec, law, 0),
@@ -650,6 +652,7 @@ def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
     identity holds."""
     if alpha <= 0 or beta_prime == 0.0:
         raise ExperimentError("the identity needs alpha > 0 and beta_prime != 0")
+    fn.check(mspec.n_sites, n)
     j_law = j_law if j_law is not None else dis.rademacher()
     return _estimate("poisson-ibp",
                      functools.partial(_poisson_ibp_replicate, mspec, law, alpha, beta_prime,

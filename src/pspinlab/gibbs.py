@@ -9,7 +9,10 @@ measures, goes straight to ``GibbsOracle(n_sites, log_weights)``.  One
 transform of the weights, the spectrum w^, holds every moment
 <sigma_A> = (-1)**|A| w^[A]; a pair-moment matrix is a gather from it at
 A ^ {u} ^ {v}; and overlap powers, which are XOR kernels, are products with
-the kernel's transform.  Replica functionals are finite linear
+the kernel's transform.  Masked Parseval, the spectrum gathered at S ^ A and
+S ^ B against that transform, gives <R_12**p sigma^1_A sigma^2_B>, so
+``overlap_product_expectation`` answers <R**p F> for every test function F
+without expanding R**p.  Replica functionals are finite linear
 combinations of products of spin monomials evaluated on independent replicas
 drawn from one Gibbs measure; since sigma_i**2 = 1, each replica's monomial is
 reduced at construction to a set of sites with odd multiplicity, held as a
@@ -17,7 +20,7 @@ bitmask.
 
 The naive route, a brute-force sum over all replica tuples of explicit
 configurations, never touches the spectrum and is kept as the independent
-cross-check of the factorized, star and pair-matrix routes.
+cross-check of the factorized, Parseval, star and pair-matrix routes.
 """
 
 from __future__ import annotations
@@ -39,8 +42,7 @@ from .model import (
     spin_matrix,
 )
 
-NAIVE_MAX_BITS = 16        # brute-force replica sums enumerate 2**(n*N) tuples
-_GENERIC_TERM_CAP = 400000  # fallback functional products beyond this are refused
+NAIVE_MAX_BITS = 16  # brute-force replica sums enumerate 2**(n*N) tuples
 
 
 @lru_cache(maxsize=8)
@@ -372,11 +374,22 @@ class GibbsOracle:
             value = value * self._leaf_values(power)
         return float(self.weights @ value)
 
-    def overlap_power_moment(self, power: int) -> float:
-        """<R_12**power> by Parseval: 2**-N sum_A w^[A]**2 * k^_p[A]."""
+    def overlap_power_moment(self, power: int, mask_a: int = 0, mask_b: int = 0) -> float:
+        """<R_12**power sigma^1_A sigma^2_B> by masked Parseval:
+        (-1)**|A ^ B| * 2**-N sum_S w^[S ^ A] w^[S ^ B] k^_p[S].
+
+        sigma_A times the weights has spectrum (-1)**|A| w^[. ^ A], an XOR
+        gather that a zero mask skips."""
         kernel_hat = _kernel_spectrum(self.n_sites, power)
-        spectrum = self.spectrum
-        return float((spectrum * spectrum * kernel_hat).sum()) / kernel_hat.size
+        left, right = self._shifted_spectrum(mask_a), self._shifted_spectrum(mask_b)
+        value = float((left * right * kernel_hat).sum()) / kernel_hat.size
+        return -value if int(mask_a ^ mask_b).bit_count() & 1 else value
+
+    def _shifted_spectrum(self, mask: int) -> np.ndarray:
+        """S -> w^[S ^ mask]."""
+        if not mask:
+            return self.spectrum
+        return self.spectrum[np.arange(self.spectrum.size) ^ mask]
 
 
 def naive_replica_expectation(oracle: GibbsOracle, fn, n_replicas: int | None = None,
@@ -420,13 +433,16 @@ def naive_replica_expectation(oracle: GibbsOracle, fn, n_replicas: int | None = 
     return total
 
 
-def overlap_product_expectation(oracle: GibbsOracle, edges) -> float:
-    """Expectation of a product of pairwise overlap powers.
+def overlap_product_expectation(oracle: GibbsOracle, edges, masks=None) -> float:
+    """< prod R_{l1,l2}**power * prod_l sigma^l_{A_l} > for the products the
+    estimators reach.
 
-    ``edges`` is an iterable of (l1, l2, power).  Parallel edges merge by
-    adding powers.  Components that form a star evaluate through XOR-kernel
-    transforms; anything else falls back to the generic expansion, which is
-    only viable at small N.
+    ``edges`` is an iterable of (l1, l2, power); parallel edges merge by
+    adding powers.  ``masks`` maps replica labels to the parity masks of a
+    spin monomial.  One edge is masked Parseval times the moments of the
+    replicas off the edge; two edges are a star when they share a replica
+    and a product of two Parseval moments when they do not.  More edges, or
+    masks with two edges, raise ValueError.
     """
     merged: dict[tuple[int, int], int] = {}
     for l1, l2, power in edges:
@@ -434,47 +450,18 @@ def overlap_product_expectation(oracle: GibbsOracle, edges) -> float:
             raise ValueError("overlap edges need distinct replicas")
         key = (min(l1, l2), max(l1, l2))
         merged[key] = merged.get(key, 0) + int(power)
-    if not merged:
-        return 1.0
-    # connected components of the replica multigraph
-    adjacency: dict[int, set[int]] = {}
-    for (a, b) in merged:
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
-    seen: set[int] = set()
-    total = 1.0
-    for root in sorted(adjacency):
-        if root in seen:
-            continue
-        stack, comp = [root], set()
-        while stack:
-            node = stack.pop()
-            if node in comp:
-                continue
-            comp.add(node)
-            stack.extend(adjacency[node] - comp)
-        seen |= comp
-        comp_edges = [(a, b, p) for (a, b), p in merged.items() if a in comp]
-        total *= _component_expectation(oracle, comp, comp_edges)
-    return total
-
-
-def _component_expectation(oracle: GibbsOracle, nodes: set[int], comp_edges) -> float:
-    if len(comp_edges) == 1:
-        return oracle.overlap_power_moment(comp_edges[0][2])
-    for center in sorted(nodes):
-        if all(center in (a, b) for a, b, _ in comp_edges):
-            legs = [p for a, b, p in comp_edges]
-            return oracle.star_overlap_expectation(legs)
-    # general component: expand fully (small N only)
-    size = 1
-    for _, _, p in comp_edges:
-        size *= oracle.n_sites ** p
-        if size > _GENERIC_TERM_CAP:
-            raise ResourceCapError(
-                "non-star overlap product too large for the generic expansion"
-            )
-    fn = ReplicaFunctional.one(max(nodes))
-    for a, b, p in comp_edges:
-        fn = fn * overlap_power(a, b, p, oracle.n_sites)
-    return fn.evaluate(oracle)
+    masks = masks or {}
+    if len(merged) == 2 and not masks:
+        (pair_a, power_a), (pair_b, power_b) = merged.items()
+        if set(pair_a) & set(pair_b):
+            return oracle.star_overlap_expectation([power_a, power_b])
+        return oracle.overlap_power_moment(power_a) * oracle.overlap_power_moment(power_b)
+    if len(merged) > 1:
+        raise ValueError("overlap products take two edges without masks, or one with them")
+    value = 1.0
+    for label in sorted(masks):
+        if not any(label in pair for pair in merged):
+            value *= oracle.moment(masks[label])
+    for (a, b), power in merged.items():
+        value *= oracle.overlap_power_moment(power, masks.get(a, 0), masks.get(b, 0))
+    return value

@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pspinlab.cli as cli
@@ -60,6 +63,8 @@ def test_parse_self_contained_round_trip():
     {"model": {"n_sites": [3, "x"]}},
     {"model": {"n_sites": 3, "betas": [2]}},
     {"disorder": {"atoms": [1]}},
+    {"model": {"n_sites": True}},
+    {"replicates": True},
 ])
 def test_parse_rejects_malformed(mutate):
     with pytest.raises(cli.ConfigError):
@@ -207,6 +212,19 @@ _BAD_VALUES = {
         params={"n": 1, "m": 3, "function": {"kind": "spin-monomial", "sites": [[0], [1], [2]]}}),
     "onereplicate": minimal_config(experiment="free-energy-fluctuation", params={},
                                    replicates=1),
+    "zeropower": minimal_config(params={"p": 0}),
+    "zeropowerdisorder": minimal_config(experiment="gg-gap", params={"p": 0}),
+    "zeropowermonomial": minimal_config(
+        experiment="gg-gap",
+        params={"p": 0, "function": {"kind": "spin-monomial", "sites": [[0], [1]]}}),
+    "negativepower": minimal_config(experiment="gg-gap", params={"p": -1}),
+    "zeroorder": minimal_config(experiment="derivative-moment-sum", params={"m": 0}),
+    "negativeorder": minimal_config(experiment="derivative-moment-sum", params={"m": -2}),
+    "farsitederiv": minimal_config(experiment="derivative-moment-sum", params={},
+                                   model={"n_sites": 2, "betas": {"2": 1.0}}),
+    "emptytgrid": minimal_config(experiment="interpolation-sweep", params={"t_grid": []}),
+    "repeatedcavitysite": minimal_config(experiment="cavity-identity",
+                                         params={"n_cavity": 2, "cavity_sets": [[0, 0]]}),
     "oversize": {"experiment": "gg-gap",
                  "model": {"n_sites": 100000, "betas": {"3": 1.0}},
                  "disorder": {"family": "gaussian"}},
@@ -242,8 +260,48 @@ def test_run_failure_exit_codes(tmp_path, capsys, monkeypatch, breaker, expected
         code = cli.main(["run", write_config(tmp_path, raw)])
     assert code == expected
     err = capsys.readouterr().err
-    assert "error" in err
-    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+_SMALL_INT = st.integers(-1, 4)
+_FUZZ_VALUES = st.one_of(
+    st.integers(-3, 6), st.floats(-3.0, 3.0), st.integers(max_value=-1), st.just(0),
+    st.text(max_size=3), st.lists(_SMALL_INT | st.lists(_SMALL_INT, max_size=3), max_size=3),
+    st.none(), st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_exits_cleanly(data):
+    """One value of a small config replaced by an arbitrary JSON value: the run
+    exits 0, 1 only for a non-finite estimate, or 2 with one error line."""
+    name = data.draw(st.sampled_from(
+        sorted(n for n, e in cli.EXPERIMENTS.items() if not e.self_contained)))
+    raw = minimal_config(experiment=name, params={}, workers=1)
+    sections = ["model", "replicates", "seed"] + (["params"] if cli.EXPERIMENTS[name].params
+                                                  else [])
+    section = data.draw(st.sampled_from(sections))
+    value = data.draw(_FUZZ_VALUES)
+    if section == "params":
+        raw["params"] = {data.draw(st.sampled_from(sorted(cli.EXPERIMENTS[name].params))): value}
+    elif section == "model":
+        raw["model"] = dict(raw["model"],
+                            **{data.draw(st.sampled_from(["n_sites", "betas", "field"])): value})
+    else:
+        raw[section] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as handle:
+            json.dump(dict(raw, output=os.path.join(tmp, "out")), handle)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["run", path])
+    err = err.getvalue()
+    assert code in (0, 1, 2), err
+    if code == 1:
+        assert "non-finite" in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_list_prints_known_experiments(capsys):

@@ -41,21 +41,24 @@ def test_test_function_min_replicas_and_labels():
 
 def test_test_function_functional_guards():
     mono = ex.spin_monomial(((0,), (1,)))
-    with pytest.raises(ex.ExperimentError):
-        mono.functional(3, 1)
     far = ex.spin_monomial(((5,),))
+    for check in (mono.functional, mono.check, far.functional, far.check):
+        with pytest.raises(ex.ExperimentError):
+            check(3, 1)
+    assert ex.spin_monomial(()).min_replicas == 1
     with pytest.raises(ex.ExperimentError):
-        far.functional(3, 1)
+        ex.spin_monomial(()).check(3, 0)
 
 
 def test_test_function_edges_and_masks():
-    assert ex.constant_one().overlap_edges() == []
-    assert ex.overlap_square().overlap_edges() == [(1, 2, 2)]
+    assert ex.constant_one().edges == []
+    assert ex.constant_one().masks == {}
+    assert ex.overlap_square().edges == [(1, 2, 2)]
+    assert ex.overlap_square().masks == {}
     mono = ex.spin_monomial(((0, 1), (2,)))
-    assert mono.overlap_edges() is None
-    assert mono.fixed_masks() == {1: 0b11, 2: 0b100}
-    with pytest.raises(ex.ExperimentError):
-        ex.overlap_square().fixed_masks()
+    assert mono.edges == []
+    assert mono.masks == {1: 0b11, 2: 0b100}
+    assert ex.spin_monomial(((0, 0), (1,))).masks == {2: 0b10}
 
 
 def test_default_suite_sizes():
@@ -243,6 +246,9 @@ def test_cavity_identity_validation():
     with pytest.raises(ex.ExperimentError):
         ex.cavity_identity_realization(mspec, dis.gaussian(), 1, ((3,),),
                                        SeedPath(1, 0, 0))
+    with pytest.raises(ex.ExperimentError):
+        ex.cavity_identity_realization(ModelSpec(5, {2: 0.8}, 0.25), dis.gaussian(), 2,
+                                       ((0, 0),), SeedPath(1, 0, 0))
     with pytest.raises(ResourceCapError):
         ex.cavity_identity_realization(ModelSpec(21, {2: 1.0}, 0.0), dis.gaussian(), 1,
                                        ((0,),), SeedPath(1, 0, 0))
@@ -381,6 +387,32 @@ def test_estimators_reproduce_bit_for_bit():
     assert a.value == b.value and a.std_error == b.std_error
     c = ex.gg_gap(mspec, dis.rademacher(), 2, 2, ex.overlap_square(), 10, seed=31)
     assert c.value != a.value
+
+
+def test_estimators_check_before_starting_workers(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started before the inputs were checked")
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", no_pool)
+    mspec = ModelSpec(3, {2: 1.0}, 0.3)
+    law, far = dis.rademacher(), ex.spin_monomial(((5,),))
+    runs = [
+        lambda: ex.gg_thermal_gap(mspec, law, 1, 2, ex.overlap_square(), 8, seed=1, workers=2),
+        lambda: ex.gg_thermal_gap(mspec, law, 2, 0, ex.constant_one(), 8, seed=1, workers=2),
+        lambda: ex.gg_gap(mspec, law, 1, 2, ex.constant_one(), 8, seed=1, workers=2),
+        lambda: ex.gg_gap(mspec, law, 2, -1, far, 8, seed=1, workers=2),
+        lambda: ex.derivative_moment_sum(mspec, law, 2, 0, ex.constant_one(), 8, seed=1,
+                                         workers=2),
+        lambda: ex.derivative_moment_sum(mspec, law, 2, 3, far, 8, seed=1, workers=2),
+        lambda: ex.universality_gap(mspec, law, law, far, 8, seed=1, workers=2),
+        lambda: ex.interpolation_sweep(mspec, law, (), ex.overlap_square(), 8, seed=1,
+                                       workers=2),
+        lambda: ex.poisson_ibp_check(mspec, law, 0.5, 0.5, 1, ex.overlap_square(), 8, seed=1,
+                                     workers=2),
+    ]
+    for run in runs:
+        with pytest.raises(ex.ExperimentError):
+            run()
 
 
 def test_worker_count_does_not_change_values():

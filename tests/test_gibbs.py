@@ -234,17 +234,20 @@ def test_fwht_involution():
 
 @pytest.mark.parametrize("power", [1, 2, 3, 4])
 def test_overlap_power_moment_routes_agree(power):
-    """Parseval on the spectrum against the star route and the naive sum,
-    which never touches the spectrum."""
+    """(Masked) Parseval on the spectrum against the factorized expansion,
+    the star route and the naive sum, which never touches the spectrum."""
     oracle = small_oracle(3, seed=4)
-    fn = overlap_power(1, 2, power, 3)
-    fact = fn.evaluate(oracle)
-    fast = oracle.overlap_power_moment(power)
-    brute = naive_replica_expectation(oracle, fn)
-    assert fast == pytest.approx(fact, abs=1e-12)
-    assert fast == pytest.approx(oracle.star_overlap_expectation([power]), abs=1e-13)
-    assert brute == pytest.approx(fact, abs=1e-10)
-    assert brute == pytest.approx(fast, abs=1e-12)
+    assert oracle.overlap_power_moment(power) == pytest.approx(
+        oracle.star_overlap_expectation([power]), abs=1e-13)
+    for mask_a, mask_b in ((0, 0), (0b011, 0), (0b001, 0b110)):
+        fn = overlap_power(1, 2, power, 3) * ReplicaFunctional.monomial(
+            {1: mask_a, 2: mask_b}, 2)
+        fact = fn.evaluate(oracle)
+        fast = oracle.overlap_power_moment(power, mask_a, mask_b)
+        brute = naive_replica_expectation(oracle, fn)
+        assert fast == pytest.approx(fact, abs=1e-12)
+        assert brute == pytest.approx(fact, abs=1e-10)
+        assert brute == pytest.approx(fast, abs=1e-12)
 
 
 def test_star_expectation_matches_factorized():
@@ -263,23 +266,18 @@ def test_overlap_product_merges_and_factorizes():
     want = oracle.overlap_power_moment(1) ** 2
     assert split == pytest.approx(want, abs=1e-12)
     assert overlap_product_expectation(oracle, []) == 1.0
+    masks = {1: 0b011, 2: 0b100, 3: 0b101}
+    off_edge = overlap_product_expectation(oracle, [(2, 3, 2)], masks)
+    fn = overlap_power(2, 3, 2, 3) * ReplicaFunctional.monomial(masks, 3)
+    assert off_edge == pytest.approx(fn.evaluate(oracle), abs=1e-12)
+    assert overlap_product_expectation(oracle, [], masks) == pytest.approx(
+        ReplicaFunctional.monomial(masks, 3).evaluate(oracle), abs=1e-15)
     with pytest.raises(ValueError):
         overlap_product_expectation(oracle, [(1, 1, 2)])
-
-
-def test_overlap_triangle_falls_back_to_generic():
-    oracle = small_oracle(3, seed=8)
-    edges = [(1, 2, 1), (2, 3, 1), (1, 3, 1)]
-    got = overlap_product_expectation(oracle, edges)
-
-    def triangle(reps):
-        r12 = float(reps[0] @ reps[1]) / 3
-        r23 = float(reps[1] @ reps[2]) / 3
-        r13 = float(reps[0] @ reps[2]) / 3
-        return r12 * r23 * r13
-
-    want = naive_replica_expectation(oracle, triangle, n_replicas=3)
-    assert got == pytest.approx(want, abs=1e-10)
+    with pytest.raises(ValueError):
+        overlap_product_expectation(oracle, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
+    with pytest.raises(ValueError):
+        overlap_product_expectation(oracle, [(1, 2, 1), (2, 3, 1)], {1: 0b1})
 
 
 def test_naive_expectation_caps_and_callable_route():
