@@ -190,7 +190,8 @@ def _build_function(spec) -> ex.TestFunction:
     if kind == "one":
         return ex.constant_one()
     if kind == "overlap-power":
-        return ex.TestFunction("overlap-power", power=int(spec.get("power", 2)))
+        power = _convert(spec.get("power", 2), 0, "power")
+        return ex.TestFunction("overlap-power", power=power)
     if kind == "spin-monomial":
         return ex.spin_monomial(spec.get("sites", ()))
     raise ConfigError(f"unknown function kind {kind!r}")
@@ -200,11 +201,19 @@ _BUILDERS = {ex.TestFunction: _build_function, dis.DisorderSpec: _build_law}
 
 
 def _convert(value, default, where: str):
-    """``value`` as the type of ``default``; tuples convert element-wise."""
+    """``value`` as the type of ``default``; tuples convert element-wise.
+
+    An integer param takes a JSON integer only, and a float param takes no
+    boolean: neither is silently truncated or read as 1.
+    """
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
         return tuple(_convert(v, default[0], where) for v in value)
+    if _is_int(default) and not _is_int(value):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    if isinstance(default, float) and isinstance(value, bool):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
         return _BUILDERS.get(type(default), type(default))(value)
     except (TypeError, ValueError) as err:

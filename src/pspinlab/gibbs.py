@@ -64,16 +64,33 @@ def _kernel_spectrum(n_sites: int, power: int) -> np.ndarray:
 
 
 def fwht(vec: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform (involution up to 1/len)."""
+    """Unnormalized fast Walsh-Hadamard transform (involution up to 1/len).
+
+    Returns a new float64 array; ``vec`` is not modified.  The butterfly
+    stages run at strides 1, 2, 4, ... as in the textbook radix-2 loop, but
+    each pass does two of them: stage h forms x0 +- x1 and x2 +- x3 in the
+    four quarters of a (-1, 4, h) view, and stage 2h combines those sums and
+    differences and writes them back.  Every element gets the same additions
+    of the same operands in the same order as in the radix-2 loop, so the
+    output is bit-identical to it, in half the full-array passes.  When
+    log2(len) is odd, one radix-2 stage runs last.
+    """
     a = np.array(vec, dtype=np.float64, copy=True)
     h = 1
-    while h < a.size:
-        x = a.reshape(-1, 2, h)
-        even = x[:, 0, :] + x[:, 1, :]
-        odd = x[:, 0, :] - x[:, 1, :]
-        x[:, 0, :] = even
-        x[:, 1, :] = odd
-        h *= 2
+    while 4 * h <= a.size:
+        x0, x1, x2, x3 = a.reshape(-1, 4, h).swapaxes(0, 1)
+        s01, d01 = x0 + x1, x0 - x1
+        s23, d23 = x2 + x3, x2 - x3
+        np.add(s01, s23, out=x0)
+        np.subtract(s01, s23, out=x2)
+        np.add(d01, d23, out=x1)
+        np.subtract(d01, d23, out=x3)
+        h *= 4
+    if 2 * h == a.size:
+        x = a.reshape(2, h)
+        even = x[0] + x[1]
+        np.subtract(x[0], x[1], out=x[1])
+        x[0] = even
     return a
 
 
@@ -305,9 +322,11 @@ class GibbsOracle:
             )
         self.n_sites = n_sites
         shift = float(energies.max())
-        weights = np.exp(energies - shift)
+        weights = energies - shift  # a fresh array: the caller's energies stay intact
+        np.exp(weights, out=weights)
         z = float(weights.sum())
-        self.weights = weights / z
+        weights /= z
+        self.weights = weights
         self.log_z = shift + math.log(z)
         self._spectrum: np.ndarray | None = None
         self._pair_matrices: dict[int, np.ndarray] = {}

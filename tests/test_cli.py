@@ -205,6 +205,11 @@ _BAD_VALUES = {
     "badparam": minimal_config(params={"n": "two"}),
     "badpower": minimal_config(params={"function": {"kind": "overlap-power", "power": "x"}}),
     "badtgrid": minimal_config(experiment="interpolation-sweep", params={"t_grid": "abc"}),
+    "fractionalparams": minimal_config(experiment="gg-gap", params={"p": 2.7, "n": 2.9}),
+    "booleancount": minimal_config(params={"n": True}),
+    "booleanbeta": minimal_config(model={"n_sites": 3, "betas": {"2": True}}),
+    "fractionalpower": minimal_config(
+        params={"function": {"kind": "overlap-power", "power": 2.5}}),
     "badworkersenv": minimal_config(),
     "fewreplicas": minimal_config(params={"n": 1}),
     "fewreplicasderiv": minimal_config(

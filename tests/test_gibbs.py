@@ -216,6 +216,15 @@ def test_pair_moment_matrix_matches_weighted_gram():
         assert np.allclose(oracle.pair_moment_matrix(mask), gram, rtol=0, atol=1e-13)
 
 
+def test_oracle_leaves_energies_unchanged():
+    energies = np.random.default_rng(5).normal(size=16)
+    before = energies.copy()
+    oracle = GibbsOracle(4, energies)
+    assert np.array_equal(energies, before)
+    unnormalized = np.exp(before - before.max())
+    assert np.array_equal(oracle.weights, unnormalized / unnormalized.sum())
+
+
 def test_oracle_rejects_oversize_and_bad_shape():
     with pytest.raises(ResourceCapError):
         GibbsOracle(21, np.zeros(4))
@@ -227,9 +236,46 @@ def test_oracle_rejects_oversize_and_bad_shape():
 
 
 def test_fwht_involution():
+    """Integer-valued input keeps every partial sum exact, so applying the
+    transform twice gives len * x exactly."""
     rng = np.random.default_rng(0)
-    x = rng.normal(size=16)
-    assert np.allclose(fwht(fwht(x)), 16 * x, atol=1e-12)
+    for n_bits in (0, 1, 4, 7, 12):
+        x = rng.integers(-8, 9, size=1 << n_bits).astype(np.float64)
+        assert np.array_equal(fwht(fwht(x)), (1 << n_bits) * x)
+
+
+def _radix2_fwht(vec):
+    """The textbook radix-2 loop: one butterfly stage per pass, strides 1, 2, 4, ..."""
+    a = np.array(vec, dtype=np.float64, copy=True)
+    h = 1
+    while h < a.size:
+        x = a.reshape(-1, 2, h)
+        even = x[:, 0, :] + x[:, 1, :]
+        odd = x[:, 0, :] - x[:, 1, :]
+        x[:, 0, :] = even
+        x[:, 1, :] = odd
+        h *= 2
+    return a
+
+
+@pytest.mark.parametrize("n_bits", range(21))
+def test_fwht_bit_identical_to_radix2(n_bits):
+    """Paired stages round exactly as the radix-2 loop does, at every size;
+    odd n_bits run the final radix-2 stage and n_bits = 0 is one element."""
+    rng = np.random.default_rng(100 + n_bits)
+    x = rng.normal(size=1 << n_bits)
+    x[rng.random(x.size) < 0.25] = 0.0
+    before = x.copy()
+    assert np.array_equal(fwht(x), _radix2_fwht(x))
+    assert np.array_equal(x, before)
+
+
+def test_fwht_integer_input_gives_float64():
+    x = np.arange(8)
+    out = fwht(x)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, _radix2_fwht(x.astype(np.float64)))
+    assert np.array_equal(x, np.arange(8))
 
 
 @pytest.mark.parametrize("power", [1, 2, 3, 4])
