@@ -96,6 +96,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number: no string, boolean, NaN or infinity."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an integer past float range
+        return False
+
+
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
@@ -172,8 +180,10 @@ def _build_law(spec: dict) -> dis.DisorderSpec:
         raise ConfigError("a disorder law must be an object with a 'family'")
     spec = dict(spec)
     family = spec.pop("family")
+    params = {key: _convert(value, (0.0,) if isinstance(value, list) else 0.0, f"disorder.{key}")
+              for key, value in spec.items()}
     try:
-        return dis.by_name(family, **spec)
+        return dis.by_name(family, **params)
     except DisorderValidationError:
         raise
     except (TypeError, ValueError) as err:
@@ -203,8 +213,9 @@ _BUILDERS = {ex.TestFunction: _build_function, dis.DisorderSpec: _build_law}
 def _convert(value, default, where: str):
     """``value`` as the type of ``default``; tuples convert element-wise.
 
-    An integer param takes a JSON integer only, and a float param takes no
-    boolean: neither is silently truncated or read as 1.
+    An integer param takes a JSON integer only, and a float param a finite
+    JSON number only: nothing is silently truncated, parsed from a string or
+    read as 1.
     """
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
@@ -212,8 +223,8 @@ def _convert(value, default, where: str):
         return tuple(_convert(v, default[0], where) for v in value)
     if _is_int(default) and not _is_int(value):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    if isinstance(default, float) and isinstance(value, bool):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if isinstance(default, float) and not _is_number(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     try:
         return _BUILDERS.get(type(default), type(default))(value)
     except (TypeError, ValueError) as err:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CouplingAssignment, ModelSpec, ModelValidationError, DilutedPairAssignment
+from .model import CouplingAssignment, ModelSpec, DilutedPairAssignment
 
 _MASK64 = (1 << 64) - 1
 _GH_NODES = 64
@@ -49,10 +49,8 @@ class SeedPath:
         seq = np.random.SeedSequence(entropy=(self.experiment, self.replicate, self.stream))
         return np.random.Generator(np.random.Philox(seed=seq))
 
-    def child(self, replicate: int | None = None, stream: int | None = None) -> "SeedPath":
-        return SeedPath(self.experiment,
-                        self.replicate if replicate is None else replicate,
-                        self.stream if stream is None else stream)
+    def child(self, stream: int) -> "SeedPath":
+        return SeedPath(self.experiment, self.replicate, stream)
 
 
 def experiment_id(seed: int, name: str) -> int:
@@ -70,7 +68,6 @@ class DisorderSpec:
         atoms, probs: support and weights for purely discrete laws.
         gaussian_weight: std-dev of an independent Gaussian component mixed
             onto the discrete part (used by the near-Gaussian family).
-        bounded: True when the law has compact support.
     """
 
     family: str
@@ -79,7 +76,6 @@ class DisorderSpec:
     probs: tuple[float, ...] = ()
     gaussian_weight: float = 0.0
     uniform_halfwidth: float = 0.0
-    bounded: bool = True
 
     def __post_init__(self):
         if self.atoms and len(self.atoms) != len(self.probs):
@@ -160,7 +156,7 @@ class DisorderSpec:
 
 
 def gaussian() -> DisorderSpec:
-    return DisorderSpec("gaussian", (0.0, 1.0, 0.0, 3.0), bounded=False)
+    return DisorderSpec("gaussian", (0.0, 1.0, 0.0, 3.0))
 
 
 def rademacher() -> DisorderSpec:
@@ -185,12 +181,12 @@ def three_point(fourth_moment: float = 9.0) -> DisorderSpec:
                         atoms=(-a, 0.0, a), probs=(p, 1.0 - 2.0 * p, p))
 
 
-def discrete(atoms, probs, family: str = "discrete") -> DisorderSpec:
+def discrete(atoms, probs) -> DisorderSpec:
     """Custom discrete law; mean and variance are validated at construction."""
     atoms = tuple(float(a) for a in atoms)
     probs = tuple(float(q) for q in probs)
     moments = tuple(sum(q * a ** k for a, q in zip(atoms, probs)) for k in (1, 2, 3, 4))
-    spec = DisorderSpec(family, moments, atoms=atoms, probs=probs)
+    spec = DisorderSpec("discrete", moments, atoms=atoms, probs=probs)
     if abs(moments[0]) > 1e-10 or abs(moments[1] - 1.0) > 1e-10:
         raise DisorderValidationError(
             f"custom law must be standardized: got mean {moments[0]!r}, variance {moments[1]!r}"
@@ -229,26 +225,17 @@ def skewed_three_point(fourth_moment: float = 9.0) -> DisorderSpec:
                         atoms=(a, b, 0.0), probs=(p, q, 1.0 - p - q))
 
 
-def near_gaussian_family(size: int, skew: DisorderSpec | None = None) -> DisorderSpec:
+def near_gaussian_family(size: int) -> DisorderSpec:
     """Law drifting to the Gaussian as ``size`` grows, with third moment size**-1/2.
 
-    Mixes a unit-skew discrete law zeta (m1=0, m2=1, m3=1) scaled by
+    Mixes the unit-skew golden law zeta (m1=0, m2=1, m3=1, m4=2) scaled by
     size**(-1/6) with an independent Gaussian scaled by sqrt(1 - size**(-1/3)).
     The declared moments are m3 = size**(-1/2) and
     m4 = size**(-2/3) * (E zeta**4 - 3) + 3.
     """
     if size < 2:
         raise DisorderValidationError(f"the near-Gaussian family needs size >= 2, got {size}")
-    if skew is None:
-        skew = golden_skew()
-    if skew.gaussian_weight or skew.family in ("gaussian", "uniform") or not skew.atoms:
-        raise DisorderValidationError("the skew component must be a discrete law")
-    if abs(skew.moments[0]) > 1e-10 or abs(skew.moments[1] - 1.0) > 1e-10:
-        raise DisorderValidationError("the skew component must have mean 0 and variance 1")
-    if abs(skew.moments[2] - 1.0) > 1e-10:
-        raise DisorderValidationError(
-            f"the skew component must have third moment 1, got {skew.moments[2]!r}"
-        )
+    skew = golden_skew()
     a = float(size) ** (-1.0 / 6.0)
     b = math.sqrt(1.0 - float(size) ** (-1.0 / 3.0))
     m4 = float(size) ** (-2.0 / 3.0) * (skew.moments[3] - 3.0) + 3.0
@@ -258,35 +245,28 @@ def near_gaussian_family(size: int, skew: DisorderSpec | None = None) -> Disorde
         atoms=tuple(a * z for z in skew.atoms),
         probs=skew.probs,
         gaussian_weight=b,
-        bounded=False,
     )
 
 
+# config-file family name -> constructor; parameters pass as keywords
+_FAMILIES = {
+    "gaussian": gaussian,
+    "rademacher": rademacher,
+    "uniform": uniform_scaled,
+    "three-point": three_point,
+    "golden-skew": golden_skew,
+    "skewed-three-point": skewed_three_point,
+    "near-gaussian": near_gaussian_family,
+    "discrete": discrete,
+}
+
+
 def by_name(name: str, **params) -> DisorderSpec:
-    """Construct a law from its config-file name."""
-    if name == "gaussian":
-        return gaussian()
-    if name == "rademacher":
-        return rademacher()
-    if name == "uniform":
-        return uniform_scaled()
-    if name == "three-point":
-        return three_point(**params)
-    if name == "golden-skew":
-        return golden_skew()
-    if name == "skewed-three-point":
-        return skewed_three_point(**params)
-    if name == "near-gaussian":
-        if "size" not in params:
-            raise DisorderValidationError("near-gaussian needs a 'size' parameter")
-        size = params.pop("size")
-        skew = params.pop("skew", None)
-        if params:
-            raise DisorderValidationError(f"unknown near-gaussian parameters {sorted(params)}")
-        return near_gaussian_family(size, skew)
-    if name == "discrete":
-        return discrete(**params)
-    raise DisorderValidationError(f"unknown disorder family {name!r}")
+    """Construct a law from its config-file name; a missing or unknown
+    parameter is a TypeError from the constructor."""
+    if name not in _FAMILIES:
+        raise DisorderValidationError(f"unknown disorder family {name!r}")
+    return _FAMILIES[name](**params)
 
 
 def sample_couplings(spec: ModelSpec, law: DisorderSpec, rng: np.random.Generator) -> CouplingAssignment:
@@ -297,25 +277,16 @@ def sample_couplings(spec: ModelSpec, law: DisorderSpec, rng: np.random.Generato
     return CouplingAssignment(tables)
 
 
-def sample_vb(alpha: float, n_sites: int, beta_prime: float, rng: np.random.Generator,
-              j_law: DisorderSpec | None = None) -> DilutedPairAssignment:
-    """Draw a diluted pair interaction: Poisson(alpha*N) edges, uniform endpoints.
-
-    The edge-coupling law must be bounded with vanishing odd moments.
-    """
+def sample_vb(alpha: float, n_sites: int, beta_prime: float,
+              rng: np.random.Generator) -> DilutedPairAssignment:
+    """Draw a diluted pair interaction: Poisson(alpha*N) edges, uniform
+    endpoints, Rademacher edge couplings."""
     if alpha < 0:
         raise DisorderValidationError(f"alpha must be nonnegative, got {alpha!r}")
-    if j_law is None:
-        j_law = rademacher()
-    if not j_law.bounded:
-        raise DisorderValidationError("edge couplings must follow a bounded law")
-    if abs(j_law.moments[0]) > 1e-10 or abs(j_law.moments[2]) > 1e-10:
-        raise DisorderValidationError("edge couplings need vanishing first and third moments")
     k = int(rng.poisson(alpha * n_sites))
     left = rng.integers(0, n_sites, size=k)
     right = rng.integers(0, n_sites, size=k)
-    j_values = j_law.sample(rng, k)
-    return DilutedPairAssignment(beta_prime=beta_prime, j_values=np.asarray(j_values, dtype=np.float64),
+    return DilutedPairAssignment(beta_prime=beta_prime, j_values=rademacher().sample(rng, k),
                                left_sites=left, right_sites=right)
 
 

@@ -30,6 +30,8 @@ from .model import CouplingAssignment, ModelSpec, ModelValidationError
 # the cap keeps accidental huge requests from hanging a run.
 MAX_DERIVATIVE_ORDER = 30
 
+SERIES_TAIL_TARGET = 1e-13
+
 _row_cache: dict[int, list[int]] = {}
 
 
@@ -274,18 +276,17 @@ def fourth_power_identity_check(oracle: GibbsOracle, fn: ReplicaFunctional) -> t
     lhs /= float(n_sites) ** 2
     rhs = 0.0
     for labels, coeff in fourth_power_tuple_coefficients(n).items():
-        block = multi_overlap(sorted(labels), 2, n_sites, n_replicas=max(max(labels), n))
+        block = multi_overlap(sorted(labels), n_sites, n_replicas=max(max(labels), n))
         rhs += coeff * (block * fn).evaluate(oracle)
     return lhs, rhs
 
 
-def series_identity_check(a_coeffs, b: float, x: float, n_replicas: int,
-                          tail_target: float = 1e-13) -> dict[str, float]:
+def series_identity_check(a_coeffs, b: float, x: float, n_replicas: int) -> dict[str, float]:
     """Closed form of (sum_m A_m x**m) / (1 - B x)**(n+1) against its series.
 
     The series coefficients are c_m = sum_{a<=min(m,n+1)} C(n+m-a, n) A_a
     B**(m-a).  Truncation continues until the geometric ratio bound pushes
-    the tail below ``tail_target``.
+    the tail below SERIES_TAIL_TARGET.
     """
     n = n_replicas
     a_coeffs = [float(c) for c in a_coeffs]
@@ -312,7 +313,7 @@ def series_identity_check(a_coeffs, b: float, x: float, n_replicas: int,
                 size = sum(math.comb(n + m - a, n) * abs(a_coeffs[a]) * abs(b) ** (m - a)
                            for a in range(n + 2)) * abs(x) ** m
                 tail = size * ratio / (1.0 - ratio)
-                if tail <= tail_target:
+                if tail <= SERIES_TAIL_TARGET:
                     break
         m += 1
         if m > 10000:

@@ -198,10 +198,10 @@ def _on_oracle(realization, mspec: ModelSpec, law: DisorderSpec, stream: int,
 
 
 def _draw_dressed(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
-                  j_law: DisorderSpec, exp_id: int, r: int):
+                  exp_id: int, r: int):
     """Couplings (stream 0) and a diluted pair interaction (stream 1)."""
     couplings = sample_couplings(mspec, law, SeedPath(exp_id, r, 0).generator())
-    vb = sample_vb(alpha, mspec.n_sites, beta_prime, SeedPath(exp_id, r, 1).generator(), j_law)
+    vb = sample_vb(alpha, mspec.n_sites, beta_prime, SeedPath(exp_id, r, 1).generator())
     return couplings, vb
 
 
@@ -546,26 +546,23 @@ def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int
 
 
 def _vb_replicate(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
-                  j_law: DisorderSpec, exp_id: int, r: int) -> float:
-    couplings, vb = _draw_dressed(mspec, law, alpha, beta_prime, j_law, exp_id, r)
+                  exp_id: int, r: int) -> float:
+    couplings, vb = _draw_dressed(mspec, law, alpha, beta_prime, exp_id, r)
     base = GibbsOracle.build(mspec, couplings)
     dressed = GibbsOracle.build(mspec, couplings, vb=vb)
     return (dressed.log_z - base.log_z) / (alpha * mspec.n_sites)
 
 
 def vb_logz_increment(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
-                      replicates: int, seed: int, j_law: DisorderSpec | None = None,
-                      workers: int | None = 1) -> EstimatorResult:
+                      replicates: int, seed: int, workers: int | None = 1) -> EstimatorResult:
     """Per-edge log-partition gain from adding the diluted interaction.
 
-    The population value lies in [0, beta'] for centered bounded edge
-    couplings with |J| <= 1.
+    The population value lies in [0, beta'] for the Rademacher edge couplings.
     """
     if alpha <= 0:
         raise ExperimentError(f"alpha must be positive, got {alpha}")
-    j_law = j_law if j_law is not None else dis.rademacher()
     return _estimate("vb-logz-increment",
-                     functools.partial(_vb_replicate, mspec, law, alpha, beta_prime, j_law),
+                     functools.partial(_vb_replicate, mspec, law, alpha, beta_prime),
                      replicates, seed, workers,
                      {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime})
 
@@ -604,30 +601,30 @@ def _graded_pair_sums(oracle: GibbsOracle, delta: ReplicaFunctional, n: int) -> 
 
 
 def poisson_ibp_realization(oracle: GibbsOracle, vb, alpha: float, beta_prime: float,
-                            n: int, fn: TestFunction,
-                            j_law: DisorderSpec) -> tuple[float, float]:
+                            n: int, fn: TestFunction) -> tuple[float, float]:
     """Both sides of the Poisson integration-by-parts identity, one draw.
 
     Left: <H'(sigma^1) Delta_1 F> / (alpha N beta').  Right: the fresh-edge
-    average with the tilted replica product, evaluated exactly over the edge
-    law and the uniform endpoint pair.  The two sides agree in expectation
-    over (disorder, dilution) only, so they are returned separately.
+    average with the tilted replica product, evaluated exactly over the
+    Rademacher edge law and the uniform endpoint pair.  The two sides agree
+    in expectation over (disorder, dilution) only, so they are returned
+    separately.
     """
     n_sites = oracle.n_sites
-    base = fn.functional(n_sites, n)
-    delta = replica_difference(base, 1)
-    # left side: sum_k J_k * W[u_k, v_k] with W the per-edge coupling matrix
-    w_matrix = _pair_weighted_matrix(oracle, delta, {1})
+    delta = replica_difference(fn.functional(n_sites, n), 1)
+    graded = _graded_pair_sums(oracle, delta, n)
+    # left side: sum_k J_k * W[u_k, v_k] with W = G_0, the per-edge coupling
+    # matrix (S = {} puts the pair monomial on replica 1 alone)
     if vb.n_edges:
-        left = float(np.sum(vb.j_values * w_matrix[vb.left_sites, vb.right_sites]))
+        left = float(np.sum(vb.j_values * graded[0][vb.left_sites, vb.right_sites]))
     else:
         left = 0.0
     left /= alpha * n_sites
     # right side: exact average over fresh (J, u, v)
     p0 = oracle.pair_moment_matrix(0)
-    graded = _graded_pair_sums(oracle, delta, n)
+    edge_law = dis.rademacher()
     right = 0.0
-    for j_atom, j_prob in zip(j_law.atoms, j_law.probs):
+    for j_atom, j_prob in zip(edge_law.atoms, edge_law.probs):
         lam = math.tanh(beta_prime * j_atom)
         numer = sum(lam ** a * g for a, g in enumerate(graded))
         ratio = numer / (1.0 + lam * p0) ** (n + 1)
@@ -637,26 +634,24 @@ def poisson_ibp_realization(oracle: GibbsOracle, vb, alpha: float, beta_prime: f
 
 def _poisson_ibp_replicate(mspec: ModelSpec, law: DisorderSpec, alpha: float,
                            beta_prime: float, n: int, fn: TestFunction,
-                           j_law: DisorderSpec, exp_id: int, r: int) -> float:
-    couplings, vb = _draw_dressed(mspec, law, alpha, beta_prime, j_law, exp_id, r)
+                           exp_id: int, r: int) -> float:
+    couplings, vb = _draw_dressed(mspec, law, alpha, beta_prime, exp_id, r)
     oracle = GibbsOracle.build(mspec, couplings, vb=vb)
-    left, right = poisson_ibp_realization(oracle, vb, alpha, beta_prime, n, fn, j_law)
+    left, right = poisson_ibp_realization(oracle, vb, alpha, beta_prime, n, fn)
     return left - right
 
 
 def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
                       n: int, fn: TestFunction, replicates: int, seed: int,
-                      j_law: DisorderSpec | None = None,
                       workers: int | None = 1) -> EstimatorResult:
     """Paired difference of the two sides; consistent with zero when the
     identity holds."""
     if alpha <= 0 or beta_prime == 0.0:
         raise ExperimentError("the identity needs alpha > 0 and beta_prime != 0")
     fn.check(mspec.n_sites, n)
-    j_law = j_law if j_law is not None else dis.rademacher()
     return _estimate("poisson-ibp",
                      functools.partial(_poisson_ibp_replicate, mspec, law, alpha, beta_prime,
-                                       n, fn, j_law),
+                                       n, fn),
                      replicates, seed, workers,
                      {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime,
                       "n": n, "F": fn.label})
@@ -749,14 +744,12 @@ def trend_suite(n_values=TREND_SIZES, replicates: int = TREND_REPLICATES, seed: 
 
 def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
                              beta_prime: float, n: int, fn: TestFunction, m_values,
-                             realizations: int, seed: int,
-                             j_law: DisorderSpec | None = None) -> dict[int, dict[str, float]]:
+                             realizations: int, seed: int) -> dict[int, dict[str, float]]:
     """Worst residuals of the coefficient identity per expansion order."""
-    j_law = j_law if j_law is not None else dis.rademacher()
     exp_id = experiment_id(seed, "taylor-coefficients")
     worst = {m: {"pointwise": 0.0, "averaged": 0.0} for m in m_values}
     for r in range(realizations):
-        couplings, vb = _draw_dressed(mspec, law, alpha, beta_prime, j_law, exp_id, r)
+        couplings, vb = _draw_dressed(mspec, law, alpha, beta_prime, exp_id, r)
         oracle = GibbsOracle.build(mspec, couplings, vb=vb)
         for m, got in taylor_coefficient_realization(oracle, n, m_values, fn).items():
             for key in got:

@@ -216,17 +216,6 @@ class ReplicaFunctional:
                 out[new_key] = new
         return ReplicaFunctional(out, n_replicas)
 
-    @property
-    def max_label(self) -> int:
-        best = 0
-        for key in self.terms:
-            for replica, _ in key:
-                best = max(best, replica)
-        return best
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, oracle: "GibbsOracle") -> float:
@@ -270,18 +259,15 @@ def overlap_power(l1: int, l2: int, power: int, n_sites: int,
     return ReplicaFunctional(terms, n_rep)
 
 
-def multi_overlap(labels, power: int, n_sites: int,
-                  n_replicas: int | None = None) -> ReplicaFunctional:
-    """(R_{l1..lm})**power for power in {1, 2}; m distinct replica labels."""
+def multi_overlap(labels, n_sites: int, n_replicas: int | None = None) -> ReplicaFunctional:
+    """(R_{l1..lm})**2 for m distinct replica labels."""
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
         raise ValueError("multi-overlap labels must be distinct")
-    if power not in (1, 2):
-        raise ValueError(f"multi-overlap power must be 1 or 2, got {power}")
     n_rep = n_replicas if n_replicas is not None else max(labels, default=0)
-    scale = float(n_sites) ** (-power)
+    scale = float(n_sites) ** -2
     terms: dict = {}
-    for tup in itertools.product(range(n_sites), repeat=power):
+    for tup in itertools.product(range(n_sites), repeat=2):
         mask = sites_to_mask(tup)
         key = tuple((l, mask) for l in sorted(labels)) if mask else ()
         terms[key] = terms.get(key, 0.0) + scale
@@ -411,45 +397,32 @@ class GibbsOracle:
         return self.spectrum[np.arange(self.spectrum.size) ^ mask]
 
 
-def naive_replica_expectation(oracle: GibbsOracle, fn, n_replicas: int | None = None,
-                              max_bits: int = NAIVE_MAX_BITS) -> float:
+def naive_replica_expectation(oracle: GibbsOracle, fn: ReplicaFunctional) -> float:
     """<F> by direct summation over all n-tuples of configurations.
 
-    Exponential in n*N; used as the independent cross-check for the
-    factorized route.  ``fn`` may be a ReplicaFunctional or a callable
-    taking a list of replica spin vectors.
+    Exponential in n*N, capped at 2**NAIVE_MAX_BITS tuples; used as the
+    independent cross-check for the factorized route.
     """
-    if n_replicas is None:
-        if not isinstance(fn, ReplicaFunctional):
-            raise ValueError("n_replicas is required for callable functionals")
-        n_replicas = fn.n_replicas
+    n_replicas = fn.n_replicas
     bits = n_replicas * oracle.n_sites
-    if bits > max_bits:
+    if bits > NAIVE_MAX_BITS:
         raise ResourceCapError(
-            f"naive replica sum needs 2**{bits} terms (cap 2**{max_bits})"
+            f"naive replica sum needs 2**{bits} terms (cap 2**{NAIVE_MAX_BITS})"
         )
     n_cfg = 1 << oracle.n_sites
     spins = spin_matrix(oracle.n_sites)
-    if isinstance(fn, ReplicaFunctional):
-        grids = np.indices((n_cfg,) * n_replicas).reshape(n_replicas, -1)
-        weight = np.ones(grids.shape[1])
-        for l in range(n_replicas):
-            weight = weight * oracle.weights[grids[l]]
-        values = np.zeros(grids.shape[1])
-        for key, coeff in fn.terms.items():
-            term = np.full(grids.shape[1], coeff)
-            for replica, mask in key:
-                column = np.prod(spins[:, list(mask_to_sites(mask))], axis=1)
-                term = term * column[grids[replica - 1]]
-            values += term
-        return float(weight @ values)
-    total = 0.0
-    for tup in itertools.product(range(n_cfg), repeat=n_replicas):
-        w = 1.0
-        for c in tup:
-            w *= oracle.weights[c]
-        total += w * fn([spins[c] for c in tup])
-    return total
+    grids = np.indices((n_cfg,) * n_replicas).reshape(n_replicas, -1)
+    weight = np.ones(grids.shape[1])
+    for l in range(n_replicas):
+        weight = weight * oracle.weights[grids[l]]
+    values = np.zeros(grids.shape[1])
+    for key, coeff in fn.terms.items():
+        term = np.full(grids.shape[1], coeff)
+        for replica, mask in key:
+            column = np.prod(spins[:, list(mask_to_sites(mask))], axis=1)
+            term = term * column[grids[replica - 1]]
+        values += term
+    return float(weight @ values)
 
 
 def overlap_product_expectation(oracle: GibbsOracle, edges, masks=None) -> float:

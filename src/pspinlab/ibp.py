@@ -96,15 +96,15 @@ def _gl_segment(g, a: float, b: float, rule) -> float:
     return half * float(weights @ g(mid + half * nodes))
 
 
-def adaptive_gauss_legendre(g, a: float, b: float, tol: float = INNER_TOL) -> float:
+def adaptive_gauss_legendre(g, a: float, b: float) -> float:
     """Adaptive bisection with nested 20/40-point Gauss-Legendre panels.
 
-    Accepts a panel when the 20-vs-40 difference is below its share of the
-    absolute tolerance or at the machine-precision floor of the panel value.
+    Accepts a panel when the 20-vs-40 difference is below its share of
+    INNER_TOL or at the machine-precision floor of the panel value.
     """
     if a == b:
         return 0.0
-    stack = [(a, b, tol)]
+    stack = [(a, b, INNER_TOL)]
     total = 0.0
     while stack:
         lo, hi, budget = stack.pop()
@@ -120,33 +120,33 @@ def adaptive_gauss_legendre(g, a: float, b: float, tol: float = INNER_TOL) -> fl
     return total
 
 
-def _oriented_integral(g, xi: float, tol: float) -> float:
+def _oriented_integral(g, xi: float) -> float:
     # int_0^xi with sign carried by the orientation
     if xi >= 0.0:
-        return adaptive_gauss_legendre(g, 0.0, xi, tol)
-    return -adaptive_gauss_legendre(g, xi, 0.0, tol)
+        return adaptive_gauss_legendre(g, 0.0, xi)
+    return -adaptive_gauss_legendre(g, xi, 0.0)
 
 
-def taylor_tail(fn: SmoothFunction, xi: float, derivative: int, tol: float = INNER_TOL) -> float:
+def taylor_tail(fn: SmoothFunction, xi: float, derivative: int) -> float:
     """I_j(xi) = int_0^xi (xi - x) f^(j)(x) dx for j in {2, 3}."""
     deriv = {2: fn.d2, 3: fn.d3}[derivative]
-    return _oriented_integral(lambda x: (xi - x) * deriv(x), xi, tol)
+    return _oriented_integral(lambda x: (xi - x) * deriv(x), xi)
 
 
-def ibp_remainder(law: DisorderSpec, fn: SmoothFunction, tol: float = INNER_TOL) -> float:
+def ibp_remainder(law: DisorderSpec, fn: SmoothFunction) -> float:
     """The integration-by-parts defect gamma for this law and function."""
     nodes, weights = law.nodes_weights()
-    first = sum(w * x * taylor_tail(fn, float(x), 2, tol) for x, w in zip(nodes, weights))
-    second = sum(w * taylor_tail(fn, float(x), 3, tol) for x, w in zip(nodes, weights))
+    first = sum(w * x * taylor_tail(fn, float(x), 2) for x, w in zip(nodes, weights))
+    second = sum(w * taylor_tail(fn, float(x), 3) for x, w in zip(nodes, weights))
     return float(first - second)
 
 
-def ibp_residual(law: DisorderSpec, fn: SmoothFunction, tol: float = INNER_TOL) -> tuple[float, float]:
+def ibp_residual(law: DisorderSpec, fn: SmoothFunction) -> tuple[float, float]:
     """(residual, gamma) for E[xi f] = E[f'] + gamma under this law."""
     nodes, weights = law.nodes_weights()
     lhs = float(weights @ (nodes * fn.f(nodes)))
     mid = float(weights @ fn.d1(nodes))
-    gamma = ibp_remainder(law, fn, tol)
+    gamma = ibp_remainder(law, fn)
     return lhs - mid - gamma, gamma
 
 
@@ -160,29 +160,25 @@ def _min_envelope_integral(t: float, sup1: float, sup2: float) -> float:
     return 0.5 * sup2 * knee ** 2 + 2.0 * sup1 * (t - knee)
 
 
-def remainder_bound_check(law: DisorderSpec, fn: SmoothFunction,
-                          tol: float = INNER_TOL) -> dict[str, float]:
+def remainder_bound_check(law: DisorderSpec, fn: SmoothFunction) -> dict[str, float]:
     """First remainder term against its sup-norm envelope.
 
     Returns the absolute value of E[xi * I2(xi)], the envelope bound, and
     their slack (bound - value, which must be nonnegative up to rounding).
     """
     nodes, weights = law.nodes_weights()
-    value = abs(sum(w * x * taylor_tail(fn, float(x), 2, tol) for x, w in zip(nodes, weights)))
+    value = abs(sum(w * x * taylor_tail(fn, float(x), 2) for x, w in zip(nodes, weights)))
     sup1, sup2 = fn.sup_norms(law.support_interval())
     bound = float(sum(w * abs(x) * _min_envelope_integral(abs(float(x)), sup1, sup2)
                       for x, w in zip(nodes, weights)))
     return {"value": value, "bound": bound, "slack": bound - value}
 
 
-def battery(laws: list[DisorderSpec] | None = None,
-            fns: list[SmoothFunction] | None = None) -> list[dict]:
-    """Identity residual, defect, and envelope check across laws x functions."""
-    laws = standard_families() if laws is None else laws
-    fns = standard_functions() if fns is None else fns
+def battery() -> list[dict]:
+    """Identity residual, defect, and envelope check across standard laws x functions."""
     rows = []
-    for law in laws:
-        for fn in fns:
+    for law in standard_families():
+        for fn in standard_functions():
             residual, gamma = ibp_residual(law, fn)
             env = remainder_bound_check(law, fn)
             rows.append({

@@ -106,27 +106,9 @@ class CouplingAssignment:
         return CouplingAssignment({p: t.copy() for p, t in self.tables.items()})
 
 
-def spins_to_index(spins: np.ndarray) -> int:
-    """Pack a ±1 spin vector into its canonical configuration index.
-
-    Bit b of the index is set iff spins[b] == +1, so the round trip with
-    :func:`index_to_spins` is exact.
-    """
-    idx = 0
-    for b, s in enumerate(spins):
-        if s > 0:
-            idx |= 1 << b
-    return idx
-
-
-def index_to_spins(index: int, n_sites: int) -> np.ndarray:
-    if not 0 <= index < (1 << n_sites):
-        raise ModelValidationError(f"configuration index {index} out of range for N={n_sites}")
-    return np.array([1.0 if (index >> b) & 1 else -1.0 for b in range(n_sites)])
-
-
 def spin_matrix(n_sites: int) -> np.ndarray:
-    """All 2**N configurations as a (2**N, N) float matrix of ±1 rows."""
+    """All 2**N configurations as a (2**N, N) float matrix of ±1 rows; row c
+    has sigma_b = +1 iff bit b of c is set."""
     if n_sites > EXACT_ENUMERATION_CAP:
         raise ResourceCapError(
             f"refusing to enumerate 2**{n_sites} configurations (cap N <= {EXACT_ENUMERATION_CAP})"

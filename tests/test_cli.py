@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import pspinlab.cli as cli
 import pspinlab.experiments as ex
+from pspinlab import disorder as dis
 from pspinlab.disorder import DisorderValidationError
 
 
@@ -107,7 +108,7 @@ def test_build_law_errors():
         cli._build_law({"family": "three-point", "bogus": 1.0})
     with pytest.raises(DisorderValidationError):
         cli._build_law({"family": "unheard-of"})
-    with pytest.raises(DisorderValidationError):
+    with pytest.raises(cli.ConfigError):
         cli._build_law({"family": "near-gaussian"})
 
 
@@ -210,6 +211,18 @@ _BAD_VALUES = {
     "booleanbeta": minimal_config(model={"n_sites": 3, "betas": {"2": True}}),
     "fractionalpower": minimal_config(
         params={"function": {"kind": "overlap-power", "power": 2.5}}),
+    "stringbeta": minimal_config(model={"n_sites": 3, "betas": {"2": "1.0"}}),
+    "stringfield": minimal_config(model={"n_sites": 3, "betas": {"2": 1.0}, "field": "0.3"}),
+    "stringalpha": minimal_config(experiment="vb-logz-increment", params={"alpha": "0.5"}),
+    "stringtgrid": minimal_config(experiment="interpolation-sweep", params={"t_grid": ["0.5"]}),
+    "stringatoms": minimal_config(
+        disorder={"family": "discrete", "atoms": ["1", "-1"], "probs": [0.5, 0.5]}),
+    "booleanmoment": minimal_config(disorder={"family": "three-point", "fourth_moment": True}),
+    "infinitemoment": minimal_config(
+        disorder={"family": "skewed-three-point", "fourth_moment": float("inf")}),
+    "extralawkey": minimal_config(disorder={"family": "gaussian", "size": 8}),
+    "skewkey": minimal_config(
+        disorder={"family": "near-gaussian", "size": 8, "skew": {"family": "golden-skew"}}),
     "badworkersenv": minimal_config(),
     "fewreplicas": minimal_config(params={"n": 1}),
     "fewreplicasderiv": minimal_config(
@@ -283,11 +296,16 @@ def test_fuzzed_config_exits_cleanly(data):
     name = data.draw(st.sampled_from(
         sorted(n for n, e in cli.EXPERIMENTS.items() if not e.self_contained)))
     raw = minimal_config(experiment=name, params={}, workers=1)
-    sections = ["model", "replicates", "seed"] + (["params"] if cli.EXPERIMENTS[name].params
-                                                  else [])
+    sections = ["model", "disorder", "replicates", "seed"] + (
+        ["params"] if cli.EXPERIMENTS[name].params else [])
     section = data.draw(st.sampled_from(sections))
     value = data.draw(_FUZZ_VALUES)
-    if section == "params":
+    if section == "disorder":
+        key = data.draw(st.sampled_from(
+            ["size", "fourth_moment", "atoms", "probs", "skew", "mystery"]))
+        raw["disorder"] = {"family": data.draw(st.sampled_from(sorted(dis._FAMILIES))),
+                           key: value}
+    elif section == "params":
         raw["params"] = {data.draw(st.sampled_from(sorted(cli.EXPERIMENTS[name].params))): value}
     elif section == "model":
         raw["model"] = dict(raw["model"],
@@ -325,6 +343,22 @@ def test_every_registered_experiment_runs(tmp_path, name):
         raw["disorder"] = {"family": "rademacher"}
     assert cli.main(["run", write_config(tmp_path, raw)]) == 0
     assert (tmp_path / "out" / f"{name}-3.csv").exists()
+
+
+# the fewest parameters each family needs
+_FAMILY_PARAMS = {"three-point": {"fourth_moment": 4.0},
+                  "skewed-three-point": {"fourth_moment": 5.0},
+                  "near-gaussian": {"size": 8},
+                  "discrete": {"atoms": [-2.0, 0.0, 2.0], "probs": [0.125, 0.75, 0.125]}}
+
+
+@pytest.mark.parametrize("family", sorted(dis._FAMILIES))
+def test_every_family_runs(tmp_path, family):
+    disorder = {"family": family, **_FAMILY_PARAMS.get(family, {})}
+    raw = minimal_config(experiment="gg-gap", params={}, replicates=2, disorder=disorder,
+                         output=str(tmp_path / "out"))
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+    assert (tmp_path / "out" / "gg-gap-42.csv").exists()
 
 
 def test_output_independent_of_blas_threads_and_workers(tmp_path):

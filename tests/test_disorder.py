@@ -79,10 +79,12 @@ def test_near_gaussian_third_moment_decay(size):
 def test_near_gaussian_rejects_bad_skew():
     with pytest.raises(DisorderValidationError):
         dis.near_gaussian_family(1)
-    with pytest.raises(DisorderValidationError):
-        dis.near_gaussian_family(4, skew=dis.gaussian())
-    with pytest.raises(DisorderValidationError):
-        dis.near_gaussian_family(4, skew=dis.rademacher())  # zero third moment
+    # the skew component is always the golden law; no config can replace it
+    with pytest.raises(TypeError):
+        dis.by_name("near-gaussian", size=4, skew=dis.rademacher())
+    law = dis.near_gaussian_family(8)
+    assert law.probs == dis.golden_skew().probs
+    assert law.atoms == pytest.approx(tuple(8 ** (-1 / 6) * z for z in dis.golden_skew().atoms))
 
 
 def test_discrete_must_be_standardized():
@@ -96,11 +98,18 @@ def test_by_name_round_trip():
     for name, kwargs in [("gaussian", {}), ("rademacher", {}), ("uniform", {}),
                          ("three-point", {"fourth_moment": 6.0}), ("golden-skew", {}),
                          ("skewed-three-point", {"fourth_moment": 7.0}),
-                         ("near-gaussian", {"size": 16})]:
+                         ("near-gaussian", {"size": 16}),
+                         ("discrete", {"atoms": [-1.0, 1.0], "probs": [0.5, 0.5]})]:
         law = dis.by_name(name, **kwargs)
+        assert law.family == name
         law.validate_moments(tol=1e-9)
     with pytest.raises(DisorderValidationError):
         dis.by_name("cauchy")
+    # parameterless families take no keys, and a needed key must be present
+    with pytest.raises(TypeError):
+        dis.by_name("gaussian", size=8)
+    with pytest.raises(TypeError):
+        dis.by_name("near-gaussian")
 
 
 def test_validate_moments_catches_lies():
@@ -116,7 +125,6 @@ def test_seed_path_validation():
     with pytest.raises(DisorderValidationError):
         SeedPath(0, replicate=1 << 64)
     p = SeedPath(9, 2, 1)
-    assert p.child(replicate=5) == SeedPath(9, 5, 1)
     assert p.child(stream=0) == SeedPath(9, 2, 0)
 
 
@@ -158,11 +166,15 @@ def test_sample_couplings_shapes_and_determinism():
 def test_sample_vb_edge_law_constraints():
     rng = SeedPath(8, 0, 0).generator()
     with pytest.raises(DisorderValidationError):
-        sample_vb(0.5, 6, 1.0, rng, j_law=dis.gaussian())  # unbounded
-    with pytest.raises(DisorderValidationError):
-        sample_vb(0.5, 6, 1.0, rng, j_law=dis.golden_skew())  # skewed
-    with pytest.raises(DisorderValidationError):
         sample_vb(-0.1, 6, 1.0, rng)
+    # edges are Rademacher, drawn after the count and the endpoints
+    rng = SeedPath(8, 3, 0).generator()
+    k = int(rng.poisson(2.0 * 6))
+    rng.integers(0, 6, size=k)
+    rng.integers(0, 6, size=k)
+    want = dis.rademacher().sample(rng, k)
+    got = sample_vb(2.0, 6, 1.0, SeedPath(8, 3, 0).generator())
+    assert np.array_equal(got.j_values, want)
 
 
 def test_sample_vb_zero_rate():

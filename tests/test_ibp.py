@@ -96,14 +96,13 @@ def test_envelope_bound_never_violated():
 
 
 def test_battery_shape_and_keys():
-    rows = battery(laws=[dis.rademacher()], fns=[FUNCTIONS["cube"], FUNCTIONS["sine"]])
-    assert len(rows) == 2
+    rows = battery()
+    assert len(rows) == len(dis.standard_families()) * len(standard_functions())
     want = {"law", "function", "residual", "gamma",
             "envelope_value", "envelope_bound", "envelope_slack"}
-    assert set(rows[0]) == want
-    assert rows[0]["law"] == "rademacher"
-    full = battery()
-    assert len(full) == len(dis.standard_families()) * len(standard_functions())
+    assert all(set(row) == want for row in rows)
+    assert [(r["law"], r["function"]) for r in rows] == [
+        (law.family, fn.name) for law in dis.standard_families() for fn in standard_functions()]
 
 
 def test_custom_function_round_trip():

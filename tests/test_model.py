@@ -2,8 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from pspinlab.gibbs import fwht
 from pspinlab.model import (
@@ -15,10 +13,8 @@ from pspinlab.model import (
     DilutedPairAssignment,
     energy_coefficients,
     hamiltonian_energy,
-    index_to_spins,
     interpolated_couplings,
     spin_matrix,
-    spins_to_index,
     tuple_coefficients,
     vb_energy,
 )
@@ -74,26 +70,12 @@ def test_scale_matches_power_law():
     assert spec.scale(3) == pytest.approx(1.0 / 9.0)
 
 
-@given(st.integers(min_value=1, max_value=10), st.data())
-def test_spin_index_round_trip(n, data):
-    idx = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    spins = index_to_spins(idx, n)
-    assert set(np.unique(spins)) <= {-1.0, 1.0}
-    assert spins_to_index(spins) == idx
-
-
-def test_index_out_of_range():
-    with pytest.raises(ModelValidationError):
-        index_to_spins(8, 3)
-    with pytest.raises(ModelValidationError):
-        index_to_spins(-1, 3)
-
-
 def test_spin_matrix_rows_match_indices():
     mat = spin_matrix(4)
     assert mat.shape == (16, 4)
     for idx in range(16):
-        assert np.array_equal(mat[idx], index_to_spins(idx, 4))
+        want = [1.0 if (idx >> b) & 1 else -1.0 for b in range(4)]
+        assert np.array_equal(mat[idx], want)
 
 
 def test_spin_matrix_cap():
