@@ -11,12 +11,14 @@ reports a mean with its standard error.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import itertools
 import math
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +35,7 @@ from .gibbs import (
     replica_difference,
     sites_to_mask,
 )
-from .model import ModelSpec, interpolated_couplings, tuple_coefficients
+from .model import ModelSpec, ResourceCapError, interpolated_couplings, tuple_coefficients
 
 
 class ExperimentError(ValueError):
@@ -152,26 +154,79 @@ def mean_stderr(values) -> tuple[float, float]:
     return mean, math.sqrt(var / m)
 
 
+MAX_WORKERS = 64
+"""Largest worker count accepted.  Under the fork start method the executor
+launches every worker at once, so the cap is checked before any fork."""
+
+
 def resolve_workers(workers: int | None) -> int:
+    """The worker count: ``workers``, else PSPINLAB_WORKERS, else the CPU
+    count capped at MAX_WORKERS.  A requested count above the cap raises
+    ResourceCapError."""
     if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("PSPINLAB_WORKERS")
-    if env:
+        n_workers = max(1, int(workers))
+    else:
+        env = os.environ.get("PSPINLAB_WORKERS")
+        if not env:
+            return min(os.cpu_count() or 1, MAX_WORKERS)
         try:
-            return max(1, int(env))
+            n_workers = max(1, int(env))
         except ValueError:
             raise ExperimentError(f"PSPINLAB_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if n_workers > MAX_WORKERS:
+        raise ResourceCapError(f"{n_workers} workers requested (cap {MAX_WORKERS})")
+    return n_workers
+
+
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+
+
+def _shared_pool(n_workers: int) -> ProcessPoolExecutor:
+    """The process's one executor, built on first use and rebuilt when the
+    worker count changes.
+
+    Workers are forked when the executor is built, so they see module state
+    as it was then; later changes to it in this process do not reach them.
+    Results do not depend on which worker ran a replicate, since every
+    replicate draws from its own stream.
+    """
+    global _pool, _pool_workers
+    if _pool is not None and _pool_workers != n_workers:
+        _shutdown_pool()
+    if _pool is None:
+        _pool = ProcessPoolExecutor(max_workers=n_workers)
+        _pool_workers = n_workers
+    return _pool
+
+
+def _shutdown_pool() -> None:
+    """Shut the shared executor down, if there is one; the next pooled map
+    builds a fresh one."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown()
+
+
+atexit.register(_shutdown_pool)
 
 
 def _map_replicates(fn, count: int, workers: int | None):
-    """Apply fn to 0..count-1, in index order regardless of scheduling."""
+    """Apply fn to 0..count-1, in index order regardless of scheduling.
+
+    Pooled maps share one executor per process (``_shared_pool``); a broken
+    executor is discarded and its error propagates.
+    """
     n_workers = resolve_workers(workers)
     if n_workers <= 1 or count < 4:
         return [fn(r) for r in range(count)]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        chunk = max(1, count // (n_workers * 8))
-        return list(pool.map(fn, range(count), chunksize=chunk))
+    pool = _shared_pool(n_workers)
+    try:
+        return list(pool.map(fn, range(count), chunksize=max(1, count // (n_workers * 8))))
+    except BrokenProcessPool:
+        _shutdown_pool()
+        raise
 
 
 def _estimate(name: str, replicate, replicates: int, seed: int, workers: int | None,
@@ -600,6 +655,25 @@ def _graded_pair_sums(oracle: GibbsOracle, delta: ReplicaFunctional, n: int) -> 
     return out
 
 
+TILT_FLOOR = 1e-4
+"""Smallest fresh-edge normalization (1 + lam p0)**(n+1) that
+``poisson_ibp_realization`` divides by; dividing by d loses about
+log10(1/d) digits, so below the floor the pair is tilted directly."""
+
+
+def _tilted_pair_value(oracle: GibbsOracle, delta: ReplicaFunctional, u: int, v: int,
+                       t: float) -> float:
+    """<sigma^1_u sigma^1_v delta> with every replica tilted by exp(t sigma_u sigma_v).
+
+    The tilt is added to the log-weights, so no small difference of moments
+    is formed however large |t| is."""
+    codes = np.arange(oracle.weights.size)
+    pair = 1 - 2 * (((codes >> u) ^ (codes >> v)) & 1)
+    with np.errstate(divide="ignore"):  # an underflowed weight stays 0
+        tilted = GibbsOracle(oracle.n_sites, np.log(oracle.weights) + t * pair)
+    return float(_pair_weighted_matrix(tilted, delta, {1})[u, v])
+
+
 def poisson_ibp_realization(oracle: GibbsOracle, vb, alpha: float, beta_prime: float,
                             n: int, fn: TestFunction) -> tuple[float, float]:
     """Both sides of the Poisson integration-by-parts identity, one draw.
@@ -627,7 +701,14 @@ def poisson_ibp_realization(oracle: GibbsOracle, vb, alpha: float, beta_prime: f
     for j_atom, j_prob in zip(edge_law.atoms, edge_law.probs):
         lam = math.tanh(beta_prime * j_atom)
         numer = sum(lam ** a * g for a, g in enumerate(graded))
-        ratio = numer / (1.0 + lam * p0) ** (n + 1)
+        denom = (1.0 + lam * p0) ** (n + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = numer / denom
+        # a self-loop tilts by a constant: numer is (1 + lam)**(n+1) G_0 there
+        np.fill_diagonal(ratio, np.diagonal(graded[0]))
+        for u, v in zip(*np.nonzero(np.triu(denom < TILT_FLOOR, 1))):
+            ratio[u, v] = ratio[v, u] = _tilted_pair_value(oracle, delta, int(u), int(v),
+                                                           beta_prime * j_atom)
         right += j_prob * j_atom * float(ratio.mean())
     return left, right
 

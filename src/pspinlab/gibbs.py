@@ -346,7 +346,12 @@ class GibbsOracle:
         return -value if int(mask).bit_count() & 1 else value
 
     def thermal_mean(self, values: np.ndarray) -> float:
-        return float(self.weights @ values)
+        """<values> over the Gibbs weights.
+
+        Reductions over 2**N entries use numpy's pairwise sum, which runs in
+        one thread, rather than a BLAS dot product, whose rounding depends on
+        how many threads split it."""
+        return float((self.weights * values).sum())
 
     # -- overlap fast paths -------------------------------------------------
 
@@ -377,7 +382,7 @@ class GibbsOracle:
         value = np.ones(1 << self.n_sites)
         for power in leg_powers:
             value = value * self._leaf_values(power)
-        return float(self.weights @ value)
+        return float((self.weights * value).sum())
 
     def overlap_power_moment(self, power: int, mask_a: int = 0, mask_b: int = 0) -> float:
         """<R_12**power sigma^1_A sigma^2_B> by masked Parseval:
@@ -422,7 +427,7 @@ def naive_replica_expectation(oracle: GibbsOracle, fn: ReplicaFunctional) -> flo
             column = np.prod(spins[:, list(mask_to_sites(mask))], axis=1)
             term = term * column[grids[replica - 1]]
         values += term
-    return float(weight @ values)
+    return float((weight * values).sum())
 
 
 def overlap_product_expectation(oracle: GibbsOracle, edges, masks=None) -> float:

@@ -361,23 +361,64 @@ def test_every_family_runs(tmp_path, family):
     assert (tmp_path / "out" / "gg-gap-42.csv").exists()
 
 
+@pytest.mark.parametrize("way", ["flag", "config", "env"])
+def test_worker_count_above_cap_exits_2_before_any_pool(tmp_path, capsys, monkeypatch, way):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started for a refused worker count")
+
+    ex._shutdown_pool()
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", no_pool)
+    raw = minimal_config(replicates=8, output=str(tmp_path / "out"))
+    argv = ["run"]
+    if way == "config":
+        raw["workers"] = 50000
+    elif way == "env":
+        monkeypatch.setenv("PSPINLAB_WORKERS", "50000")
+    argv.append(write_config(tmp_path, raw))
+    if way == "flag":
+        argv += ["--workers", "50000"]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(ex.MAX_WORKERS) in err
+
+
+@pytest.mark.parametrize("beta_prime", [15.0, -40.0])
+def test_poisson_ibp_stays_finite_at_large_beta_prime(tmp_path, beta_prime):
+    raw = minimal_config(experiment="poisson-ibp", params={"beta_prime": beta_prime},
+                         replicates=40, format="json", output=str(tmp_path / "out"))
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+    (row,) = json.loads((tmp_path / "out" / "poisson-ibp-42.json").read_text())
+    value, err = float(row["value"]), float(row["std_error"])
+    # both sides average bounded functionals (|Delta_1 F| <= 2), so the error is O(1/sqrt(M))
+    assert math.isfinite(value) and err < 1.0
+    assert abs(value) <= 4.0 * err
+
+
 def test_output_independent_of_blas_threads_and_workers(tmp_path):
-    raw = {"experiment": "trend-suite", "params": {"n_values": [4, 8, 12]},
-           "replicates": 6, "seed": 7}
+    trend = {"experiment": "trend-suite", "params": {"n_values": [4, 8, 12]},
+             "replicates": 6, "seed": 7}
+    # OpenBLAS splits a dot product over 2**16 entries across threads
+    n16 = {"experiment": "self-averaging",
+           "model": {"n_sites": 16, "betas": {"2": 1.0}, "field": 0.3},
+           "disorder": {"family": "gaussian"}, "params": {"p": 2}, "replicates": 4, "seed": 7}
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    blobs = {}
-    for threads, workers in (("1", "1"), ("2", "1"), ("1", "2"), ("2", "2")):
-        tag = f"t{threads}-w{workers}"
-        path = write_config(tmp_path, dict(raw, output=str(tmp_path / tag)), f"{tag}.json")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "pspinlab.cli", "run", path,
-                               "--workers", workers], env=env, capture_output=True, text=True,
-                              timeout=300)
-        assert done.returncode == 0, done.stderr
-        blobs[tag] = (tmp_path / tag / "trend-suite-7.csv").read_bytes()
-    assert len(set(blobs.values())) == 1, sorted(blobs)
+    for raw, runs in ((trend, (("1", "1"), ("2", "1"), ("1", "2"), ("2", "2"))),
+                      (n16, (("1", "1"), ("2", "1")))):
+        blobs = {}
+        for threads, workers in runs:
+            tag = f"{raw['experiment']}-t{threads}-w{workers}"
+            path = write_config(tmp_path, dict(raw, output=str(tmp_path / tag)), f"{tag}.json")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src,
+                                                                os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-m", "pspinlab.cli", "run", path,
+                                   "--workers", workers], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            blobs[tag] = (tmp_path / tag / f"{raw['experiment']}-7.csv").read_bytes()
+        assert len(set(blobs.values())) == 1, sorted(blobs)
 
 
 def test_verify_gg_suite_passes(capsys, tmp_path):

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -85,7 +88,10 @@ def test_resolve_workers_precedence(monkeypatch):
     with pytest.raises(ex.ExperimentError):
         ex.resolve_workers(None)
     monkeypatch.delenv("PSPINLAB_WORKERS")
-    assert ex.resolve_workers(None) >= 1
+    assert 1 <= ex.resolve_workers(None) <= ex.MAX_WORKERS
+    assert ex.resolve_workers(ex.MAX_WORKERS) == ex.MAX_WORKERS
+    with pytest.raises(ResourceCapError):
+        ex.resolve_workers(ex.MAX_WORKERS + 1)
 
 
 # -- replica-coupling gaps ----------------------------------------------------
@@ -358,6 +364,22 @@ def test_poisson_ibp_paired_difference_consistent_with_zero():
     assert abs(out.value) <= 4.0 * out.std_error + 1e-12
 
 
+@pytest.mark.parametrize("t", [0.4, -0.7])
+def test_tilted_pair_value_matches_the_divided_ratio(t):
+    # where 1 + lam p0 is far from 0 the division route is accurate, and the
+    # direct tilt must agree with it entry by entry
+    _, oracle = draw_oracle(4, seed=24)
+    n = 2
+    delta = ex.replica_difference(ex.overlap_square().functional(4, n), 1)
+    graded = ex._graded_pair_sums(oracle, delta, n)
+    lam = math.tanh(t)
+    ratio = (sum(lam ** a * g for a, g in enumerate(graded))
+             / (1.0 + lam * oracle.pair_moment_matrix(0)) ** (n + 1))
+    for u, v in itertools.combinations(range(4), 2):
+        assert ex._tilted_pair_value(oracle, delta, u, v, t) == pytest.approx(
+            ratio[u, v], abs=1e-13)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2])
 def test_taylor_coefficient_identity(m, n):
@@ -393,6 +415,7 @@ def test_estimators_check_before_starting_workers(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool started before the inputs were checked")
 
+    ex._shutdown_pool()  # a pool left by an earlier test would never call no_pool
     monkeypatch.setattr(ex, "ProcessPoolExecutor", no_pool)
     mspec = ModelSpec(3, {2: 1.0}, 0.3)
     law, far = dis.rademacher(), ex.spin_monomial(((5,),))
@@ -421,6 +444,46 @@ def test_worker_count_does_not_change_values():
     pooled = ex.self_averaging(mspec, dis.gaussian(), 2, 8, seed=32, workers=2)
     assert serial.value == pooled.value
     assert serial.std_error == pooled.std_error
+
+
+@pytest.fixture
+def counted_pools(monkeypatch):
+    """Executor constructions, counted from a fresh start; the shared pool is
+    shut down before and after."""
+    built = []
+    real = ex.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    ex._shutdown_pool()
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", counting)
+    yield built
+    ex._shutdown_pool()
+
+
+def _kill_own_process(r):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_one_pool_serves_every_map_until_the_worker_count_changes(counted_pools):
+    def run(workers):
+        return ex.self_averaging(ModelSpec(3, {2: 1.0}, 0.3), dis.gaussian(), 2, 8, seed=32,
+                                 workers=workers)
+
+    first, second = run(2), run(2)
+    assert counted_pools == [2]
+    assert first == second
+    assert run(3) == first
+    assert counted_pools == [2, 3]
+
+
+def test_broken_pool_is_replaced(counted_pools):
+    with pytest.raises(BrokenProcessPool):
+        ex._map_replicates(_kill_own_process, 8, 2)
+    assert ex._map_replicates(abs, 8, 2) == list(range(8))
+    assert counted_pools == [2, 2]
 
 
 def test_trend_suite_shape_tiny():
