@@ -578,6 +578,7 @@ def run_config_file(path: str, workers_override: int | None = None) -> int:
         config = parse_config(raw)
         if workers_override is not None:
             config = replace(config, workers=workers_override)
+        ex.resolve_workers(config.workers)  # a bad flag or PSPINLAB_WORKERS exits before any work
         started = time.monotonic()
         results = _dispatch(config)
         paths = write_outputs(config, results, time.monotonic() - started)

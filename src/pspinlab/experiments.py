@@ -3,9 +3,12 @@
 Every experiment follows one pattern: a replicate index is mapped through a
 seed path to its own counter-based stream, the per-replicate quantity is an
 exact thermal computation on a freshly drawn disorder realization, and the
-Monte Carlo part is only the average over realizations.  Reductions use
-exact summation (math.fsum), so results do not depend on reduction order or
-on the worker count.  ``_estimate`` is that pattern for every estimator that
+Monte Carlo part is only the average over realizations.  Replicates are
+computed in chunks of consecutive indices whose oracles share stacked
+transforms; draws stay per index and the stacked transform is bit-identical
+row by row, so no value depends on the chunk size.  Reductions use exact
+summation (math.fsum), so results do not depend on reduction order or on
+the worker count.  ``_estimate`` is that pattern for every estimator that
 reports a mean with its standard error.
 """
 
@@ -161,18 +164,20 @@ launches every worker at once, so the cap is checked before any fork."""
 
 def resolve_workers(workers: int | None) -> int:
     """The worker count: ``workers``, else PSPINLAB_WORKERS, else the CPU
-    count capped at MAX_WORKERS.  A requested count above the cap raises
-    ResourceCapError."""
+    count capped at MAX_WORKERS.  A requested count below 1 raises
+    ExperimentError, one above the cap ResourceCapError."""
     if workers is not None:
-        n_workers = max(1, int(workers))
+        n_workers = int(workers)
     else:
         env = os.environ.get("PSPINLAB_WORKERS")
         if not env:
             return min(os.cpu_count() or 1, MAX_WORKERS)
         try:
-            n_workers = max(1, int(env))
+            n_workers = int(env)
         except ValueError:
             raise ExperimentError(f"PSPINLAB_WORKERS must be an integer, got {env!r}") from None
+    if n_workers < 1:
+        raise ExperimentError(f"the worker count must be >= 1, got {n_workers}")
     if n_workers > MAX_WORKERS:
         raise ResourceCapError(f"{n_workers} workers requested (cap {MAX_WORKERS})")
     return n_workers
@@ -212,44 +217,67 @@ def _shutdown_pool() -> None:
 atexit.register(_shutdown_pool)
 
 
-def _map_replicates(fn, count: int, workers: int | None):
-    """Apply fn to 0..count-1, in index order regardless of scheduling.
+BATCH_ELEMS = 1 << 13
+"""Entries in one stacked (rows, 2**N) array of a replicate chunk: 64 KB of
+float64.  A chunk has at most BATCH_ELEMS >> N rows, so from N = 13 on it
+is one replicate."""
 
-    Pooled maps share one executor per process (``_shared_pool``); a broken
-    executor is discarded and its error propagates.
+
+def _map_replicates(fn, count: int, workers: int | None, n_sites: int) -> list:
+    """The values of replicates 0..count-1, in index order regardless of
+    scheduling: ``fn(rows)`` returns the values of a range of indices.
+
+    A range holds min(count // (workers * 8), BATCH_ELEMS >> n_sites)
+    indices, at least one.  A pooled task carries as many ranges as make
+    up count // (workers * 8) indices.  Pooled maps share one executor per
+    process (``_shared_pool``); a broken executor is discarded and its
+    error propagates.
     """
     n_workers = resolve_workers(workers)
+    per_task = max(1, count // (n_workers * 8))
+    size = max(1, min(per_task, BATCH_ELEMS >> n_sites))
+    chunks = [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
     if n_workers <= 1 or count < 4:
-        return [fn(r) for r in range(count)]
-    pool = _shared_pool(n_workers)
-    try:
-        return list(pool.map(fn, range(count), chunksize=max(1, count // (n_workers * 8))))
-    except BrokenProcessPool:
-        _shutdown_pool()
-        raise
+        parts = map(fn, chunks)
+    else:
+        pool = _shared_pool(n_workers)
+        try:
+            parts = list(pool.map(fn, chunks, chunksize=per_task // size))
+        except BrokenProcessPool:
+            _shutdown_pool()
+            raise
+    return [value for part in parts for value in part]
 
 
-def _estimate(name: str, replicate, replicates: int, seed: int, workers: int | None,
-              params: dict, key: str | None = None) -> EstimatorResult:
-    """Mean and standard error of ``replicate(exp_id, r)`` over the replicates.
+def _estimate(name: str, replicates_fn, n_sites: int, replicates: int, seed: int,
+              workers: int | None, params: dict, key: str | None = None) -> EstimatorResult:
+    """Mean and standard error of the values ``replicates_fn(exp_id, rows)``
+    returns for every replicate.
 
     The seed stream is keyed by ``key``, or by ``name`` when that is None.
     """
     exp_id = experiment_id(seed, key or name)
-    values = _map_replicates(functools.partial(replicate, exp_id), replicates, workers)
+    values = _map_replicates(functools.partial(replicates_fn, exp_id), replicates, workers,
+                             n_sites)
     value, err = mean_stderr(values)
     return EstimatorResult(name, value, err, replicates, {**params, "seed": seed})
 
 
-def _draw_oracle(mspec: ModelSpec, law: DisorderSpec, path: SeedPath) -> GibbsOracle:
-    rng = path.generator()
-    return GibbsOracle.build(mspec, sample_couplings(mspec, law, rng))
+def _draw_couplings(mspec: ModelSpec, law: DisorderSpec, stream: int, exp_id: int,
+                    rows: range) -> list:
+    return [sample_couplings(mspec, law, SeedPath(exp_id, r, stream).generator()) for r in rows]
 
 
-def _on_oracle(realization, mspec: ModelSpec, law: DisorderSpec, stream: int,
-               exp_id: int, r: int) -> float:
-    """``realization`` applied to the oracle of one coupling draw."""
-    return realization(_draw_oracle(mspec, law, SeedPath(exp_id, r, stream)))
+def _draw_oracles(mspec: ModelSpec, law: DisorderSpec, stream: int, exp_id: int,
+                  rows: range) -> list[GibbsOracle]:
+    """Oracles of the coupling draws on ``stream`` of replicates ``rows``."""
+    return GibbsOracle.build_batch(mspec, _draw_couplings(mspec, law, stream, exp_id, rows))
+
+
+def _on_oracles(realization, mspec: ModelSpec, law: DisorderSpec, stream: int,
+                exp_id: int, rows: range) -> list:
+    """``realization`` applied to the oracle of each replicate's coupling draw."""
+    return [realization(o) for o in _draw_oracles(mspec, law, stream, exp_id, rows)]
 
 
 def _draw_dressed(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
@@ -295,11 +323,11 @@ def gg_gap_realization(oracle: GibbsOracle, oracle_indep: GibbsOracle, n: int, p
     return lead - boundary / n - inner / n
 
 
-def _gg_gap_replicate(mspec: ModelSpec, law: DisorderSpec, n: int, p: int,
-                      fn: TestFunction, exp_id: int, r: int) -> float:
-    main = _draw_oracle(mspec, law, SeedPath(exp_id, r, 0))
-    indep = _draw_oracle(mspec, law, SeedPath(exp_id, r, 1))
-    return gg_gap_realization(main, indep, n, p, fn)
+def _gg_gap_replicates(mspec: ModelSpec, law: DisorderSpec, n: int, p: int,
+                       fn: TestFunction, exp_id: int, rows: range) -> list[float]:
+    main = _draw_oracles(mspec, law, 0, exp_id, rows)
+    indep = _draw_oracles(mspec, law, 1, exp_id, rows)
+    return [gg_gap_realization(a, b, n, p, fn) for a, b in zip(main, indep)]
 
 
 def gg_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction,
@@ -310,8 +338,8 @@ def gg_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction
         raise ExperimentError(f"the gap needs n >= 2 replicas, got {n}")
     _require_positive("p", p)
     fn.check(mspec.n_sites, n)
-    return _estimate("gg-gap", functools.partial(_gg_gap_replicate, mspec, law, n, p, fn),
-                     replicates, seed, workers,
+    return _estimate("gg-gap", functools.partial(_gg_gap_replicates, mspec, law, n, p, fn),
+                     mspec.n_sites, replicates, seed, workers,
                      {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
 
 
@@ -334,29 +362,34 @@ def gg_thermal_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: Test
     _require_positive("p", p)
     fn.check(mspec.n_sites, n)
     realization = functools.partial(gg_thermal_gap_realization, n=n, p=p, fn=fn)
-    return _estimate("gg-thermal-gap", functools.partial(_on_oracle, realization, mspec, law, 0),
-                     replicates, seed, workers,
+    return _estimate("gg-thermal-gap", functools.partial(_on_oracles, realization, mspec, law, 0),
+                     mspec.n_sites, replicates, seed, workers,
                      {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
 
 
 # -- self-averaging ----------------------------------------------------------
 
 
-def _self_avg_replicate(mspec: ModelSpec, law: DisorderSpec, p: int, mode: str,
-                        center: float, exp_id: int, r: int) -> float:
-    """One draw of the order-p energy statistic: the thermal variance
-    ("thermal"), the thermal mean ("center", on stream 1) or the mean
-    absolute deviation from ``center`` ("full")."""
-    rng = SeedPath(exp_id, r, 1 if mode == "center" else 0).generator()
-    couplings = sample_couplings(mspec, law, rng)
-    oracle = GibbsOracle.build(mspec, couplings)
-    values = fwht(tuple_coefficients(mspec.betas[p] * mspec.scale(p) * couplings.tables[p]))
+def _self_avg_value(oracle: GibbsOracle, values: np.ndarray, mode: str, center: float) -> float:
+    """The order-p energy statistic of one draw: the thermal variance
+    ("thermal"), the thermal mean ("center") or the mean absolute deviation
+    from ``center`` ("full")."""
     if mode == "thermal":
         mean = oracle.thermal_mean(values)
-        return (oracle.thermal_mean(values ** 2) - mean ** 2) / mspec.n_sites ** 2
+        return (oracle.thermal_mean(values ** 2) - mean ** 2) / oracle.n_sites ** 2
     if mode == "center":
         return oracle.thermal_mean(values)
-    return oracle.thermal_mean(np.abs(values - center)) / mspec.n_sites
+    return oracle.thermal_mean(np.abs(values - center)) / oracle.n_sites
+
+
+def _self_avg_replicates(mspec: ModelSpec, law: DisorderSpec, p: int, mode: str,
+                         center: float, exp_id: int, rows: range) -> list[float]:
+    """``_self_avg_value`` of each replicate's draw, on stream 1 for "center"."""
+    draws = _draw_couplings(mspec, law, 1 if mode == "center" else 0, exp_id, rows)
+    energies_p = fwht(np.stack([
+        tuple_coefficients(mspec.betas[p] * mspec.scale(p) * c.tables[p]) for c in draws]))
+    return [_self_avg_value(oracle, values, mode, center)
+            for oracle, values in zip(GibbsOracle.build_batch(mspec, draws), energies_p)]
 
 
 def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int, seed: int,
@@ -374,10 +407,10 @@ def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int,
     name = f"self-averaging-{mode}"
     center = 0.0
     if mode == "full":
-        centers = functools.partial(_self_avg_replicate, mspec, law, p, "center", 0.0)
-        center = _estimate(name, centers, replicates, seed, workers, {}).value
-    return _estimate(name, functools.partial(_self_avg_replicate, mspec, law, p, mode, center),
-                     replicates, seed, workers, {"N": mspec.n_sites, "p": p})
+        centers = functools.partial(_self_avg_replicates, mspec, law, p, "center", 0.0)
+        center = _estimate(name, centers, mspec.n_sites, replicates, seed, workers, {}).value
+    return _estimate(name, functools.partial(_self_avg_replicates, mspec, law, p, mode, center),
+                     mspec.n_sites, replicates, seed, workers, {"N": mspec.n_sites, "p": p})
 
 
 # -- universality and interpolation -----------------------------------------
@@ -393,8 +426,8 @@ def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
     fn.check(mspec.n_sites, fn.min_replicas)
     realization = functools.partial(_f_expectation, fn=fn)
     a, b = (_estimate("universality-gap",
-                      functools.partial(_on_oracle, realization, mspec, law, stream),
-                      replicates, seed, workers, {})
+                      functools.partial(_on_oracles, realization, mspec, law, stream),
+                      mspec.n_sites, replicates, seed, workers, {})
             for stream, law in enumerate((law_a, law_b)))
     return EstimatorResult("universality-gap", abs(a.value - b.value),
                            math.sqrt(a.std_error ** 2 + b.std_error ** 2), replicates,
@@ -403,17 +436,17 @@ def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
                             "mean_a": a.value, "mean_b": b.value, "seed": seed})
 
 
-def _sweep_replicate(mspec: ModelSpec, law: DisorderSpec, t_grid: tuple[float, ...],
-                     fn: TestFunction, exp_id: int, r: int) -> tuple:
-    rng_xi = SeedPath(exp_id, r, 0).generator()
-    rng_g = SeedPath(exp_id, r, 1).generator()
-    xi = sample_couplings(mspec, law, rng_xi)
-    gauss = sample_couplings(mspec, dis.gaussian(), rng_g)
-    out = []
+def _sweep_replicates(mspec: ModelSpec, law: DisorderSpec, t_grid: tuple[float, ...],
+                      fn: TestFunction, exp_id: int, rows: range) -> list[tuple]:
+    """Per replicate, the tuple of <F> over the grid; one oracle batch per
+    grid point."""
+    xis = _draw_couplings(mspec, law, 0, exp_id, rows)
+    gausses = _draw_couplings(mspec, dis.gaussian(), 1, exp_id, rows)
+    by_t = []
     for t in t_grid:
-        oracle = GibbsOracle.build(mspec, interpolated_couplings(xi, gauss, t))
-        out.append(_f_expectation(oracle, fn))
-    return tuple(out)
+        couplings = [interpolated_couplings(xi, gauss, t) for xi, gauss in zip(xis, gausses)]
+        by_t.append([_f_expectation(o, fn) for o in GibbsOracle.build_batch(mspec, couplings)])
+    return list(zip(*by_t))
 
 
 def interpolation_sweep(mspec: ModelSpec, law: DisorderSpec, t_grid, fn: TestFunction,
@@ -432,8 +465,8 @@ def interpolation_sweep(mspec: ModelSpec, law: DisorderSpec, t_grid, fn: TestFun
             raise ExperimentError(f"interpolation points must lie in [0, 1], got {t}")
     fn.check(mspec.n_sites, fn.min_replicas)
     exp_id = experiment_id(seed, "interpolation-sweep")
-    worker = functools.partial(_sweep_replicate, mspec, law, t_grid, fn, exp_id)
-    rows = _map_replicates(worker, replicates, workers)
+    worker = functools.partial(_sweep_replicates, mspec, law, t_grid, fn, exp_id)
+    rows = _map_replicates(worker, replicates, workers, mspec.n_sites)
     results = []
     for k, t in enumerate(t_grid):
         value, err = mean_stderr([row[k] for row in rows])
@@ -488,7 +521,7 @@ def cavity_identity_realization(mspec: ModelSpec, law: DisorderSpec, n_cavity: i
     coeffs[0] = bulk
     coeffs[np.left_shift(1, np.arange(n_cavity))] = -fields
     joint = GibbsOracle(mspec.n_sites, fwht(coeffs.ravel()))
-    shifted = np.array([fwht(f) for f in fields])
+    shifted = fwht(fields)
     reweighted = GibbsOracle(n_bulk, fwht(bulk) + np.logaddexp(shifted, -shifted).sum(axis=0))
     tanh_fields = np.tanh(shifted)
 
@@ -567,8 +600,8 @@ def derivative_moment_sum(mspec: ModelSpec, law: DisorderSpec, n: int, m: int,
     fn.check(mspec.n_sites, n)
     realization = functools.partial(derivative_sum_realization, n=n, m=m, fn=fn)
     return _estimate("derivative-moment-sum",
-                     functools.partial(_on_oracle, realization, mspec, law, 0),
-                     replicates, seed, workers,
+                     functools.partial(_on_oracles, realization, mspec, law, 0),
+                     mspec.n_sites, replicates, seed, workers,
                      {"N": mspec.n_sites, "n": n, "m": m, "F": fn.label},
                      key=f"derivative-moment-sum-m{m}")
 
@@ -585,9 +618,9 @@ def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int
     if replicates < 2:
         raise ExperimentError(f"a variance needs at least 2 replicates, got {replicates}")
     exp_id = experiment_id(seed, "free-energy-fluctuation")
-    worker = functools.partial(_on_oracle, operator.attrgetter("free_energy_density"),
+    worker = functools.partial(_on_oracles, operator.attrgetter("free_energy_density"),
                                mspec, law, 0, exp_id)
-    values = _map_replicates(worker, replicates, workers)
+    values = _map_replicates(worker, replicates, workers, mspec.n_sites)
     m = len(values)
     mean = math.fsum(values) / m
     var = math.fsum((v - mean) ** 2 for v in values) / (m - 1)
@@ -600,12 +633,13 @@ def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int
 # -- diluted pair interactions ----------------------------------------------
 
 
-def _vb_replicate(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
-                  exp_id: int, r: int) -> float:
-    couplings, vb = _draw_dressed(mspec, law, alpha, beta_prime, exp_id, r)
-    base = GibbsOracle.build(mspec, couplings)
-    dressed = GibbsOracle.build(mspec, couplings, vb=vb)
-    return (dressed.log_z - base.log_z) / (alpha * mspec.n_sites)
+def _vb_replicates(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
+                   exp_id: int, rows: range) -> list[float]:
+    couplings, vbs = zip(*(_draw_dressed(mspec, law, alpha, beta_prime, exp_id, r)
+                           for r in rows))
+    base = GibbsOracle.build_batch(mspec, couplings)
+    dressed = GibbsOracle.build_batch(mspec, couplings, vbs)
+    return [(d.log_z - b.log_z) / (alpha * mspec.n_sites) for b, d in zip(base, dressed)]
 
 
 def vb_logz_increment(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
@@ -617,8 +651,8 @@ def vb_logz_increment(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
     if alpha <= 0:
         raise ExperimentError(f"alpha must be positive, got {alpha}")
     return _estimate("vb-logz-increment",
-                     functools.partial(_vb_replicate, mspec, law, alpha, beta_prime),
-                     replicates, seed, workers,
+                     functools.partial(_vb_replicates, mspec, law, alpha, beta_prime),
+                     mspec.n_sites, replicates, seed, workers,
                      {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime})
 
 
@@ -713,13 +747,16 @@ def poisson_ibp_realization(oracle: GibbsOracle, vb, alpha: float, beta_prime: f
     return left, right
 
 
-def _poisson_ibp_replicate(mspec: ModelSpec, law: DisorderSpec, alpha: float,
-                           beta_prime: float, n: int, fn: TestFunction,
-                           exp_id: int, r: int) -> float:
-    couplings, vb = _draw_dressed(mspec, law, alpha, beta_prime, exp_id, r)
-    oracle = GibbsOracle.build(mspec, couplings, vb=vb)
-    left, right = poisson_ibp_realization(oracle, vb, alpha, beta_prime, n, fn)
-    return left - right
+def _poisson_ibp_replicates(mspec: ModelSpec, law: DisorderSpec, alpha: float,
+                            beta_prime: float, n: int, fn: TestFunction,
+                            exp_id: int, rows: range) -> list[float]:
+    couplings, vbs = zip(*(_draw_dressed(mspec, law, alpha, beta_prime, exp_id, r)
+                           for r in rows))
+    out = []
+    for oracle, vb in zip(GibbsOracle.build_batch(mspec, couplings, vbs), vbs):
+        left, right = poisson_ibp_realization(oracle, vb, alpha, beta_prime, n, fn)
+        out.append(left - right)
+    return out
 
 
 def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
@@ -731,9 +768,9 @@ def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
         raise ExperimentError("the identity needs alpha > 0 and beta_prime != 0")
     fn.check(mspec.n_sites, n)
     return _estimate("poisson-ibp",
-                     functools.partial(_poisson_ibp_replicate, mspec, law, alpha, beta_prime,
+                     functools.partial(_poisson_ibp_replicates, mspec, law, alpha, beta_prime,
                                        n, fn),
-                     replicates, seed, workers,
+                     mspec.n_sites, replicates, seed, workers,
                      {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime,
                       "n": n, "F": fn.label})
 

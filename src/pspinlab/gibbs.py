@@ -5,8 +5,11 @@ every thermal query from Walsh-Hadamard transforms, never from a matrix of
 configurations.  ``GibbsOracle.build`` makes it from a model: the energy
 vector is one transform of the Hamiltonian's Walsh coefficients.  Any other
 log-weight vector, such as the cavity check's joint and tanh-reweighted
-measures, goes straight to ``GibbsOracle(n_sites, log_weights)``.  One
-transform of the weights, the spectrum w^, holds every moment
+measures, goes straight to ``GibbsOracle(n_sites, log_weights)``.
+``GibbsOracle.build_batch`` makes R oracles from one stacked (R, 2**N)
+array of energy coefficients, since ``fwht`` transforms such a stack row by
+row: R oracles cost one energy transform and at most one spectrum
+transform.  One transform of the weights, the spectrum w^, holds every moment
 <sigma_A> = (-1)**|A| w^[A]; a pair-moment matrix is a gather from it at
 A ^ {u} ^ {v}; and overlap powers, which are XOR kernels, are products with
 the kernel's transform.  Masked Parseval, the spectrum gathered at S ^ A and
@@ -64,20 +67,27 @@ def _kernel_spectrum(n_sites: int, power: int) -> np.ndarray:
 
 
 def fwht(vec: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform (involution up to 1/len).
+    """Unnormalized fast Walsh-Hadamard transform of the last axis
+    (involution up to 1/len).
 
-    Returns a new float64 array; ``vec`` is not modified.  The butterfly
-    stages run at strides 1, 2, 4, ... as in the textbook radix-2 loop, but
-    each pass does two of them: stage h forms x0 +- x1 and x2 +- x3 in the
-    four quarters of a (-1, 4, h) view, and stage 2h combines those sums and
-    differences and writes them back.  Every element gets the same additions
-    of the same operands in the same order as in the radix-2 loop, so the
-    output is bit-identical to it, in half the full-array passes.  When
-    log2(len) is odd, one radix-2 stage runs last.
+    Returns a new C-contiguous float64 array; ``vec`` is not modified.  The
+    butterfly stages run at strides 1, 2, 4, ... as in the textbook radix-2
+    loop, but each pass does two of them: stage h forms x0 +- x1 and
+    x2 +- x3 in the four quarters of a (-1, 4, h) view, and stage 2h
+    combines those sums and differences and writes them back.  Every element
+    gets the same additions of the same operands in the same order as in the
+    radix-2 loop, so the output is bit-identical to it, in half the
+    full-array passes.  When log2(len) is odd, one radix-2 stage runs last.
+
+    A stack of shape (..., 2**N) is transformed row by row in the same
+    passes: the views cut the flattened array into blocks of 4h or 2h
+    entries, which divide 2**N, so no block crosses a row and every row is
+    bit-identical to its own transform.
     """
-    a = np.array(vec, dtype=np.float64, copy=True)
+    a = np.array(vec, dtype=np.float64, order="C", copy=True)
+    size = a.shape[-1]
     h = 1
-    while 4 * h <= a.size:
+    while 4 * h <= size:
         x0, x1, x2, x3 = a.reshape(-1, 4, h).swapaxes(0, 1)
         s01, d01 = x0 + x1, x0 - x1
         s23, d23 = x2 + x3, x2 - x3
@@ -86,11 +96,11 @@ def fwht(vec: np.ndarray) -> np.ndarray:
         np.add(d01, d23, out=x1)
         np.subtract(d01, d23, out=x3)
         h *= 4
-    if 2 * h == a.size:
-        x = a.reshape(2, h)
-        even = x[0] + x[1]
-        np.subtract(x[0], x[1], out=x[1])
-        x[0] = even
+    if 2 * h == size:
+        x0, x1 = a.reshape(-1, 2, h).swapaxes(0, 1)
+        even = x0 + x1
+        np.subtract(x0, x1, out=x1)
+        x0[...] = even
     return a
 
 
@@ -287,6 +297,29 @@ def replica_difference(fn: ReplicaFunctional, label: int) -> ReplicaFunctional:
     return fn.with_replicas(n + 1) - shifted
 
 
+class _WeightRows:
+    """Normalized Gibbs weights of a stack of oracles, one row each, and
+    their spectra, which the first read by any member transforms together."""
+
+    __slots__ = ("weights", "log_z", "_spectra")
+
+    def __init__(self, energies: np.ndarray):
+        energies = np.asarray(energies, dtype=np.float64)
+        shift = energies.max(axis=1)
+        weights = energies - shift[:, None]  # a fresh array: the caller's energies stay intact
+        np.exp(weights, out=weights)
+        z = weights.sum(axis=1)
+        weights /= z[:, None]
+        self.weights = weights
+        self.log_z = [float(s) + math.log(t) for s, t in zip(shift, z)]
+        self._spectra: np.ndarray | None = None
+
+    def spectra(self) -> np.ndarray:
+        if self._spectra is None:
+            self._spectra = fwht(self.weights)
+        return self._spectra
+
+
 class GibbsOracle:
     """Exact Gibbs measure over all 2**N configurations.
 
@@ -294,7 +327,8 @@ class GibbsOracle:
     exp(H - max H) normalized and log Z keeps the shift.  The
     spectrum w^ = fwht(weights) is computed once, on first use, and answers
     moments, pair-moment matrices and star overlaps; there is no
-    configuration matrix.
+    configuration matrix.  ``build_batch`` makes many oracles at once; they
+    share one spectrum transform.
     """
 
     def __init__(self, n_sites: int, energies: np.ndarray):
@@ -306,14 +340,13 @@ class GibbsOracle:
             raise ModelValidationError(
                 f"energy vector has shape {energies.shape}, expected {(1 << n_sites,)}"
             )
+        self._attach(n_sites, _WeightRows(energies[None]), 0)
+
+    def _attach(self, n_sites: int, rows: _WeightRows, row: int) -> None:
         self.n_sites = n_sites
-        shift = float(energies.max())
-        weights = energies - shift  # a fresh array: the caller's energies stay intact
-        np.exp(weights, out=weights)
-        z = float(weights.sum())
-        weights /= z
-        self.weights = weights
-        self.log_z = shift + math.log(z)
+        self.weights = rows.weights[row]
+        self.log_z = rows.log_z[row]
+        self._rows, self._row = rows, row
         self._spectrum: np.ndarray | None = None
         self._pair_matrices: dict[int, np.ndarray] = {}
         self._leaf_kernels: dict[int, np.ndarray] = {}
@@ -325,6 +358,26 @@ class GibbsOracle:
               vb: DilutedPairAssignment | None = None) -> "GibbsOracle":
         return GibbsOracle(spec.n_sites, fwht(energy_coefficients(spec, couplings, vb)))
 
+    @staticmethod
+    def build_batch(spec: ModelSpec, couplings: list[CouplingAssignment],
+                    vbs: list[DilutedPairAssignment] | None = None) -> list["GibbsOracle"]:
+        """``build`` for many draws, each oracle bit-identical to its own.
+
+        One transform of the stacked energy coefficients gives all R energy
+        vectors.  The first spectrum read by any of the oracles transforms
+        all R weight vectors in one call; oracles that answer only log Z or
+        thermal means cost no second transform.
+        """
+        vbs = vbs if vbs is not None else [None] * len(couplings)
+        coeffs = np.stack([energy_coefficients(spec, c, vb) for c, vb in zip(couplings, vbs)])
+        rows = _WeightRows(fwht(coeffs))
+        out = []
+        for row in range(len(coeffs)):
+            oracle = GibbsOracle.__new__(GibbsOracle)
+            oracle._attach(spec.n_sites, rows, row)
+            out.append(oracle)
+        return out
+
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -335,7 +388,7 @@ class GibbsOracle:
     def spectrum(self) -> np.ndarray:
         """w^[A] = sum_c weights[c] * (-1)**|A & c|."""
         if self._spectrum is None:
-            self._spectrum = fwht(self.weights)
+            self._spectrum = self._rows.spectra()[self._row]
         return self._spectrum
 
     def moment(self, mask: int) -> float:

@@ -383,6 +383,29 @@ def test_worker_count_above_cap_exits_2_before_any_pool(tmp_path, capsys, monkey
     assert str(ex.MAX_WORKERS) in err
 
 
+@pytest.mark.parametrize("experiment", ["gg-thermal-gap", "cavity-identity"])
+@pytest.mark.parametrize("way,count", [("flag", "-3"), ("flag", "0"), ("config", 0),
+                                       ("env", "0"), ("env", "-3")])
+def test_worker_count_below_one_exits_2(tmp_path, capsys, monkeypatch, experiment, way, count):
+    """Also for an experiment that starts no workers: the count is checked
+    before any work."""
+    params = {"n_cavity": 1, "cavity_sets": [[0]]} if experiment == "cavity-identity" else None
+    raw = minimal_config(experiment=experiment, output=str(tmp_path / "out"),
+                         **({"params": params} if params else {}))
+    argv = ["run"]
+    if way == "config":
+        raw["workers"] = count
+    elif way == "env":
+        monkeypatch.setenv("PSPINLAB_WORKERS", count)
+    argv.append(write_config(tmp_path, raw))
+    if way == "flag":
+        argv += ["--workers", count]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("beta_prime", [15.0, -40.0])
 def test_poisson_ibp_stays_finite_at_large_beta_prime(tmp_path, beta_prime):
     raw = minimal_config(experiment="poisson-ibp", params={"beta_prime": beta_prime},

@@ -7,8 +7,10 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+import pspinlab.cli as cli
 import pspinlab.disorder as dis
 import pspinlab.experiments as ex
+import pspinlab.gibbs as gibbs
 from pspinlab.disorder import SeedPath, experiment_id
 from pspinlab.expansion import derivative_power
 from pspinlab.gibbs import GibbsOracle
@@ -81,7 +83,12 @@ def test_mean_stderr_small_cases():
 
 def test_resolve_workers_precedence(monkeypatch):
     assert ex.resolve_workers(3) == 3
-    assert ex.resolve_workers(0) == 1
+    for below in (0, -3):
+        with pytest.raises(ex.ExperimentError):
+            ex.resolve_workers(below)
+    monkeypatch.setenv("PSPINLAB_WORKERS", "0")
+    with pytest.raises(ex.ExperimentError):
+        ex.resolve_workers(None)
     monkeypatch.setenv("PSPINLAB_WORKERS", "2")
     assert ex.resolve_workers(None) == 2
     monkeypatch.setenv("PSPINLAB_WORKERS", "abc")
@@ -463,7 +470,7 @@ def counted_pools(monkeypatch):
     ex._shutdown_pool()
 
 
-def _kill_own_process(r):
+def _kill_own_process(rows):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -481,8 +488,8 @@ def test_one_pool_serves_every_map_until_the_worker_count_changes(counted_pools)
 
 def test_broken_pool_is_replaced(counted_pools):
     with pytest.raises(BrokenProcessPool):
-        ex._map_replicates(_kill_own_process, 8, 2)
-    assert ex._map_replicates(abs, 8, 2) == list(range(8))
+        ex._map_replicates(_kill_own_process, 8, 2, 4)
+    assert ex._map_replicates(list, 8, 2, 4) == list(range(8))
     assert counted_pools == [2, 2]
 
 
@@ -494,3 +501,48 @@ def test_trend_suite_shape_tiny():
     ]
     orders = [r.params["m"] for r in rows if r.experiment == "derivative-moment-sum"]
     assert orders == [3, 4]
+
+
+
+@pytest.mark.parametrize("count,n_sites,size", [(400, 4, 50), (400, 8, 32), (400, 13, 1),
+                                                (37, 12, 2), (3, 4, 1)])
+def test_map_replicates_chunks_consecutive_ranges(count, n_sites, size):
+    """Ranges of min(count // 8, BATCH_ELEMS >> N) indices, at least one,
+    cover 0..count-1 once; the values come back in index order."""
+    seen = []
+
+    def values(rows):
+        seen.append(rows)
+        return [10 * r for r in rows]
+
+    assert ex._map_replicates(values, count, 1, n_sites) == [10 * r for r in range(count)]
+    assert [len(rows) for rows in seen[:-1]] == [size] * (len(seen) - 1)
+    assert [r for rows in seen for r in rows] == list(range(count))
+
+
+def test_trend_suite_identical_across_batch_sizes_and_workers(monkeypatch):
+    """Chunks of one row (BATCH_ELEMS = 1), the default chunks (64 and 32
+    rows serially at N = 4 and 8) and 64-row chunks at both sizes, serially
+    and on two workers, give the same bytes."""
+    default = ex.BATCH_ELEMS
+    runs = {}
+    ex._shutdown_pool()
+    try:
+        for elems, workers in ((1, 1), (default, 1), (64 << 8, 1), (default, 2)):
+            monkeypatch.setattr(ex, "BATCH_ELEMS", elems)
+            runs[elems, workers] = cli.render_csv(ex.trend_suite((4, 8), 512, seed=5,
+                                                                 workers=workers))
+    finally:
+        ex._shutdown_pool()
+    assert len(set(runs.values())) == 1, sorted(runs)
+
+
+def test_free_energy_fluctuation_transforms_no_spectrum(monkeypatch):
+    """Free energies read log Z only: one energy transform per chunk of 8
+    replicates (64 // 8 rows at N = 4, serially), no weight transform."""
+    calls = []
+    real = gibbs.fwht
+    monkeypatch.setattr(gibbs, "fwht", lambda vec: calls.append(np.shape(vec)) or real(vec))
+    ex.free_energy_fluctuation(ModelSpec(4, {2: 1.0}, 0.3), dis.rademacher(), 64, seed=3,
+                               workers=1)
+    assert calls == [(8, 16)] * 8

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+
+import pspinlab.gibbs as gibbs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -273,6 +275,47 @@ def test_fwht_integer_input_gives_float64():
     assert out.dtype == np.float64
     assert np.array_equal(out, _radix2_fwht(x.astype(np.float64)))
     assert np.array_equal(x, np.arange(8))
+
+
+@pytest.mark.parametrize("n_bits", range(17))
+def test_fwht_stack_bit_identical_row_by_row(n_bits):
+    """Every row of a stacked transform is the row's own transform, bit for
+    bit, and the stack is left as it was."""
+    rng = np.random.default_rng(200 + n_bits)
+    for rows in (1, 3, 64):
+        x = rng.normal(size=(rows, 1 << n_bits))
+        before = x.copy()
+        got = fwht(x)
+        assert got.shape == x.shape
+        assert all(np.array_equal(got[i], fwht(x[i])) for i in range(rows))
+        assert np.array_equal(x, before)
+
+
+def test_fwht_transforms_last_axis_of_a_strided_stack():
+    """A transposed (Fortran-ordered) stack is copied to C order first."""
+    x = np.random.default_rng(7).normal(size=(16, 3))
+    assert np.array_equal(fwht(x.T), np.array([fwht(col) for col in x.T]))
+
+
+def test_stacked_oracles_match_single_builds_and_share_one_spectrum(monkeypatch):
+    spec = ModelSpec(5, {2: 0.8, 3: 0.4}, 0.3)
+    rng = np.random.default_rng(11)
+    draws = [random_assignment(spec, rng) for _ in range(4)]
+    singles = [GibbsOracle.build(spec, d) for d in draws]
+    spectra = [single.spectrum for single in singles]
+    calls = []
+    real = gibbs.fwht
+    monkeypatch.setattr(gibbs, "fwht", lambda vec: calls.append(np.shape(vec)) or real(vec))
+    batch = GibbsOracle.build_batch(spec, draws)
+    values = np.arange(32.0)
+    for oracle, single in zip(batch, singles):
+        assert oracle.log_z == single.log_z
+        assert oracle.free_energy_density == single.free_energy_density
+        assert oracle.thermal_mean(values) == single.thermal_mean(values)
+        assert np.array_equal(oracle.weights, single.weights)
+    assert calls == [(4, 32)]  # the stacked energies; log Z and means read no spectrum
+    assert all(np.array_equal(o.spectrum, w) for o, w in zip(batch, spectra))
+    assert calls == [(4, 32)] * 2  # one transform for all four spectra
 
 
 @pytest.mark.parametrize("power", [1, 2, 3, 4])
