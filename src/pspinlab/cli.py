@@ -203,7 +203,11 @@ def _build_function(spec) -> ex.TestFunction:
         power = _convert(spec.get("power", 2), 0, "power")
         return ex.TestFunction("overlap-power", power=power)
     if kind == "spin-monomial":
-        return ex.spin_monomial(spec.get("sites", ()))
+        sites = spec.get("sites", [])
+        if not isinstance(sites, list) or not all(
+                isinstance(block, list) and all(_is_int(s) for s in block) for block in sites):
+            raise ConfigError(f"function sites must be a list of lists of integers, got {sites!r}")
+        return ex.spin_monomial(sites)
     raise ConfigError(f"unknown function kind {kind!r}")
 
 

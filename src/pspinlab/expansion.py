@@ -214,7 +214,7 @@ def verify_ode(spec: ModelSpec, couplings: CouplingAssignment, order_p: int, sit
 
     def averaged(functional):
         def f(x):
-            shifted = couplings.copy()
+            shifted = CouplingAssignment({q: t.copy() for q, t in couplings.tables.items()})
             shifted.tables[order_p][sites] = x
             return functional.evaluate(GibbsOracle.build(spec, shifted))
         return f

@@ -4,9 +4,10 @@ Every experiment follows one pattern: a replicate index is mapped through a
 seed path to its own counter-based stream, the per-replicate quantity is an
 exact thermal computation on a freshly drawn disorder realization, and the
 Monte Carlo part is only the average over realizations.  Replicates are
-computed in chunks of consecutive indices whose oracles share stacked
-transforms; draws stay per index and the stacked transform is bit-identical
-row by row, so no value depends on the chunk size.  Reductions use exact
+computed in chunks of consecutive indices: draws stay per index, the
+chunk's draws make one oracle over a stack of rows, and a realization
+answers every row in one call.  Each row is bit-identical to its own
+oracle, so no value depends on the chunk size.  Reductions use exact
 summation (math.fsum), so results do not depend on reduction order or on
 the worker count.  ``_estimate`` is that pattern for every estimator that
 reports a mean with its standard error.
@@ -225,7 +226,8 @@ is one replicate."""
 
 def _map_replicates(fn, count: int, workers: int | None, n_sites: int) -> list:
     """The values of replicates 0..count-1, in index order regardless of
-    scheduling: ``fn(rows)`` returns the values of a range of indices.
+    scheduling: ``fn(rows)`` returns the values of a range of indices as an
+    array whose first axis runs over the range, or one value for all of it.
 
     A range holds min(count // (workers * 8), BATCH_ELEMS >> n_sites)
     indices, at least one.  A pooled task carries as many ranges as make
@@ -246,13 +248,14 @@ def _map_replicates(fn, count: int, workers: int | None, n_sites: int) -> list:
         except BrokenProcessPool:
             _shutdown_pool()
             raise
-    return [value for part in parts for value in part]
+    return [value for rows, part in zip(chunks, parts)
+            for value in np.broadcast_to(part, (len(rows),) + np.shape(part)[1:]).tolist()]
 
 
 def _estimate(name: str, replicates_fn, n_sites: int, replicates: int, seed: int,
               workers: int | None, params: dict, key: str | None = None) -> EstimatorResult:
     """Mean and standard error of the values ``replicates_fn(exp_id, rows)``
-    returns for every replicate.
+    returns for every replicate (see ``_map_replicates``).
 
     The seed stream is keyed by ``key``, or by ``name`` when that is None.
     """
@@ -269,15 +272,26 @@ def _draw_couplings(mspec: ModelSpec, law: DisorderSpec, stream: int, exp_id: in
 
 
 def _draw_oracles(mspec: ModelSpec, law: DisorderSpec, stream: int, exp_id: int,
-                  rows: range) -> list[GibbsOracle]:
-    """Oracles of the coupling draws on ``stream`` of replicates ``rows``."""
+                  rows: range) -> GibbsOracle:
+    """One oracle over the coupling draws on ``stream`` of replicates ``rows``."""
     return GibbsOracle.build_batch(mspec, _draw_couplings(mspec, law, stream, exp_id, rows))
 
 
-def _on_oracles(realization, mspec: ModelSpec, law: DisorderSpec, stream: int,
-                exp_id: int, rows: range) -> list:
-    """``realization`` applied to the oracle of each replicate's coupling draw."""
-    return [realization(o) for o in _draw_oracles(mspec, law, stream, exp_id, rows)]
+def _on_batch(realization, mspec: ModelSpec, law: DisorderSpec, stream: int,
+              exp_id: int, rows: range):
+    """``realization`` of the oracle over the coupling draws on ``stream``."""
+    return realization(_draw_oracles(mspec, law, stream, exp_id, rows))
+
+
+def _fsum(terms):
+    """math.fsum of the terms for each row (each a scalar or an array over
+    the rows): exact, so no row depends on another."""
+    terms = np.broadcast_arrays(*terms)
+    if not terms:
+        return 0.0
+    rows = np.stack(terms, axis=-1)
+    sums = [math.fsum(row) for row in rows.reshape(-1, len(terms)).tolist()]
+    return np.reshape(sums, rows.shape[:-1])[()]
 
 
 def _draw_dressed(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
@@ -296,19 +310,18 @@ def _require_positive(name: str, value: int) -> None:
         raise ExperimentError(f"{name} must be >= 1, got {value}")
 
 
-def _f_expectation(oracle: GibbsOracle, fn: TestFunction) -> float:
+def _f_expectation(oracle: GibbsOracle, fn: TestFunction):
     return overlap_product_expectation(oracle, fn.edges, fn.masks)
 
 
-def _coupled_expectation(oracle: GibbsOracle, fn: TestFunction, a: int, b: int,
-                         power: int) -> float:
+def _coupled_expectation(oracle: GibbsOracle, fn: TestFunction, a: int, b: int, power: int):
     """<R_{a,b}**power * F>."""
     return overlap_product_expectation(oracle, fn.edges + [(a, b, power)], fn.masks)
 
 
 def gg_gap_realization(oracle: GibbsOracle, oracle_indep: GibbsOracle, n: int, p: int,
-                       fn: TestFunction) -> float:
-    """One-realization value of the replica-coupling gap.
+                       fn: TestFunction):
+    """One-realization value of the replica-coupling gap, for each row.
 
     <R_{1,n+1}^p F> - (1/n) <R_{1,2}^p>' <F> - (1/n) sum_{l=2..n} <R_{1,l}^p F>,
     where the primed average may come from an independent realization.  With
@@ -319,15 +332,14 @@ def gg_gap_realization(oracle: GibbsOracle, oracle_indep: GibbsOracle, n: int, p
     fn.check(oracle.n_sites, n)
     lead = _coupled_expectation(oracle, fn, 1, n + 1, p)
     boundary = oracle_indep.overlap_power_moment(p) * _f_expectation(oracle, fn)
-    inner = math.fsum(_coupled_expectation(oracle, fn, 1, l, p) for l in range(2, n + 1))
+    inner = _fsum(_coupled_expectation(oracle, fn, 1, l, p) for l in range(2, n + 1))
     return lead - boundary / n - inner / n
 
 
 def _gg_gap_replicates(mspec: ModelSpec, law: DisorderSpec, n: int, p: int,
-                       fn: TestFunction, exp_id: int, rows: range) -> list[float]:
-    main = _draw_oracles(mspec, law, 0, exp_id, rows)
-    indep = _draw_oracles(mspec, law, 1, exp_id, rows)
-    return [gg_gap_realization(a, b, n, p, fn) for a, b in zip(main, indep)]
+                       fn: TestFunction, exp_id: int, rows: range):
+    return gg_gap_realization(_draw_oracles(mspec, law, 0, exp_id, rows),
+                              _draw_oracles(mspec, law, 1, exp_id, rows), n, p, fn)
 
 
 def gg_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction,
@@ -343,16 +355,17 @@ def gg_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction
                      {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
 
 
-def gg_thermal_gap_realization(oracle: GibbsOracle, n: int, p: int, fn: TestFunction) -> float:
-    """Purely thermal coupling combination; vanishes identically for F = 1.
+def gg_thermal_gap_realization(oracle: GibbsOracle, n: int, p: int, fn: TestFunction):
+    """Purely thermal coupling combination, for each row; vanishes
+    identically for F = 1.
 
     2 sum_{l<l'<=n} <R_{l,l'}^p F> - 2n sum_{l<=n} <R_{l,n+1}^p F>
     + n(n+1) <R_{n+1,n+2}^p F>.
     """
     fn.check(oracle.n_sites, n)
     coupled = functools.partial(_coupled_expectation, oracle, fn, power=p)
-    first = math.fsum(coupled(a, b) for a, b in itertools.combinations(range(1, n + 1), 2))
-    second = math.fsum(coupled(l, n + 1) for l in range(1, n + 1))
+    first = _fsum(coupled(a, b) for a, b in itertools.combinations(range(1, n + 1), 2))
+    second = _fsum(coupled(l, n + 1) for l in range(1, n + 1))
     third = coupled(n + 1, n + 2)
     return 2.0 * first - 2.0 * n * second + n * (n + 1) * third
 
@@ -362,7 +375,7 @@ def gg_thermal_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: Test
     _require_positive("p", p)
     fn.check(mspec.n_sites, n)
     realization = functools.partial(gg_thermal_gap_realization, n=n, p=p, fn=fn)
-    return _estimate("gg-thermal-gap", functools.partial(_on_oracles, realization, mspec, law, 0),
+    return _estimate("gg-thermal-gap", functools.partial(_on_batch, realization, mspec, law, 0),
                      mspec.n_sites, replicates, seed, workers,
                      {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
 
@@ -370,26 +383,28 @@ def gg_thermal_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: Test
 # -- self-averaging ----------------------------------------------------------
 
 
-def _self_avg_value(oracle: GibbsOracle, values: np.ndarray, mode: str, center: float) -> float:
-    """The order-p energy statistic of one draw: the thermal variance
-    ("thermal"), the thermal mean ("center") or the mean absolute deviation
-    from ``center`` ("full")."""
+def _self_avg_value(oracle: GibbsOracle, values: np.ndarray, mode: str, center: float):
+    """The order-p energy statistic of each draw, ``values`` holding its
+    order-p energies: the thermal variance ("thermal"), the thermal mean
+    ("center") or the mean absolute deviation from ``center`` ("full")."""
     if mode == "thermal":
         mean = oracle.thermal_mean(values)
-        return (oracle.thermal_mean(values ** 2) - mean ** 2) / oracle.n_sites ** 2
+        # pow(mean, 2) as for a Python float: numpy's square, mean * mean,
+        # differs from it in the last bit for about one input in a thousand
+        mean_sq = np.vectorize(pow)(mean, 2)
+        return (oracle.thermal_mean(values ** 2) - mean_sq) / oracle.n_sites ** 2
     if mode == "center":
         return oracle.thermal_mean(values)
     return oracle.thermal_mean(np.abs(values - center)) / oracle.n_sites
 
 
 def _self_avg_replicates(mspec: ModelSpec, law: DisorderSpec, p: int, mode: str,
-                         center: float, exp_id: int, rows: range) -> list[float]:
-    """``_self_avg_value`` of each replicate's draw, on stream 1 for "center"."""
+                         center: float, exp_id: int, rows: range):
+    """``_self_avg_value`` of the replicates' draws, on stream 1 for "center"."""
     draws = _draw_couplings(mspec, law, 1 if mode == "center" else 0, exp_id, rows)
     energies_p = fwht(np.stack([
         tuple_coefficients(mspec.betas[p] * mspec.scale(p) * c.tables[p]) for c in draws]))
-    return [_self_avg_value(oracle, values, mode, center)
-            for oracle, values in zip(GibbsOracle.build_batch(mspec, draws), energies_p)]
+    return _self_avg_value(GibbsOracle.build_batch(mspec, draws), energies_p, mode, center)
 
 
 def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int, seed: int,
@@ -426,7 +441,7 @@ def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
     fn.check(mspec.n_sites, fn.min_replicas)
     realization = functools.partial(_f_expectation, fn=fn)
     a, b = (_estimate("universality-gap",
-                      functools.partial(_on_oracles, realization, mspec, law, stream),
+                      functools.partial(_on_batch, realization, mspec, law, stream),
                       mspec.n_sites, replicates, seed, workers, {})
             for stream, law in enumerate((law_a, law_b)))
     return EstimatorResult("universality-gap", abs(a.value - b.value),
@@ -437,16 +452,17 @@ def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
 
 
 def _sweep_replicates(mspec: ModelSpec, law: DisorderSpec, t_grid: tuple[float, ...],
-                      fn: TestFunction, exp_id: int, rows: range) -> list[tuple]:
-    """Per replicate, the tuple of <F> over the grid; one oracle batch per
-    grid point."""
+                      fn: TestFunction, exp_id: int, rows: range) -> np.ndarray:
+    """<F> of each replicate (rows) at each grid point (columns); one oracle
+    per grid point."""
     xis = _draw_couplings(mspec, law, 0, exp_id, rows)
     gausses = _draw_couplings(mspec, dis.gaussian(), 1, exp_id, rows)
     by_t = []
     for t in t_grid:
         couplings = [interpolated_couplings(xi, gauss, t) for xi, gauss in zip(xis, gausses)]
-        by_t.append([_f_expectation(o, fn) for o in GibbsOracle.build_batch(mspec, couplings)])
-    return list(zip(*by_t))
+        by_t.append(np.broadcast_to(
+            _f_expectation(GibbsOracle.build_batch(mspec, couplings), fn), len(rows)))
+    return np.stack(by_t, axis=-1)
 
 
 def interpolation_sweep(mspec: ModelSpec, law: DisorderSpec, t_grid, fn: TestFunction,
@@ -553,8 +569,9 @@ def cavity_identity_check(mspec: ModelSpec, law: DisorderSpec, n_cavity: int, ca
 # -- derivative moment sums --------------------------------------------------
 
 
-def multioverlap_sq_expectation(oracle: GibbsOracle, labels, fixed: dict[int, int]) -> float:
-    """<R_{labels}**2 * prod fixed monomials> through pair-moment matrices.
+def multioverlap_sq_expectation(oracle: GibbsOracle, labels, fixed: dict[int, int]):
+    """<R_{labels}**2 * prod fixed monomials> through pair-moment matrices,
+    for each row.
 
     ``fixed`` maps replica labels to parity masks of site monomials
     multiplying the overlap; replicas in ``labels`` absorb their mask into
@@ -565,19 +582,18 @@ def multioverlap_sq_expectation(oracle: GibbsOracle, labels, fixed: dict[int, in
     matrix = None
     for l in sorted(labels):
         p_mat = oracle.pair_moment_matrix(fixed.get(l, 0))
-        matrix = p_mat.copy() if matrix is None else matrix * p_mat
+        matrix = p_mat if matrix is None else matrix * p_mat
     scalar = 1.0
     for l, mask in fixed.items():
         if l not in labels:
             scalar *= oracle.moment(mask)
     if matrix is None:
         return scalar
-    return scalar * float(matrix.sum()) / n_sites ** 2
+    return scalar * matrix.sum(axis=(-2, -1)) / n_sites ** 2
 
 
-def derivative_sum_realization(oracle: GibbsOracle, n: int, m: int,
-                               fn: TestFunction) -> float:
-    """N**-2 sum over site pairs of <(derivative factor)**m F>, one draw,
+def derivative_sum_realization(oracle: GibbsOracle, n: int, m: int, fn: TestFunction):
+    """N**-2 sum over site pairs of <(derivative factor)**m F> for each row,
     evaluated through the squared-multi-overlap reformulation."""
     if fn.edges:
         raise ExperimentError("derivative sums support constant or monomial F only")
@@ -600,7 +616,7 @@ def derivative_moment_sum(mspec: ModelSpec, law: DisorderSpec, n: int, m: int,
     fn.check(mspec.n_sites, n)
     realization = functools.partial(derivative_sum_realization, n=n, m=m, fn=fn)
     return _estimate("derivative-moment-sum",
-                     functools.partial(_on_oracles, realization, mspec, law, 0),
+                     functools.partial(_on_batch, realization, mspec, law, 0),
                      mspec.n_sites, replicates, seed, workers,
                      {"N": mspec.n_sites, "n": n, "m": m, "F": fn.label},
                      key=f"derivative-moment-sum-m{m}")
@@ -618,7 +634,7 @@ def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int
     if replicates < 2:
         raise ExperimentError(f"a variance needs at least 2 replicates, got {replicates}")
     exp_id = experiment_id(seed, "free-energy-fluctuation")
-    worker = functools.partial(_on_oracles, operator.attrgetter("free_energy_density"),
+    worker = functools.partial(_on_batch, operator.attrgetter("free_energy_density"),
                                mspec, law, 0, exp_id)
     values = _map_replicates(worker, replicates, workers, mspec.n_sites)
     m = len(values)
@@ -634,12 +650,12 @@ def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int
 
 
 def _vb_replicates(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
-                   exp_id: int, rows: range) -> list[float]:
+                   exp_id: int, rows: range) -> np.ndarray:
     couplings, vbs = zip(*(_draw_dressed(mspec, law, alpha, beta_prime, exp_id, r)
                            for r in rows))
     base = GibbsOracle.build_batch(mspec, couplings)
     dressed = GibbsOracle.build_batch(mspec, couplings, vbs)
-    return [(d.log_z - b.log_z) / (alpha * mspec.n_sites) for b, d in zip(base, dressed)]
+    return (dressed.log_z - base.log_z) / (alpha * mspec.n_sites)
 
 
 def vb_logz_increment(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
@@ -657,7 +673,8 @@ def vb_logz_increment(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
 
 
 def _pair_weighted_matrix(oracle: GibbsOracle, fn: ReplicaFunctional, k_labels) -> np.ndarray:
-    """Matrix over (u, v) of <sigma_u sigma_v on replicas in K times F>.
+    """Matrix over (u, v) of <sigma_u sigma_v on replicas in K times F>, for
+    each row (shape (..., N, N)).
 
     Entry (u, v) is the factorized expectation with the pair monomial
     inserted into every replica of ``k_labels`` (absorbing that replica's
@@ -665,14 +682,14 @@ def _pair_weighted_matrix(oracle: GibbsOracle, fn: ReplicaFunctional, k_labels) 
     """
     k_labels = set(k_labels)
     n = oracle.n_sites
-    out = np.zeros((n, n))
+    out = np.zeros(oracle.weights.shape[:-1] + (n, n))
     for key, coeff in fn.terms.items():
         masks = dict(key)
         block = np.full((n, n), coeff)
         for l in k_labels:
             block = block * oracle.pair_moment_matrix(masks.pop(l, 0))
         for mask in masks.values():
-            block = block * oracle.moment(mask)
+            block = block * np.expand_dims(oracle.moment(mask), (-2, -1))
         out += block
     return out
 
@@ -680,13 +697,9 @@ def _pair_weighted_matrix(oracle: GibbsOracle, fn: ReplicaFunctional, k_labels) 
 def _graded_pair_sums(oracle: GibbsOracle, delta: ReplicaFunctional, n: int) -> list[np.ndarray]:
     """G_a = sum over S in {1..n+1} with |S| = a of the pair-weighted matrix
     of ``delta`` with the pair monomial on the replicas of S ^ {1}, a = 0..n+1."""
-    out = []
-    for size in range(0, n + 2):
-        total = np.zeros((oracle.n_sites, oracle.n_sites))
-        for subset in itertools.combinations(range(1, n + 2), size):
-            total += _pair_weighted_matrix(oracle, delta, set(subset) ^ {1})
-        out.append(total)
-    return out
+    return [sum(_pair_weighted_matrix(oracle, delta, set(subset) ^ {1})
+                for subset in itertools.combinations(range(1, n + 2), size))
+            for size in range(0, n + 2)]
 
 
 TILT_FLOOR = 1e-4
@@ -695,22 +708,24 @@ TILT_FLOOR = 1e-4
 log10(1/d) digits, so below the floor the pair is tilted directly."""
 
 
-def _tilted_pair_value(oracle: GibbsOracle, delta: ReplicaFunctional, u: int, v: int,
+def _tilted_pair_value(weights: np.ndarray, delta: ReplicaFunctional, u: int, v: int,
                        t: float) -> float:
-    """<sigma^1_u sigma^1_v delta> with every replica tilted by exp(t sigma_u sigma_v).
+    """<sigma^1_u sigma^1_v delta> under the Gibbs ``weights`` of one draw,
+    with every replica tilted by exp(t sigma_u sigma_v).
 
     The tilt is added to the log-weights, so no small difference of moments
     is formed however large |t| is."""
-    codes = np.arange(oracle.weights.size)
+    codes = np.arange(weights.size)
     pair = 1 - 2 * (((codes >> u) ^ (codes >> v)) & 1)
     with np.errstate(divide="ignore"):  # an underflowed weight stays 0
-        tilted = GibbsOracle(oracle.n_sites, np.log(oracle.weights) + t * pair)
+        tilted = GibbsOracle(weights.size.bit_length() - 1, np.log(weights) + t * pair)
     return float(_pair_weighted_matrix(tilted, delta, {1})[u, v])
 
 
-def poisson_ibp_realization(oracle: GibbsOracle, vb, alpha: float, beta_prime: float,
-                            n: int, fn: TestFunction) -> tuple[float, float]:
-    """Both sides of the Poisson integration-by-parts identity, one draw.
+def poisson_ibp_realization(oracle: GibbsOracle, vbs, alpha: float, beta_prime: float,
+                            n: int, fn: TestFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the Poisson integration-by-parts identity for each row
+    of a stack of draws; ``vbs`` are the rows' diluted interactions.
 
     Left: <H'(sigma^1) Delta_1 F> / (alpha N beta').  Right: the fresh-edge
     average with the tilted replica product, evaluated exactly over the
@@ -722,14 +737,14 @@ def poisson_ibp_realization(oracle: GibbsOracle, vb, alpha: float, beta_prime: f
     delta = replica_difference(fn.functional(n_sites, n), 1)
     graded = _graded_pair_sums(oracle, delta, n)
     # left side: sum_k J_k * W[u_k, v_k] with W = G_0, the per-edge coupling
-    # matrix (S = {} puts the pair monomial on replica 1 alone)
-    if vb.n_edges:
-        left = float(np.sum(vb.j_values * graded[0][vb.left_sites, vb.right_sites]))
-    else:
-        left = 0.0
+    # matrix (S = {} puts the pair monomial on replica 1 alone); each row has
+    # its own edges
+    left = np.array([float(np.sum(vb.j_values * w[vb.left_sites, vb.right_sites]))
+                     if vb.n_edges else 0.0 for vb, w in zip(vbs, graded[0])])
     left /= alpha * n_sites
     # right side: exact average over fresh (J, u, v)
     p0 = oracle.pair_moment_matrix(0)
+    diagonal = np.arange(n_sites)
     edge_law = dis.rademacher()
     right = 0.0
     for j_atom, j_prob in zip(edge_law.atoms, edge_law.probs):
@@ -739,24 +754,23 @@ def poisson_ibp_realization(oracle: GibbsOracle, vb, alpha: float, beta_prime: f
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = numer / denom
         # a self-loop tilts by a constant: numer is (1 + lam)**(n+1) G_0 there
-        np.fill_diagonal(ratio, np.diagonal(graded[0]))
-        for u, v in zip(*np.nonzero(np.triu(denom < TILT_FLOOR, 1))):
-            ratio[u, v] = ratio[v, u] = _tilted_pair_value(oracle, delta, int(u), int(v),
-                                                           beta_prime * j_atom)
-        right += j_prob * j_atom * float(ratio.mean())
+        ratio[..., diagonal, diagonal] = graded[0][..., diagonal, diagonal]
+        for *row, u, v in zip(*np.nonzero(np.triu(denom < TILT_FLOOR, 1))):
+            row = tuple(row)
+            ratio[row + (u, v)] = ratio[row + (v, u)] = _tilted_pair_value(
+                oracle.weights[row], delta, int(u), int(v), beta_prime * j_atom)
+        right += j_prob * j_atom * ratio.mean(axis=(-2, -1))
     return left, right
 
 
 def _poisson_ibp_replicates(mspec: ModelSpec, law: DisorderSpec, alpha: float,
                             beta_prime: float, n: int, fn: TestFunction,
-                            exp_id: int, rows: range) -> list[float]:
+                            exp_id: int, rows: range) -> np.ndarray:
     couplings, vbs = zip(*(_draw_dressed(mspec, law, alpha, beta_prime, exp_id, r)
                            for r in rows))
-    out = []
-    for oracle, vb in zip(GibbsOracle.build_batch(mspec, couplings, vbs), vbs):
-        left, right = poisson_ibp_realization(oracle, vb, alpha, beta_prime, n, fn)
-        out.append(left - right)
-    return out
+    left, right = poisson_ibp_realization(GibbsOracle.build_batch(mspec, couplings, vbs), vbs,
+                                          alpha, beta_prime, n, fn)
+    return left - right
 
 
 def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,

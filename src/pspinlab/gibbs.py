@@ -1,25 +1,23 @@
 """Exact Gibbs oracles and replica functionals over small hypercubes.
 
-The oracle holds the Gibbs weights of all 2**N configurations and answers
-every thermal query from Walsh-Hadamard transforms, never from a matrix of
-configurations.  ``GibbsOracle.build`` makes it from a model: the energy
-vector is one transform of the Hamiltonian's Walsh coefficients.  Any other
-log-weight vector, such as the cavity check's joint and tanh-reweighted
-measures, goes straight to ``GibbsOracle(n_sites, log_weights)``.
-``GibbsOracle.build_batch`` makes R oracles from one stacked (R, 2**N)
-array of energy coefficients, since ``fwht`` transforms such a stack row by
-row: R oracles cost one energy transform and at most one spectrum
-transform.  One transform of the weights, the spectrum w^, holds every moment
-<sigma_A> = (-1)**|A| w^[A]; a pair-moment matrix is a gather from it at
-A ^ {u} ^ {v}; and overlap powers, which are XOR kernels, are products with
-the kernel's transform.  Masked Parseval, the spectrum gathered at S ^ A and
-S ^ B against that transform, gives <R_12**p sigma^1_A sigma^2_B>, so
-``overlap_product_expectation`` answers <R**p F> for every test function F
-without expanding R**p.  Replica functionals are finite linear
-combinations of products of spin monomials evaluated on independent replicas
-drawn from one Gibbs measure; since sigma_i**2 = 1, each replica's monomial is
-reduced at construction to a set of sites with odd multiplicity, held as a
-bitmask.
+The oracle holds the Gibbs weights of all 2**N configurations, for one
+disorder draw or a stack of them, and answers every thermal query from
+Walsh-Hadamard transforms, never from a matrix of configurations.
+``GibbsOracle.build`` makes it from a model: the energy vector is one
+transform of the Hamiltonian's Walsh coefficients; ``build_batch`` stacks R
+draws in one oracle.  Any other log-weight vector, such as the cavity
+check's joint and tanh-reweighted measures, goes straight to
+``GibbsOracle(n_sites, log_weights)``.  One transform of the weights, the
+spectrum w^, holds every moment <sigma_A> = (-1)**|A| w^[A]; a pair-moment
+matrix is a gather from it at A ^ {u} ^ {v}; and overlap powers, which are
+XOR kernels, are products with the kernel's transform.  Masked Parseval, the
+spectrum gathered at S ^ A and S ^ B against that transform, gives
+<R_12**p sigma^1_A sigma^2_B>, so ``overlap_product_expectation`` answers
+<R**p F> for every test function F without expanding R**p.  Replica
+functionals are finite linear combinations of products of spin monomials
+evaluated on independent replicas drawn from one Gibbs measure; since
+sigma_i**2 = 1, each replica's monomial is reduced at construction to a set
+of sites with odd multiplicity, held as a bitmask.
 
 The naive route, a brute-force sum over all replica tuples of explicit
 configurations, never touches the spectrum and is kept as the independent
@@ -239,18 +237,6 @@ class ReplicaFunctional:
             total += value
         return total
 
-    def evaluate_on(self, replicas: list[np.ndarray]) -> float:
-        """Pointwise value on explicit replica configurations (1-based labels)."""
-        total = 0.0
-        for key, coeff in self.terms.items():
-            value = coeff
-            for replica, mask in key:
-                spins = replicas[replica - 1]
-                for s in mask_to_sites(mask):
-                    value *= spins[s]
-            total += value
-        return total
-
 
 def overlap_power(l1: int, l2: int, power: int, n_sites: int,
                   n_replicas: int | None = None) -> ReplicaFunctional:
@@ -297,38 +283,15 @@ def replica_difference(fn: ReplicaFunctional, label: int) -> ReplicaFunctional:
     return fn.with_replicas(n + 1) - shifted
 
 
-class _WeightRows:
-    """Normalized Gibbs weights of a stack of oracles, one row each, and
-    their spectra, which the first read by any member transforms together."""
-
-    __slots__ = ("weights", "log_z", "_spectra")
-
-    def __init__(self, energies: np.ndarray):
-        energies = np.asarray(energies, dtype=np.float64)
-        shift = energies.max(axis=1)
-        weights = energies - shift[:, None]  # a fresh array: the caller's energies stay intact
-        np.exp(weights, out=weights)
-        z = weights.sum(axis=1)
-        weights /= z[:, None]
-        self.weights = weights
-        self.log_z = [float(s) + math.log(t) for s, t in zip(shift, z)]
-        self._spectra: np.ndarray | None = None
-
-    def spectra(self) -> np.ndarray:
-        if self._spectra is None:
-            self._spectra = fwht(self.weights)
-        return self._spectra
-
-
 class GibbsOracle:
-    """Exact Gibbs measure over all 2**N configurations.
+    """Exact Gibbs measures over all 2**N configurations, one per row.
 
-    ``energies`` are the log-weights H of every configuration; weights are
-    exp(H - max H) normalized and log Z keeps the shift.  The
-    spectrum w^ = fwht(weights) is computed once, on first use, and answers
-    moments, pair-moment matrices and star overlaps; there is no
-    configuration matrix.  ``build_batch`` makes many oracles at once; they
-    share one spectrum transform.
+    ``energies`` holds the log-weights H of every configuration, of shape
+    (..., 2**N): one draw, or a stack of R.  Each row's weights are
+    exp(H - max H) normalized and its log Z keeps the shift.  The spectrum
+    w^ = fwht(weights) of all rows is computed once, on first use.  Every
+    query gathers (``np.take`` keeps rows C-contiguous) and reduces along
+    the last axis, so each row is bit-identical to its own oracle.
     """
 
     def __init__(self, n_sites: int, energies: np.ndarray):
@@ -336,17 +299,21 @@ class GibbsOracle:
             raise ResourceCapError(
                 f"exact oracle needs 2**{n_sites} configurations (cap N <= {EXACT_ENUMERATION_CAP})"
             )
-        if energies.shape != (1 << n_sites,):
+        energies = np.asarray(energies, dtype=np.float64)
+        if energies.shape[-1:] != (1 << n_sites,):
             raise ModelValidationError(
-                f"energy vector has shape {energies.shape}, expected {(1 << n_sites,)}"
+                f"energy vector has shape {energies.shape}, expected (..., {1 << n_sites})"
             )
-        self._attach(n_sites, _WeightRows(energies[None]), 0)
-
-    def _attach(self, n_sites: int, rows: _WeightRows, row: int) -> None:
+        shift = energies.max(axis=-1, keepdims=True)
+        weights = energies - shift  # a fresh array: the caller's energies stay intact
+        np.exp(weights, out=weights)
+        z = weights.sum(axis=-1, keepdims=True)
+        weights /= z
         self.n_sites = n_sites
-        self.weights = rows.weights[row]
-        self.log_z = rows.log_z[row]
-        self._rows, self._row = rows, row
+        self.weights = weights
+        # math.log, not np.log: the two differ in the last bit for some z
+        self.log_z = np.array([float(s) + math.log(t) for s, t in zip(shift.flat, z.flat)]
+                              ).reshape(shift.shape[:-1])[()]
         self._spectrum: np.ndarray | None = None
         self._pair_matrices: dict[int, np.ndarray] = {}
         self._leaf_kernels: dict[int, np.ndarray] = {}
@@ -360,62 +327,51 @@ class GibbsOracle:
 
     @staticmethod
     def build_batch(spec: ModelSpec, couplings: list[CouplingAssignment],
-                    vbs: list[DilutedPairAssignment] | None = None) -> list["GibbsOracle"]:
-        """``build`` for many draws, each oracle bit-identical to its own.
-
-        One transform of the stacked energy coefficients gives all R energy
-        vectors.  The first spectrum read by any of the oracles transforms
-        all R weight vectors in one call; oracles that answer only log Z or
-        thermal means cost no second transform.
-        """
+                    vbs: list[DilutedPairAssignment] | None = None) -> "GibbsOracle":
+        """``build`` for R draws: one oracle over the (R, 2**N) stack, for one
+        energy transform and at most one spectrum transform."""
         vbs = vbs if vbs is not None else [None] * len(couplings)
         coeffs = np.stack([energy_coefficients(spec, c, vb) for c, vb in zip(couplings, vbs)])
-        rows = _WeightRows(fwht(coeffs))
-        out = []
-        for row in range(len(coeffs)):
-            oracle = GibbsOracle.__new__(GibbsOracle)
-            oracle._attach(spec.n_sites, rows, row)
-            out.append(oracle)
-        return out
+        return GibbsOracle(spec.n_sites, fwht(coeffs))
 
     # -- basic queries ------------------------------------------------------
 
     @property
-    def free_energy_density(self) -> float:
+    def free_energy_density(self):
         return self.log_z / self.n_sites
 
     @property
     def spectrum(self) -> np.ndarray:
-        """w^[A] = sum_c weights[c] * (-1)**|A & c|."""
+        """w^[A] = sum_c weights[c] * (-1)**|A & c|, along the last axis."""
         if self._spectrum is None:
-            self._spectrum = self._rows.spectra()[self._row]
+            self._spectrum = fwht(self.weights)
         return self._spectrum
 
-    def moment(self, mask: int) -> float:
+    def moment(self, mask: int):
         """<sigma_A> for the site set encoded by ``mask``."""
         if not mask:
             return 1.0
-        value = float(self.spectrum[mask])
+        value = self.spectrum[..., mask][()]  # a scalar for one draw
         return -value if int(mask).bit_count() & 1 else value
 
-    def thermal_mean(self, values: np.ndarray) -> float:
+    def thermal_mean(self, values: np.ndarray):
         """<values> over the Gibbs weights.
 
         Reductions over 2**N entries use numpy's pairwise sum, which runs in
         one thread, rather than a BLAS dot product, whose rounding depends on
         how many threads split it."""
-        return float((self.weights * values).sum())
+        return (self.weights * values).sum(axis=-1)
 
     # -- overlap fast paths -------------------------------------------------
 
     def pair_moment_matrix(self, mask: int = 0) -> np.ndarray:
-        """P[u, v] = <sigma_u sigma_v sigma_A>, gathered from the spectrum and
-        cached per mask; {u} ^ {v} has even size, so every entry carries the
-        sign of A."""
+        """P[..., u, v] = <sigma_u sigma_v sigma_A>, gathered from the
+        spectrum and cached per mask; {u} ^ {v} has even size, so every entry
+        carries the sign of A."""
         got = self._pair_matrices.get(mask)
         if got is None:
             bits = np.left_shift(1, np.arange(self.n_sites, dtype=np.int64))
-            got = self.spectrum[mask ^ bits[:, None] ^ bits[None, :]]
+            got = np.take(self.spectrum, mask ^ bits[:, None] ^ bits[None, :], axis=-1)
             if int(mask).bit_count() & 1:
                 got = -got
             self._pair_matrices[mask] = got
@@ -430,14 +386,14 @@ class GibbsOracle:
             self._leaf_kernels[power] = got
         return got
 
-    def star_overlap_expectation(self, leg_powers) -> float:
+    def star_overlap_expectation(self, leg_powers):
         """< prod_k R_{center, leaf_k}**p_k > for distinct leaves of one center."""
         value = np.ones(1 << self.n_sites)
         for power in leg_powers:
             value = value * self._leaf_values(power)
-        return float((self.weights * value).sum())
+        return (self.weights * value).sum(axis=-1)
 
-    def overlap_power_moment(self, power: int, mask_a: int = 0, mask_b: int = 0) -> float:
+    def overlap_power_moment(self, power: int, mask_a: int = 0, mask_b: int = 0):
         """<R_12**power sigma^1_A sigma^2_B> by masked Parseval:
         (-1)**|A ^ B| * 2**-N sum_S w^[S ^ A] w^[S ^ B] k^_p[S].
 
@@ -445,14 +401,14 @@ class GibbsOracle:
         gather that a zero mask skips."""
         kernel_hat = _kernel_spectrum(self.n_sites, power)
         left, right = self._shifted_spectrum(mask_a), self._shifted_spectrum(mask_b)
-        value = float((left * right * kernel_hat).sum()) / kernel_hat.size
+        value = (left * right * kernel_hat).sum(axis=-1) / kernel_hat.size
         return -value if int(mask_a ^ mask_b).bit_count() & 1 else value
 
     def _shifted_spectrum(self, mask: int) -> np.ndarray:
         """S -> w^[S ^ mask]."""
         if not mask:
             return self.spectrum
-        return self.spectrum[np.arange(self.spectrum.size) ^ mask]
+        return np.take(self.spectrum, np.arange(1 << self.n_sites) ^ mask, axis=-1)
 
 
 def naive_replica_expectation(oracle: GibbsOracle, fn: ReplicaFunctional) -> float:
@@ -483,16 +439,17 @@ def naive_replica_expectation(oracle: GibbsOracle, fn: ReplicaFunctional) -> flo
     return float((weight * values).sum())
 
 
-def overlap_product_expectation(oracle: GibbsOracle, edges, masks=None) -> float:
+def overlap_product_expectation(oracle: GibbsOracle, edges, masks=None):
     """< prod R_{l1,l2}**power * prod_l sigma^l_{A_l} > for the products the
-    estimators reach.
+    estimators reach, for each row of ``oracle``.
 
     ``edges`` is an iterable of (l1, l2, power); parallel edges merge by
     adding powers.  ``masks`` maps replica labels to the parity masks of a
     spin monomial.  One edge is masked Parseval times the moments of the
     replicas off the edge; two edges are a star when they share a replica
     and a product of two Parseval moments when they do not.  More edges, or
-    masks with two edges, raise ValueError.
+    masks with two edges, raise ValueError.  A product with no edge and no
+    mask is the constant 1.0.
     """
     merged: dict[tuple[int, int], int] = {}
     for l1, l2, power in edges:

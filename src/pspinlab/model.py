@@ -17,8 +17,9 @@ ordered tuple (i1, ..., ip).
 
 The energies of all 2**N configurations come from the Walsh coefficient
 vector of H (``energy_coefficients``, built per order by
-``tuple_coefficients``); ``hamiltonian_energy`` and ``vb_energy`` evaluate
-one configuration directly and are the independent reference for it.
+``tuple_coefficients``), one fast Walsh-Hadamard transform away.  The
+tests keep a direct evaluation of H at one configuration as the
+independent reference for it.
 """
 
 from __future__ import annotations
@@ -102,9 +103,6 @@ class CouplingAssignment:
             if not np.all(np.isfinite(table)):
                 raise ModelValidationError(f"order-{p} table contains non-finite entries")
 
-    def copy(self) -> "CouplingAssignment":
-        return CouplingAssignment({p: t.copy() for p, t in self.tables.items()})
-
 
 def spin_matrix(n_sites: int) -> np.ndarray:
     """All 2**N configurations as a (2**N, N) float matrix of ±1 rows; row c
@@ -119,21 +117,6 @@ def spin_matrix(n_sites: int) -> np.ndarray:
     for b in range(n_sites):
         out[:, b] = ((codes >> b) & 1) * 2.0 - 1.0
     return out
-
-
-def hamiltonian_energy(spec: ModelSpec, couplings: CouplingAssignment, spins: np.ndarray) -> float:
-    """Total energy H(sigma), interactions plus field."""
-    spins = np.asarray(spins, dtype=np.float64)
-    if spins.shape != (spec.n_sites,):
-        raise ModelValidationError(f"spins shape {spins.shape} does not match N={spec.n_sites}")
-    couplings.validate(spec)
-    total = spec.field_h * float(spins.sum())
-    for p in spec.orders:
-        raw = couplings.tables[p]
-        for _ in range(p):
-            raw = raw @ spins
-        total += spec.betas[p] * spec.scale(p) * float(raw)
-    return total
 
 
 @dataclass
@@ -158,15 +141,6 @@ class DilutedPairAssignment:
     @property
     def n_edges(self) -> int:
         return len(self.j_values)
-
-
-def vb_energy(assignment: DilutedPairAssignment, spins: np.ndarray) -> float:
-    """beta' * sum_k J_k * sigma_{u_k} * sigma_{v_k} for one configuration."""
-    spins = np.asarray(spins, dtype=np.float64)
-    if assignment.n_edges == 0:
-        return 0.0
-    return float(assignment.beta_prime
-                 * (assignment.j_values * spins[assignment.left_sites] * spins[assignment.right_sites]).sum())
 
 
 # -- Walsh coefficients -------------------------------------------------------

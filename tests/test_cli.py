@@ -211,6 +211,11 @@ _BAD_VALUES = {
     "booleanbeta": minimal_config(model={"n_sites": 3, "betas": {"2": True}}),
     "fractionalpower": minimal_config(
         params={"function": {"kind": "overlap-power", "power": 2.5}}),
+    "fracsite": minimal_config(
+        params={"function": {"kind": "spin-monomial", "sites": [[0.7], [2]]}}),
+    "boolsite": minimal_config(
+        params={"function": {"kind": "spin-monomial", "sites": [[0, True], [2]]}}),
+    "stringsites": minimal_config(params={"function": {"kind": "spin-monomial", "sites": "01"}}),
     "stringbeta": minimal_config(model={"n_sites": 3, "betas": {"2": "1.0"}}),
     "stringfield": minimal_config(model={"n_sites": 3, "betas": {"2": 1.0}, "field": "0.3"}),
     "stringalpha": minimal_config(experiment="vb-logz-increment", params={"alpha": "0.5"}),

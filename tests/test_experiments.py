@@ -383,7 +383,7 @@ def test_tilted_pair_value_matches_the_divided_ratio(t):
     ratio = (sum(lam ** a * g for a, g in enumerate(graded))
              / (1.0 + lam * oracle.pair_moment_matrix(0)) ** (n + 1))
     for u, v in itertools.combinations(range(4), 2):
-        assert ex._tilted_pair_value(oracle, delta, u, v, t) == pytest.approx(
+        assert ex._tilted_pair_value(oracle.weights, delta, u, v, t) == pytest.approx(
             ratio[u, v], abs=1e-13)
 
 
@@ -535,6 +535,52 @@ def test_trend_suite_identical_across_batch_sizes_and_workers(monkeypatch):
     finally:
         ex._shutdown_pool()
     assert len(set(runs.values())) == 1, sorted(runs)
+
+
+_MIXED = ModelSpec(8, {2: 1.0, 3: 0.5}, 0.3)
+_MIXED_RUNS = {
+    "interpolation-sweep": lambda m: ex.interpolation_sweep(
+        _MIXED, dis.rademacher(), (0.0, 0.5, 1.0), ex.overlap_square(), m, seed=5),
+    "vb-logz-increment": lambda m: [ex.vb_logz_increment(
+        _MIXED, dis.gaussian(), 0.5, 0.5, m, seed=5)],
+    "poisson-ibp": lambda m: [ex.poisson_ibp_check(
+        _MIXED, dis.rademacher(), 0.5, 0.5, 2, ex.overlap_square(), m, seed=5)],
+    "gg-thermal-gap": lambda m: [ex.gg_thermal_gap(
+        _MIXED, dis.rademacher(), 2, 2, ex.spin_monomial(((0, 1), (2,))), m, seed=5)],
+    "self-averaging": lambda m: [ex.self_averaging(
+        _MIXED, dis.gaussian(), 3, m, seed=5, mode="full")],
+    "universality-gap": lambda m: [ex.universality_gap(
+        _MIXED, dis.gaussian(), dis.rademacher(), ex.constant_one(), m, seed=5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIXED_RUNS))
+def test_mixed_experiments_identical_across_batch_sizes(monkeypatch, name):
+    """264 replicates at N = 8 on the p = 2 + 3 model, serially, in chunks of
+    one row (BATCH_ELEMS = 1), of 32 rows (the default) and of 33 rows
+    (64 << 8 allows 64; 264 // 8 caps it), give the same bytes.  F = one in
+    universality-gap is a constant that each chunk broadcasts to its rows."""
+    runs = {}
+    for elems in (1, ex.BATCH_ELEMS, 64 << 8):
+        monkeypatch.setattr(ex, "BATCH_ELEMS", elems)
+        runs[elems] = cli.render_csv(_MIXED_RUNS[name](264))
+    assert len(set(runs.values())) == 1, runs
+
+
+def test_poisson_tilts_identical_across_batch_sizes(monkeypatch):
+    """At beta' = -9 some fresh-edge normalizations fall below TILT_FLOOR,
+    and those entries are tilted row by row; chunks of one row and of eight
+    rows give the same bytes."""
+    tilts = []
+    real = ex._tilted_pair_value
+    monkeypatch.setattr(ex, "_tilted_pair_value", lambda *args: tilts.append(1) or real(*args))
+    mspec = ModelSpec(6, {2: 1.0, 3: 0.5}, 0.3)
+    runs = set()
+    for elems in (1, ex.BATCH_ELEMS):
+        monkeypatch.setattr(ex, "BATCH_ELEMS", elems)
+        runs.add(cli.render_csv([ex.poisson_ibp_check(
+            mspec, dis.rademacher(), 0.5, -9.0, 2, ex.overlap_square(), 64, seed=5)]))
+    assert len(runs) == 1 and tilts
 
 
 def test_free_energy_fluctuation_transforms_no_spectrum(monkeypatch):

@@ -35,6 +35,20 @@ def random_assignment(spec, rng):
     )
 
 
+def evaluate_on(fn, replicas):
+    """Pointwise value of a replica functional on explicit replica
+    configurations (1-based labels): the direct reference for its algebra."""
+    total = 0.0
+    for key, coeff in fn.terms.items():
+        value = coeff
+        for replica, mask in key:
+            spins = replicas[replica - 1]
+            for s in mask_to_sites(mask):
+                value *= spins[s]
+        total += value
+    return total
+
+
 def small_oracle(n_sites=3, seed=0, betas=None, field=0.3):
     rng = np.random.default_rng(seed)
     spec = ModelSpec(n_sites, betas if betas is not None else {2: 0.8}, field)
@@ -104,8 +118,8 @@ def test_product_matches_pointwise_product(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     replicas = [rng.choice([-1.0, 1.0], size=n_sites) for _ in range(n_rep)]
     prod = fns[0] * fns[1]
-    want = fns[0].evaluate_on(replicas) * fns[1].evaluate_on(replicas)
-    assert prod.evaluate_on(replicas) == pytest.approx(want, abs=1e-12)
+    want = evaluate_on(fns[0], replicas) * evaluate_on(fns[1], replicas)
+    assert evaluate_on(prod, replicas) == pytest.approx(want, abs=1e-12)
 
 
 # -- overlap functionals ------------------------------------------------------
@@ -117,7 +131,7 @@ def test_overlap_power_pointwise():
     rng = np.random.default_rng(3)
     s, t = (rng.choice([-1.0, 1.0], size=n) for _ in range(2))
     want = (float(s @ t) / n) ** 2
-    assert fn.evaluate_on([s, t]) == pytest.approx(want, abs=1e-12)
+    assert evaluate_on(fn, [s, t]) == pytest.approx(want, abs=1e-12)
 
 
 def test_overlap_square_has_diagonal_constant():
@@ -140,7 +154,7 @@ def test_multi_overlap_pointwise():
     rng = np.random.default_rng(9)
     reps = [rng.choice([-1.0, 1.0], size=n) for _ in range(3)]
     want = (sum(reps[0][i] * reps[1][i] * reps[2][i] for i in range(n)) / n) ** 2
-    assert fn.evaluate_on(reps) == pytest.approx(want, abs=1e-12)
+    assert evaluate_on(fn, reps) == pytest.approx(want, abs=1e-12)
 
 
 def test_multi_overlap_validation():
@@ -298,24 +312,67 @@ def test_fwht_transforms_last_axis_of_a_strided_stack():
 
 
 def test_stacked_oracles_match_single_builds_and_share_one_spectrum(monkeypatch):
+    """One oracle over a stack of four draws answers every query with an
+    array over the rows, each row equal to the draw's own oracle.  Log Z,
+    free energies and thermal means read no spectrum; one transform gives
+    every row's spectrum, and one more the star route's leaf values."""
     spec = ModelSpec(5, {2: 0.8, 3: 0.4}, 0.3)
     rng = np.random.default_rng(11)
     draws = [random_assignment(spec, rng) for _ in range(4)]
+    values = np.arange(32.0)
+    spectrum_free = {
+        "log_z": lambda o: o.log_z,
+        "free_energy_density": lambda o: o.free_energy_density,
+        "thermal_mean": lambda o: o.thermal_mean(values),
+        "weights": lambda o: o.weights,
+    }
+    spectral = {
+        # masks of odd (1, 3 sites) and even (2, 4 sites) size
+        **{f"moment {mask:b}": lambda o, mask=mask: o.moment(mask)
+           for mask in (0b1, 0b11, 0b10110, 0b1111)},
+        **{f"pair_moment_matrix {mask:b}": lambda o, mask=mask: o.pair_moment_matrix(mask)
+           for mask in (0, 0b100, 0b101)},
+        **{f"overlap_power_moment {args}": lambda o, args=args: o.overlap_power_moment(*args)
+           for args in ((2, 0, 0), (1, 0b011, 0), (3, 0b001, 0b110))},
+    }
     singles = [GibbsOracle.build(spec, d) for d in draws]
-    spectra = [single.spectrum for single in singles]
+    want = {name: [query(single) for single in singles]
+            for name, query in {**spectrum_free, **spectral}.items()}
+    want_star = [single.star_overlap_expectation([2, 2]) for single in singles]
+
+    def check(name, got):
+        assert np.shape(got)[0] == 4, name
+        assert all(np.array_equal(got[i], w) for i, w in enumerate(want[name])), name
+
     calls = []
     real = gibbs.fwht
     monkeypatch.setattr(gibbs, "fwht", lambda vec: calls.append(np.shape(vec)) or real(vec))
     batch = GibbsOracle.build_batch(spec, draws)
-    values = np.arange(32.0)
-    for oracle, single in zip(batch, singles):
-        assert oracle.log_z == single.log_z
-        assert oracle.free_energy_density == single.free_energy_density
-        assert oracle.thermal_mean(values) == single.thermal_mean(values)
-        assert np.array_equal(oracle.weights, single.weights)
-    assert calls == [(4, 32)]  # the stacked energies; log Z and means read no spectrum
-    assert all(np.array_equal(o.spectrum, w) for o, w in zip(batch, spectra))
+    assert isinstance(batch, GibbsOracle)
+    for name, query in spectrum_free.items():
+        check(name, query(batch))
+    assert calls == [(4, 32)]  # the stacked energies; no spectrum read yet
+    for name, query in spectral.items():
+        check(name, query(batch))
     assert calls == [(4, 32)] * 2  # one transform for all four spectra
+    got = batch.star_overlap_expectation([2, 2])
+    assert got.shape == (4,)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want_star))
+    assert calls == [(4, 32)] * 3  # the leaf values of all four rows
+
+
+def test_stacked_log_z_is_math_log_row_by_row():
+    """Log Z of every row is float(shift) + math.log(z), bit for bit.  At
+    N = 2, z lies in [1, 4], where np.log and math.log disagree in the last
+    bit for some inputs; this stack holds such rows, so a switch to np.log
+    fails here."""
+    energies = np.random.default_rng(17).normal(size=(1 << 14, 4))
+    oracle = GibbsOracle(2, energies)
+    shift = energies.max(axis=1)
+    z = np.array([np.exp(row - top).sum() for row, top in zip(energies, shift)])
+    want = np.array([float(s) + math.log(t) for s, t in zip(shift, z)])
+    assert np.array_equal(oracle.log_z, want)
+    assert not np.array_equal(shift + np.log(z), want)
 
 
 @pytest.mark.parametrize("power", [1, 2, 3, 4])

@@ -12,12 +12,35 @@ from pspinlab.model import (
     ResourceCapError,
     DilutedPairAssignment,
     energy_coefficients,
-    hamiltonian_energy,
     interpolated_couplings,
     spin_matrix,
     tuple_coefficients,
-    vb_energy,
 )
+
+
+def hamiltonian_energy(spec: ModelSpec, couplings: CouplingAssignment, spins: np.ndarray) -> float:
+    """Total energy H(sigma), interactions plus field: the direct reference
+    for the Walsh-coefficient route."""
+    spins = np.asarray(spins, dtype=np.float64)
+    if spins.shape != (spec.n_sites,):
+        raise ModelValidationError(f"spins shape {spins.shape} does not match N={spec.n_sites}")
+    couplings.validate(spec)
+    total = spec.field_h * float(spins.sum())
+    for p in spec.orders:
+        raw = couplings.tables[p]
+        for _ in range(p):
+            raw = raw @ spins
+        total += spec.betas[p] * spec.scale(p) * float(raw)
+    return total
+
+
+def vb_energy(assignment: DilutedPairAssignment, spins: np.ndarray) -> float:
+    """beta' * sum_k J_k * sigma_{u_k} * sigma_{v_k} for one configuration."""
+    spins = np.asarray(spins, dtype=np.float64)
+    if assignment.n_edges == 0:
+        return 0.0
+    return float(assignment.beta_prime
+                 * (assignment.j_values * spins[assignment.left_sites] * spins[assignment.right_sites]).sum())
 
 
 def naive_tuple_sum(table, spins):
