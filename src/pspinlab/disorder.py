@@ -5,11 +5,13 @@ moments as declared data, so downstream checks can verify what they were
 given by quadrature instead of trusting the label.  Sampling goes through a
 counter-based generator keyed by an (experiment, replicate, stream) path;
 equal paths reproduce bit-identical draws and distinct paths give
-independent streams.
+independent streams.  The keys of a range of replicates are hashed in one
+pass, and one generator, re-keyed per replicate, draws the whole range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass
@@ -30,6 +32,84 @@ class DisorderValidationError(ValueError):
     """Raised when a disorder law or its parameters are malformed."""
 
 
+# numpy's SeedSequence hash, after O'Neill's seed_seq (numpy/random/bit_generator.pyx):
+# a pool of four 32-bit words, filled and mixed with these constants
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MAX_WORDS = 6  # (experiment, replicate, stream), up to two words each
+
+
+def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constants h_0 = init, h_{k+1} = h_k * mult (mod 2**32), as a column."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# hashmix call k uses h_k and h_{k+1}: the pool fill, the pairwise mixing and
+# one call per pool word for every entropy word past the pool
+_CHAIN_A = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * (_MAX_WORDS - _POOL_SIZE))
+_CHAIN_B = _hash_chain(_INIT_B, _MULT_B, _POOL_SIZE)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """hashmix under the constants h_k, h_{k+1}, ...: call i xors with
+    consts[i] and multiplies by consts[i + 1]; one value broadcasts against
+    every call."""
+    out = (values ^ consts[:-1]) * consts[1:]
+    return out ^ (out >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> 16)
+
+
+def _words(value: int) -> list[int]:
+    """An integer as little-endian 32-bit words, at least one, as SeedSequence coerces it."""
+    out = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        out.append(value & _MASK32)
+    return out
+
+
+def _pool_keys(entropy: np.ndarray) -> np.ndarray:
+    """Philox keys, shape (R, 2), of the entropy words in the columns of an (L, R) array."""
+    n_words = entropy.shape[0]
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[:min(n_words, _POOL_SIZE)] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, _CHAIN_A[:_POOL_SIZE + 1])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        # each other word, in order, mixes with pool[src] under its own constant
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _CHAIN_A[k:k + _POOL_SIZE]))
+        k += _POOL_SIZE - 1
+    for src in range(_POOL_SIZE, n_words):
+        pool = _mix(pool, _hashmix(entropy[src], _CHAIN_A[k:k + _POOL_SIZE + 1]))
+        k += _POOL_SIZE
+    state = _hashmix(pool, _CHAIN_B)
+    return np.ascontiguousarray(state.T).view("<u8")  # word pairs, low word first
+
+
+def stream_keys(experiment: int, replicates: range, stream: int) -> np.ndarray:
+    """Philox keys of the paths (experiment, r, stream) for every r in an
+    increasing range, shape (R, 2): the keys
+    ``np.random.SeedSequence(entropy=(experiment, r, stream)).generate_state(2, np.uint64)``
+    gives, hashed for all r at once."""
+    head, tail = _words(experiment), _words(stream)
+    # indices below 2**32 coerce to one word, the rest to two
+    narrow = range(replicates.start, min(replicates.stop, _MASK32 + 1), replicates.step)
+    parts = [_pool_keys(np.array([head + _words(r) + tail for r in part], dtype=np.uint32).T)
+             for part in (narrow, replicates[len(narrow):]) if len(part)]
+    return np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.uint64)
+
+
 @dataclass(frozen=True)
 class SeedPath:
     """Hierarchical RNG address: experiment id, replicate index, stream index."""
@@ -46,11 +126,31 @@ class SeedPath:
 
     def generator(self) -> np.random.Generator:
         """Counter-based generator for this path (Philox keyed by the triple)."""
-        seq = np.random.SeedSequence(entropy=(self.experiment, self.replicate, self.stream))
-        return np.random.Generator(np.random.Philox(seed=seq))
+        key = stream_keys(self.experiment, range(self.replicate, self.replicate + 1), self.stream)
+        return np.random.Generator(np.random.Philox(key=key[0]))
 
     def child(self, stream: int) -> "SeedPath":
         return SeedPath(self.experiment, self.replicate, stream)
+
+
+def replicate_generators(experiment: int, replicates: range, stream: int):
+    """For each r in ``replicates``, in order, the generator of
+    ``SeedPath(experiment, r, stream)`` at counter 0.
+
+    One Philox serves the whole range: each step assigns it the next key, a
+    zero counter and an empty buffer, the state a new generator for that path
+    starts in.  So a step's draws must be taken before the next step.
+    """
+    keys = stream_keys(experiment, replicates, stream)
+    if not len(keys):
+        return
+    bitgen = np.random.Philox(key=keys[0])
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # a new generator's: counter 0, an empty buffer
+    for key in keys:
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield rng
 
 
 def experiment_id(seed: int, name: str) -> int:
@@ -88,16 +188,25 @@ class DisorderSpec:
 
     # -- sampling -----------------------------------------------------------
 
+    @functools.cached_property
+    def _atom_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms, and the cdf that ``Generator.choice(len(atoms), p=probs)``
+        searches with its uniforms: the same draws, without choice's checks."""
+        cdf = np.cumsum(self.probs)
+        cdf /= cdf[-1]
+        return np.array(self.atoms), cdf
+
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         if self.family == "gaussian":
             return rng.standard_normal(shape)
         if self.family == "uniform":
             w = self.uniform_halfwidth
             return rng.uniform(-w, w, size=shape)
-        out = np.zeros(shape, dtype=np.float64)
         if self.atoms:
-            choice = rng.choice(len(self.atoms), size=shape, p=np.array(self.probs))
-            out = np.array(self.atoms)[choice].astype(np.float64)
+            atoms, cdf = self._atom_cdf
+            out = atoms[cdf.searchsorted(rng.random(shape), side="right")]
+        else:
+            out = np.zeros(shape, dtype=np.float64)
         if self.gaussian_weight:
             out = out + self.gaussian_weight * rng.standard_normal(shape)
         return out
@@ -144,16 +253,6 @@ class DisorderSpec:
             hi += GAUSSIAN_SUPPORT * self.gaussian_weight
         return (lo, hi)
 
-    def validate_moments(self, tol: float = 1e-10) -> None:
-        """Check the declared (m1..m4) against quadrature to ``tol``."""
-        for k in range(1, 5):
-            got = self.quadrature_moment(k)
-            want = self.moments[k - 1]
-            if abs(got - want) > tol:
-                raise DisorderValidationError(
-                    f"{self.family}: declared m{k}={want!r} but quadrature gives {got!r}"
-                )
-
 
 def gaussian() -> DisorderSpec:
     return DisorderSpec("gaussian", (0.0, 1.0, 0.0, 3.0))
@@ -185,7 +284,11 @@ def discrete(atoms, probs) -> DisorderSpec:
     """Custom discrete law; mean and variance are validated at construction."""
     atoms = tuple(float(a) for a in atoms)
     probs = tuple(float(q) for q in probs)
-    moments = tuple(sum(q * a ** k for a, q in zip(atoms, probs)) for k in (1, 2, 3, 4))
+    try:
+        moments = tuple(sum(q * a ** k for a, q in zip(atoms, probs)) for k in (1, 2, 3, 4))
+    except OverflowError:
+        raise DisorderValidationError(
+            f"custom law's moments overflow a float: atoms {list(atoms)!r}") from None
     spec = DisorderSpec("discrete", moments, atoms=atoms, probs=probs)
     if abs(moments[0]) > 1e-10 or abs(moments[1] - 1.0) > 1e-10:
         raise DisorderValidationError(
@@ -274,6 +377,18 @@ def sample_couplings(spec: ModelSpec, law: DisorderSpec, rng: np.random.Generato
     tables = {}
     for p in spec.orders:
         tables[p] = law.sample(rng, (spec.n_sites,) * p)
+    return CouplingAssignment(tables)
+
+
+def sample_replicates(spec: ModelSpec, law: DisorderSpec, experiment: int, replicates: range,
+                      stream: int) -> CouplingAssignment:
+    """The tables ``sample_couplings`` draws on each path (experiment, r,
+    stream), stacked: order p has shape (len(replicates),) + (N,)*p."""
+    n = spec.n_sites
+    tables = {p: np.empty((len(replicates),) + (n,) * p) for p in spec.orders}
+    for row, rng in enumerate(replicate_generators(experiment, replicates, stream)):
+        for p, table in sample_couplings(spec, law, rng).tables.items():
+            tables[p][row] = table
     return CouplingAssignment(tables)
 
 

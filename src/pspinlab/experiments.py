@@ -4,13 +4,13 @@ Every experiment follows one pattern: a replicate index is mapped through a
 seed path to its own counter-based stream, the per-replicate quantity is an
 exact thermal computation on a freshly drawn disorder realization, and the
 Monte Carlo part is only the average over realizations.  Replicates are
-computed in chunks of consecutive indices: draws stay per index, the
-chunk's draws make one oracle over a stack of rows, and a realization
-answers every row in one call.  Each row is bit-identical to its own
-oracle, so no value depends on the chunk size.  Reductions use exact
-summation (math.fsum), so results do not depend on reduction order or on
-the worker count.  ``_estimate`` is that pattern for every estimator that
-reports a mean with its standard error.
+computed in chunks of consecutive indices: one generator, re-keyed to each
+index's stream in turn, draws the chunk's tables, they make one oracle over
+a stack of rows, and a realization answers every row in one call.  Each
+row is bit-identical to its own oracle, so no value depends on the chunk
+size.  Reductions use exact summation (math.fsum), so results do not
+depend on reduction order or on the worker count.  ``_estimate`` is that
+pattern for every estimator that reports a mean with its standard error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import disorder as dis
-from .disorder import DisorderSpec, SeedPath, experiment_id, sample_couplings, sample_vb
+from .disorder import (
+    DisorderSpec,
+    SeedPath,
+    experiment_id,
+    replicate_generators,
+    sample_couplings,
+    sample_replicates,
+    sample_vb,
+)
 from .expansion import derivative_power_tuple_sum, signed_basis
 from .gibbs import (
     GibbsOracle,
@@ -266,15 +274,10 @@ def _estimate(name: str, replicates_fn, n_sites: int, replicates: int, seed: int
     return EstimatorResult(name, value, err, replicates, {**params, "seed": seed})
 
 
-def _draw_couplings(mspec: ModelSpec, law: DisorderSpec, stream: int, exp_id: int,
-                    rows: range) -> list:
-    return [sample_couplings(mspec, law, SeedPath(exp_id, r, stream).generator()) for r in rows]
-
-
 def _draw_oracles(mspec: ModelSpec, law: DisorderSpec, stream: int, exp_id: int,
                   rows: range) -> GibbsOracle:
     """One oracle over the coupling draws on ``stream`` of replicates ``rows``."""
-    return GibbsOracle.build_batch(mspec, _draw_couplings(mspec, law, stream, exp_id, rows))
+    return GibbsOracle.build(mspec, sample_replicates(mspec, law, exp_id, rows, stream))
 
 
 def _on_batch(realization, mspec: ModelSpec, law: DisorderSpec, stream: int,
@@ -295,11 +298,13 @@ def _fsum(terms):
 
 
 def _draw_dressed(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
-                  exp_id: int, r: int):
-    """Couplings (stream 0) and a diluted pair interaction (stream 1)."""
-    couplings = sample_couplings(mspec, law, SeedPath(exp_id, r, 0).generator())
-    vb = sample_vb(alpha, mspec.n_sites, beta_prime, SeedPath(exp_id, r, 1).generator())
-    return couplings, vb
+                  exp_id: int, rows: range):
+    """The replicates' stacked couplings (stream 0) and their diluted pair
+    interactions, one per row (stream 1)."""
+    couplings = sample_replicates(mspec, law, exp_id, rows, 0)
+    vbs = [sample_vb(alpha, mspec.n_sites, beta_prime, rng)
+           for rng in replicate_generators(exp_id, rows, 1)]
+    return couplings, vbs
 
 
 # -- replica-coupling gaps ---------------------------------------------------
@@ -401,10 +406,9 @@ def _self_avg_value(oracle: GibbsOracle, values: np.ndarray, mode: str, center: 
 def _self_avg_replicates(mspec: ModelSpec, law: DisorderSpec, p: int, mode: str,
                          center: float, exp_id: int, rows: range):
     """``_self_avg_value`` of the replicates' draws, on stream 1 for "center"."""
-    draws = _draw_couplings(mspec, law, 1 if mode == "center" else 0, exp_id, rows)
-    energies_p = fwht(np.stack([
-        tuple_coefficients(mspec.betas[p] * mspec.scale(p) * c.tables[p]) for c in draws]))
-    return _self_avg_value(GibbsOracle.build_batch(mspec, draws), energies_p, mode, center)
+    draws = sample_replicates(mspec, law, exp_id, rows, 1 if mode == "center" else 0)
+    energies_p = fwht(tuple_coefficients(mspec.betas[p] * mspec.scale(p) * draws.tables[p], p))
+    return _self_avg_value(GibbsOracle.build(mspec, draws), energies_p, mode, center)
 
 
 def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int, seed: int,
@@ -455,13 +459,13 @@ def _sweep_replicates(mspec: ModelSpec, law: DisorderSpec, t_grid: tuple[float, 
                       fn: TestFunction, exp_id: int, rows: range) -> np.ndarray:
     """<F> of each replicate (rows) at each grid point (columns); one oracle
     per grid point."""
-    xis = _draw_couplings(mspec, law, 0, exp_id, rows)
-    gausses = _draw_couplings(mspec, dis.gaussian(), 1, exp_id, rows)
+    xis = sample_replicates(mspec, law, exp_id, rows, 0)
+    gausses = sample_replicates(mspec, dis.gaussian(), exp_id, rows, 1)
     by_t = []
     for t in t_grid:
-        couplings = [interpolated_couplings(xi, gauss, t) for xi, gauss in zip(xis, gausses)]
+        couplings = interpolated_couplings(xis, gausses, t)
         by_t.append(np.broadcast_to(
-            _f_expectation(GibbsOracle.build_batch(mspec, couplings), fn), len(rows)))
+            _f_expectation(GibbsOracle.build(mspec, couplings), fn), len(rows)))
     return np.stack(by_t, axis=-1)
 
 
@@ -529,10 +533,10 @@ def cavity_identity_realization(mspec: ModelSpec, law: DisorderSpec, n_cavity: i
     fields[:, 0] = mspec.field_h
     for p in mspec.orders:
         coef = mspec.betas[p] * mspec.scale(p)  # full-system N + n' scale
-        bulk += tuple_coefficients(coef * law.sample(rng_bulk, (n_bulk,) * p))
+        bulk += tuple_coefficients(coef * law.sample(rng_bulk, (n_bulk,) * p), p)
         slots = rng_field.standard_normal((n_cavity, p) + (n_bulk,) * (p - 1))
         for j in range(n_cavity):
-            fields[j] += tuple_coefficients(coef * slots[j].sum(axis=0))
+            fields[j] += tuple_coefficients(coef * slots[j].sum(axis=0), p - 1)
     coeffs = np.zeros((1 << n_cavity, size))  # row E holds the masks B | E << n_bulk
     coeffs[0] = bulk
     coeffs[np.left_shift(1, np.arange(n_cavity))] = -fields
@@ -651,10 +655,9 @@ def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int
 
 def _vb_replicates(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
                    exp_id: int, rows: range) -> np.ndarray:
-    couplings, vbs = zip(*(_draw_dressed(mspec, law, alpha, beta_prime, exp_id, r)
-                           for r in rows))
-    base = GibbsOracle.build_batch(mspec, couplings)
-    dressed = GibbsOracle.build_batch(mspec, couplings, vbs)
+    couplings, vbs = _draw_dressed(mspec, law, alpha, beta_prime, exp_id, rows)
+    base = GibbsOracle.build(mspec, couplings)
+    dressed = GibbsOracle.build(mspec, couplings, vbs)
     return (dressed.log_z - base.log_z) / (alpha * mspec.n_sites)
 
 
@@ -766,9 +769,8 @@ def poisson_ibp_realization(oracle: GibbsOracle, vbs, alpha: float, beta_prime: 
 def _poisson_ibp_replicates(mspec: ModelSpec, law: DisorderSpec, alpha: float,
                             beta_prime: float, n: int, fn: TestFunction,
                             exp_id: int, rows: range) -> np.ndarray:
-    couplings, vbs = zip(*(_draw_dressed(mspec, law, alpha, beta_prime, exp_id, r)
-                           for r in rows))
-    left, right = poisson_ibp_realization(GibbsOracle.build_batch(mspec, couplings, vbs), vbs,
+    couplings, vbs = _draw_dressed(mspec, law, alpha, beta_prime, exp_id, rows)
+    left, right = poisson_ibp_realization(GibbsOracle.build(mspec, couplings, vbs), vbs,
                                           alpha, beta_prime, n, fn)
     return left - right
 
@@ -881,7 +883,8 @@ def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
     exp_id = experiment_id(seed, "taylor-coefficients")
     worst = {m: {"pointwise": 0.0, "averaged": 0.0} for m in m_values}
     for r in range(realizations):
-        couplings, vb = _draw_dressed(mspec, law, alpha, beta_prime, exp_id, r)
+        couplings = sample_couplings(mspec, law, SeedPath(exp_id, r, 0).generator())
+        vb = sample_vb(alpha, mspec.n_sites, beta_prime, SeedPath(exp_id, r, 1).generator())
         oracle = GibbsOracle.build(mspec, couplings, vb=vb)
         for m, got in taylor_coefficient_realization(oracle, n, m_values, fn).items():
             for key in got:

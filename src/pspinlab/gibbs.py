@@ -4,8 +4,8 @@ The oracle holds the Gibbs weights of all 2**N configurations, for one
 disorder draw or a stack of them, and answers every thermal query from
 Walsh-Hadamard transforms, never from a matrix of configurations.
 ``GibbsOracle.build`` makes it from a model: the energy vector is one
-transform of the Hamiltonian's Walsh coefficients; ``build_batch`` stacks R
-draws in one oracle.  Any other log-weight vector, such as the cavity
+transform of the Hamiltonian's Walsh coefficients, and a stack of R draws
+makes one oracle.  Any other log-weight vector, such as the cavity
 check's joint and tanh-reweighted measures, goes straight to
 ``GibbsOracle(n_sites, log_weights)``.  One transform of the weights, the
 spectrum w^, holds every moment <sigma_A> = (-1)**|A| w^[A]; a pair-moment
@@ -322,17 +322,13 @@ class GibbsOracle:
 
     @staticmethod
     def build(spec: ModelSpec, couplings: CouplingAssignment,
-              vb: DilutedPairAssignment | None = None) -> "GibbsOracle":
+              vb: DilutedPairAssignment | list[DilutedPairAssignment] | None = None
+              ) -> "GibbsOracle":
+        """The oracle of one draw, or of a stack of R draws (tables with a
+        leading row axis, ``vb`` one diluted interaction per row): one
+        oracle over the (R, 2**N) stack, for one energy transform and at
+        most one spectrum transform."""
         return GibbsOracle(spec.n_sites, fwht(energy_coefficients(spec, couplings, vb)))
-
-    @staticmethod
-    def build_batch(spec: ModelSpec, couplings: list[CouplingAssignment],
-                    vbs: list[DilutedPairAssignment] | None = None) -> "GibbsOracle":
-        """``build`` for R draws: one oracle over the (R, 2**N) stack, for one
-        energy transform and at most one spectrum transform."""
-        vbs = vbs if vbs is not None else [None] * len(couplings)
-        coeffs = np.stack([energy_coefficients(spec, c, vb) for c, vb in zip(couplings, vbs)])
-        return GibbsOracle(spec.n_sites, fwht(coeffs))
 
     # -- basic queries ------------------------------------------------------
 

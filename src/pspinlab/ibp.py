@@ -72,19 +72,6 @@ def standard_functions() -> list[SmoothFunction]:
     ]
 
 
-def derivative_chain_residual(fn: SmoothFunction, points: np.ndarray, step: float = 1e-4) -> float:
-    """Worst mismatch between supplied derivatives and Richardson central
-    differences of the level below, over the given points."""
-    worst = 0.0
-    for low, high in ((fn.f, fn.d1), (fn.d1, fn.d2), (fn.d2, fn.d3)):
-        for x in np.atleast_1d(points):
-            d_h = (low(x + step) - low(x - step)) / (2.0 * step)
-            d_h2 = (low(x + step / 2.0) - low(x - step / 2.0)) / step
-            est = (4.0 * d_h2 - d_h) / 3.0
-            worst = max(worst, abs(est - float(high(x))))
-    return worst
-
-
 _GL20 = np.polynomial.legendre.leggauss(20)
 _GL40 = np.polynomial.legendre.leggauss(40)
 

@@ -25,6 +25,7 @@ independent reference for it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -85,23 +86,31 @@ class ModelSpec:
 
 @dataclass
 class CouplingAssignment:
-    """Dense coupling tables, one ndarray of shape (N,)*p per order p."""
+    """Dense coupling tables, one ndarray of shape (N,)*p per order p, or a
+    stack of R draws with tables of shape (R,) + (N,)*p."""
 
     tables: dict[int, np.ndarray]
 
-    def validate(self, spec: ModelSpec) -> None:
+    def validate(self, spec: ModelSpec) -> tuple[int, ...]:
+        """Check the tables against ``spec``; returns their leading shape,
+        () for one draw or (R,) for a stack."""
         if set(self.tables) != set(spec.betas):
             raise ModelValidationError(
                 f"coupling orders {sorted(self.tables)} do not match model orders {sorted(spec.betas)}"
             )
+        leads = set()
         for p, table in self.tables.items():
             want = (spec.n_sites,) * p
-            if table.shape != want:
+            if table.shape[-p:] != want or table.ndim > p + 1:
                 raise ModelValidationError(
-                    f"order-{p} table has shape {table.shape}, expected {want}"
+                    f"order-{p} table has shape {table.shape}, expected {want} or (R, *{want})"
                 )
             if not np.all(np.isfinite(table)):
                 raise ModelValidationError(f"order-{p} table contains non-finite entries")
+            leads.add(table.shape[:-p])
+        if len(leads) > 1:
+            raise ModelValidationError(f"coupling tables stack different draw counts {sorted(leads)}")
+        return leads.pop() if leads else ()
 
 
 def spin_matrix(n_sites: int) -> np.ndarray:
@@ -162,34 +171,57 @@ def _tuple_masks(n_sites: int, p: int) -> np.ndarray:
     return masks
 
 
-def tuple_coefficients(table: np.ndarray) -> np.ndarray:
-    """Walsh coefficients of sum_i xi_i * sigma_{i_1}...sigma_{i_p}.
+def tuple_coefficients(table: np.ndarray, p: int) -> np.ndarray:
+    """Walsh coefficients of sum_i xi_i * sigma_{i_1}...sigma_{i_p}, for an
+    order-p table of shape (N,)*p, or for each row of a stack (R,) + (N,)*p.
 
     A p-tuple parity-reduces to a mask with |A| = p mod 2, so every term
     carries the same sign (-1)**p.  ``bincount`` adds the couplings of each
-    mask in table order, a fixed-order sum.
+    mask in table order, a fixed-order sum; row r's masks are offset by
+    r * 2**N, so each row is bit-identical to its own table.
     """
-    n, p = table.shape[0], table.ndim
-    coeffs = np.bincount(_tuple_masks(n, p), weights=table.ravel(), minlength=1 << n)
+    n = table.shape[-1]
+    rows = table.shape[:-p]
+    count = math.prod(rows)
+    masks = _tuple_masks(n, p)
+    if rows:
+        masks = ((np.arange(count, dtype=np.int64)[:, None] << n) + masks).ravel()
+    coeffs = np.bincount(masks, weights=table.ravel(), minlength=count << n)
+    coeffs = coeffs.reshape(rows + (1 << n,))
     return -coeffs if p % 2 else coeffs
 
 
 def energy_coefficients(spec: ModelSpec, couplings: CouplingAssignment,
-                        vb: DilutedPairAssignment | None = None) -> np.ndarray:
-    """Walsh coefficients of H, plus the diluted pair energy when ``vb`` is given."""
-    couplings.validate(spec)
+                        vb: DilutedPairAssignment | Sequence[DilutedPairAssignment] | None = None
+                        ) -> np.ndarray:
+    """Walsh coefficients of H, plus the diluted pair energy when ``vb`` is given.
+
+    Stacked tables give an (R, 2**N) stack, with ``vb`` a sequence of one
+    DilutedPairAssignment per row.  Each row is bit-identical to its own
+    draw: the orders, the field and the edges are added in the same order,
+    and every ``bincount`` offsets row r by r * 2**N.
+    """
+    rows = couplings.validate(spec)
     n = spec.n_sites
-    coeffs = np.zeros(1 << n)
+    coeffs = np.zeros(rows + (1 << n,))
     for p in spec.orders:
-        coeffs += tuple_coefficients(spec.betas[p] * spec.scale(p) * couplings.tables[p])
-    coeffs[np.left_shift(1, np.arange(n))] -= spec.field_h
-    if vb is not None and vb.n_edges:
-        left = np.asarray(vb.left_sites, dtype=np.int64)
-        right = np.asarray(vb.right_sites, dtype=np.int64)
+        coeffs += tuple_coefficients(spec.betas[p] * spec.scale(p) * couplings.tables[p], p)
+    coeffs[..., np.left_shift(1, np.arange(n))] -= spec.field_h
+    if vb is None:
+        return coeffs
+    vbs = list(vb) if rows else [vb]
+    if len(vbs) != math.prod(rows):
+        raise ModelValidationError(f"{len(vbs)} diluted interactions for {math.prod(rows)} draws")
+    left = np.concatenate([np.asarray(v.left_sites, dtype=np.int64) for v in vbs])
+    right = np.concatenate([np.asarray(v.right_sites, dtype=np.int64) for v in vbs])
+    if left.size:
         if min(left.min(), right.min()) < 0 or max(left.max(), right.max()) >= n:
             raise ModelValidationError(f"diluted edge sites must lie in 0..{n - 1}")
-        coeffs += np.bincount(np.left_shift(1, left) ^ np.left_shift(1, right),
-                              weights=vb.beta_prime * vb.j_values, minlength=1 << n)
+        row_of = np.repeat(np.arange(len(vbs), dtype=np.int64), [v.n_edges for v in vbs])
+        masks = (row_of << n) + (np.left_shift(1, left) ^ np.left_shift(1, right))
+        weights = np.concatenate([v.beta_prime * v.j_values for v in vbs])
+        coeffs += np.bincount(masks, weights=weights,
+                              minlength=len(vbs) << n).reshape(coeffs.shape)
     return coeffs
 
 

@@ -222,6 +222,8 @@ _BAD_VALUES = {
     "stringtgrid": minimal_config(experiment="interpolation-sweep", params={"t_grid": ["0.5"]}),
     "stringatoms": minimal_config(
         disorder={"family": "discrete", "atoms": ["1", "-1"], "probs": [0.5, 0.5]}),
+    "hugeatoms": minimal_config(
+        disorder={"family": "discrete", "atoms": [1e155, -1e155], "probs": [0.5, 0.5]}),
     "booleanmoment": minimal_config(disorder={"family": "three-point", "fourth_moment": True}),
     "infinitemoment": minimal_config(
         disorder={"family": "skewed-three-point", "fourth_moment": float("inf")}),

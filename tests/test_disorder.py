@@ -11,10 +11,24 @@ from pspinlab.disorder import (
     DisorderValidationError,
     SeedPath,
     experiment_id,
+    replicate_generators,
     sample_couplings,
+    sample_replicates,
     sample_vb,
+    stream_keys,
 )
 from pspinlab.model import ModelSpec
+
+
+def validate_moments(law: dis.DisorderSpec, tol: float = 1e-10) -> None:
+    """Check the declared (m1..m4) against quadrature to ``tol``."""
+    for k in range(1, 5):
+        got = law.quadrature_moment(k)
+        want = law.moments[k - 1]
+        if abs(got - want) > tol:
+            raise DisorderValidationError(
+                f"{law.family}: declared m{k}={want!r} but quadrature gives {got!r}"
+            )
 
 
 ALL_FAMILIES = dis.standard_families() + [
@@ -25,7 +39,7 @@ ALL_FAMILIES = dis.standard_families() + [
 
 @pytest.mark.parametrize("law", ALL_FAMILIES, ids=lambda l: l.family)
 def test_declared_moments_match_quadrature(law):
-    law.validate_moments(tol=1e-10)
+    validate_moments(law, tol=1e-10)
 
 
 @pytest.mark.parametrize("law", ALL_FAMILIES, ids=lambda l: l.family)
@@ -73,7 +87,7 @@ def test_skewed_three_point_moment_system():
 def test_near_gaussian_third_moment_decay(size):
     law = dis.near_gaussian_family(size)
     assert law.moments[2] == pytest.approx(size ** -0.5)
-    law.validate_moments(tol=1e-9)
+    validate_moments(law, tol=1e-9)
 
 
 def test_near_gaussian_rejects_bad_skew():
@@ -102,7 +116,7 @@ def test_by_name_round_trip():
                          ("discrete", {"atoms": [-1.0, 1.0], "probs": [0.5, 0.5]})]:
         law = dis.by_name(name, **kwargs)
         assert law.family == name
-        law.validate_moments(tol=1e-9)
+        validate_moments(law, tol=1e-9)
     with pytest.raises(DisorderValidationError):
         dis.by_name("cauchy")
     # parameterless families take no keys, and a needed key must be present
@@ -116,7 +130,7 @@ def test_validate_moments_catches_lies():
     law = dis.DisorderSpec("liar", (0.0, 1.0, 0.0, 5.0), atoms=(-1.0, 1.0),
                            probs=(0.5, 0.5))
     with pytest.raises(DisorderValidationError):
-        law.validate_moments()
+        validate_moments(law)
 
 
 def test_seed_path_validation():
@@ -195,3 +209,125 @@ def test_sample_vb_endpoints_in_range():
     vb = sample_vb(3.0, 7, 0.5, SeedPath(8, 2, 0).generator())
     assert vb.left_sites.min() >= 0 and vb.left_sites.max() < 7
     assert set(np.unique(vb.j_values)) <= {-1.0, 1.0}
+
+
+# -- numpy's SeedSequence, hashed over arrays --------------------------------
+#
+# ``stream_keys`` copies numpy's SeedSequence hash, and chunk draws reset one
+# Philox per replicate instead of building a generator for it.  These tests
+# compare both with numpy's own per-replicate construction, so a numpy change
+# fails here instead of silently changing streams.
+
+_EXPERIMENT_IDS = [0, 1, 7, 2 ** 32 - 1, 2 ** 32, experiment_id(7, "gg-gap"), 2 ** 64 - 1]
+_REPLICATE_RANGES = [range(0, 40), range(2 ** 32 - 3, 2 ** 32 + 3),
+                     range(2 ** 40, 2 ** 40 + 2), range(2 ** 64 - 2, 2 ** 64), range(5, 5)]
+
+
+def numpy_generator(experiment: int, replicate: int, stream: int) -> np.random.Generator:
+    seq = np.random.SeedSequence(entropy=(experiment, replicate, stream))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def reference_sample(law: dis.DisorderSpec, rng: np.random.Generator, shape) -> np.ndarray:
+    """A law's draw through numpy's ``Generator.choice`` for the atoms."""
+    if law.family == "gaussian":
+        return rng.standard_normal(shape)
+    if law.family == "uniform":
+        return rng.uniform(-law.uniform_halfwidth, law.uniform_halfwidth, size=shape)
+    out = np.zeros(shape)
+    if law.atoms:
+        out = np.array(law.atoms)[rng.choice(len(law.atoms), size=shape, p=np.array(law.probs))]
+    if law.gaussian_weight:
+        out = out + law.gaussian_weight * rng.standard_normal(shape)
+    return out
+
+
+@pytest.mark.parametrize("experiment", _EXPERIMENT_IDS)
+@pytest.mark.parametrize("stream", [0, 1, 2])
+def test_stream_keys_equal_seed_sequence(experiment, stream):
+    for rows in _REPLICATE_RANGES:
+        want = [np.random.SeedSequence(entropy=(experiment, r, stream)).generate_state(2, np.uint64)
+                for r in rows]
+        got = stream_keys(experiment, rows, stream)
+        assert got.shape == (len(rows), 2) and got.dtype == np.uint64
+        assert np.array_equal(got, np.reshape(want, (-1, 2))), rows
+
+
+def test_stream_keys_of_a_two_word_stream():
+    rows = range(2 ** 32 - 1, 2 ** 32 + 1)
+    want = [np.random.SeedSequence(entropy=(2 ** 33 + 5, r, 2 ** 40)).generate_state(2, np.uint64)
+            for r in rows]
+    assert np.array_equal(stream_keys(2 ** 33 + 5, rows, 2 ** 40), want)
+
+
+@pytest.mark.parametrize("path", [SeedPath(0), SeedPath(7, 3, 1), SeedPath(2 ** 64 - 1, 2 ** 32, 2),
+                                  SeedPath(experiment_id(7, "gg-gap"), 2 ** 64 - 1, 0)])
+def test_seed_path_generator_equals_numpy_construction(path):
+    want = numpy_generator(path.experiment, path.replicate, path.stream)
+    got = path.generator()
+    assert np.array_equal(got.standard_normal(9), want.standard_normal(9))
+    assert np.array_equal(got.integers(0, 7, size=5), want.integers(0, 7, size=5))
+
+
+def test_replicate_generators_reset_every_row():
+    """Each row starts at counter 0 of its own key, whatever the previous row
+    drew: a 32-bit draw leaves half a word buffered, which must not leak."""
+    rows = range(2 ** 32 - 2, 2 ** 32 + 2)
+    for r, rng in zip(rows, replicate_generators(9, rows, 1)):
+        want = numpy_generator(9, r, 1)
+        assert rng.integers(0, 2 ** 31, dtype=np.int32) == want.integers(0, 2 ** 31, dtype=np.int32)
+        assert np.array_equal(rng.random(3), want.random(3))
+    assert list(replicate_generators(9, range(3, 3), 1)) == []
+
+
+_FAMILY_PARAMS = {
+    "gaussian": {},
+    "rademacher": {},
+    "uniform": {},
+    "three-point": {"fourth_moment": 3.0},
+    "golden-skew": {},
+    "skewed-three-point": {"fourth_moment": 5.0},
+    "near-gaussian": {"size": 8},
+    "discrete": {"atoms": [-2.0, 0.0, 1.0], "probs": [1 / 6, 1 / 2, 1 / 3]},
+}
+
+
+def test_family_params_cover_every_family():
+    assert set(_FAMILY_PARAMS) == set(dis._FAMILIES)
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_PARAMS))
+def test_chunk_draws_equal_per_replicate_numpy_draws(name):
+    law = dis.by_name(name, **_FAMILY_PARAMS[name])
+    spec = ModelSpec(4, {2: 1.0, 3: 0.5})
+    exp = experiment_id(11, "chunk-draws")
+    for rows, stream in ((range(5, 17), 1), (range(2 ** 32 - 2, 2 ** 32 + 2), 0)):
+        chunk = sample_replicates(spec, law, exp, rows, stream)
+        for row, r in enumerate(rows):
+            rng = numpy_generator(exp, r, stream)
+            for p in spec.orders:
+                want = reference_sample(law, rng, (4,) * p)
+                assert np.array_equal(chunk.tables[p][row], want), (name, r, p)
+        # the single-draw sampler on SeedPath's generator gives the same tables
+        single = sample_couplings(spec, law, SeedPath(exp, rows[-1], stream).generator())
+        for p in spec.orders:
+            assert np.array_equal(single.tables[p], chunk.tables[p][-1])
+
+
+def test_chunk_vb_draws_equal_per_replicate_numpy_draws():
+    exp = experiment_id(11, "chunk-vb")
+    rows = range(0, 40)
+    got = [sample_vb(0.4, 5, 0.5, rng) for rng in replicate_generators(exp, rows, 1)]
+    assert any(vb.n_edges == 0 for vb in got) and any(vb.n_edges > 2 for vb in got)
+    for r, vb in zip(rows, got):
+        rng = numpy_generator(exp, r, 1)
+        k = int(rng.poisson(0.4 * 5))
+        assert np.array_equal(vb.left_sites, rng.integers(0, 5, size=k))
+        assert np.array_equal(vb.right_sites, rng.integers(0, 5, size=k))
+        assert np.array_equal(vb.j_values, reference_sample(dis.rademacher(), rng, k))
+
+
+def test_huge_atoms_are_a_validation_error():
+    for atom in (1e155, 1e200):
+        with pytest.raises(DisorderValidationError, match="overflow"):
+            dis.discrete((atom, -atom), (0.5, 0.5))

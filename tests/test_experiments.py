@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -14,7 +15,7 @@ import pspinlab.gibbs as gibbs
 from pspinlab.disorder import SeedPath, experiment_id
 from pspinlab.expansion import derivative_power
 from pspinlab.gibbs import GibbsOracle
-from pspinlab.model import ModelSpec, ResourceCapError
+from pspinlab.model import CouplingAssignment, ModelSpec, ResourceCapError
 
 
 def draw_oracle(n_sites, seed, betas=None, field=0.3, law=None):
@@ -592,3 +593,43 @@ def test_free_energy_fluctuation_transforms_no_spectrum(monkeypatch):
     ex.free_energy_fluctuation(ModelSpec(4, {2: 1.0}, 0.3), dis.rademacher(), 64, seed=3,
                                workers=1)
     assert calls == [(8, 16)] * 8
+
+
+def test_trend_draws_make_no_seed_sequence_and_no_choice(monkeypatch):
+    """Serial trend draws at indices below 2**32 hash their keys over arrays
+    and sample atoms without Generator.choice.  Each chunk draw builds one
+    Philox and validates its stacked tables once; a chunk index makes 8
+    draws (gg-gap's two streams, the universality gap's two laws,
+    self-averaging, two derivative sums and the free energy)."""
+    counts = collections.Counter()
+
+    class CountedSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            counts["SeedSequence"] += 1
+            super().__init__(*args, **kwargs)
+
+    class CountedPhilox(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            counts["Philox"] += 1
+            super().__init__(*args, **kwargs)
+
+    class CountedGenerator(np.random.Generator):
+        def choice(self, *args, **kwargs):
+            counts["choice"] += 1
+            return super().choice(*args, **kwargs)
+
+    real_validate = CouplingAssignment.validate
+
+    def validate(self, spec):
+        counts["validate"] += 1
+        return real_validate(self, spec)
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
+    monkeypatch.setattr(np.random, "Philox", CountedPhilox)
+    monkeypatch.setattr(np.random, "Generator", CountedGenerator)
+    monkeypatch.setattr(CouplingAssignment, "validate", validate)
+    ex.trend_suite((4, 8), 64, seed=3, workers=1)
+    chunk_indices = sum(len(range(0, 64, max(1, min(64 // 8, ex.BATCH_ELEMS >> n))))
+                        for n in (4, 8))
+    assert counts["SeedSequence"] == counts["choice"] == 0
+    assert counts["Philox"] == counts["validate"] == 8 * chunk_indices == 128

@@ -347,7 +347,8 @@ def test_stacked_oracles_match_single_builds_and_share_one_spectrum(monkeypatch)
     calls = []
     real = gibbs.fwht
     monkeypatch.setattr(gibbs, "fwht", lambda vec: calls.append(np.shape(vec)) or real(vec))
-    batch = GibbsOracle.build_batch(spec, draws)
+    stacked = CouplingAssignment({p: np.stack([d.tables[p] for d in draws]) for p in spec.betas})
+    batch = GibbsOracle.build(spec, stacked)
     assert isinstance(batch, GibbsOracle)
     for name, query in spectrum_free.items():
         check(name, query(batch))

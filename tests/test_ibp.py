@@ -8,7 +8,6 @@ from pspinlab.ibp import (
     SmoothFunction,
     adaptive_gauss_legendre,
     battery,
-    derivative_chain_residual,
     ibp_remainder,
     ibp_residual,
     remainder_bound_check,
@@ -17,6 +16,19 @@ from pspinlab.ibp import (
 )
 
 FUNCTIONS = {fn.name: fn for fn in standard_functions()}
+
+
+def derivative_chain_residual(fn: SmoothFunction, points: np.ndarray, step: float = 1e-4) -> float:
+    """Worst mismatch between supplied derivatives and Richardson central
+    differences of the level below, over the given points."""
+    worst = 0.0
+    for low, high in ((fn.f, fn.d1), (fn.d1, fn.d2), (fn.d2, fn.d3)):
+        for x in np.atleast_1d(points):
+            d_h = (low(x + step) - low(x - step)) / (2.0 * step)
+            d_h2 = (low(x + step / 2.0) - low(x - step / 2.0)) / step
+            est = (4.0 * d_h2 - d_h) / 3.0
+            worst = max(worst, abs(est - float(high(x))))
+    return worst
 
 
 def test_standard_function_names():

@@ -112,7 +112,7 @@ def test_tuple_coefficients_vs_naive(p, n):
     rng = np.random.default_rng(11)
     table = rng.standard_normal((n,) * p)
     configs = spin_matrix(n)
-    got = fwht(tuple_coefficients(table))
+    got = fwht(tuple_coefficients(table, p))
     for row, spins in zip(got, configs):
         assert row == pytest.approx(naive_tuple_sum(table, spins), abs=1e-10)
 
@@ -175,6 +175,46 @@ def test_energy_coefficients_validation():
     bad = DilutedPairAssignment(1.0, np.array([1.0]), np.array([0]), np.array([3]))
     with pytest.raises(ModelValidationError):
         energy_coefficients(spec, coup, bad)
+
+
+@pytest.mark.parametrize("betas", [{2: 1.1}, {3: -0.7}, {2: 0.9, 3: 0.5}])
+def test_stacked_energy_coefficients_equal_each_draw(betas):
+    """A stack of draws gives each draw's own coefficients bit for bit, with
+    each row's diluted edges added to its row (one row has none)."""
+    n = 5
+    rng = np.random.default_rng(3)
+    spec = ModelSpec(n, betas, 0.3)
+    draws = [CouplingAssignment({p: rng.standard_normal((n,) * p) for p in betas})
+             for _ in range(4)]
+    vbs = [DilutedPairAssignment(0.6, rng.choice([-1.0, 1.0], k), rng.integers(0, n, k),
+                                 rng.integers(0, n, k)) for k in (3, 0, 5, 1)]
+    stacked = CouplingAssignment({p: np.stack([d.tables[p] for d in draws]) for p in betas})
+    assert stacked.validate(spec) == (4,)
+    dressed = energy_coefficients(spec, stacked, vbs)
+    plain = energy_coefficients(spec, stacked)
+    assert dressed.shape == plain.shape == (4, 1 << n)
+    for row, (draw, vb) in enumerate(zip(draws, vbs)):
+        assert np.array_equal(dressed[row], energy_coefficients(spec, draw, vb))
+        assert np.array_equal(plain[row], energy_coefficients(spec, draw))
+        for p in betas:
+            assert np.array_equal(tuple_coefficients(stacked.tables[p], p)[row],
+                                  tuple_coefficients(draw.tables[p], p))
+
+
+def test_stacked_coupling_validation():
+    spec = ModelSpec(3, {2: 1.0, 3: 0.5})
+    single = {2: np.zeros((3, 3)), 3: np.zeros((3, 3, 3))}
+    stacked = {2: np.zeros((4, 3, 3)), 3: np.zeros((4, 3, 3, 3))}
+    assert CouplingAssignment(single).validate(spec) == ()
+    assert CouplingAssignment(stacked).validate(spec) == (4,)
+    for tables in ({2: stacked[2], 3: single[3]}, {2: stacked[2], 3: np.zeros((2, 3, 3, 3))}):
+        with pytest.raises(ModelValidationError, match="draw counts"):
+            CouplingAssignment(tables).validate(spec)
+    with pytest.raises(ModelValidationError, match="shape"):
+        CouplingAssignment({2: np.zeros((2, 4, 3, 3)), 3: single[3]}).validate(spec)
+    empty = DilutedPairAssignment(1.0, np.array([]), np.array([]), np.array([]))
+    with pytest.raises(ModelValidationError, match="3 diluted interactions for 4 draws"):
+        energy_coefficients(spec, CouplingAssignment(stacked), [empty] * 3)
 
 
 def test_vb_empty_and_validation():
