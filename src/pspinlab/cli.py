@@ -251,7 +251,8 @@ class Experiment:
 
 
 def _cavity_rows(c: RunConfig, mspec: ModelSpec, law, n_cavity: int, cavity_sets):
-    got = ex.cavity_identity_check(mspec, law, n_cavity, cavity_sets, c.replicates, c.seed)
+    got = ex.cavity_identity_check(mspec, law, n_cavity, cavity_sets, c.replicates, c.seed,
+                                   c.workers)
     return [ex.EstimatorResult("cavity-identity", got["max_factor_residual"], 0.0, c.replicates,
                                {"N": mspec.n_sites, "n_cavity": n_cavity,
                                 "product_residual": got["product_residual"], "seed": c.seed})]
@@ -486,16 +487,12 @@ def _checks_cavity() -> list[_Check]:
 
 
 def _checks_gg() -> list[_Check]:
-    worst = 0.0
-    eid = experiment_id(57, "verify-gg")
-    for r in range(10):
-        mspec = ModelSpec(4, {2: 0.9}, 0.3)
-        oracle = GibbsOracle.build(mspec, sample_couplings(
-            mspec, dis.golden_skew(), SeedPath(eid, r, 0).generator()))
-        for n in (2, 3):
-            worst = max(worst,
-                        abs(ex.gg_gap_realization(oracle, oracle, n, 2, ex.constant_one())),
-                        abs(ex.gg_thermal_gap_realization(oracle, n, 2, ex.constant_one())))
+    mspec = ModelSpec(4, {2: 0.9}, 0.3)
+    oracle = GibbsOracle.build(mspec, dis.sample_replicates(
+        mspec, dis.golden_skew(), experiment_id(57, "verify-gg"), range(10), 0))
+    worst = max(float(abs(gap).max()) for n in (2, 3)
+                for gap in (ex.gg_gap_realization(oracle, oracle, n, 2, ex.constant_one()),
+                            ex.gg_thermal_gap_realization(oracle, n, 2, ex.constant_one())))
     return [_Check("gg-exact-zero", worst, 1e-12)]
 
 
@@ -582,7 +579,7 @@ def run_config_file(path: str, workers_override: int | None = None) -> int:
         config = parse_config(raw)
         if workers_override is not None:
             config = replace(config, workers=workers_override)
-        ex.resolve_workers(config.workers)  # a bad flag or PSPINLAB_WORKERS exits before any work
+        ex.resolve_workers(config.workers)  # a bad count exits before any work
         started = time.monotonic()
         results = _dispatch(config)
         paths = write_outputs(config, results, time.monotonic() - started)
@@ -615,7 +612,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="execute one experiment from a JSON config")
     p_run.add_argument("config", help="path to the config file")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="worker processes (overrides config and PSPINLAB_WORKERS)")
+                       help="worker processes (overrides the config's workers)")
     sub.add_parser("list", help="list available experiments")
     p_verify = sub.add_parser("verify", help="run a built-in check suite")
     p_verify.add_argument("suite", choices=VERIFY_SUITES)

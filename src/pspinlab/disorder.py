@@ -129,9 +129,6 @@ class SeedPath:
         key = stream_keys(self.experiment, range(self.replicate, self.replicate + 1), self.stream)
         return np.random.Generator(np.random.Philox(key=key[0]))
 
-    def child(self, stream: int) -> "SeedPath":
-        return SeedPath(self.experiment, self.replicate, stream)
-
 
 def replicate_generators(experiment: int, replicates: range, stream: int):
     """For each r in ``replicates``, in order, the generator of
@@ -220,19 +217,16 @@ class DisorderSpec:
         Gauss-Hermite nodes; the uniform family uses Gauss-Legendre.
         """
         if self.family == "gaussian":
-            h, w = np.polynomial.hermite.hermgauss(_GH_NODES)
-            return h * math.sqrt(2.0), w / math.sqrt(math.pi)
+            return _gauss_rule("hermite")
         if self.family == "uniform":
-            x, w = np.polynomial.legendre.leggauss(_GH_NODES)
+            x, w = _gauss_rule("legendre")
             return x * self.uniform_halfwidth, w / 2.0
         atoms = np.array(self.atoms if self.atoms else (0.0,))
         probs = np.array(self.probs if self.probs else (1.0,))
         if not self.gaussian_weight:
             return atoms, probs
-        h, w = np.polynomial.hermite.hermgauss(_GH_NODES)
-        g_nodes = h * math.sqrt(2.0) * self.gaussian_weight
-        g_weights = w / math.sqrt(math.pi)
-        nodes = (atoms[:, None] + g_nodes[None, :]).ravel()
+        g_nodes, g_weights = _gauss_rule("hermite")
+        nodes = (atoms[:, None] + g_nodes[None, :] * self.gaussian_weight).ravel()
         weights = (probs[:, None] * g_weights[None, :]).ravel()
         return nodes, weights
 
@@ -252,6 +246,19 @@ class DisorderSpec:
             lo -= GAUSSIAN_SUPPORT * self.gaussian_weight
             hi += GAUSSIAN_SUPPORT * self.gaussian_weight
         return (lo, hi)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The _GH_NODES-point rule of the standard normal law ("hermite") or of
+    [-1, 1] ("legendre"), built once per process; the arrays are read-only."""
+    if kind == "hermite":
+        h, w = np.polynomial.hermite.hermgauss(_GH_NODES)
+        nodes, weights = h * math.sqrt(2.0), w / math.sqrt(math.pi)
+    else:
+        nodes, weights = np.polynomial.legendre.leggauss(_GH_NODES)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def gaussian() -> DisorderSpec:

@@ -24,7 +24,7 @@ from .gibbs import (
     multi_overlap,
     sites_to_mask,
 )
-from .model import CouplingAssignment, ModelSpec, ModelValidationError
+from .model import CouplingAssignment, ModelSpec, ModelValidationError, ResourceCapError
 
 # Rows are cheap integer work, but the basis sizes explode combinatorially;
 # the cap keeps accidental huge requests from hanging a run.
@@ -32,31 +32,30 @@ MAX_DERIVATIVE_ORDER = 30
 
 SERIES_TAIL_TARGET = 1e-13
 
-_row_cache: dict[int, list[int]] = {}
+MAX_EXPANSION_REPLICAS = 16
+"""Most replica labels, n + m, that ``derivative_power_tuple_sum`` tracks:
+its table holds subsets of them, so it grows as 2**(n + m)."""
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def coefficient_row(m: int) -> list[int]:
-    """Integer coefficients [A(m, 0), A(m, 1), ..., A(m, m)] of order m."""
+    """Integer coefficients [A(m, 0), A(m, 1), ..., A(m, m)] of order m.
+
+    The returned list is cached; callers must not mutate it."""
     if not isinstance(m, int) or m < 1:
         raise ModelValidationError(f"derivative order must be a positive integer, got {m!r}")
     if m > MAX_DERIVATIVE_ORDER:
         raise ModelValidationError(
             f"derivative order {m} exceeds the supported cap {MAX_DERIVATIVE_ORDER}"
         )
-    got = _row_cache.get(m)
-    if got is not None:
-        return got
-    row = [0, 1]  # A(1, 0) = 0, A(1, 1) = 1
-    _row_cache.setdefault(1, list(row))
-    for prev in range(1, m):
-        nxt = [0] * (prev + 2)
-        for a in range(1, prev + 2):
-            carry = row[a - 1] if a - 1 <= prev else 0
-            keep = row[a] if a <= prev else 0
-            nxt[a] = -(prev - 2 * a + 4) * (prev - 2 * a + 3) * carry + keep
-        row = nxt
-        _row_cache.setdefault(prev + 1, list(row))
-    return _row_cache[m]
+    if m == 1:
+        return [0, 1]  # A(1, 0) = 0, A(1, 1) = 1
+    row, prev = coefficient_row(m - 1), m - 1
+    nxt = [0] * (m + 1)
+    for a in range(1, m + 1):
+        keep = row[a] if a <= prev else 0
+        nxt[a] = -(prev - 2 * a + 4) * (prev - 2 * a + 3) * row[a - 1] + keep
+    return nxt
 
 
 def expansion_coefficient(m: int, a: int) -> int:
@@ -86,16 +85,13 @@ def signed_basis(sites, order: int, n_replicas: int) -> ReplicaFunctional:
     mask = sites if isinstance(sites, int) else sites_to_mask(sites)
     n = n_replicas
     pref = math.factorial(order)
-    terms: dict = {}
+    pairs = []
     for k in range(0, min(order, n) + 1):
-        coeff = pref * (-1) ** (order - k) * math.comb(n + order - k - 1, n - 1)
+        coeff = float(pref * (-1) ** (order - k) * math.comb(n + order - k - 1, n - 1))
         dummies = tuple(range(n + 1, n + order - k + 1))
-        for combo in itertools.combinations(range(1, n + 1), k):
-            labels = combo + dummies
-            key = tuple((l, mask) for l in labels) if mask else ()
-            terms[key] = terms.get(key, 0.0) + float(coeff)
-    terms = {k: c for k, c in terms.items() if c != 0.0}
-    return ReplicaFunctional(terms, n + order)
+        pairs += [(tuple((l, mask) for l in combo + dummies) if mask else (), coeff)
+                  for combo in itertools.combinations(range(1, n + 1), k)]
+    return ReplicaFunctional.combine(pairs, n + order)
 
 
 def apply_derivative_factor(sites, fn: ReplicaFunctional) -> ReplicaFunctional:
@@ -103,17 +99,10 @@ def apply_derivative_factor(sites, fn: ReplicaFunctional) -> ReplicaFunctional:
     monomial on replica l; raises the replica count by exactly one."""
     mask = sites if isinstance(sites, int) else sites_to_mask(sites)
     n = fn.n_replicas
-    out: dict = {}
-    for key, coeff in fn.terms.items():
-        for label, factor in itertools.chain(((l, 1.0) for l in range(1, n + 1)),
-                                             ((n + 1, -float(n)),)):
-            new_key = ReplicaFunctional._merge_keys(key, ((label, mask),)) if mask else key
-            new = out.get(new_key, 0.0) + coeff * factor
-            if new == 0.0:
-                out.pop(new_key, None)
-            else:
-                out[new_key] = new
-    return ReplicaFunctional(out, n + 1)
+    weights = [(l, 1.0) for l in range(1, n + 1)] + [(n + 1, -float(n))]
+    factor = ReplicaFunctional.combine(
+        ((((l, mask),) if mask else (), w) for l, w in weights), n + 1)
+    return fn.with_replicas(n + 1) * factor
 
 
 def derivative_power(sites, fn: ReplicaFunctional, order: int) -> ReplicaFunctional:
@@ -132,8 +121,13 @@ def derivative_power_tuple_sum(order: int, n_replicas: int) -> dict[frozenset, i
     integer coefficient.  Fresh replicas beyond the first n are exchangeable
     dummies under the Gibbs average, so their labels are canonicalized to
     consecutive values n+1, n+2, ... and coefficients merged accordingly.
-    The returned dict is cached; callers must not mutate it.
+    The returned dict is cached; callers must not mutate it.  More than
+    MAX_EXPANSION_REPLICAS labels raise ResourceCapError.
     """
+    if n_replicas + order > MAX_EXPANSION_REPLICAS:
+        raise ResourceCapError(
+            f"the order-{order} derivative sum over {n_replicas} replicas tracks "
+            f"{n_replicas + order} replica labels (cap {MAX_EXPANSION_REPLICAS})")
     states: dict[frozenset, int] = {frozenset(): 1}
     for j in range(1, order + 1):
         live = n_replicas + j - 1

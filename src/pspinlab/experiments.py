@@ -30,10 +30,8 @@ import numpy as np
 from . import disorder as dis
 from .disorder import (
     DisorderSpec,
-    SeedPath,
     experiment_id,
     replicate_generators,
-    sample_couplings,
     sample_replicates,
     sample_vb,
 )
@@ -172,19 +170,12 @@ launches every worker at once, so the cap is checked before any fork."""
 
 
 def resolve_workers(workers: int | None) -> int:
-    """The worker count: ``workers``, else PSPINLAB_WORKERS, else the CPU
-    count capped at MAX_WORKERS.  A requested count below 1 raises
-    ExperimentError, one above the cap ResourceCapError."""
-    if workers is not None:
-        n_workers = int(workers)
-    else:
-        env = os.environ.get("PSPINLAB_WORKERS")
-        if not env:
-            return min(os.cpu_count() or 1, MAX_WORKERS)
-        try:
-            n_workers = int(env)
-        except ValueError:
-            raise ExperimentError(f"PSPINLAB_WORKERS must be an integer, got {env!r}") from None
+    """The worker count: ``workers``, else the CPU count capped at
+    MAX_WORKERS.  A requested count below 1 raises ExperimentError, one
+    above the cap ResourceCapError."""
+    if workers is None:
+        return min(os.cpu_count() or 1, MAX_WORKERS)
+    n_workers = int(workers)
     if n_workers < 1:
         raise ExperimentError(f"the worker count must be >= 1, got {n_workers}")
     if n_workers > MAX_WORKERS:
@@ -226,6 +217,10 @@ def _shutdown_pool() -> None:
 atexit.register(_shutdown_pool)
 
 
+MAX_REPLICATES = 1 << 20
+"""Largest replicate count one map accepts; it is checked before any range,
+value list or pool is made for the count."""
+
 BATCH_ELEMS = 1 << 13
 """Entries in one stacked (rows, 2**N) array of a replicate chunk: 64 KB of
 float64.  A chunk has at most BATCH_ELEMS >> N rows, so from N = 13 on it
@@ -241,8 +236,10 @@ def _map_replicates(fn, count: int, workers: int | None, n_sites: int) -> list:
     indices, at least one.  A pooled task carries as many ranges as make
     up count // (workers * 8) indices.  Pooled maps share one executor per
     process (``_shared_pool``); a broken executor is discarded and its
-    error propagates.
+    error propagates.  A count above MAX_REPLICATES raises ResourceCapError.
     """
+    if count > MAX_REPLICATES:
+        raise ResourceCapError(f"{count} replicates requested (cap {MAX_REPLICATES})")
     n_workers = resolve_workers(workers)
     per_task = max(1, count // (n_workers * 8))
     size = max(1, min(per_task, BATCH_ELEMS >> n_sites))
@@ -500,8 +497,10 @@ def interpolation_sweep(mspec: ModelSpec, law: DisorderSpec, t_grid, fn: TestFun
 
 
 def cavity_identity_realization(mspec: ModelSpec, law: DisorderSpec, n_cavity: int,
-                                cavity_sets, path: SeedPath) -> dict[str, float]:
-    """Exact two-route check of the cavity-field representation, one draw.
+                                cavity_sets, exp_id: int, rows: range) -> np.ndarray:
+    """Exact two-route check of the cavity-field representation, for each
+    replicate in ``rows``: an (R, 2) array of the worst single-block residual
+    and the residual of the product over blocks.
 
     The full system has N + n' sites; its Hamiltonian at the Gaussian end of
     the cavity interpolation is bulk interactions over the N bulk sites plus
@@ -509,14 +508,54 @@ def cavity_identity_realization(mspec: ModelSpec, law: DisorderSpec, n_cavity: i
     full-system normalization, plus the external field everywhere.  Cavity
     marginals <prod_{j in C} eps_j> are then computed once as moments of the
     joint system's oracle and once by the tanh/cosh reweighting of the bulk
-    system's oracle, and must agree to rounding.
+    system's oracle, and must agree to rounding.  The bulk tables are the
+    draws of the N-site model on stream 0, the field slots those of stream 1.
 
     Cavity spin j is site n_bulk + j, so eps_j * sigma_B is the monomial on
     B | 2**(n_bulk + j): its Walsh coefficients are those of the field of j
     plus h, negated because the mask gains one site.
     """
-    n_bulk = mspec.n_sites - n_cavity
-    if n_bulk < 1:
+    n_bulk, count = mspec.n_sites - n_cavity, len(rows)
+    size = 1 << n_bulk
+    tables = sample_replicates(ModelSpec(n_bulk, mspec.betas), law, exp_id, rows, 0).tables
+    slots = {p: np.empty((count, n_cavity, p) + (n_bulk,) * (p - 1)) for p in mspec.orders}
+    for row, rng in enumerate(replicate_generators(exp_id, rows, 1)):
+        for table in slots.values():
+            table[row] = rng.standard_normal(table.shape[1:])
+    bulk = np.zeros((count, size))
+    bulk[:, np.left_shift(1, np.arange(n_bulk))] = -mspec.field_h
+    fields = np.zeros((count, n_cavity, size))
+    fields[..., 0] = mspec.field_h
+    for p in mspec.orders:
+        coef = mspec.betas[p] * mspec.scale(p)  # full-system N + n' scale
+        bulk += tuple_coefficients(coef * tables[p], p)
+        fields += tuple_coefficients(coef * slots[p].sum(axis=2), p - 1)
+    coeffs = np.zeros((count, 1 << n_cavity, size))  # row E holds the masks B | E << n_bulk
+    coeffs[:, 0] = bulk
+    coeffs[:, np.left_shift(1, np.arange(n_cavity))] = -fields
+    joint = GibbsOracle(mspec.n_sites, fwht(coeffs.reshape(count, -1)))
+    shifted = fwht(fields)
+    reweighted = GibbsOracle(n_bulk, fwht(bulk) + np.logaddexp(shifted, -shifted).sum(axis=1))
+    tanh_fields = np.tanh(shifted)
+
+    worst = np.zeros(count)
+    prod_lhs = prod_rhs = np.ones(count)
+    for block in cavity_sets:
+        lhs = joint.moment(sites_to_mask(n_bulk + j for j in block))
+        rhs = reweighted.thermal_mean(np.prod(tanh_fields[:, list(block)], axis=1))
+        worst = np.fmax(worst, abs(lhs - rhs))  # as max(worst, residual): a NaN is not taken
+        prod_lhs = prod_lhs * lhs
+        prod_rhs = prod_rhs * rhs
+    return np.stack([worst, abs(prod_lhs - prod_rhs)], axis=-1)
+
+
+def cavity_identity_check(mspec: ModelSpec, law: DisorderSpec, n_cavity: int, cavity_sets,
+                          realizations: int, seed: int,
+                          workers: int | None = 1) -> dict[str, float]:
+    """Worst residuals of the cavity identity over many realizations."""
+    if n_cavity < 1:
+        raise ExperimentError(f"cavity check needs at least one cavity site, got {n_cavity}")
+    if mspec.n_sites - n_cavity < 1:
         raise ExperimentError("cavity check needs at least one bulk site")
     for block in cavity_sets:
         if len(set(block)) != len(block):
@@ -524,50 +563,11 @@ def cavity_identity_realization(mspec: ModelSpec, law: DisorderSpec, n_cavity: i
         for j in block:
             if not 0 <= j < n_cavity:
                 raise ExperimentError(f"cavity site {j} outside 0..{n_cavity - 1}")
-    rng_bulk = path.child(stream=0).generator()
-    rng_field = path.child(stream=1).generator()
-    size = 1 << n_bulk
-    bulk = np.zeros(size)
-    bulk[np.left_shift(1, np.arange(n_bulk))] = -mspec.field_h
-    fields = np.zeros((n_cavity, size))
-    fields[:, 0] = mspec.field_h
-    for p in mspec.orders:
-        coef = mspec.betas[p] * mspec.scale(p)  # full-system N + n' scale
-        bulk += tuple_coefficients(coef * law.sample(rng_bulk, (n_bulk,) * p), p)
-        slots = rng_field.standard_normal((n_cavity, p) + (n_bulk,) * (p - 1))
-        for j in range(n_cavity):
-            fields[j] += tuple_coefficients(coef * slots[j].sum(axis=0), p - 1)
-    coeffs = np.zeros((1 << n_cavity, size))  # row E holds the masks B | E << n_bulk
-    coeffs[0] = bulk
-    coeffs[np.left_shift(1, np.arange(n_cavity))] = -fields
-    joint = GibbsOracle(mspec.n_sites, fwht(coeffs.ravel()))
-    shifted = fwht(fields)
-    reweighted = GibbsOracle(n_bulk, fwht(bulk) + np.logaddexp(shifted, -shifted).sum(axis=0))
-    tanh_fields = np.tanh(shifted)
-
-    worst = 0.0
-    prod_lhs = 1.0
-    prod_rhs = 1.0
-    for block in cavity_sets:
-        lhs = joint.moment(sites_to_mask(n_bulk + j for j in block))
-        rhs = reweighted.thermal_mean(np.prod(tanh_fields[list(block)], axis=0))
-        worst = max(worst, abs(lhs - rhs))
-        prod_lhs *= lhs
-        prod_rhs *= rhs
-    return {"max_factor_residual": worst, "product_residual": abs(prod_lhs - prod_rhs)}
-
-
-def cavity_identity_check(mspec: ModelSpec, law: DisorderSpec, n_cavity: int, cavity_sets,
-                          realizations: int, seed: int) -> dict[str, float]:
-    """Worst residuals of the cavity identity over many realizations."""
-    exp_id = experiment_id(seed, "cavity-identity")
-    worst = {"max_factor_residual": 0.0, "product_residual": 0.0}
-    for r in range(realizations):
-        got = cavity_identity_realization(mspec, law, n_cavity, cavity_sets,
-                                          SeedPath(exp_id, r, 0))
-        for key in worst:
-            worst[key] = max(worst[key], got[key])
-    return worst
+    worker = functools.partial(cavity_identity_realization, mspec, law, n_cavity, cavity_sets,
+                               experiment_id(seed, "cavity-identity"))
+    rows = _map_replicates(worker, realizations, workers, mspec.n_sites)
+    return {key: max([0.0] + [row[k] for row in rows])
+            for k, key in enumerate(("max_factor_residual", "product_residual"))}
 
 
 # -- derivative moment sums --------------------------------------------------
@@ -618,6 +618,7 @@ def derivative_moment_sum(mspec: ModelSpec, law: DisorderSpec, n: int, m: int,
         raise ExperimentError("derivative sums support constant or monomial F only")
     _require_positive("m", m)
     fn.check(mspec.n_sites, n)
+    derivative_power_tuple_sum(m, n)  # checks its size before any worker starts
     realization = functools.partial(derivative_sum_realization, n=n, m=m, fn=fn)
     return _estimate("derivative-moment-sum",
                      functools.partial(_on_batch, realization, mspec, law, 0),
@@ -782,7 +783,7 @@ def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
     identity holds."""
     if alpha <= 0 or beta_prime == 0.0:
         raise ExperimentError("the identity needs alpha > 0 and beta_prime != 0")
-    fn.check(mspec.n_sites, n)
+    fn.functional(mspec.n_sites, n)  # checks F and its expansion before any worker starts
     return _estimate("poisson-ibp",
                      functools.partial(_poisson_ibp_replicates, mspec, law, alpha, beta_prime,
                                        n, fn),
@@ -792,10 +793,11 @@ def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
 
 
 def taylor_coefficient_realization(oracle: GibbsOracle, n: int, m_values,
-                                   fn: TestFunction) -> dict[int, dict[str, float]]:
+                                   fn: TestFunction) -> np.ndarray:
     """Equality of the double-sum and basis forms of the edge-expansion
-    coefficient of each order m, checked at every endpoint pair of one
-    realization.
+    coefficient of each order m, checked at every endpoint pair, for each
+    row: shape (..., len(m_values), 2), the pointwise and the averaged
+    residual of each order.
 
     The double sum runs over ordered replica subsets of size a <= min(m, n+1)
     with alternating signs and binomial weights times powers of the plain
@@ -803,37 +805,42 @@ def taylor_coefficient_realization(oracle: GibbsOracle, n: int, m_values,
     applied to sigma^1_{uv} Delta_1 F.  Also checks the endpoint-averaged
     value against the squared-multi-overlap route.
     """
-    for m in m_values:
-        if not 1 <= m <= 5:
-            raise ExperimentError(f"coefficient order must be in 1..5, got {m}")
     n_sites = oracle.n_sites
     delta = replica_difference(fn.functional(n_sites, n), 1)
     p0 = oracle.pair_moment_matrix(0)
     graded = _graded_pair_sums(oracle, delta, n)
-    out = {}
+    out = []
     for m in m_values:
-        lhs = np.zeros((n_sites, n_sites))
+        lhs = np.zeros(p0.shape)
         for a in range(0, min(m, n + 1) + 1):
             lhs += (-1.0) ** (m - a) * math.comb(n + m - a, n) * graded[a] * p0 ** (m - a)
         # basis route, expanded symbolically over the basis terms; the monomial
         # site mask is a placeholder since only the label structure is used here
-        rhs = np.zeros((n_sites, n_sites))
+        rhs = np.zeros(p0.shape)
         basis = signed_basis(1, m, n + 1)
         pref = 1.0 / math.factorial(m)
         for key, coeff in basis.terms.items():
             labels = {l for l, _ in key}
             rhs += pref * coeff * _pair_weighted_matrix(oracle, delta, labels ^ {1})
-        pointwise = float(np.max(np.abs(lhs - rhs)))
+        pointwise = np.max(np.abs(lhs - rhs), axis=(-2, -1))
         # endpoint-averaged value against the squared-multi-overlap evaluator
-        averaged = float(rhs.mean())
+        averaged = rhs.mean(axis=(-2, -1))
         total = 0.0
         for key, coeff in basis.terms.items():
             labels = frozenset(l for l, _ in key) ^ {1}
             for dkey, dcoeff in delta.terms.items():
                 total += (pref * coeff * dcoeff
                           * multioverlap_sq_expectation(oracle, labels, dict(dkey)))
-        out[m] = {"pointwise": pointwise, "averaged": abs(averaged - total)}
-    return out
+        out.append(np.stack(np.broadcast_arrays(pointwise, abs(averaged - total)), axis=-1))
+    return np.stack(out, axis=-2)
+
+
+def _taylor_replicates(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
+                       n: int, fn: TestFunction, m_values, exp_id: int,
+                       rows: range) -> np.ndarray:
+    couplings, vbs = _draw_dressed(mspec, law, alpha, beta_prime, exp_id, rows)
+    return taylor_coefficient_realization(GibbsOracle.build(mspec, couplings, vbs), n,
+                                          m_values, fn)
 
 
 # -- recorded trend suite ----------------------------------------------------
@@ -880,13 +887,14 @@ def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
                              beta_prime: float, n: int, fn: TestFunction, m_values,
                              realizations: int, seed: int) -> dict[int, dict[str, float]]:
     """Worst residuals of the coefficient identity per expansion order."""
-    exp_id = experiment_id(seed, "taylor-coefficients")
-    worst = {m: {"pointwise": 0.0, "averaged": 0.0} for m in m_values}
-    for r in range(realizations):
-        couplings = sample_couplings(mspec, law, SeedPath(exp_id, r, 0).generator())
-        vb = sample_vb(alpha, mspec.n_sites, beta_prime, SeedPath(exp_id, r, 1).generator())
-        oracle = GibbsOracle.build(mspec, couplings, vb=vb)
-        for m, got in taylor_coefficient_realization(oracle, n, m_values, fn).items():
-            for key in got:
-                worst[m][key] = max(worst[m][key], got[key])
-    return worst
+    m_values = tuple(m_values)
+    for m in m_values:
+        if not 1 <= m <= 5:
+            raise ExperimentError(f"coefficient order must be in 1..5, got {m}")
+    fn.functional(mspec.n_sites, n)  # checks F and its expansion before any worker starts
+    worker = functools.partial(_taylor_replicates, mspec, law, alpha, beta_prime, n, fn,
+                               m_values, experiment_id(seed, "taylor-coefficients"))
+    rows = _map_replicates(worker, realizations, 1, mspec.n_sites)
+    return {m: {key: max([0.0] + [row[i][k] for row in rows])
+                for k, key in enumerate(("pointwise", "averaged"))}
+            for i, m in enumerate(m_values)}

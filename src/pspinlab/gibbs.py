@@ -168,6 +168,20 @@ class ReplicaFunctional:
     # -- algebra ------------------------------------------------------------
 
     @staticmethod
+    def combine(pairs, n_replicas: int, start: dict | None = None) -> "ReplicaFunctional":
+        """The functional summing (key, coefficient) ``pairs`` onto the terms
+        ``start``, in order; a key whose sum reaches 0.0 is dropped, and is
+        placed last if a later pair brings it back."""
+        out = dict(start or {})
+        for key, coeff in pairs:
+            new = out.get(key, 0.0) + coeff
+            if new == 0.0:
+                out.pop(key, None)
+            else:
+                out[key] = new
+        return ReplicaFunctional(out, n_replicas)
+
+    @staticmethod
     def _merge_keys(a, b):
         masks = {}
         for replica, mask in itertools.chain(a, b):
@@ -175,14 +189,8 @@ class ReplicaFunctional:
         return tuple(sorted((r, m) for r, m in masks.items() if m))
 
     def __add__(self, other: "ReplicaFunctional") -> "ReplicaFunctional":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = out.get(key, 0.0) + coeff
-            if new == 0.0:
-                out.pop(key, None)
-            else:
-                out[key] = new
-        return ReplicaFunctional(out, max(self.n_replicas, other.n_replicas))
+        return ReplicaFunctional.combine(other.terms.items(),
+                                         max(self.n_replicas, other.n_replicas), self.terms)
 
     def scaled(self, factor: float) -> "ReplicaFunctional":
         if factor == 0.0:
@@ -193,16 +201,10 @@ class ReplicaFunctional:
         return self + other.scaled(-1.0)
 
     def __mul__(self, other: "ReplicaFunctional") -> "ReplicaFunctional":
-        out: dict = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = self._merge_keys(ka, kb)
-                new = out.get(key, 0.0) + ca * cb
-                if new == 0.0:
-                    out.pop(key, None)
-                else:
-                    out[key] = new
-        return ReplicaFunctional(out, max(self.n_replicas, other.n_replicas))
+        return ReplicaFunctional.combine(
+            ((self._merge_keys(ka, kb), ca * cb)
+             for ka, ca in self.terms.items() for kb, cb in other.terms.items()),
+            max(self.n_replicas, other.n_replicas))
 
     def with_replicas(self, n_replicas: int) -> "ReplicaFunctional":
         """Same terms under a (typically larger) formal replica count."""
@@ -210,19 +212,10 @@ class ReplicaFunctional:
 
     def relabel(self, mapping: dict, n_replicas: int) -> "ReplicaFunctional":
         """Apply a replica-label substitution; labels absent stay fixed."""
-        out: dict = {}
-        for key, coeff in self.terms.items():
-            masks: dict = {}
-            for replica, mask in key:
-                tgt = mapping.get(replica, replica)
-                masks[tgt] = masks.get(tgt, 0) ^ mask
-            new_key = tuple(sorted((r, m) for r, m in masks.items() if m))
-            new = out.get(new_key, 0.0) + coeff
-            if new == 0.0:
-                out.pop(new_key, None)
-            else:
-                out[new_key] = new
-        return ReplicaFunctional(out, n_replicas)
+        return ReplicaFunctional.combine(
+            ((self._merge_keys(((mapping.get(r, r), m) for r, m in key), ()), coeff)
+             for key, coeff in self.terms.items()),
+            n_replicas)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -238,21 +231,37 @@ class ReplicaFunctional:
         return total
 
 
+MAX_OVERLAP_POWER = 18
+"""``overlap_power`` expands R**power over at most 2**MAX_OVERLAP_POWER site tuples:
+every power up to 4 at N <= 20, and power 6 at N = 8, each in about a second."""
+
+
+def _tuple_sum(labels, power: int, n_sites: int, n_replicas: int) -> ReplicaFunctional:
+    """N**-power times the sum over all site tuples of length ``power`` of
+    the tuple's monomial put on every replica in ``labels``."""
+    labels = sorted(labels)
+    scale = float(n_sites) ** (-power)
+    masks = map(sites_to_mask, itertools.product(range(n_sites), repeat=power))
+    return ReplicaFunctional.combine(
+        ((tuple((l, mask) for l in labels) if mask else (), scale) for mask in masks),
+        n_replicas)
+
+
 def overlap_power(l1: int, l2: int, power: int, n_sites: int,
                   n_replicas: int | None = None) -> ReplicaFunctional:
-    """R_{l1,l2}**power expanded over all site tuples, repeats included."""
+    """R_{l1,l2}**power expanded over all site tuples, repeats included.
+
+    More than 2**MAX_OVERLAP_POWER tuples, N**power, raise ResourceCapError;
+    so does a power above MAX_OVERLAP_POWER at N = 1, a tuple that long."""
     if l1 == l2:
         raise ValueError("overlap needs two distinct replicas")
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
-    n_rep = n_replicas if n_replicas is not None else max(l1, l2)
-    scale = float(n_sites) ** (-power)
-    terms: dict = {}
-    for tup in itertools.product(range(n_sites), repeat=power):
-        mask = sites_to_mask(tup)
-        key = tuple(sorted(((l1, mask), (l2, mask)))) if mask else ()
-        terms[key] = terms.get(key, 0.0) + scale
-    return ReplicaFunctional(terms, n_rep)
+    if power > MAX_OVERLAP_POWER or n_sites ** power > 1 << MAX_OVERLAP_POWER:
+        raise ResourceCapError(f"R**{power} at N={n_sites} expands over N**{power} site "
+                               f"tuples (cap 2**{MAX_OVERLAP_POWER})")
+    return _tuple_sum((l1, l2), power, n_sites,
+                      n_replicas if n_replicas is not None else max(l1, l2))
 
 
 def multi_overlap(labels, n_sites: int, n_replicas: int | None = None) -> ReplicaFunctional:
@@ -261,15 +270,9 @@ def multi_overlap(labels, n_sites: int, n_replicas: int | None = None) -> Replic
     if len(set(labels)) != len(labels):
         raise ValueError("multi-overlap labels must be distinct")
     n_rep = n_replicas if n_replicas is not None else max(labels, default=0)
-    scale = float(n_sites) ** -2
-    terms: dict = {}
-    for tup in itertools.product(range(n_sites), repeat=2):
-        mask = sites_to_mask(tup)
-        key = tuple((l, mask) for l in sorted(labels)) if mask else ()
-        terms[key] = terms.get(key, 0.0) + scale
     if not labels:
-        return ReplicaFunctional({(): 1.0}, n_rep)
-    return ReplicaFunctional(terms, n_rep)
+        return ReplicaFunctional.one(n_rep)
+    return _tuple_sum(labels, 2, n_sites, n_rep)
 
 
 def replica_difference(fn: ReplicaFunctional, label: int) -> ReplicaFunctional:

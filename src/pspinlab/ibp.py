@@ -107,34 +107,12 @@ def adaptive_gauss_legendre(g, a: float, b: float) -> float:
     return total
 
 
-def _oriented_integral(g, xi: float) -> float:
-    # int_0^xi with sign carried by the orientation
-    if xi >= 0.0:
-        return adaptive_gauss_legendre(g, 0.0, xi)
-    return -adaptive_gauss_legendre(g, xi, 0.0)
-
-
 def taylor_tail(fn: SmoothFunction, xi: float, derivative: int) -> float:
-    """I_j(xi) = int_0^xi (xi - x) f^(j)(x) dx for j in {2, 3}."""
+    """I_j(xi) = int_0^xi (xi - x) f^(j)(x) dx for j in {2, 3}, with the sign
+    carried by the orientation."""
     deriv = {2: fn.d2, 3: fn.d3}[derivative]
-    return _oriented_integral(lambda x: (xi - x) * deriv(x), xi)
-
-
-def ibp_remainder(law: DisorderSpec, fn: SmoothFunction) -> float:
-    """The integration-by-parts defect gamma for this law and function."""
-    nodes, weights = law.nodes_weights()
-    first = sum(w * x * taylor_tail(fn, float(x), 2) for x, w in zip(nodes, weights))
-    second = sum(w * taylor_tail(fn, float(x), 3) for x, w in zip(nodes, weights))
-    return float(first - second)
-
-
-def ibp_residual(law: DisorderSpec, fn: SmoothFunction) -> tuple[float, float]:
-    """(residual, gamma) for E[xi f] = E[f'] + gamma under this law."""
-    nodes, weights = law.nodes_weights()
-    lhs = float(weights @ (nodes * fn.f(nodes)))
-    mid = float(weights @ fn.d1(nodes))
-    gamma = ibp_remainder(law, fn)
-    return lhs - mid - gamma, gamma
+    value = adaptive_gauss_legendre(lambda x: (xi - x) * deriv(x), *sorted((0.0, xi)))
+    return value if xi >= 0.0 else -value
 
 
 def _min_envelope_integral(t: float, sup1: float, sup2: float) -> float:
@@ -147,34 +125,31 @@ def _min_envelope_integral(t: float, sup1: float, sup2: float) -> float:
     return 0.5 * sup2 * knee ** 2 + 2.0 * sup1 * (t - knee)
 
 
-def remainder_bound_check(law: DisorderSpec, fn: SmoothFunction) -> dict[str, float]:
-    """First remainder term against its sup-norm envelope.
+def ibp_check(law: DisorderSpec, fn: SmoothFunction) -> dict[str, float]:
+    """The identity E[xi f] = E[f'] + gamma and the envelope of its first
+    remainder term, for this law and function.
 
-    Returns the absolute value of E[xi * I2(xi)], the envelope bound, and
-    their slack (bound - value, which must be nonnegative up to rounding).
+    Returns the identity residual, the defect gamma, the absolute value of
+    E[xi * I2(xi)], its sup-norm envelope bound, and their slack (bound -
+    value, which must be nonnegative up to rounding).  I2 and I3 are
+    integrated once per quadrature node.
     """
     nodes, weights = law.nodes_weights()
-    value = abs(sum(w * x * taylor_tail(fn, float(x), 2) for x, w in zip(nodes, weights)))
+    i2 = [taylor_tail(fn, float(x), 2) for x in nodes]
+    i3 = [taylor_tail(fn, float(x), 3) for x in nodes]
+    first = sum(w * x * t for x, w, t in zip(nodes, weights, i2))
+    gamma = float(first - sum(w * t for w, t in zip(weights, i3)))
+    lhs = float(weights @ (nodes * fn.f(nodes)))
+    mid = float(weights @ fn.d1(nodes))
     sup1, sup2 = fn.sup_norms(law.support_interval())
     bound = float(sum(w * abs(x) * _min_envelope_integral(abs(float(x)), sup1, sup2)
                       for x, w in zip(nodes, weights)))
-    return {"value": value, "bound": bound, "slack": bound - value}
+    value = abs(first)
+    return {"residual": lhs - mid - gamma, "gamma": gamma, "envelope_value": value,
+            "envelope_bound": bound, "envelope_slack": bound - value}
 
 
 def battery() -> list[dict]:
-    """Identity residual, defect, and envelope check across standard laws x functions."""
-    rows = []
-    for law in standard_families():
-        for fn in standard_functions():
-            residual, gamma = ibp_residual(law, fn)
-            env = remainder_bound_check(law, fn)
-            rows.append({
-                "law": law.family,
-                "function": fn.name,
-                "residual": residual,
-                "gamma": gamma,
-                "envelope_value": env["value"],
-                "envelope_bound": env["bound"],
-                "envelope_slack": env["slack"],
-            })
-    return rows
+    """``ibp_check`` of every standard law with every standard function."""
+    return [{"law": law.family, "function": fn.name, **ibp_check(law, fn)}
+            for law in standard_families() for fn in standard_functions()]

@@ -230,7 +230,6 @@ _BAD_VALUES = {
     "extralawkey": minimal_config(disorder={"family": "gaussian", "size": 8}),
     "skewkey": minimal_config(
         disorder={"family": "near-gaussian", "size": 8, "skew": {"family": "golden-skew"}}),
-    "badworkersenv": minimal_config(),
     "fewreplicas": minimal_config(params={"n": 1}),
     "fewreplicasderiv": minimal_config(
         experiment="derivative-moment-sum",
@@ -250,6 +249,15 @@ _BAD_VALUES = {
     "emptytgrid": minimal_config(experiment="interpolation-sweep", params={"t_grid": []}),
     "repeatedcavitysite": minimal_config(experiment="cavity-identity",
                                          params={"n_cavity": 2, "cavity_sets": [[0, 0]]}),
+    "negativecavity": minimal_config(experiment="cavity-identity",
+                                     model={"n_sites": 4, "betas": {"2": 1.0}},
+                                     params={"n_cavity": -1, "cavity_sets": []}),
+    "hugeoverlappower": minimal_config(
+        experiment="poisson-ibp", model={"n_sites": 8, "betas": {"2": 1.0}},
+        params={"function": {"kind": "overlap-power", "power": 7}}),
+    "hugederivativeorder": minimal_config(experiment="derivative-moment-sum",
+                                          params={"n": 2, "m": 15}),
+    "hugereplicates": minimal_config(replicates=(1 << 20) + 1),
     "oversize": {"experiment": "gg-gap",
                  "model": {"n_sites": 100000, "betas": {"3": 1.0}},
                  "disorder": {"family": "gaussian"}},
@@ -265,8 +273,6 @@ _BAD_VALUES = {
 ] + [(name, cli.USAGE_ERROR) for name in _BAD_VALUES])
 def test_run_failure_exit_codes(tmp_path, capsys, monkeypatch, breaker, expected):
     if breaker in _BAD_VALUES:
-        if breaker == "badworkersenv":
-            monkeypatch.setenv("PSPINLAB_WORKERS", "abc")
         raw = dict(_BAD_VALUES[breaker], output=str(tmp_path / "out"))
         code = cli.main(["run", write_config(tmp_path, raw)])
     elif breaker == "missing":
@@ -368,7 +374,7 @@ def test_every_family_runs(tmp_path, family):
     assert (tmp_path / "out" / "gg-gap-42.csv").exists()
 
 
-@pytest.mark.parametrize("way", ["flag", "config", "env"])
+@pytest.mark.parametrize("way", ["flag", "config"])
 def test_worker_count_above_cap_exits_2_before_any_pool(tmp_path, capsys, monkeypatch, way):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool started for a refused worker count")
@@ -379,8 +385,6 @@ def test_worker_count_above_cap_exits_2_before_any_pool(tmp_path, capsys, monkey
     argv = ["run"]
     if way == "config":
         raw["workers"] = 50000
-    elif way == "env":
-        monkeypatch.setenv("PSPINLAB_WORKERS", "50000")
     argv.append(write_config(tmp_path, raw))
     if way == "flag":
         argv += ["--workers", "50000"]
@@ -391,9 +395,8 @@ def test_worker_count_above_cap_exits_2_before_any_pool(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize("experiment", ["gg-thermal-gap", "cavity-identity"])
-@pytest.mark.parametrize("way,count", [("flag", "-3"), ("flag", "0"), ("config", 0),
-                                       ("env", "0"), ("env", "-3")])
-def test_worker_count_below_one_exits_2(tmp_path, capsys, monkeypatch, experiment, way, count):
+@pytest.mark.parametrize("way,count", [("flag", "-3"), ("flag", "0"), ("config", 0)])
+def test_worker_count_below_one_exits_2(tmp_path, capsys, experiment, way, count):
     """Also for an experiment that starts no workers: the count is checked
     before any work."""
     params = {"n_cavity": 1, "cavity_sets": [[0]]} if experiment == "cavity-identity" else None
@@ -402,8 +405,6 @@ def test_worker_count_below_one_exits_2(tmp_path, capsys, monkeypatch, experimen
     argv = ["run"]
     if way == "config":
         raw["workers"] = count
-    elif way == "env":
-        monkeypatch.setenv("PSPINLAB_WORKERS", count)
     argv.append(write_config(tmp_path, raw))
     if way == "flag":
         argv += ["--workers", count]

@@ -138,8 +138,6 @@ def test_seed_path_validation():
         SeedPath(-1)
     with pytest.raises(DisorderValidationError):
         SeedPath(0, replicate=1 << 64)
-    p = SeedPath(9, 2, 1)
-    assert p.child(stream=0) == SeedPath(9, 2, 0)
 
 
 def test_experiment_id_construction():

@@ -1,17 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pspinlab.experiments import default_suite
 from pspinlab.gibbs import (
     GibbsOracle,
     ReplicaFunctional,
     naive_replica_expectation,
     overlap_power,
+    sites_to_mask,
 )
-from pspinlab.model import CouplingAssignment, ModelSpec, ModelValidationError
+from pspinlab.model import CouplingAssignment, ModelSpec, ModelValidationError, ResourceCapError
 from pspinlab.expansion import (
     MAX_DERIVATIVE_ORDER,
+    MAX_EXPANSION_REPLICAS,
     apply_derivative_factor,
     coefficient_row,
     derivative_power,
@@ -91,6 +96,41 @@ def test_derivative_factor_on_trivial_tuple():
     fn = apply_derivative_factor((0, 0), ReplicaFunctional.one(2))
     assert fn.terms == {}
     assert fn.n_replicas == 3
+
+
+def _derivative_factor_loop(sites, fn):
+    """The factor (sum_{l<=n} M_l - n M_{n+1}) applied term by term, label by
+    label, adding into one dict and dropping zeros: the reference for the
+    product form."""
+    mask = sites if isinstance(sites, int) else sites_to_mask(sites)
+    n = fn.n_replicas
+    out = {}
+    for key, coeff in fn.terms.items():
+        for label, factor in [(l, 1.0) for l in range(1, n + 1)] + [(n + 1, -float(n))]:
+            new_key = ReplicaFunctional._merge_keys(key, ((label, mask),)) if mask else key
+            new = out.get(new_key, 0.0) + coeff * factor
+            if new == 0.0:
+                out.pop(new_key, None)
+            else:
+                out[new_key] = new
+    return ReplicaFunctional(out, n + 1)
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_derivative_factor_equals_term_loop(n_sites):
+    """Same keys, coefficients and dict order (the order ``evaluate`` sums
+    in) as the term-by-term loop, for every default test function on 1-3
+    replicas, every order 1-5 and tuples with and without a zero mask."""
+    for test_fn, n, sites in itertools.product(default_suite(n_sites), (1, 2, 3),
+                                               ((0, 1), (0, 0), (1,))):
+        if test_fn.min_replicas > n:
+            continue
+        fn = test_fn.functional(n_sites, n)
+        for _ in range(5):
+            got, want = apply_derivative_factor(sites, fn), _derivative_factor_loop(sites, fn)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert got.n_replicas == want.n_replicas
+            fn = got
 
 
 def test_derivative_power_replica_count():
@@ -231,3 +271,10 @@ def test_series_identity_validation():
         series_identity_check([1.0, 0.0], 0.5, 0.1, 1)
     with pytest.raises(ModelValidationError):
         series_identity_check([1.0, 0.0, 0.0], 2.0, 0.6, 1)
+
+
+def test_tuple_sum_refuses_too_many_replica_labels():
+    assert derivative_power_tuple_sum(MAX_EXPANSION_REPLICAS - 8, 8)
+    for order, n in ((MAX_EXPANSION_REPLICAS - 1, 2), (1, MAX_EXPANSION_REPLICAS), (10 ** 9, 1)):
+        with pytest.raises(ResourceCapError):
+            derivative_power_tuple_sum(order, n)

@@ -15,7 +15,7 @@ import pspinlab.gibbs as gibbs
 from pspinlab.disorder import SeedPath, experiment_id
 from pspinlab.expansion import derivative_power
 from pspinlab.gibbs import GibbsOracle
-from pspinlab.model import CouplingAssignment, ModelSpec, ResourceCapError
+from pspinlab.model import CouplingAssignment, ModelSpec, ResourceCapError, tuple_coefficients
 
 
 def draw_oracle(n_sites, seed, betas=None, field=0.3, law=None):
@@ -82,21 +82,12 @@ def test_mean_stderr_small_cases():
     assert err == pytest.approx(math.sqrt(1.0 / 3.0))
 
 
-def test_resolve_workers_precedence(monkeypatch):
+def test_resolve_workers_precedence():
     assert ex.resolve_workers(3) == 3
     for below in (0, -3):
         with pytest.raises(ex.ExperimentError):
             ex.resolve_workers(below)
-    monkeypatch.setenv("PSPINLAB_WORKERS", "0")
-    with pytest.raises(ex.ExperimentError):
-        ex.resolve_workers(None)
-    monkeypatch.setenv("PSPINLAB_WORKERS", "2")
-    assert ex.resolve_workers(None) == 2
-    monkeypatch.setenv("PSPINLAB_WORKERS", "abc")
-    with pytest.raises(ex.ExperimentError):
-        ex.resolve_workers(None)
-    monkeypatch.delenv("PSPINLAB_WORKERS")
-    assert 1 <= ex.resolve_workers(None) <= ex.MAX_WORKERS
+    assert ex.resolve_workers(None) == min(os.cpu_count() or 1, ex.MAX_WORKERS)
     assert ex.resolve_workers(ex.MAX_WORKERS) == ex.MAX_WORKERS
     with pytest.raises(ResourceCapError):
         ex.resolve_workers(ex.MAX_WORKERS + 1)
@@ -252,20 +243,125 @@ def test_cavity_identity_pair_sets():
     assert out["max_factor_residual"] <= 1e-10
 
 
-def test_cavity_identity_validation():
+def test_cavity_identity_validation(monkeypatch):
+    """Every bad input is refused by the check, before any draw."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw was made before the inputs were checked")
+
+    monkeypatch.setattr(ex, "sample_replicates", no_draw)
+    monkeypatch.setattr(ex, "replicate_generators", no_draw)
     mspec = ModelSpec(4, {2: 0.8}, 0.3)
-    with pytest.raises(ex.ExperimentError):
-        ex.cavity_identity_realization(mspec, dis.gaussian(), 4, ((0,),),
-                                       SeedPath(1, 0, 0))
-    with pytest.raises(ex.ExperimentError):
-        ex.cavity_identity_realization(mspec, dis.gaussian(), 1, ((3,),),
-                                       SeedPath(1, 0, 0))
-    with pytest.raises(ex.ExperimentError):
-        ex.cavity_identity_realization(ModelSpec(5, {2: 0.8}, 0.25), dis.gaussian(), 2,
-                                       ((0, 0),), SeedPath(1, 0, 0))
+    bad = [(mspec, 4, ((0,),)), (mspec, 1, ((3,),)), (mspec, -1, ()), (mspec, 0, ()),
+           (ModelSpec(5, {2: 0.8}, 0.25), 2, ((0, 0),))]
+    for spec, n_cavity, sets in bad:
+        with pytest.raises(ex.ExperimentError):
+            ex.cavity_identity_check(spec, dis.gaussian(), n_cavity, sets, 4, seed=1)
     with pytest.raises(ResourceCapError):
-        ex.cavity_identity_realization(ModelSpec(21, {2: 1.0}, 0.0), dis.gaussian(), 1,
-                                       ((0,),), SeedPath(1, 0, 0))
+        ex.cavity_identity_check(ModelSpec(21, {2: 1.0}, 0.0), dis.gaussian(), 1, ((0,),), 4,
+                                 seed=1)
+
+
+def _cavity_residuals_one_draw(mspec, law, n_cavity, cavity_sets, exp_id, r):
+    """The cavity residuals of replicate r computed from that draw alone, with
+    per-path generators and unstacked arrays: the reference for the stacked
+    realization."""
+    n_bulk = mspec.n_sites - n_cavity
+    rng_bulk = SeedPath(exp_id, r, 0).generator()
+    rng_field = SeedPath(exp_id, r, 1).generator()
+    size = 1 << n_bulk
+    bulk = np.zeros(size)
+    bulk[np.left_shift(1, np.arange(n_bulk))] = -mspec.field_h
+    fields = np.zeros((n_cavity, size))
+    fields[:, 0] = mspec.field_h
+    for p in mspec.orders:
+        coef = mspec.betas[p] * mspec.scale(p)
+        bulk += tuple_coefficients(coef * law.sample(rng_bulk, (n_bulk,) * p), p)
+        slots = rng_field.standard_normal((n_cavity, p) + (n_bulk,) * (p - 1))
+        for j in range(n_cavity):
+            fields[j] += tuple_coefficients(coef * slots[j].sum(axis=0), p - 1)
+    coeffs = np.zeros((1 << n_cavity, size))
+    coeffs[0] = bulk
+    coeffs[np.left_shift(1, np.arange(n_cavity))] = -fields
+    joint = GibbsOracle(mspec.n_sites, gibbs.fwht(coeffs.ravel()))
+    shifted = gibbs.fwht(fields)
+    reweighted = GibbsOracle(n_bulk, gibbs.fwht(bulk)
+                             + np.logaddexp(shifted, -shifted).sum(axis=0))
+    tanh_fields = np.tanh(shifted)
+    worst, prod_lhs, prod_rhs = 0.0, 1.0, 1.0
+    for block in cavity_sets:
+        lhs = joint.moment(gibbs.sites_to_mask(n_bulk + j for j in block))
+        rhs = reweighted.thermal_mean(np.prod(tanh_fields[list(block)], axis=0))
+        worst = max(worst, abs(lhs - rhs))
+        prod_lhs *= lhs
+        prod_rhs *= rhs
+    return [worst, abs(prod_lhs - prod_rhs)]
+
+
+_CAVITY_MODELS = [
+    (ModelSpec(12, {2: 0.8, 3: 0.4}, 0.3), dis.rademacher(), 1, ((0,),)),
+    (ModelSpec(5, {2: 0.8, 3: 0.4}, 0.3), dis.gaussian(), 2, ((0,), (1,), (0, 1))),
+    (ModelSpec(8, {2: 0.6, 3: 0.5}, 0.2), dis.three_point(3.0), 3, ((0, 2), (1,), (0, 1, 2))),
+    (ModelSpec(3, {2: 0.9, 3: 0.7}, 0.1), dis.gaussian(), 2, ((1,), (0, 1))),
+]
+
+
+@pytest.mark.parametrize("model", range(len(_CAVITY_MODELS)))
+def test_stacked_cavity_residuals_equal_per_draw_reference(model):
+    """Chunks of 1, 2, 5 and 24 rows give, row by row, the residuals of the
+    draw computed alone."""
+    mspec, law, n_cavity, sets = _CAVITY_MODELS[model]
+    exp_id = experiment_id(3, "cavity-identity")
+    want = [_cavity_residuals_one_draw(mspec, law, n_cavity, sets, exp_id, r)
+            for r in range(24)]
+    for size in (1, 2, 5, 24):
+        got = [row for lo in range(0, 24, size)
+               for row in ex.cavity_identity_realization(
+                   mspec, law, n_cavity, sets, exp_id, range(lo, min(lo + size, 24))).tolist()]
+        assert got == want, size
+
+
+def test_cavity_and_taylor_checks_identical_across_batch_sizes_and_workers(monkeypatch):
+    """Chunks of one row and the default chunks give the same residuals, and
+    for the cavity check so do one and two workers; it honours ``workers``."""
+    built = []
+    real = ex.ProcessPoolExecutor
+    monkeypatch.setattr(ex, "ProcessPoolExecutor",
+                        lambda *a, **k: built.append(k["max_workers"]) or real(*a, **k))
+    cavity, taylor = {}, {}
+    ex._shutdown_pool()
+    try:
+        for elems, workers in ((1, 1), (ex.BATCH_ELEMS, 1), (1, 2), (ex.BATCH_ELEMS, 2)):
+            monkeypatch.setattr(ex, "BATCH_ELEMS", elems)
+            cavity[elems, workers] = ex.cavity_identity_check(
+                ModelSpec(6, {2: 0.8, 3: 0.4}, 0.3), dis.gaussian(), 2, ((0,), (0, 1)), 40,
+                seed=4, workers=workers)
+            if workers == 1:
+                taylor[elems] = ex.taylor_coefficient_check(
+                    ModelSpec(4, {2: 0.6}, 0.3), dis.gaussian(), 0.6, 0.5, 2,
+                    ex.overlap_square(), (1, 2, 3), 40, seed=4)
+    finally:
+        ex._shutdown_pool()
+    assert built == [2]
+    assert len({repr(run) for run in cavity.values()}) == 1, cavity
+    assert len({repr(run) for run in taylor.values()}) == 1, taylor
+
+
+def test_taylor_check_equals_per_draw_realizations():
+    """The worst residuals of the chunked check are those of the draws taken
+    one by one, each on its own unstacked oracle."""
+    mspec, law, n, fn, m_values = (ModelSpec(3, {2: 0.6}, 0.3), dis.gaussian(), 2,
+                                   ex.overlap_square(), (1, 2, 4))
+    exp_id = experiment_id(22, "taylor-coefficients")
+    worst = {m: [0.0, 0.0] for m in m_values}
+    for r in range(12):
+        couplings = dis.sample_couplings(mspec, law, SeedPath(exp_id, r, 0).generator())
+        vb = dis.sample_vb(0.6, 3, 0.5, SeedPath(exp_id, r, 1).generator())
+        got = ex.taylor_coefficient_realization(GibbsOracle.build(mspec, couplings, vb), n,
+                                                m_values, fn)
+        for i, m in enumerate(m_values):
+            worst[m] = [max(w, float(v)) for w, v in zip(worst[m], got[i])]
+    check = ex.taylor_coefficient_check(mspec, law, 0.6, 0.5, n, fn, m_values, 12, seed=22)
+    assert check == {m: {"pointwise": p, "averaged": a} for m, (p, a) in worst.items()}
 
 
 # -- derivative moment sums ---------------------------------------------------
@@ -400,11 +496,11 @@ def test_taylor_coefficient_identity(m, n):
 
 
 def test_taylor_coefficient_order_guard():
-    _, oracle = draw_oracle(3, seed=23)
-    with pytest.raises(ex.ExperimentError):
-        ex.taylor_coefficient_realization(oracle, 1, (0,), ex.constant_one())
-    with pytest.raises(ex.ExperimentError):
-        ex.taylor_coefficient_realization(oracle, 1, (2, 6), ex.constant_one())
+    mspec = ModelSpec(3, {2: 0.6}, 0.3)
+    for m_values in ((0,), (2, 6)):
+        with pytest.raises(ex.ExperimentError):
+            ex.taylor_coefficient_check(mspec, dis.gaussian(), 0.6, 0.5, 1, ex.constant_one(),
+                                        m_values, 4, seed=23)
 
 
 # -- determinism --------------------------------------------------------------
@@ -444,6 +540,26 @@ def test_estimators_check_before_starting_workers(monkeypatch):
     for run in runs:
         with pytest.raises(ex.ExperimentError):
             run()
+    # symbolic expansions past their caps: R**7 over 8**7 site tuples, n + m = 17 labels
+    big = ModelSpec(8, {2: 1.0}, 0.3)
+    capped = [
+        lambda: ex.poisson_ibp_check(big, law, 0.5, 0.5, 2,
+                                     ex.TestFunction("overlap-power", power=7), 8, seed=1,
+                                     workers=2),
+        lambda: ex.derivative_moment_sum(big, law, 2, 15, ex.constant_one(), 8, seed=1,
+                                         workers=2),
+    ]
+    for run in capped:
+        with pytest.raises(ResourceCapError):
+            run()
+
+
+def test_replicate_cap_checked_before_any_work():
+    def never(rows):
+        raise AssertionError("a replicate range was computed")
+
+    with pytest.raises(ResourceCapError):
+        ex._map_replicates(never, ex.MAX_REPLICATES + 1, 2, 4)
 
 
 def test_worker_count_does_not_change_values():

@@ -141,6 +141,15 @@ def test_overlap_square_has_diagonal_constant():
     assert fn.terms[()] == pytest.approx(1.0 / n)
 
 
+def test_overlap_power_refuses_large_expansions():
+    """At most 2**18 site tuples; a power above 18 is refused even at N = 1."""
+    assert math.fsum(overlap_power(1, 2, 8, 4).terms.values()) == pytest.approx(1.0)
+    assert overlap_power(1, 2, 18, 1).terms == {(): 1.0}
+    for n_sites, power in ((23, 4), (8, 7), (2, 19), (1, 19), (3, 10 ** 9)):
+        with pytest.raises(ResourceCapError):
+            overlap_power(1, 2, power, n_sites)
+
+
 def test_overlap_power_validation():
     with pytest.raises(ValueError):
         overlap_power(1, 1, 2, 3)

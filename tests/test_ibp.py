@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import pspinlab.disorder as dis
+import pspinlab.ibp as ibp
 from pspinlab.ibp import (
     SmoothFunction,
     adaptive_gauss_legendre,
     battery,
-    ibp_remainder,
-    ibp_residual,
-    remainder_bound_check,
+    ibp_check,
     standard_functions,
     taylor_tail,
 )
@@ -60,7 +59,7 @@ def test_taylor_tail_square_closed_form():
 def test_gaussian_defect_vanishes():
     law = dis.gaussian()
     for fn in standard_functions():
-        assert abs(ibp_remainder(law, fn)) <= 1e-8
+        assert abs(ibp_check(law, fn)["gamma"]) <= 1e-8
 
 
 @pytest.mark.parametrize("law_builder,expected", [
@@ -72,25 +71,25 @@ def test_gaussian_defect_vanishes():
 ])
 def test_cube_defect_is_excess_kurtosis(law_builder, expected):
     # E[xi x**3] - E[3 x**2] = m4 - 3 for every standardized law
-    _, gamma = ibp_residual(law_builder(), FUNCTIONS["cube"])
+    gamma = ibp_check(law_builder(), FUNCTIONS["cube"])["gamma"]
     assert gamma == pytest.approx(expected, abs=1e-8)
 
 
 def test_square_defect_is_skewness():
-    _, gamma = ibp_residual(dis.golden_skew(), FUNCTIONS["square"])
+    gamma = ibp_check(dis.golden_skew(), FUNCTIONS["square"])["gamma"]
     assert gamma == pytest.approx(1.0, abs=1e-8)
-    _, gamma = ibp_residual(dis.rademacher(), FUNCTIONS["square"])
+    gamma = ibp_check(dis.rademacher(), FUNCTIONS["square"])["gamma"]
     assert gamma == pytest.approx(0.0, abs=1e-10)
 
 
 def test_linear_defect_vanishes_for_all_laws():
     for law in dis.standard_families():
-        _, gamma = ibp_residual(law, FUNCTIONS["linear"])
+        gamma = ibp_check(law, FUNCTIONS["linear"])["gamma"]
         assert gamma == pytest.approx(0.0, abs=1e-10)
 
 
 def test_rademacher_sine_defect_closed_form():
-    _, gamma = ibp_residual(dis.rademacher(), FUNCTIONS["sine"])
+    gamma = ibp_check(dis.rademacher(), FUNCTIONS["sine"])["gamma"]
     assert gamma == pytest.approx(math.sin(1.0) - math.cos(1.0), abs=1e-10)
 
 
@@ -102,9 +101,9 @@ def test_identity_residual_tiny_across_battery():
 def test_envelope_bound_never_violated():
     for law in dis.standard_families():
         for name in ("square", "cube", "sine", "tanh"):
-            out = remainder_bound_check(law, FUNCTIONS[name])
-            assert out["slack"] >= -1e-12, (law.family, name)
-            assert out["value"] >= 0.0
+            out = ibp_check(law, FUNCTIONS[name])
+            assert out["envelope_slack"] >= -1e-12, (law.family, name)
+            assert out["envelope_value"] >= 0.0
 
 
 def test_battery_shape_and_keys():
@@ -120,6 +119,49 @@ def test_battery_shape_and_keys():
 def test_custom_function_round_trip():
     fn = SmoothFunction(
         "cosh", np.cosh, np.sinh, np.cosh, np.sinh)
-    residual, gamma = ibp_residual(dis.gaussian(), fn)
+    out = ibp_check(dis.gaussian(), fn)
+    residual, gamma = out["residual"], out["gamma"]
     assert abs(residual) <= 1e-8
     assert gamma == pytest.approx(0.0, abs=1e-8)
+
+
+def _three_pass_row(law, fn):
+    """The battery row as the remainder, the residual and the envelope check
+    computed it, each with its own pass over the nodes: the reference the
+    one-pass ``ibp_check`` must reproduce bit for bit."""
+    nodes, weights = law.nodes_weights()
+    first = sum(w * x * taylor_tail(fn, float(x), 2) for x, w in zip(nodes, weights))
+    second = sum(w * taylor_tail(fn, float(x), 3) for x, w in zip(nodes, weights))
+    gamma = float(first - second)
+    lhs = float(weights @ (nodes * fn.f(nodes)))
+    mid = float(weights @ fn.d1(nodes))
+    value = abs(sum(w * x * taylor_tail(fn, float(x), 2) for x, w in zip(nodes, weights)))
+    sup1, sup2 = fn.sup_norms(law.support_interval())
+    bound = float(sum(w * abs(x) * ibp._min_envelope_integral(abs(float(x)), sup1, sup2)
+                      for x, w in zip(nodes, weights)))
+    return {"law": law.family, "function": fn.name, "residual": lhs - mid - gamma,
+            "gamma": gamma, "envelope_value": value, "envelope_bound": bound,
+            "envelope_slack": bound - value}
+
+
+def test_battery_equals_three_pass_route():
+    want = [_three_pass_row(law, fn)
+            for law in dis.standard_families() for fn in standard_functions()]
+    assert battery() == want
+
+
+def test_battery_integrates_each_tail_once_and_builds_rules_once(monkeypatch):
+    """Two taylor_tail calls (I2 and I3) per node per (law, function) pair,
+    and no quadrature rule built on a second battery call."""
+    battery()
+    built, tails = [], []
+    real_tail = ibp.taylor_tail
+    for module, name in ((np.polynomial.hermite, "hermgauss"),
+                         (np.polynomial.legendre, "leggauss")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real: built.append(a) or real(*a))
+    monkeypatch.setattr(ibp, "taylor_tail", lambda *a: tails.append(a) or real_tail(*a))
+    battery()
+    assert built == []
+    nodes = sum(len(law.nodes_weights()[0]) for law in dis.standard_families())
+    assert len(tails) == 2 * nodes * len(standard_functions())
