@@ -10,6 +10,7 @@ pass/fail lines and exit code 1 on numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import io
@@ -335,9 +336,9 @@ def _dispatch(config: RunConfig) -> list[ex.EstimatorResult]:
     if entry.self_contained:
         return entry.run(config, **config.values)
     law = _build_law(config.disorder)
-    return [row for n_sites in config.n_sites_list
-            for row in entry.run(config, ModelSpec(n_sites, dict(config.betas), config.field_h),
-                                 law, **config.values)]
+    specs = [ModelSpec(n_sites, dict(config.betas), config.field_h)
+             for n_sites in config.n_sites_list]  # every size is checked before any runs
+    return [row for mspec in specs for row in entry.run(config, mspec, law, **config.values)]
 
 
 # -- output writing ----------------------------------------------------------
@@ -404,7 +405,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 def write_outputs(config: RunConfig, results: list[ex.EstimatorResult],
                   elapsed: float) -> list[str]:
-    os.makedirs(config.output, exist_ok=True)
+    """Write the results and the manifest into the existing ``config.output``."""
     ext = "csv" if config.emit_format == "csv" else "json"
     result_path = os.path.join(config.output, f"{config.experiment}-{config.seed}.{ext}")
     text = render_csv(results) if ext == "csv" else render_json(results)
@@ -546,19 +547,33 @@ _VERIFY = {
 VERIFY_SUITES = tuple(_VERIFY)
 
 
+def _on_output(action, *args, **kwargs):
+    """``action(*args, **kwargs)``, which makes or writes the output
+    directory; its OSError is raised as a ConfigError."""
+    try:
+        return action(*args, **kwargs)
+    except OSError as err:
+        raise ConfigError(f"cannot write output: {err}") from err
+
+
 def run_verify(suite: str, output: str | None = None) -> int:
-    checks = _VERIFY[suite]()
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"{status} {c.name}: {_fmt(c.value)} <= {_fmt(c.bound)}")
-    if output is not None:
-        results = [ex.EstimatorResult(f"verify-{suite}", c.value, 0.0, 1,
-                                      {"check": c.name, "bound": c.bound, "seed": 0})
-                   for c in checks]
-        os.makedirs(output, exist_ok=True)
-        path = os.path.join(output, f"verify-{suite}.csv")
-        _write_atomic(path, render_csv(results))
-        print(f"wrote {path}")
+    try:
+        if output is not None:
+            _on_output(os.makedirs, output, exist_ok=True)  # before the checks run
+        checks = _VERIFY[suite]()
+        for c in checks:
+            status = "PASS" if c.passed else "FAIL"
+            print(f"{status} {c.name}: {_fmt(c.value)} <= {_fmt(c.bound)}")
+        if output is not None:
+            results = [ex.EstimatorResult(f"verify-{suite}", c.value, 0.0, 1,
+                                          {"check": c.name, "bound": c.bound, "seed": 0})
+                       for c in checks]
+            path = os.path.join(output, f"verify-{suite}.csv")
+            _on_output(_write_atomic, path, render_csv(results))
+            print(f"wrote {path}")
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return USAGE_ERROR
     return 0 if all(c.passed for c in checks) else NUMERIC_ERROR
 
 
@@ -575,16 +590,22 @@ def run_config_file(path: str, workers_override: int | None = None) -> int:
     except json.JSONDecodeError as err:
         print(f"error: config is not valid JSON: {err}", file=sys.stderr)
         return USAGE_ERROR
+    made = False
     try:
         config = parse_config(raw)
         if workers_override is not None:
             config = replace(config, workers=workers_override)
         ex.resolve_workers(config.workers)  # a bad count exits before any work
+        made = not os.path.isdir(config.output)
+        _on_output(os.makedirs, config.output, exist_ok=True)  # so does an unusable directory
         started = time.monotonic()
         results = _dispatch(config)
-        paths = write_outputs(config, results, time.monotonic() - started)
+        paths = _on_output(write_outputs, config, results, time.monotonic() - started)
     except (ConfigError, ModelValidationError, DisorderValidationError,
             ex.ExperimentError, ResourceCapError) as err:
+        if made:  # a refused run leaves no empty output directory it made
+            with contextlib.suppress(OSError):
+                os.rmdir(config.output)
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     for row in result_rows(results):

@@ -390,7 +390,9 @@ def sample_couplings(spec: ModelSpec, law: DisorderSpec, rng: np.random.Generato
 def sample_replicates(spec: ModelSpec, law: DisorderSpec, experiment: int, replicates: range,
                       stream: int) -> CouplingAssignment:
     """The tables ``sample_couplings`` draws on each path (experiment, r,
-    stream), stacked: order p has shape (len(replicates),) + (N,)*p."""
+    stream), stacked: order p has shape (len(replicates),) + (N,)*p.  A stack
+    beyond MAX_COUPLING_ENTRIES raises ResourceCapError before any draw."""
+    spec.check_draws(len(replicates))
     n = spec.n_sites
     tables = {p: np.empty((len(replicates),) + (n,) * p) for p in spec.orders}
     for row, rng in enumerate(replicate_generators(experiment, replicates, stream)):

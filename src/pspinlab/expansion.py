@@ -34,7 +34,8 @@ SERIES_TAIL_TARGET = 1e-13
 
 MAX_EXPANSION_REPLICAS = 16
 """Most replica labels, n + m, that ``derivative_power_tuple_sum`` tracks:
-its table holds subsets of them, so it grows as 2**(n + m)."""
+its table holds a subset of the n live labels plus up to m fresh ones per
+entry, at most (m + 1) * 2**n entries."""
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -66,32 +67,41 @@ def expansion_coefficient(m: int, a: int) -> int:
     return row[a] if a < len(row) else 0
 
 
-def signed_basis(sites, order: int, n_replicas: int) -> ReplicaFunctional:
-    """The signed replica-monomial combination of a given order at one tuple.
+@functools.lru_cache(maxsize=None)
+def basis_labels(order: int, n_replicas: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The signed basis of a given order as integer (labels, coefficient) pairs.
 
-    For order m >= 1 on n live replicas this is
+    For order m >= 1 on n live replicas the basis is
 
         m! * sum_{k=0..min(m,n)} (-1)**(m-k) * C(n+m-k-1, n-1)
              * sum_{l1<...<lk<=n} M(l1..lk, n+1..n+m-k)
 
     where M(labels) multiplies the tuple monomial onto every listed replica;
-    the k = 0 term uses only the m fresh replicas.  Orders <= 0 give the zero
-    functional.
+    the k = 0 term uses only the m fresh replicas.  One cached pair per
+    term, in that order, labels ascending; orders <= 0 give no terms.
     """
     if n_replicas < 1:
         raise ModelValidationError(f"need at least one live replica, got {n_replicas}")
     if order <= 0:
-        return ReplicaFunctional.zero(n_replicas)
-    mask = sites if isinstance(sites, int) else sites_to_mask(sites)
+        return ()
     n = n_replicas
     pref = math.factorial(order)
-    pairs = []
-    for k in range(0, min(order, n) + 1):
-        coeff = float(pref * (-1) ** (order - k) * math.comb(n + order - k - 1, n - 1))
-        dummies = tuple(range(n + 1, n + order - k + 1))
-        pairs += [(tuple((l, mask) for l in combo + dummies) if mask else (), coeff)
-                  for combo in itertools.combinations(range(1, n + 1), k)]
-    return ReplicaFunctional.combine(pairs, n + order)
+    return tuple((combo + tuple(range(n + 1, n + order - k + 1)),
+                  pref * (-1) ** (order - k) * math.comb(n + order - k - 1, n - 1))
+                 for k in range(0, min(order, n) + 1)
+                 for combo in itertools.combinations(range(1, n + 1), k))
+
+
+def signed_basis(sites, order: int, n_replicas: int) -> ReplicaFunctional:
+    """The ``basis_labels`` combination with the tuple monomial of ``sites``
+    on every listed replica; orders <= 0 give the zero functional."""
+    table = basis_labels(order, n_replicas)
+    if not table:
+        return ReplicaFunctional.zero(n_replicas)
+    mask = sites if isinstance(sites, int) else sites_to_mask(sites)
+    return ReplicaFunctional.combine(
+        ((tuple((l, mask) for l in labels) if mask else (), float(coeff))
+         for labels, coeff in table), n_replicas + order)
 
 
 def apply_derivative_factor(sites, fn: ReplicaFunctional) -> ReplicaFunctional:
@@ -114,38 +124,25 @@ def derivative_power(sites, fn: ReplicaFunctional, order: int) -> ReplicaFunctio
 
 @functools.lru_cache(maxsize=None)
 def derivative_power_tuple_sum(order: int, n_replicas: int) -> dict[frozenset, int]:
-    """Symbolic expansion of the m-fold derivative factor at a generic tuple.
-
-    Tracks only the parity of how often each replica receives the tuple
-    monomial: the result maps a frozen set of odd-parity replica labels to an
-    integer coefficient.  Fresh replicas beyond the first n are exchangeable
-    dummies under the Gibbs average, so their labels are canonicalized to
-    consecutive values n+1, n+2, ... and coefficients merged accordingly.
-    The returned dict is cached; callers must not mutate it.  More than
-    MAX_EXPANSION_REPLICAS labels raise ResourceCapError.
-    """
+    """The m-fold derivative factor at a generic tuple, sum_a A(m, a)
+    basis(m - 2a + 2) read off ``basis_labels``: each frozen set of replica
+    labels carrying the tuple monomial maps to its integer coefficient, zeros
+    dropped, sorted by the sorted labels.  Fresh replicas, exchangeable under
+    the Gibbs average, carry the labels n+1, n+2, ...  The returned dict is
+    cached; callers must not mutate it.  More than MAX_EXPANSION_REPLICAS
+    labels raise ResourceCapError."""
     if n_replicas + order > MAX_EXPANSION_REPLICAS:
         raise ResourceCapError(
             f"the order-{order} derivative sum over {n_replicas} replicas tracks "
             f"{n_replicas + order} replica labels (cap {MAX_EXPANSION_REPLICAS})")
-    states: dict[frozenset, int] = {frozenset(): 1}
-    for j in range(1, order + 1):
-        live = n_replicas + j - 1
-        nxt: dict[frozenset, int] = {}
-        for subset, coeff in states.items():
-            for label in range(1, live + 1):
-                key = subset ^ {label}
-                nxt[key] = nxt.get(key, 0) + coeff
-            key = subset ^ {live + 1}
-            nxt[key] = nxt.get(key, 0) - live * coeff
-        states = {k: c for k, c in nxt.items() if c != 0}
-    merged: dict[frozenset, int] = {}
-    for subset, coeff in states.items():
-        kept = sorted(l for l in subset if l <= n_replicas)
-        fresh = sum(1 for l in subset if l > n_replicas)
-        key = frozenset(kept) | frozenset(range(n_replicas + 1, n_replicas + fresh + 1))
-        merged[key] = merged.get(key, 0) + coeff
-    return {k: c for k, c in merged.items() if c != 0}
+    table: dict[frozenset, int] = {}
+    for a, coeff in enumerate(coefficient_row(order)):
+        if not coeff:
+            continue
+        for labels, c in basis_labels(order - 2 * a + 2, n_replicas):
+            key = frozenset(labels)
+            table[key] = table.get(key, 0) + coeff * c
+    return {k: table[k] for k in sorted(table, key=sorted) if table[k]}
 
 
 def verify_expansion(oracle: GibbsOracle, sites, fn: ReplicaFunctional,
@@ -153,17 +150,14 @@ def verify_expansion(oracle: GibbsOracle, sites, fn: ReplicaFunctional,
     """Both sides of the derivative expansion at one tuple and one realization.
 
     Left: <(derivative factor)**m F>.  Right: sum_a A(m, a) <basis(m-2a+2) F>.
-    The basis sum is truncated at a = ceil(m/2); the tail vanishes identically.
+    Terms with A(m, a) = 0 are skipped: a = 0 and every a > ceil(m/2).
     """
     lhs = derivative_power(sites, fn, order).evaluate(oracle)
-    n = fn.n_replicas
     rhs = 0.0
-    for a in range(1, (order + 1) // 2 + 1):
-        coeff = expansion_coefficient(order, a)
-        if coeff == 0:
-            continue
-        basis = signed_basis(sites, order - 2 * a + 2, n)
-        rhs += coeff * (basis * fn).evaluate(oracle)
+    for a, coeff in enumerate(coefficient_row(order)):
+        if coeff:
+            rhs += coeff * (signed_basis(sites, order - 2 * a + 2, fn.n_replicas) * fn
+                            ).evaluate(oracle)
     return lhs, rhs
 
 

@@ -35,7 +35,7 @@ from .disorder import (
     sample_replicates,
     sample_vb,
 )
-from .expansion import derivative_power_tuple_sum, signed_basis
+from .expansion import basis_labels, derivative_power_tuple_sum
 from .gibbs import (
     GibbsOracle,
     ReplicaFunctional,
@@ -227,22 +227,23 @@ float64.  A chunk has at most BATCH_ELEMS >> N rows, so from N = 13 on it
 is one replicate."""
 
 
-def _map_replicates(fn, count: int, workers: int | None, n_sites: int) -> list:
+def _map_replicates(fn, count: int, workers: int | None, mspec: ModelSpec) -> list:
     """The values of replicates 0..count-1, in index order regardless of
     scheduling: ``fn(rows)`` returns the values of a range of indices as an
     array whose first axis runs over the range, or one value for all of it.
 
-    A range holds min(count // (workers * 8), BATCH_ELEMS >> n_sites)
-    indices, at least one.  A pooled task carries as many ranges as make
-    up count // (workers * 8) indices.  Pooled maps share one executor per
-    process (``_shared_pool``); a broken executor is discarded and its
-    error propagates.  A count above MAX_REPLICATES raises ResourceCapError.
+    A range holds min(count // (workers * 8), BATCH_ELEMS >> N,
+    mspec.max_draws) indices, at least one, so its coupling draws fit
+    MAX_COUPLING_ENTRIES whenever one draw does.  A pooled task carries as
+    many ranges as make up count // (workers * 8) indices.  Pooled maps
+    share one executor per process (``_shared_pool``); a broken executor is
+    discarded and its error propagates.  A count above MAX_REPLICATES raises ResourceCapError.
     """
     if count > MAX_REPLICATES:
         raise ResourceCapError(f"{count} replicates requested (cap {MAX_REPLICATES})")
     n_workers = resolve_workers(workers)
     per_task = max(1, count // (n_workers * 8))
-    size = max(1, min(per_task, BATCH_ELEMS >> n_sites))
+    size = max(1, min(per_task, BATCH_ELEMS >> mspec.n_sites, mspec.max_draws))
     chunks = [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
     if n_workers <= 1 or count < 4:
         parts = map(fn, chunks)
@@ -257,7 +258,7 @@ def _map_replicates(fn, count: int, workers: int | None, n_sites: int) -> list:
             for value in np.broadcast_to(part, (len(rows),) + np.shape(part)[1:]).tolist()]
 
 
-def _estimate(name: str, replicates_fn, n_sites: int, replicates: int, seed: int,
+def _estimate(name: str, replicates_fn, mspec: ModelSpec, replicates: int, seed: int,
               workers: int | None, params: dict, key: str | None = None) -> EstimatorResult:
     """Mean and standard error of the values ``replicates_fn(exp_id, rows)``
     returns for every replicate (see ``_map_replicates``).
@@ -266,7 +267,7 @@ def _estimate(name: str, replicates_fn, n_sites: int, replicates: int, seed: int
     """
     exp_id = experiment_id(seed, key or name)
     values = _map_replicates(functools.partial(replicates_fn, exp_id), replicates, workers,
-                             n_sites)
+                             mspec)
     value, err = mean_stderr(values)
     return EstimatorResult(name, value, err, replicates, {**params, "seed": seed})
 
@@ -353,7 +354,7 @@ def gg_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction
     _require_positive("p", p)
     fn.check(mspec.n_sites, n)
     return _estimate("gg-gap", functools.partial(_gg_gap_replicates, mspec, law, n, p, fn),
-                     mspec.n_sites, replicates, seed, workers,
+                     mspec, replicates, seed, workers,
                      {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
 
 
@@ -378,7 +379,7 @@ def gg_thermal_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: Test
     fn.check(mspec.n_sites, n)
     realization = functools.partial(gg_thermal_gap_realization, n=n, p=p, fn=fn)
     return _estimate("gg-thermal-gap", functools.partial(_on_batch, realization, mspec, law, 0),
-                     mspec.n_sites, replicates, seed, workers,
+                     mspec, replicates, seed, workers,
                      {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
 
 
@@ -424,9 +425,9 @@ def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int,
     center = 0.0
     if mode == "full":
         centers = functools.partial(_self_avg_replicates, mspec, law, p, "center", 0.0)
-        center = _estimate(name, centers, mspec.n_sites, replicates, seed, workers, {}).value
+        center = _estimate(name, centers, mspec, replicates, seed, workers, {}).value
     return _estimate(name, functools.partial(_self_avg_replicates, mspec, law, p, mode, center),
-                     mspec.n_sites, replicates, seed, workers, {"N": mspec.n_sites, "p": p})
+                     mspec, replicates, seed, workers, {"N": mspec.n_sites, "p": p})
 
 
 # -- universality and interpolation -----------------------------------------
@@ -443,7 +444,7 @@ def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
     realization = functools.partial(_f_expectation, fn=fn)
     a, b = (_estimate("universality-gap",
                       functools.partial(_on_batch, realization, mspec, law, stream),
-                      mspec.n_sites, replicates, seed, workers, {})
+                      mspec, replicates, seed, workers, {})
             for stream, law in enumerate((law_a, law_b)))
     return EstimatorResult("universality-gap", abs(a.value - b.value),
                            math.sqrt(a.std_error ** 2 + b.std_error ** 2), replicates,
@@ -483,7 +484,7 @@ def interpolation_sweep(mspec: ModelSpec, law: DisorderSpec, t_grid, fn: TestFun
     fn.check(mspec.n_sites, fn.min_replicas)
     exp_id = experiment_id(seed, "interpolation-sweep")
     worker = functools.partial(_sweep_replicates, mspec, law, t_grid, fn, exp_id)
-    rows = _map_replicates(worker, replicates, workers, mspec.n_sites)
+    rows = _map_replicates(worker, replicates, workers, mspec)
     results = []
     for k, t in enumerate(t_grid):
         value, err = mean_stderr([row[k] for row in rows])
@@ -565,7 +566,7 @@ def cavity_identity_check(mspec: ModelSpec, law: DisorderSpec, n_cavity: int, ca
                 raise ExperimentError(f"cavity site {j} outside 0..{n_cavity - 1}")
     worker = functools.partial(cavity_identity_realization, mspec, law, n_cavity, cavity_sets,
                                experiment_id(seed, "cavity-identity"))
-    rows = _map_replicates(worker, realizations, workers, mspec.n_sites)
+    rows = _map_replicates(worker, realizations, workers, mspec)
     return {key: max([0.0] + [row[k] for row in rows])
             for k, key in enumerate(("max_factor_residual", "product_residual"))}
 
@@ -603,9 +604,8 @@ def derivative_sum_realization(oracle: GibbsOracle, n: int, m: int, fn: TestFunc
         raise ExperimentError("derivative sums support constant or monomial F only")
     fn.check(oracle.n_sites, n)
     fixed = fn.masks
-    table = derivative_power_tuple_sum(m, n)
     total = 0.0
-    for labels, coeff in sorted(table.items(), key=lambda kv: sorted(kv[0])):
+    for labels, coeff in derivative_power_tuple_sum(m, n).items():
         total += coeff * multioverlap_sq_expectation(oracle, labels, fixed)
     return total
 
@@ -622,7 +622,7 @@ def derivative_moment_sum(mspec: ModelSpec, law: DisorderSpec, n: int, m: int,
     realization = functools.partial(derivative_sum_realization, n=n, m=m, fn=fn)
     return _estimate("derivative-moment-sum",
                      functools.partial(_on_batch, realization, mspec, law, 0),
-                     mspec.n_sites, replicates, seed, workers,
+                     mspec, replicates, seed, workers,
                      {"N": mspec.n_sites, "n": n, "m": m, "F": fn.label},
                      key=f"derivative-moment-sum-m{m}")
 
@@ -641,7 +641,7 @@ def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int
     exp_id = experiment_id(seed, "free-energy-fluctuation")
     worker = functools.partial(_on_batch, operator.attrgetter("free_energy_density"),
                                mspec, law, 0, exp_id)
-    values = _map_replicates(worker, replicates, workers, mspec.n_sites)
+    values = _map_replicates(worker, replicates, workers, mspec)
     m = len(values)
     mean = math.fsum(values) / m
     var = math.fsum((v - mean) ** 2 for v in values) / (m - 1)
@@ -672,7 +672,7 @@ def vb_logz_increment(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
         raise ExperimentError(f"alpha must be positive, got {alpha}")
     return _estimate("vb-logz-increment",
                      functools.partial(_vb_replicates, mspec, law, alpha, beta_prime),
-                     mspec.n_sites, replicates, seed, workers,
+                     mspec, replicates, seed, workers,
                      {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime})
 
 
@@ -787,7 +787,7 @@ def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
     return _estimate("poisson-ibp",
                      functools.partial(_poisson_ibp_replicates, mspec, law, alpha, beta_prime,
                                        n, fn),
-                     mspec.n_sites, replicates, seed, workers,
+                     mspec, replicates, seed, workers,
                      {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime,
                       "n": n, "F": fn.label})
 
@@ -801,9 +801,9 @@ def taylor_coefficient_realization(oracle: GibbsOracle, n: int, m_values,
 
     The double sum runs over ordered replica subsets of size a <= min(m, n+1)
     with alternating signs and binomial weights times powers of the plain
-    pair moment; the basis form is 1/m! times the signed-basis functional
-    applied to sigma^1_{uv} Delta_1 F.  Also checks the endpoint-averaged
-    value against the squared-multi-overlap route.
+    pair moment; the basis form is 1/m! times the signed basis
+    (``basis_labels``) applied to sigma^1_{uv} Delta_1 F.  Also checks the
+    endpoint-averaged value against the squared-multi-overlap route.
     """
     n_sites = oracle.n_sites
     delta = replica_difference(fn.functional(n_sites, n), 1)
@@ -814,23 +814,20 @@ def taylor_coefficient_realization(oracle: GibbsOracle, n: int, m_values,
         lhs = np.zeros(p0.shape)
         for a in range(0, min(m, n + 1) + 1):
             lhs += (-1.0) ** (m - a) * math.comb(n + m - a, n) * graded[a] * p0 ** (m - a)
-        # basis route, expanded symbolically over the basis terms; the monomial
-        # site mask is a placeholder since only the label structure is used here
+        # basis route, expanded symbolically over the basis label sets
         rhs = np.zeros(p0.shape)
-        basis = signed_basis(1, m, n + 1)
+        basis = basis_labels(m, n + 1)
         pref = 1.0 / math.factorial(m)
-        for key, coeff in basis.terms.items():
-            labels = {l for l, _ in key}
-            rhs += pref * coeff * _pair_weighted_matrix(oracle, delta, labels ^ {1})
+        for labels, coeff in basis:
+            rhs += pref * coeff * _pair_weighted_matrix(oracle, delta, set(labels) ^ {1})
         pointwise = np.max(np.abs(lhs - rhs), axis=(-2, -1))
         # endpoint-averaged value against the squared-multi-overlap evaluator
         averaged = rhs.mean(axis=(-2, -1))
         total = 0.0
-        for key, coeff in basis.terms.items():
-            labels = frozenset(l for l, _ in key) ^ {1}
+        for labels, coeff in basis:
             for dkey, dcoeff in delta.terms.items():
                 total += (pref * coeff * dcoeff
-                          * multioverlap_sq_expectation(oracle, labels, dict(dkey)))
+                          * multioverlap_sq_expectation(oracle, set(labels) ^ {1}, dict(dkey)))
         out.append(np.stack(np.broadcast_arrays(pointwise, abs(averaged - total)), axis=-1))
     return np.stack(out, axis=-2)
 
@@ -894,7 +891,7 @@ def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
     fn.functional(mspec.n_sites, n)  # checks F and its expansion before any worker starts
     worker = functools.partial(_taylor_replicates, mspec, law, alpha, beta_prime, n, fn,
                                m_values, experiment_id(seed, "taylor-coefficients"))
-    rows = _map_replicates(worker, realizations, 1, mspec.n_sites)
+    rows = _map_replicates(worker, realizations, 1, mspec)
     return {m: {key: max([0.0] + [row[i][k] for row in rows])
                 for k, key in enumerate(("pointwise", "averaged"))}
             for i, m in enumerate(m_values)}

@@ -41,6 +41,7 @@ from .model import (
     DilutedPairAssignment,
     energy_coefficients,
     spin_matrix,
+    tuple_masks,
 )
 
 NAIVE_MAX_BITS = 16  # brute-force replica sums enumerate 2**(n*N) tuples
@@ -241,7 +242,7 @@ def _tuple_sum(labels, power: int, n_sites: int, n_replicas: int) -> ReplicaFunc
     the tuple's monomial put on every replica in ``labels``."""
     labels = sorted(labels)
     scale = float(n_sites) ** (-power)
-    masks = map(sites_to_mask, itertools.product(range(n_sites), repeat=power))
+    masks = tuple_masks(n_sites, power).tolist()
     return ReplicaFunctional.combine(
         ((tuple((l, mask) for l in labels) if mask else (), scale) for mask in masks),
         n_replicas)

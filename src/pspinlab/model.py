@@ -35,6 +35,10 @@ import numpy as np
 # feed it) stops being a reasonable object to build.
 EXACT_ENUMERATION_CAP = 20
 
+MAX_COUPLING_ENTRIES = 1 << 22
+"""Most coupling entries, sum_p rows * N**p, that one range of draws
+allocates: 32 MB of float64.  Order 5 fits at N = 20, order 7 does not."""
+
 
 class ModelValidationError(ValueError):
     """Raised when a model spec, coupling table, or argument is malformed."""
@@ -74,6 +78,25 @@ class ModelSpec:
                 raise ModelValidationError(f"beta_{p} must be finite, got {beta!r}")
         if not math.isfinite(self.field_h):
             raise ModelValidationError(f"field must be finite, got {self.field_h!r}")
+        self.check_draws(1)
+
+    @property
+    def max_draws(self) -> int:
+        """Most draws whose stacked coupling tables fit MAX_COUPLING_ENTRIES.
+
+        An order-p table counts as at least 2**p entries, so an order past
+        the cap's bit length fits no draw at any N, N = 1 included, and no
+        larger power is computed."""
+        bits = MAX_COUPLING_ENTRIES.bit_length()
+        per_draw = sum(max(self.n_sites, 2) ** min(p, bits) for p in self.betas)
+        return MAX_COUPLING_ENTRIES // max(per_draw, 1)
+
+    def check_draws(self, rows: int) -> None:
+        """Refuse ``rows`` draws of coupling tables beyond ``max_draws``."""
+        if rows > self.max_draws:
+            raise ResourceCapError(
+                f"{rows} draw(s) of orders {list(self.orders)} at N={self.n_sites} exceed "
+                f"{MAX_COUPLING_ENTRIES} coupling entries")
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -161,7 +184,7 @@ class DilutedPairAssignment:
 
 
 @lru_cache(maxsize=16)
-def _tuple_masks(n_sites: int, p: int) -> np.ndarray:
+def tuple_masks(n_sites: int, p: int) -> np.ndarray:
     """Parity mask of every ordered p-tuple of sites, in row-major table order."""
     bits = np.left_shift(1, np.arange(n_sites, dtype=np.int64))
     masks = np.zeros(1, dtype=np.int64)
@@ -183,7 +206,7 @@ def tuple_coefficients(table: np.ndarray, p: int) -> np.ndarray:
     n = table.shape[-1]
     rows = table.shape[:-p]
     count = math.prod(rows)
-    masks = _tuple_masks(n, p)
+    masks = tuple_masks(n, p)
     if rows:
         masks = ((np.arange(count, dtype=np.int64)[:, None] << n) + masks).ravel()
     coeffs = np.bincount(masks, weights=table.ravel(), minlength=count << n)

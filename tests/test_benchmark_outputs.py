@@ -3,8 +3,9 @@
 Every workload of ``perfbench/workloads.py`` runs once at the reference seed
 through ``pspinlab.cli.main``; its rows must pass the benchmark's own gate
 against ``perfbench/reference/<workload>.csv``, and every cross-route case
-must agree within the benchmark's bound.  The benchmark files are read,
-never written.
+must agree within the benchmark's bound.  The layers the benchmark traces
+must still name existing functions.  The benchmark files are read, never
+written.
 """
 
 import json
@@ -23,6 +24,7 @@ sys.dont_write_bytecode = True  # no __pycache__ there
 
 import crossroute  # noqa: E402
 import gate  # noqa: E402
+import tracing  # noqa: E402
 from run import output_files  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -31,6 +33,18 @@ sys.path[:], sys.dont_write_bytecode = _SAVED[0], _SAVED[2]
 for _name in set(sys.modules) - _SAVED[1]:
     if (getattr(sys.modules[_name], "__file__", None) or "").startswith(PERFBENCH):
         del sys.modules[_name]
+
+
+_GUARDED = [t for t in tracing.TARGETS
+            if t[0].startswith("expansion.") or t[0] == "gibbs.fwht"] + tracing.series_targets()
+
+
+@pytest.mark.parametrize("target", _GUARDED, ids=[t[0] for t in _GUARDED])
+def test_traced_layer_resolves(target):
+    """``tracing.install`` skips a target the package no longer has, so a
+    rename would read as 0 calls instead of failing."""
+    name, module, path, _ = target
+    assert tracing._resolve(module, path) is not None, name
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

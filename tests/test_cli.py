@@ -258,6 +258,8 @@ _BAD_VALUES = {
     "hugederivativeorder": minimal_config(experiment="derivative-moment-sum",
                                           params={"n": 2, "m": 15}),
     "hugereplicates": minimal_config(replicates=(1 << 20) + 1),
+    "hugeorder": minimal_config(experiment="free-energy-fluctuation", params={},
+                                model={"n_sites": 20, "betas": {"7": 1.0}}),
     "oversize": {"experiment": "gg-gap",
                  "model": {"n_sites": 100000, "betas": {"3": 1.0}},
                  "disorder": {"family": "gaussian"}},
@@ -392,6 +394,69 @@ def test_worker_count_above_cap_exits_2_before_any_pool(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert str(ex.MAX_WORKERS) in err
+
+
+@pytest.mark.parametrize("refused", ["output", "order"])
+def test_refused_run_exits_2_before_any_estimator(tmp_path, capsys, monkeypatch, refused):
+    """An output path under a file, or an order past the coupling-entry cap
+    at the second size of a sweep, exits 2 with one error line and computes
+    nothing."""
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimator ran")
+
+    monkeypatch.setattr(ex, "gg_thermal_gap", no_estimate)
+    (tmp_path / "file").write_text("")
+    raw = minimal_config(output=str(tmp_path / "file" / "out"))
+    if refused == "order":
+        raw = minimal_config(model={"n_sites": [3, 20], "betas": {"7": 1.0}},
+                             output=str(tmp_path / "out"))
+    assert cli.main(["run", write_config(tmp_path, raw)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not os.path.exists(raw["output"])
+
+
+def test_estimator_os_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    """Only making or writing the output directory turns an OSError into
+    exit 2; one raised while estimating propagates."""
+    def exhausted(*args, **kwargs):
+        raise BlockingIOError("no more processes")
+
+    monkeypatch.setattr(ex, "gg_thermal_gap", exhausted)
+    with pytest.raises(BlockingIOError):
+        cli.main(["run", write_config(tmp_path, minimal_config(output=str(tmp_path / "o")))])
+
+
+def test_order_6_at_n8_runs_in_ranges_under_the_coupling_cap(tmp_path, capsys):
+    """One draw of order 6 at N = 8 fits MAX_COUPLING_ENTRIES but 17 do not;
+    136 replicates on one worker (count // 8 = 17 rows a range before the
+    cap bounded the range) run in ranges of mspec.max_draws = 16 rows."""
+    raw = minimal_config(experiment="free-energy-fluctuation", params={}, replicates=136,
+                         workers=1, model={"n_sites": 8, "betas": {"6": 1.0}},
+                         output=str(tmp_path / "out"))
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 0, capsys.readouterr().err
+
+
+def test_verify_output_under_a_file_exits_2_before_the_checks(tmp_path, capsys, monkeypatch):
+    def no_checks():
+        raise AssertionError("a check ran")
+
+    monkeypatch.setitem(cli._VERIFY, "gg", no_checks)
+    (tmp_path / "file").write_text("")
+    assert cli.main(["verify", "gg", "--output", str(tmp_path / "file" / "v")]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
+def test_verify_output_write_error_exits_2(tmp_path, capsys, monkeypatch):
+    def refuse(path, text):
+        raise PermissionError(f"cannot write {path}")
+
+    monkeypatch.setattr(cli, "_write_atomic", refuse)
+    assert cli.main(["verify", "gg", "--output", str(tmp_path / "v")]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("experiment", ["gg-thermal-gap", "cavity-identity"])

@@ -17,7 +17,7 @@ from pspinlab.disorder import (
     sample_vb,
     stream_keys,
 )
-from pspinlab.model import ModelSpec
+from pspinlab.model import MAX_COUPLING_ENTRIES, ModelSpec, ResourceCapError
 
 
 def validate_moments(law: dis.DisorderSpec, tol: float = 1e-10) -> None:
@@ -310,6 +310,20 @@ def test_chunk_draws_equal_per_replicate_numpy_draws(name):
         single = sample_couplings(spec, law, SeedPath(exp, rows[-1], stream).generator())
         for p in spec.orders:
             assert np.array_equal(single.tables[p], chunk.tables[p][-1])
+
+
+def test_sample_replicates_refuses_a_stack_past_the_entry_cap(monkeypatch):
+    """One row of order 10 at N = 4 fits the cap, eight rows do not; the
+    range is refused before any generator is made."""
+    spec = ModelSpec(4, {10: 1.0})
+    assert 4 ** 10 <= MAX_COUPLING_ENTRIES < 8 * 4 ** 10
+
+    def no_generators(*args):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(dis, "replicate_generators", no_generators)
+    with pytest.raises(ResourceCapError):
+        sample_replicates(spec, dis.gaussian(), experiment_id(3, "cap"), range(8), 0)
 
 
 def test_chunk_vb_draws_equal_per_replicate_numpy_draws():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pspinlab.expansion import (
     MAX_DERIVATIVE_ORDER,
     MAX_EXPANSION_REPLICAS,
     apply_derivative_factor,
+    basis_labels,
     coefficient_row,
     derivative_power,
     derivative_power_tuple_sum,
@@ -80,6 +82,43 @@ def test_signed_basis_degenerate_orders():
     assert signed_basis((0,), -3, 2).terms == {}
     with pytest.raises(ModelValidationError):
         signed_basis((0,), 1, 0)
+
+
+def _signed_basis_reference(mask, order, n):
+    """The signed basis built term by term from its defining sum: the
+    reference for the ``basis_labels`` route."""
+    if order <= 0:
+        return ReplicaFunctional.zero(n)
+    pairs = []
+    for k in range(0, min(order, n) + 1):
+        coeff = float(math.factorial(order) * (-1) ** (order - k)
+                      * math.comb(n + order - k - 1, n - 1))
+        dummies = tuple(range(n + 1, n + order - k + 1))
+        pairs += [(tuple((l, mask) for l in combo + dummies) if mask else (), coeff)
+                  for combo in itertools.combinations(range(1, n + 1), k)]
+    return ReplicaFunctional.combine(pairs, n + order)
+
+
+@pytest.mark.parametrize("mask", [0, 0b1, 0b101])
+def test_signed_basis_equals_defining_sum(mask):
+    """Same keys, float coefficients and dict order (the order ``evaluate``
+    sums in) as the term-by-term construction."""
+    for order in range(-1, 7):
+        for n in range(1, 5):
+            got, want = signed_basis(mask, order, n), _signed_basis_reference(mask, order, n)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert all(type(c) is float for c in got.terms.values())
+            assert got.n_replicas == want.n_replicas
+
+
+def test_basis_labels_are_integer_and_cached():
+    table = basis_labels(3, 2)
+    assert table is basis_labels(3, 2)
+    assert table[0] == ((3, 4, 5), -6 * math.comb(4, 1))  # k = 0: three fresh labels
+    assert all(type(c) is int and list(labels) == sorted(labels) for labels, c in table)
+    assert basis_labels(0, 2) == basis_labels(-2, 2) == ()
+    with pytest.raises(ModelValidationError):
+        basis_labels(1, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -154,6 +193,47 @@ def test_tuple_sum_frozen_small_orders():
         frozenset({1}): 1, frozenset({2}): -1}
     assert derivative_power_tuple_sum(2, 1) == {
         frozenset({1, 2}): -2, frozenset({2, 3}): 2}
+
+
+def _parity_state_tables(n_replicas, max_order):
+    """The m-fold derivative factor expanded step by step over the parity
+    state of every replica label, fresh labels merged to n+1, n+2, ...:
+    yields (m, table) for m = 1..max_order.  The reference for the closed
+    form sum_a A(m, a) basis(m - 2a + 2); it tracks 2**(n + m) states."""
+    states = {frozenset(): 1}
+    for order in range(1, max_order + 1):
+        live = n_replicas + order - 1
+        nxt = {}
+        for subset, coeff in states.items():
+            for label in range(1, live + 1):
+                key = subset ^ {label}
+                nxt[key] = nxt.get(key, 0) + coeff
+            key = subset ^ {live + 1}
+            nxt[key] = nxt.get(key, 0) - live * coeff
+        states = {k: c for k, c in nxt.items() if c != 0}
+        merged = {}
+        for subset, coeff in states.items():
+            kept = frozenset(l for l in subset if l <= n_replicas)
+            fresh = len(subset) - len(kept)
+            key = kept | frozenset(range(n_replicas + 1, n_replicas + fresh + 1))
+            merged[key] = merged.get(key, 0) + coeff
+        yield order, {k: c for k, c in merged.items() if c != 0}
+
+
+@pytest.mark.parametrize("n", range(1, MAX_EXPANSION_REPLICAS))
+def test_tuple_sum_equals_parity_state_expansion(n):
+    """Every (m, n) with n + m <= MAX_EXPANSION_REPLICAS, 120 pairs in all:
+    equal as integer dicts, keys in ascending order of the sorted labels."""
+    for order, want in _parity_state_tables(n, MAX_EXPANSION_REPLICAS - n):
+        got = derivative_power_tuple_sum(order, n)
+        assert got == want, (order, n)
+        assert list(got) == sorted(got, key=sorted)
+        assert all(type(c) is int for c in got.values())
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_fourth_order_tuple_sum_is_printed_table(n):
+    assert derivative_power_tuple_sum(4, n) == fourth_power_tuple_coefficients(n)
 
 
 @pytest.mark.parametrize("order,n", [(1, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])

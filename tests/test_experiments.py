@@ -15,7 +15,13 @@ import pspinlab.gibbs as gibbs
 from pspinlab.disorder import SeedPath, experiment_id
 from pspinlab.expansion import derivative_power
 from pspinlab.gibbs import GibbsOracle
-from pspinlab.model import CouplingAssignment, ModelSpec, ResourceCapError, tuple_coefficients
+from pspinlab.model import (
+    MAX_COUPLING_ENTRIES,
+    CouplingAssignment,
+    ModelSpec,
+    ResourceCapError,
+    tuple_coefficients,
+)
 
 
 def draw_oracle(n_sites, seed, betas=None, field=0.3, law=None):
@@ -559,7 +565,7 @@ def test_replicate_cap_checked_before_any_work():
         raise AssertionError("a replicate range was computed")
 
     with pytest.raises(ResourceCapError):
-        ex._map_replicates(never, ex.MAX_REPLICATES + 1, 2, 4)
+        ex._map_replicates(never, ex.MAX_REPLICATES + 1, 2, ModelSpec(4))
 
 
 def test_worker_count_does_not_change_values():
@@ -605,8 +611,8 @@ def test_one_pool_serves_every_map_until_the_worker_count_changes(counted_pools)
 
 def test_broken_pool_is_replaced(counted_pools):
     with pytest.raises(BrokenProcessPool):
-        ex._map_replicates(_kill_own_process, 8, 2, 4)
-    assert ex._map_replicates(list, 8, 2, 4) == list(range(8))
+        ex._map_replicates(_kill_own_process, 8, 2, ModelSpec(4))
+    assert ex._map_replicates(list, 8, 2, ModelSpec(4)) == list(range(8))
     assert counted_pools == [2, 2]
 
 
@@ -632,9 +638,25 @@ def test_map_replicates_chunks_consecutive_ranges(count, n_sites, size):
         seen.append(rows)
         return [10 * r for r in rows]
 
-    assert ex._map_replicates(values, count, 1, n_sites) == [10 * r for r in range(count)]
+    assert ex._map_replicates(values, count, 1, ModelSpec(n_sites)) == [10 * r for r in range(count)]
     assert [len(rows) for rows in seen[:-1]] == [size] * (len(seen) - 1)
     assert [r for rows in seen for r in rows] == list(range(count))
+
+
+def test_map_replicates_ranges_fit_the_coupling_cap():
+    """Order 6 at N = 8 holds 8**6 coupling entries a draw, so a range
+    holds mspec.max_draws = 16 rows, not the 32 of BATCH_ELEMS >> N whose
+    stack would exceed MAX_COUPLING_ENTRIES."""
+    mspec = ModelSpec(8, {6: 1.0})
+    assert mspec.max_draws == MAX_COUPLING_ENTRIES // 8 ** 6 == 16
+    seen = []
+
+    def values(rows):
+        seen.append(len(rows))
+        return list(rows)
+
+    assert ex._map_replicates(values, 400, 1, mspec) == list(range(400))
+    assert seen == [16] * 25
 
 
 def test_trend_suite_identical_across_batch_sizes_and_workers(monkeypatch):

@@ -150,6 +150,27 @@ def test_overlap_power_refuses_large_expansions():
             overlap_power(1, 2, power, n_sites)
 
 
+def _tuple_sum_product(labels, power, n_sites, n_replicas):
+    """The tuple sum over ``itertools.product`` of the sites: the reference
+    for the ``model.tuple_masks`` route."""
+    masks = map(sites_to_mask, itertools.product(range(n_sites), repeat=power))
+    return ReplicaFunctional.combine(
+        ((tuple((l, mask) for l in sorted(labels)) if mask else (), float(n_sites) ** -power)
+         for mask in masks), n_replicas)
+
+
+@pytest.mark.parametrize("n_sites", range(1, 6))
+def test_tuple_sum_equals_product_route(n_sites):
+    """Same keys, coefficients and dict order for every power up to 4."""
+    for power in range(1, 5):
+        for labels, n_rep in (((1, 2), 2), ((3, 1), 4), ((1, 2, 4), 4)):
+            got = gibbs._tuple_sum(labels, power, n_sites, n_rep)
+            want = _tuple_sum_product(labels, power, n_sites, n_rep)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert all(type(mask) is int for key in got.terms for _, mask in key)
+            assert got.n_replicas == n_rep
+
+
 def test_overlap_power_validation():
     with pytest.raises(ValueError):
         overlap_power(1, 1, 2, 3)

@@ -7,6 +7,7 @@ from pspinlab.gibbs import fwht
 from pspinlab.model import (
     CouplingAssignment,
     EXACT_ENUMERATION_CAP,
+    MAX_COUPLING_ENTRIES,
     ModelSpec,
     ModelValidationError,
     ResourceCapError,
@@ -85,6 +86,20 @@ def test_large_system_order_cap():
     for betas in ({}, {2: 1.0}, {3: 0.5}, {2: 1.0, 3: 0.5}, {4: 1.0}):
         with pytest.raises(ResourceCapError):
             ModelSpec(EXACT_ENUMERATION_CAP + 1, betas)
+
+
+def test_interaction_order_cap():
+    """One draw's tables hold at most MAX_COUPLING_ENTRIES floats: order 5
+    fits at N = 20, order 7 does not, and no order past 22 fits at any N."""
+    assert MAX_COUPLING_ENTRIES == 1 << 22
+    ModelSpec(20, {2: 1.0, 5: 0.5})
+    ModelSpec(1, {22: 1.0})
+    for n_sites, betas in ((20, {7: 1.0}), (4, {12: 1.0}), (1, {23: 1.0}), (3, {10 ** 9: 1.0}),
+                           (16, {5: 1.0, 6: 1.0})):
+        with pytest.raises(ResourceCapError):
+            ModelSpec(n_sites, betas)
+    with pytest.raises(ResourceCapError):
+        ModelSpec(4, {10: 1.0}).check_draws(8)
 
 
 def test_scale_matches_power_law():
