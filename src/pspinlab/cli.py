@@ -141,7 +141,10 @@ def parse_config(raw: dict) -> RunConfig:
             try:
                 p = int(key)
             except (TypeError, ValueError):
-                raise ConfigError(f"model.betas key {key!r} is not an integer order") from None
+                p = None
+            if p is None or str(p) != key:  # so no two keys name one order
+                raise ConfigError(f"model.betas key {key!r} is not an integer order written "
+                                  "plainly, like '2'")
             if p < 2:
                 raise ConfigError(f"model.betas key {key!r}: p must be >= 2")
             betas[p] = _convert(value, 0.0, f"model.betas[{key!r}]")
@@ -156,6 +159,13 @@ def parse_config(raw: dict) -> RunConfig:
     _reject_unknown(params, set(entry.params), f"params for {name!r}")
     values = {key: _convert(params[key], default, f"params.{key}") if key in params else default
               for key, default in entry.params.items()}
+    for key, value in values.items():  # each size's sites, before any size runs
+        if isinstance(value, ex.TestFunction):
+            for n_sites in sizes:
+                try:
+                    value.check(n_sites, value.min_replicas)
+                except ValueError as err:
+                    raise ConfigError(f"params.{key}: {err}") from None
 
     replicates = raw.get("replicates", 1)
     if not _is_int(replicates) or replicates < 1:

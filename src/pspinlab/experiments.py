@@ -35,7 +35,7 @@ from .disorder import (
     sample_replicates,
     sample_vb,
 )
-from .expansion import basis_labels, derivative_power_tuple_sum
+from .expansion import MAX_EXPANSION_REPLICAS, basis_labels, derivative_power_tuple_sum
 from .gibbs import (
     GibbsOracle,
     ReplicaFunctional,
@@ -112,7 +112,11 @@ class TestFunction:
         return {l: mask for l, mask in masks.items() if mask}
 
     def check(self, n_sites: int, n_replicas: int) -> None:
-        """Raise ExperimentError unless F lives on n_replicas replicas of N sites."""
+        """Raise ExperimentError unless F lives on n_replicas replicas of N sites;
+        more than MAX_EXPANSION_REPLICAS replicas raise ResourceCapError."""
+        if n_replicas > MAX_EXPANSION_REPLICAS:
+            raise ResourceCapError(
+                f"{n_replicas} replicas requested (cap {MAX_EXPANSION_REPLICAS})")
         if n_replicas < self.min_replicas:
             raise ExperimentError(
                 f"{self.label} needs at least {self.min_replicas} replicas, got {n_replicas}"
@@ -232,25 +236,24 @@ def _map_replicates(fn, count: int, workers: int | None, mspec: ModelSpec) -> li
     scheduling: ``fn(rows)`` returns the values of a range of indices as an
     array whose first axis runs over the range, or one value for all of it.
 
-    A range holds min(count // (workers * 8), BATCH_ELEMS >> N,
-    mspec.max_draws) indices, at least one, so its coupling draws fit
-    MAX_COUPLING_ENTRIES whenever one draw does.  A pooled task carries as
-    many ranges as make up count // (workers * 8) indices.  Pooled maps
-    share one executor per process (``_shared_pool``); a broken executor is
-    discarded and its error propagates.  A count above MAX_REPLICATES raises ResourceCapError.
+    A range holds min(BATCH_ELEMS >> N, mspec.max_draws) indices, at least one,
+    for any count and workers: its draws fit MAX_COUPLING_ENTRIES if one does.
+    A pooled task groups len(ranges) // (workers * 8) whole ranges, at least
+    one; a single range or worker runs in process.  Pooled maps share one
+    executor (``_shared_pool``); a broken one is discarded and its error
+    propagates.  A count above MAX_REPLICATES raises ResourceCapError.
     """
     if count > MAX_REPLICATES:
         raise ResourceCapError(f"{count} replicates requested (cap {MAX_REPLICATES})")
     n_workers = resolve_workers(workers)
-    per_task = max(1, count // (n_workers * 8))
-    size = max(1, min(per_task, BATCH_ELEMS >> mspec.n_sites, mspec.max_draws))
+    size = max(1, min(BATCH_ELEMS >> mspec.n_sites, mspec.max_draws))
     chunks = [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
-    if n_workers <= 1 or count < 4:
+    if n_workers <= 1 or len(chunks) < 2:
         parts = map(fn, chunks)
     else:
         pool = _shared_pool(n_workers)
         try:
-            parts = list(pool.map(fn, chunks, chunksize=per_task // size))
+            parts = list(pool.map(fn, chunks, chunksize=max(1, len(chunks) // (n_workers * 8))))
         except BrokenProcessPool:
             _shutdown_pool()
             raise
@@ -706,6 +709,19 @@ def _graded_pair_sums(oracle: GibbsOracle, delta: ReplicaFunctional, n: int) -> 
             for size in range(0, n + 2)]
 
 
+MAX_GRADED_REPLICAS = 8
+"""Largest n of the Poisson and Taylor checks: ``_graded_pair_sums`` builds
+2**(n+1) pair-weighted matrices a range, 0.6 s for one replicate at N = 8."""
+
+
+def _check_graded(fn: TestFunction, n_sites: int, n: int) -> None:
+    """Check n, F and F's expansion before any worker starts."""
+    if n > MAX_GRADED_REPLICAS:
+        raise ResourceCapError(f"the identity over n = {n} replicas sums 2**{n + 1} pair "
+                               f"matrices (cap n = {MAX_GRADED_REPLICAS})")
+    fn.functional(n_sites, n)
+
+
 TILT_FLOOR = 1e-4
 """Smallest fresh-edge normalization (1 + lam p0)**(n+1) that
 ``poisson_ibp_realization`` divides by; dividing by d loses about
@@ -783,7 +799,7 @@ def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
     identity holds."""
     if alpha <= 0 or beta_prime == 0.0:
         raise ExperimentError("the identity needs alpha > 0 and beta_prime != 0")
-    fn.functional(mspec.n_sites, n)  # checks F and its expansion before any worker starts
+    _check_graded(fn, mspec.n_sites, n)
     return _estimate("poisson-ibp",
                      functools.partial(_poisson_ibp_replicates, mspec, law, alpha, beta_prime,
                                        n, fn),
@@ -864,8 +880,9 @@ def trend_suite(n_values=TREND_SIZES, replicates: int = TREND_REPLICATES, seed: 
     fn_overlap = overlap_square()
     fn_mono = spin_monomial(((0, 1, 2),))
     rows: list[EstimatorResult] = []
-    for n_sites in n_values:
-        mspec = ModelSpec(n_sites, {2: TREND_BETA}, TREND_FIELD)
+    specs = [ModelSpec(n_sites, {2: TREND_BETA}, TREND_FIELD)
+             for n_sites in n_values]  # every size is checked before any runs
+    for mspec in specs:
         rows.append(gg_gap(mspec, dis.rademacher(), 2, 2, fn_overlap,
                            replicates, seed, workers))
         rows.append(universality_gap(mspec, dis.gaussian(), dis.rademacher(), fn_overlap,
@@ -888,7 +905,7 @@ def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
     for m in m_values:
         if not 1 <= m <= 5:
             raise ExperimentError(f"coefficient order must be in 1..5, got {m}")
-    fn.functional(mspec.n_sites, n)  # checks F and its expansion before any worker starts
+    _check_graded(fn, mspec.n_sites, n)
     worker = functools.partial(_taylor_replicates, mspec, law, alpha, beta_prime, n, fn,
                                m_values, experiment_id(seed, "taylor-coefficients"))
     rows = _map_replicates(worker, realizations, 1, mspec)

@@ -15,6 +15,7 @@ import pspinlab.cli as cli
 import pspinlab.experiments as ex
 from pspinlab import disorder as dis
 from pspinlab.disorder import DisorderValidationError
+from pspinlab.model import ModelSpec
 
 
 def minimal_config(**overrides):
@@ -260,6 +261,15 @@ _BAD_VALUES = {
     "hugereplicates": minimal_config(replicates=(1 << 20) + 1),
     "hugeorder": minimal_config(experiment="free-energy-fluctuation", params={},
                                 model={"n_sites": 20, "betas": {"7": 1.0}}),
+    # without the replica caps, each of these runs for more than 20 s
+    "hugeibpreplicas": minimal_config(experiment="poisson-ibp",
+                                      model={"n_sites": 8, "betas": {"2": 1.0}},
+                                      params={"n": 40}),
+    "hugethermalreplicas": minimal_config(params={"n": 100000000}),
+    "gradedreplicas": minimal_config(experiment="poisson-ibp", params={"n": 9}),
+    "duplicatebetakey": minimal_config(model={"n_sites": 3, "betas": {"2": 1.0, "02": 5.0}}),
+    "underscorebetakey": minimal_config(model={"n_sites": 3, "betas": {"1_0": 1.0}}),
+    "spacedbetakey": minimal_config(model={"n_sites": 3, "betas": {" 2": 1.0}}),
     "oversize": {"experiment": "gg-gap",
                  "model": {"n_sites": 100000, "betas": {"3": 1.0}},
                  "disorder": {"family": "gaussian"}},
@@ -377,13 +387,16 @@ def test_every_family_runs(tmp_path, family):
 
 
 @pytest.mark.parametrize("way", ["flag", "config"])
-def test_worker_count_above_cap_exits_2_before_any_pool(tmp_path, capsys, monkeypatch, way):
+def test_worker_count_above_cap_exits_2_before_any_pool(tmp_path, capsys, monkeypatch, way,
+                                                        assert_pooled):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool started for a refused worker count")
 
+    assert_pooled(8, ModelSpec(13, {2: 1.0}, 0.3))
     ex._shutdown_pool()
     monkeypatch.setattr(ex, "ProcessPoolExecutor", no_pool)
-    raw = minimal_config(replicates=8, output=str(tmp_path / "out"))
+    raw = minimal_config(replicates=8, model={"n_sites": 13, "betas": {"2": 1.0}, "field": 0.3},
+                         output=str(tmp_path / "out"))
     argv = ["run"]
     if way == "config":
         raw["workers"] = 50000
@@ -396,20 +409,30 @@ def test_worker_count_above_cap_exits_2_before_any_pool(tmp_path, capsys, monkey
     assert str(ex.MAX_WORKERS) in err
 
 
-@pytest.mark.parametrize("refused", ["output", "order"])
+@pytest.mark.parametrize("refused", ["output", "order", "site", "trend"])
 def test_refused_run_exits_2_before_any_estimator(tmp_path, capsys, monkeypatch, refused):
-    """An output path under a file, or an order past the coupling-entry cap
-    at the second size of a sweep, exits 2 with one error line and computes
-    nothing."""
+    """An output path under a file, an order past the coupling-entry cap at
+    the second size of a sweep, a test-function site past the second size,
+    or a trend size past the enumeration cap exits 2 with one error line and
+    computes nothing."""
     def no_estimate(*args, **kwargs):
         raise AssertionError("an estimator ran")
 
-    monkeypatch.setattr(ex, "gg_thermal_gap", no_estimate)
+    for name in ("gg_thermal_gap", "gg_gap", "_map_replicates"):
+        monkeypatch.setattr(ex, name, no_estimate)
     (tmp_path / "file").write_text("")
     raw = minimal_config(output=str(tmp_path / "file" / "out"))
     if refused == "order":
         raw = minimal_config(model={"n_sites": [3, 20], "betas": {"7": 1.0}},
                              output=str(tmp_path / "out"))
+    elif refused == "site":
+        raw = minimal_config(model={"n_sites": [12, 2], "betas": {"2": 1.0}},
+                             params={"function": {"kind": "spin-monomial",
+                                                  "sites": [[0, 1], [2]]}},
+                             output=str(tmp_path / "out"))
+    elif refused == "trend":
+        raw = {"experiment": "trend-suite", "params": {"n_values": [8, 21]},
+               "replicates": 200, "output": str(tmp_path / "out")}
     assert cli.main(["run", write_config(tmp_path, raw)]) == cli.USAGE_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -429,8 +452,8 @@ def test_estimator_os_error_is_not_a_usage_error(tmp_path, monkeypatch):
 
 def test_order_6_at_n8_runs_in_ranges_under_the_coupling_cap(tmp_path, capsys):
     """One draw of order 6 at N = 8 fits MAX_COUPLING_ENTRIES but 17 do not;
-    136 replicates on one worker (count // 8 = 17 rows a range before the
-    cap bounded the range) run in ranges of mspec.max_draws = 16 rows."""
+    136 replicates on one worker run in ranges of mspec.max_draws = 16 rows,
+    not the 32 of BATCH_ELEMS >> N."""
     raw = minimal_config(experiment="free-energy-fluctuation", params={}, replicates=136,
                          workers=1, model={"n_sites": 8, "betas": {"6": 1.0}},
                          output=str(tmp_path / "out"))
@@ -491,9 +514,13 @@ def test_poisson_ibp_stays_finite_at_large_beta_prime(tmp_path, beta_prime):
     assert abs(value) <= 4.0 * err
 
 
-def test_output_independent_of_blas_threads_and_workers(tmp_path):
+def test_output_independent_of_blas_threads_and_workers(tmp_path, assert_pooled):
+    """N = 4 and 8 run in process on any worker count; N = 12 and 16 fork
+    the pool on two workers."""
     trend = {"experiment": "trend-suite", "params": {"n_values": [4, 8, 12]},
              "replicates": 6, "seed": 7}
+    assert_pooled(6, ModelSpec(12, {2: ex.TREND_BETA}, ex.TREND_FIELD))
+    assert_pooled(4, ModelSpec(16, {2: 1.0}, 0.3))
     # OpenBLAS splits a dot product over 2**16 entries across threads
     n16 = {"experiment": "self-averaging",
            "model": {"n_sites": 16, "betas": {"2": 1.0}, "field": 0.3},

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import math
 import os
 import signal
@@ -326,9 +327,15 @@ def test_stacked_cavity_residuals_equal_per_draw_reference(model):
         assert got == want, size
 
 
-def test_cavity_and_taylor_checks_identical_across_batch_sizes_and_workers(monkeypatch):
+def test_cavity_and_taylor_checks_identical_across_batch_sizes_and_workers(monkeypatch,
+                                                                          assert_pooled):
     """Chunks of one row and the default chunks give the same residuals, and
-    for the cavity check so do one and two workers; it honours ``workers``."""
+    for the cavity check so do one and two workers; it honours ``workers``.
+    Its 40 realizations at N = 6 are one default range, run in process, and
+    40 one-row ranges on two workers."""
+    cavity_spec = ModelSpec(6, {2: 0.8, 3: 0.4}, 0.3)
+    monkeypatch.setattr(ex, "BATCH_ELEMS", 1)
+    assert_pooled(40, cavity_spec)
     built = []
     real = ex.ProcessPoolExecutor
     monkeypatch.setattr(ex, "ProcessPoolExecutor",
@@ -339,8 +346,7 @@ def test_cavity_and_taylor_checks_identical_across_batch_sizes_and_workers(monke
         for elems, workers in ((1, 1), (ex.BATCH_ELEMS, 1), (1, 2), (ex.BATCH_ELEMS, 2)):
             monkeypatch.setattr(ex, "BATCH_ELEMS", elems)
             cavity[elems, workers] = ex.cavity_identity_check(
-                ModelSpec(6, {2: 0.8, 3: 0.4}, 0.3), dis.gaussian(), 2, ((0,), (0, 1)), 40,
-                seed=4, workers=workers)
+                cavity_spec, dis.gaussian(), 2, ((0,), (0, 1)), 40, seed=4, workers=workers)
             if workers == 1:
                 taylor[elems] = ex.taylor_coefficient_check(
                     ModelSpec(4, {2: 0.6}, 0.3), dis.gaussian(), 0.6, 0.5, 2,
@@ -521,14 +527,18 @@ def test_estimators_reproduce_bit_for_bit():
     assert c.value != a.value
 
 
-def test_estimators_check_before_starting_workers(monkeypatch):
+def test_estimators_check_before_starting_workers(monkeypatch, assert_pooled):
+    """Every run maps enough ranges to fork the pool on two workers, so a
+    check made after the work started would meet no_pool."""
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool started before the inputs were checked")
 
+    mspec, big = ModelSpec(13, {2: 1.0}, 0.3), ModelSpec(8, {2: 1.0}, 0.3)
+    assert_pooled(8, mspec)
+    assert_pooled(64, big)
     ex._shutdown_pool()  # a pool left by an earlier test would never call no_pool
     monkeypatch.setattr(ex, "ProcessPoolExecutor", no_pool)
-    mspec = ModelSpec(3, {2: 1.0}, 0.3)
-    law, far = dis.rademacher(), ex.spin_monomial(((5,),))
+    law, far = dis.rademacher(), ex.spin_monomial(((13,),))
     runs = [
         lambda: ex.gg_thermal_gap(mspec, law, 1, 2, ex.overlap_square(), 8, seed=1, workers=2),
         lambda: ex.gg_thermal_gap(mspec, law, 2, 0, ex.constant_one(), 8, seed=1, workers=2),
@@ -547,12 +557,11 @@ def test_estimators_check_before_starting_workers(monkeypatch):
         with pytest.raises(ex.ExperimentError):
             run()
     # symbolic expansions past their caps: R**7 over 8**7 site tuples, n + m = 17 labels
-    big = ModelSpec(8, {2: 1.0}, 0.3)
     capped = [
         lambda: ex.poisson_ibp_check(big, law, 0.5, 0.5, 2,
-                                     ex.TestFunction("overlap-power", power=7), 8, seed=1,
+                                     ex.TestFunction("overlap-power", power=7), 64, seed=1,
                                      workers=2),
-        lambda: ex.derivative_moment_sum(big, law, 2, 15, ex.constant_one(), 8, seed=1,
+        lambda: ex.derivative_moment_sum(big, law, 2, 15, ex.constant_one(), 64, seed=1,
                                          workers=2),
     ]
     for run in capped:
@@ -568,8 +577,9 @@ def test_replicate_cap_checked_before_any_work():
         ex._map_replicates(never, ex.MAX_REPLICATES + 1, 2, ModelSpec(4))
 
 
-def test_worker_count_does_not_change_values():
-    mspec = ModelSpec(3, {2: 1.0}, 0.3)
+def test_worker_count_does_not_change_values(assert_pooled):
+    mspec = ModelSpec(13, {2: 1.0}, 0.3)
+    assert_pooled(8, mspec)
     serial = ex.self_averaging(mspec, dis.gaussian(), 2, 8, seed=32, workers=1)
     pooled = ex.self_averaging(mspec, dis.gaussian(), 2, 8, seed=32, workers=2)
     assert serial.value == pooled.value
@@ -597,10 +607,13 @@ def _kill_own_process(rows):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def test_one_pool_serves_every_map_until_the_worker_count_changes(counted_pools):
+def test_one_pool_serves_every_map_until_the_worker_count_changes(counted_pools,
+                                                                  assert_pooled):
+    mspec = ModelSpec(13, {2: 1.0}, 0.3)
+    assert_pooled(8, mspec)
+
     def run(workers):
-        return ex.self_averaging(ModelSpec(3, {2: 1.0}, 0.3), dis.gaussian(), 2, 8, seed=32,
-                                 workers=workers)
+        return ex.self_averaging(mspec, dis.gaussian(), 2, 8, seed=32, workers=workers)
 
     first, second = run(2), run(2)
     assert counted_pools == [2]
@@ -609,10 +622,11 @@ def test_one_pool_serves_every_map_until_the_worker_count_changes(counted_pools)
     assert counted_pools == [2, 3]
 
 
-def test_broken_pool_is_replaced(counted_pools):
+def test_broken_pool_is_replaced(counted_pools, assert_pooled):
+    assert_pooled(8, ModelSpec(13))  # else _kill_own_process would kill the test process
     with pytest.raises(BrokenProcessPool):
-        ex._map_replicates(_kill_own_process, 8, 2, ModelSpec(4))
-    assert ex._map_replicates(list, 8, 2, ModelSpec(4)) == list(range(8))
+        ex._map_replicates(_kill_own_process, 8, 2, ModelSpec(13))
+    assert ex._map_replicates(list, 8, 2, ModelSpec(13)) == list(range(8))
     assert counted_pools == [2, 2]
 
 
@@ -627,11 +641,12 @@ def test_trend_suite_shape_tiny():
 
 
 
-@pytest.mark.parametrize("count,n_sites,size", [(400, 4, 50), (400, 8, 32), (400, 13, 1),
-                                                (37, 12, 2), (3, 4, 1)])
+@pytest.mark.parametrize("count,n_sites,size", [(400, 4, 512), (400, 8, 32), (400, 13, 1),
+                                                (37, 12, 2), (3, 4, 512), (1024, 4, 512)])
 def test_map_replicates_chunks_consecutive_ranges(count, n_sites, size):
-    """Ranges of min(count // 8, BATCH_ELEMS >> N) indices, at least one,
-    cover 0..count-1 once; the values come back in index order."""
+    """Ranges of size = BATCH_ELEMS >> N indices, whatever the count, the
+    last one holding what is left, cover 0..count-1 once; the values come
+    back in index order."""
     seen = []
 
     def values(rows):
@@ -639,8 +654,56 @@ def test_map_replicates_chunks_consecutive_ranges(count, n_sites, size):
         return [10 * r for r in rows]
 
     assert ex._map_replicates(values, count, 1, ModelSpec(n_sites)) == [10 * r for r in range(count)]
-    assert [len(rows) for rows in seen[:-1]] == [size] * (len(seen) - 1)
+    assert size == ex.BATCH_ELEMS >> n_sites
+    whole, rest = divmod(count, size)
+    assert [len(rows) for rows in seen] == [size] * whole + [rest] * (rest > 0)
     assert [r for rows in seen for r in rows] == list(range(count))
+
+
+def test_one_range_map_builds_no_pool(counted_pools):
+    """A count that fits one range runs in this process on two workers."""
+    assert ex._map_replicates(list, 400, 2, ModelSpec(4)) == list(range(400))
+    assert ex._map_replicates(list, 1, 2, ModelSpec(16)) == [0]
+    assert counted_pools == []
+
+
+def test_recorded_trend_run_keeps_its_task_grouping(monkeypatch):
+    """``configs/trend-baseline.json`` on two workers: at N = 8, 12 and 16
+    the pool gets the tasks the count // 16 rule gave (ranges of 32, 2 and 1
+    replicates, 224, 250 and 250 replicates a task); at N = 4, 8 tasks of
+    one 512-replicate range each, not 16 of 250."""
+    tasks = {}
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def map(self, fn, ranges, chunksize=1):
+            ranges = list(ranges)
+            tasks[n_sites] = [(group[0].start, group[-1].stop) for group in
+                              (ranges[i:i + chunksize] for i in range(0, len(ranges), chunksize))]
+            return map(fn, ranges)
+
+        def shutdown(self):
+            pass
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", "trend-baseline.json"),
+              encoding="utf-8") as handle:
+        count = json.load(handle)["replicates"]
+    ex._shutdown_pool()
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", RecordingExecutor)
+    try:
+        for n_sites in ex.TREND_SIZES:
+            mspec = ModelSpec(n_sites, {2: ex.TREND_BETA}, ex.TREND_FIELD)
+            assert ex._map_replicates(list, count, 2, mspec) == list(range(count))
+    finally:
+        ex._shutdown_pool()
+
+    def split(step):
+        return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+    assert count == 4000
+    assert tasks == {4: split(512), 8: split(224), 12: split(250), 16: split(250)}
 
 
 def test_map_replicates_ranges_fit_the_coupling_cap():
@@ -659,11 +722,13 @@ def test_map_replicates_ranges_fit_the_coupling_cap():
     assert seen == [16] * 25
 
 
-def test_trend_suite_identical_across_batch_sizes_and_workers(monkeypatch):
-    """Chunks of one row (BATCH_ELEMS = 1), the default chunks (64 and 32
-    rows serially at N = 4 and 8) and 64-row chunks at both sizes, serially
-    and on two workers, give the same bytes."""
+def test_trend_suite_identical_across_batch_sizes_and_workers(monkeypatch, assert_pooled):
+    """Chunks of one row (BATCH_ELEMS = 1), the default chunks (one range of
+    512 rows at N = 4, 32 rows at N = 8) and those of BATCH_ELEMS = 64 << 8
+    (one range at N = 4, 64 rows at N = 8), serially and on two workers,
+    give the same bytes; on two workers N = 8 runs in the pool."""
     default = ex.BATCH_ELEMS
+    assert_pooled(512, ModelSpec(8, {2: ex.TREND_BETA}, ex.TREND_FIELD))
     runs = {}
     ex._shutdown_pool()
     try:
@@ -696,8 +761,8 @@ _MIXED_RUNS = {
 @pytest.mark.parametrize("name", sorted(_MIXED_RUNS))
 def test_mixed_experiments_identical_across_batch_sizes(monkeypatch, name):
     """264 replicates at N = 8 on the p = 2 + 3 model, serially, in chunks of
-    one row (BATCH_ELEMS = 1), of 32 rows (the default) and of 33 rows
-    (64 << 8 allows 64; 264 // 8 caps it), give the same bytes.  F = one in
+    one row (BATCH_ELEMS = 1), of 32 rows (the default) and of 64 rows
+    (64 << 8), give the same bytes.  F = one in
     universality-gap is a constant that each chunk broadcasts to its rows."""
     runs = {}
     for elems in (1, ex.BATCH_ELEMS, 64 << 8):
@@ -723,14 +788,14 @@ def test_poisson_tilts_identical_across_batch_sizes(monkeypatch):
 
 
 def test_free_energy_fluctuation_transforms_no_spectrum(monkeypatch):
-    """Free energies read log Z only: one energy transform per chunk of 8
-    replicates (64 // 8 rows at N = 4, serially), no weight transform."""
+    """Free energies read log Z only: one energy transform of the one range
+    of 64 replicates (BATCH_ELEMS >> 4 = 512 rows fit), no weight transform."""
     calls = []
     real = gibbs.fwht
     monkeypatch.setattr(gibbs, "fwht", lambda vec: calls.append(np.shape(vec)) or real(vec))
     ex.free_energy_fluctuation(ModelSpec(4, {2: 1.0}, 0.3), dis.rademacher(), 64, seed=3,
                                workers=1)
-    assert calls == [(8, 16)] * 8
+    assert calls == [(64, 16)]
 
 
 def test_trend_draws_make_no_seed_sequence_and_no_choice(monkeypatch):
@@ -738,7 +803,8 @@ def test_trend_draws_make_no_seed_sequence_and_no_choice(monkeypatch):
     and sample atoms without Generator.choice.  Each chunk draw builds one
     Philox and validates its stacked tables once; a chunk index makes 8
     draws (gg-gap's two streams, the universality gap's two laws,
-    self-averaging, two derivative sums and the free energy)."""
+    self-averaging, two derivative sums and the free energy).  The 64
+    replicates are one range at N = 4 and two of 32 at N = 8."""
     counts = collections.Counter()
 
     class CountedSeedSequence(np.random.SeedSequence):
@@ -767,7 +833,6 @@ def test_trend_draws_make_no_seed_sequence_and_no_choice(monkeypatch):
     monkeypatch.setattr(np.random, "Generator", CountedGenerator)
     monkeypatch.setattr(CouplingAssignment, "validate", validate)
     ex.trend_suite((4, 8), 64, seed=3, workers=1)
-    chunk_indices = sum(len(range(0, 64, max(1, min(64 // 8, ex.BATCH_ELEMS >> n))))
-                        for n in (4, 8))
+    chunk_indices = sum(len(range(0, 64, ex.BATCH_ELEMS >> n)) for n in (4, 8))
     assert counts["SeedSequence"] == counts["choice"] == 0
-    assert counts["Philox"] == counts["validate"] == 8 * chunk_indices == 128
+    assert counts["Philox"] == counts["validate"] == 8 * chunk_indices == 24
