@@ -10,7 +10,6 @@ pass/fail lines and exit code 1 on numeric failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import datetime
 import io
@@ -159,13 +158,6 @@ def parse_config(raw: dict) -> RunConfig:
     _reject_unknown(params, set(entry.params), f"params for {name!r}")
     values = {key: _convert(params[key], default, f"params.{key}") if key in params else default
               for key, default in entry.params.items()}
-    for key, value in values.items():  # each size's sites, before any size runs
-        if isinstance(value, ex.TestFunction):
-            for n_sites in sizes:
-                try:
-                    value.check(n_sites, value.min_replicas)
-                except ValueError as err:
-                    raise ConfigError(f"params.{key}: {err}") from None
 
     replicates = raw.get("replicates", 1)
     if not _is_int(replicates) or replicates < 1:
@@ -253,11 +245,13 @@ def _convert(value, default, where: str):
 class Experiment:
     """``params`` maps each allowed param to its default, whose type is the
     param's type.  ``run(config, mspec, law, **values)`` gives one size's rows;
-    self-contained experiments run once as ``run(config, **values)``."""
+    ``check``, with the same arguments, raises what ``run`` would refuse and
+    does no work.  Self-contained experiments take no mspec and no law."""
 
     description: str
     params: dict
     run: Callable[..., list]
+    check: Callable[..., None]
     self_contained: bool = False
 
 
@@ -283,72 +277,89 @@ EXPERIMENTS: dict[str, Experiment] = {
         "replica-coupling gap linking the (n+1)-replica overlap moment to the n-replica ones",
         {"n": 2, "p": 2, "function": _F},
         lambda c, mspec, law, n, p, function: [ex.gg_gap(
-            mspec, law, n, p, function, c.replicates, c.seed, c.workers)]),
+            mspec, law, n, p, function, c.replicates, c.seed, c.workers)],
+        lambda c, mspec, law, **v: ex.check_gg_gap(mspec.n_sites, **v)),
     "gg-thermal-gap": Experiment(
         "purely thermal replica-coupling combination over n+2 replicas",
         {"n": 2, "p": 2, "function": _F},
         lambda c, mspec, law, n, p, function: [ex.gg_thermal_gap(
-            mspec, law, n, p, function, c.replicates, c.seed, c.workers)]),
+            mspec, law, n, p, function, c.replicates, c.seed, c.workers)],
+        lambda c, mspec, law, **v: ex.check_gg_thermal_gap(mspec.n_sites, **v)),
     "self-averaging": Experiment(
         "concentration of the order-p interaction energy "
         "(thermal variance or centered absolute deviation)",
         {"p": 2, "mode": "thermal"},
         lambda c, mspec, law, p, mode: [ex.self_averaging(
-            mspec, law, p, c.replicates, c.seed, mode=mode, workers=c.workers)]),
+            mspec, law, p, c.replicates, c.seed, mode=mode, workers=c.workers)],
+        lambda c, mspec, law, **v: ex.check_self_averaging(mspec, **v)),
     "universality-gap": Experiment(
         "difference of Gibbs averages between two disorder families",
         {"function": _F, "disorder_b": dis.rademacher()},
         lambda c, mspec, law, function, disorder_b: [ex.universality_gap(
-            mspec, law, disorder_b, function, c.replicates, c.seed, c.workers)]),
+            mspec, law, disorder_b, function, c.replicates, c.seed, c.workers)],
+        lambda c, mspec, law, function, disorder_b: function.check(
+            mspec.n_sites, function.min_replicas)),
     "interpolation-sweep": Experiment(
         "Gibbs average along the square-root interpolation between a law and the Gaussian",
         {"function": _F, "t_grid": (0.0, 0.5, 1.0)},
         lambda c, mspec, law, function, t_grid: ex.interpolation_sweep(
-            mspec, law, t_grid, function, c.replicates, c.seed, c.workers)),
+            mspec, law, t_grid, function, c.replicates, c.seed, c.workers),
+        lambda c, mspec, law, **v: ex.check_interpolation_sweep(mspec.n_sites, **v)),
     "cavity-identity": Experiment(
         "two-route check of the cavity-field representation of spin marginals",
-        {"n_cavity": 1, "cavity_sets": ((0,),)}, _cavity_rows),
+        {"n_cavity": 1, "cavity_sets": ((0,),)}, _cavity_rows,
+        lambda c, mspec, law, **v: ex.check_cavity_identity(mspec.n_sites, **v)),
     "derivative-moment-sum": Experiment(
         "tuple-averaged m-th coupling derivative of a Gibbs average, via squared multi-overlaps",
         {"n": 2, "m": 4, "function": ex.spin_monomial(((0, 1, 2),))},
         lambda c, mspec, law, n, m, function: [ex.derivative_moment_sum(
-            mspec, law, n, m, function, c.replicates, c.seed, c.workers)]),
+            mspec, law, n, m, function, c.replicates, c.seed, c.workers)],
+        lambda c, mspec, law, **v: ex.check_derivative_moment_sum(mspec.n_sites, **v)),
     "vb-logz-increment": Experiment(
         "per-edge log-partition gain from a diluted pair "
         "interaction; lies in [0, beta'] on average",
         {"alpha": 0.5, "beta_prime": 0.5},
         lambda c, mspec, law, alpha, beta_prime: [ex.vb_logz_increment(
-            mspec, law, alpha, beta_prime, c.replicates, c.seed, workers=c.workers)]),
+            mspec, law, alpha, beta_prime, c.replicates, c.seed, workers=c.workers)],
+        lambda c, mspec, law, alpha, beta_prime: ex.check_vb_logz_increment(alpha)),
     "poisson-ibp": Experiment(
         "paired two-sided check of the Poisson integration-by-parts identity for the diluted term",
         {"alpha": 0.5, "beta_prime": 0.5, "n": 2, "function": _F},
         lambda c, mspec, law, alpha, beta_prime, n, function: [ex.poisson_ibp_check(
             mspec, law, alpha, beta_prime, n, function, c.replicates, c.seed,
-            workers=c.workers)]),
+            workers=c.workers)],
+        lambda c, mspec, law, **v: ex.check_poisson_ibp(mspec.n_sites, **v)),
     "free-energy-fluctuation": Experiment(
         "disorder variance of the free energy density",
         {}, lambda c, mspec, law: [ex.free_energy_fluctuation(
-            mspec, law, c.replicates, c.seed, c.workers)]),
+            mspec, law, c.replicates, c.seed, c.workers)],
+        lambda c, mspec, law: ex.check_free_energy_fluctuation(c.replicates)),
     "ibp-battery": Experiment(
         "approximate-integration-by-parts remainders and envelope "
         "bounds over the standard laws and smooth functions",
-        {}, _battery_rows, self_contained=True),
+        {}, _battery_rows, lambda c: None, self_contained=True),
     "trend-suite": Experiment(
         "the recorded six-series finite-size trend battery",
         {"n_values": ex.TREND_SIZES},
         lambda c, n_values: ex.trend_suite(n_values, c.replicates, c.seed, c.workers),
+        lambda c, n_values: ex.check_trend_suite(n_values, c.replicates),
         self_contained=True),
 }
 
 
 def _dispatch(config: RunConfig) -> list[ex.EstimatorResult]:
+    """Check every size, then make the output directory and run every size:
+    a refused request computes nothing and leaves no directory."""
     entry = EXPERIMENTS[config.experiment]
-    if entry.self_contained:
-        return entry.run(config, **config.values)
-    law = _build_law(config.disorder)
-    specs = [ModelSpec(n_sites, dict(config.betas), config.field_h)
-             for n_sites in config.n_sites_list]  # every size is checked before any runs
-    return [row for mspec in specs for row in entry.run(config, mspec, law, **config.values)]
+    sizes = [()]
+    if not entry.self_contained:
+        law = _build_law(config.disorder)
+        sizes = [(ModelSpec(n_sites, dict(config.betas), config.field_h), law)
+                 for n_sites in config.n_sites_list]
+    for args in sizes:
+        entry.check(config, *args, **config.values)
+    _on_output(os.makedirs, config.output, exist_ok=True)
+    return [row for args in sizes for row in entry.run(config, *args, **config.values)]
 
 
 # -- output writing ----------------------------------------------------------
@@ -590,32 +601,38 @@ def run_verify(suite: str, output: str | None = None) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-def run_config_file(path: str, workers_override: int | None = None) -> int:
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key given twice is a ConfigError."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"key {key!r} is given twice in one object")
+        out[key] = value
+    return out
+
+
+def _load_config(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as err:
-        print(f"error: cannot read config: {err}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ConfigError(f"cannot read config: {err}") from None
     except json.JSONDecodeError as err:
-        print(f"error: config is not valid JSON: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    made = False
+        raise ConfigError(f"config is not valid JSON: {err}") from None
+
+
+def run_config_file(path: str, workers_override: int | None = None) -> int:
     try:
-        config = parse_config(raw)
+        config = parse_config(_load_config(path))
         if workers_override is not None:
             config = replace(config, workers=workers_override)
         ex.resolve_workers(config.workers)  # a bad count exits before any work
-        made = not os.path.isdir(config.output)
-        _on_output(os.makedirs, config.output, exist_ok=True)  # so does an unusable directory
+        ex.check_replicates(config.replicates)
         started = time.monotonic()
         results = _dispatch(config)
         paths = _on_output(write_outputs, config, results, time.monotonic() - started)
     except (ConfigError, ModelValidationError, DisorderValidationError,
             ex.ExperimentError, ResourceCapError) as err:
-        if made:  # a refused run leaves no empty output directory it made
-            with contextlib.suppress(OSError):
-                os.rmdir(config.output)
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     for row in result_rows(results):

@@ -11,6 +11,8 @@ row is bit-identical to its own oracle, so no value depends on the chunk
 size.  Reductions use exact summation (math.fsum), so results do not
 depend on reduction order or on the worker count.  ``_estimate`` is that
 pattern for every estimator that reports a mean with its standard error.
+Each estimator's refusals live in one ``check_*`` function, which does no
+work; the CLI calls it for every size first, and the estimator does not.
 """
 
 from __future__ import annotations
@@ -231,6 +233,11 @@ float64.  A chunk has at most BATCH_ELEMS >> N rows, so from N = 13 on it
 is one replicate."""
 
 
+def check_replicates(count: int) -> None:
+    if count > MAX_REPLICATES:
+        raise ResourceCapError(f"{count} replicates requested (cap {MAX_REPLICATES})")
+
+
 def _map_replicates(fn, count: int, workers: int | None, mspec: ModelSpec) -> list:
     """The values of replicates 0..count-1, in index order regardless of
     scheduling: ``fn(rows)`` returns the values of a range of indices as an
@@ -243,8 +250,7 @@ def _map_replicates(fn, count: int, workers: int | None, mspec: ModelSpec) -> li
     executor (``_shared_pool``); a broken one is discarded and its error
     propagates.  A count above MAX_REPLICATES raises ResourceCapError.
     """
-    if count > MAX_REPLICATES:
-        raise ResourceCapError(f"{count} replicates requested (cap {MAX_REPLICATES})")
+    check_replicates(count)
     n_workers = resolve_workers(workers)
     size = max(1, min(BATCH_ELEMS >> mspec.n_sites, mspec.max_draws))
     chunks = [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
@@ -311,11 +317,6 @@ def _draw_dressed(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime:
 # -- replica-coupling gaps ---------------------------------------------------
 
 
-def _require_positive(name: str, value: int) -> None:
-    if value < 1:
-        raise ExperimentError(f"{name} must be >= 1, got {value}")
-
-
 def _f_expectation(oracle: GibbsOracle, fn: TestFunction):
     return overlap_product_expectation(oracle, fn.edges, fn.masks)
 
@@ -333,9 +334,7 @@ def gg_gap_realization(oracle: GibbsOracle, oracle_indep: GibbsOracle, n: int, p
     where the primed average may come from an independent realization.  With
     oracle_indep is oracle and F constant the value cancels identically.
     """
-    if n < 2:
-        raise ExperimentError(f"the gap needs n >= 2 replicas, got {n}")
-    fn.check(oracle.n_sites, n)
+    check_gg_gap(oracle.n_sites, n, p, fn)
     lead = _coupled_expectation(oracle, fn, 1, n + 1, p)
     boundary = oracle_indep.overlap_power_moment(p) * _f_expectation(oracle, fn)
     inner = _fsum(_coupled_expectation(oracle, fn, 1, l, p) for l in range(2, n + 1))
@@ -348,14 +347,16 @@ def _gg_gap_replicates(mspec: ModelSpec, law: DisorderSpec, n: int, p: int,
                               _draw_oracles(mspec, law, 1, exp_id, rows), n, p, fn)
 
 
+def check_gg_gap(n_sites: int, n: int, p: int, function: TestFunction) -> None:
+    if n < 2:
+        raise ExperimentError(f"the gap needs n >= 2 replicas, got {n}")
+    check_gg_thermal_gap(n_sites, n, p, function)
+
+
 def gg_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction,
            replicates: int, seed: int, workers: int | None = 1) -> EstimatorResult:
     """Disorder average of the replica-coupling gap; the product term uses an
     independent realization per replicate so it is unbiased for E<R^p> E<F>."""
-    if n < 2:
-        raise ExperimentError(f"the gap needs n >= 2 replicas, got {n}")
-    _require_positive("p", p)
-    fn.check(mspec.n_sites, n)
     return _estimate("gg-gap", functools.partial(_gg_gap_replicates, mspec, law, n, p, fn),
                      mspec, replicates, seed, workers,
                      {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
@@ -368,7 +369,7 @@ def gg_thermal_gap_realization(oracle: GibbsOracle, n: int, p: int, fn: TestFunc
     2 sum_{l<l'<=n} <R_{l,l'}^p F> - 2n sum_{l<=n} <R_{l,n+1}^p F>
     + n(n+1) <R_{n+1,n+2}^p F>.
     """
-    fn.check(oracle.n_sites, n)
+    check_gg_thermal_gap(oracle.n_sites, n, p, fn)
     coupled = functools.partial(_coupled_expectation, oracle, fn, power=p)
     first = _fsum(coupled(a, b) for a, b in itertools.combinations(range(1, n + 1), 2))
     second = _fsum(coupled(l, n + 1) for l in range(1, n + 1))
@@ -376,10 +377,14 @@ def gg_thermal_gap_realization(oracle: GibbsOracle, n: int, p: int, fn: TestFunc
     return 2.0 * first - 2.0 * n * second + n * (n + 1) * third
 
 
+def check_gg_thermal_gap(n_sites: int, n: int, p: int, function: TestFunction) -> None:
+    if p < 1:
+        raise ExperimentError(f"p must be >= 1, got {p}")
+    function.check(n_sites, n)
+
+
 def gg_thermal_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction,
                    replicates: int, seed: int, workers: int | None = 1) -> EstimatorResult:
-    _require_positive("p", p)
-    fn.check(mspec.n_sites, n)
     realization = functools.partial(gg_thermal_gap_realization, n=n, p=p, fn=fn)
     return _estimate("gg-thermal-gap", functools.partial(_on_batch, realization, mspec, law, 0),
                      mspec, replicates, seed, workers,
@@ -412,6 +417,13 @@ def _self_avg_replicates(mspec: ModelSpec, law: DisorderSpec, p: int, mode: str,
     return _self_avg_value(GibbsOracle.build(mspec, draws), energies_p, mode, center)
 
 
+def check_self_averaging(mspec: ModelSpec, p: int, mode: str) -> None:
+    if p not in mspec.betas:
+        raise ExperimentError(f"model has no order-{p} interaction")
+    if mode not in ("thermal", "full"):
+        raise ExperimentError(f"unknown self-averaging mode {mode!r}")
+
+
 def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int, seed: int,
                    mode: str = "thermal", workers: int | None = 1) -> EstimatorResult:
     """Concentration of the order-p interaction energy.
@@ -420,10 +432,6 @@ def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int,
     (1/N) E<|H_p - c|> with the centering c estimated from an independent
     replicate batch first.
     """
-    if p not in mspec.betas:
-        raise ExperimentError(f"model has no order-{p} interaction")
-    if mode not in ("thermal", "full"):
-        raise ExperimentError(f"unknown self-averaging mode {mode!r}")
     name = f"self-averaging-{mode}"
     center = 0.0
     if mode == "full":
@@ -443,7 +451,6 @@ def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
 
     No common random numbers: the laws differ, so pairing would be fiction.
     """
-    fn.check(mspec.n_sites, fn.min_replicas)
     realization = functools.partial(_f_expectation, fn=fn)
     a, b = (_estimate("universality-gap",
                       functools.partial(_on_batch, realization, mspec, law, stream),
@@ -470,6 +477,15 @@ def _sweep_replicates(mspec: ModelSpec, law: DisorderSpec, t_grid: tuple[float, 
     return np.stack(by_t, axis=-1)
 
 
+def check_interpolation_sweep(n_sites: int, function: TestFunction, t_grid) -> None:
+    if not t_grid:
+        raise ExperimentError("the interpolation grid needs at least one point")
+    for t in t_grid:
+        if not 0.0 <= t <= 1.0:
+            raise ExperimentError(f"interpolation points must lie in [0, 1], got {t}")
+    function.check(n_sites, function.min_replicas)
+
+
 def interpolation_sweep(mspec: ModelSpec, law: DisorderSpec, t_grid, fn: TestFunction,
                         replicates: int, seed: int,
                         workers: int | None = 1) -> list[EstimatorResult]:
@@ -479,12 +495,6 @@ def interpolation_sweep(mspec: ModelSpec, law: DisorderSpec, t_grid, fn: TestFun
     the pair across the grid makes the curve smooth in t.
     """
     t_grid = tuple(float(t) for t in t_grid)
-    if not t_grid:
-        raise ExperimentError("the interpolation grid needs at least one point")
-    for t in t_grid:
-        if not 0.0 <= t <= 1.0:
-            raise ExperimentError(f"interpolation points must lie in [0, 1], got {t}")
-    fn.check(mspec.n_sites, fn.min_replicas)
     exp_id = experiment_id(seed, "interpolation-sweep")
     worker = functools.partial(_sweep_replicates, mspec, law, t_grid, fn, exp_id)
     rows = _map_replicates(worker, replicates, workers, mspec)
@@ -553,13 +563,10 @@ def cavity_identity_realization(mspec: ModelSpec, law: DisorderSpec, n_cavity: i
     return np.stack([worst, abs(prod_lhs - prod_rhs)], axis=-1)
 
 
-def cavity_identity_check(mspec: ModelSpec, law: DisorderSpec, n_cavity: int, cavity_sets,
-                          realizations: int, seed: int,
-                          workers: int | None = 1) -> dict[str, float]:
-    """Worst residuals of the cavity identity over many realizations."""
+def check_cavity_identity(n_sites: int, n_cavity: int, cavity_sets) -> None:
     if n_cavity < 1:
         raise ExperimentError(f"cavity check needs at least one cavity site, got {n_cavity}")
-    if mspec.n_sites - n_cavity < 1:
+    if n_sites - n_cavity < 1:
         raise ExperimentError("cavity check needs at least one bulk site")
     for block in cavity_sets:
         if len(set(block)) != len(block):
@@ -567,6 +574,12 @@ def cavity_identity_check(mspec: ModelSpec, law: DisorderSpec, n_cavity: int, ca
         for j in block:
             if not 0 <= j < n_cavity:
                 raise ExperimentError(f"cavity site {j} outside 0..{n_cavity - 1}")
+
+
+def cavity_identity_check(mspec: ModelSpec, law: DisorderSpec, n_cavity: int, cavity_sets,
+                          realizations: int, seed: int,
+                          workers: int | None = 1) -> dict[str, float]:
+    """Worst residuals of the cavity identity over many realizations."""
     worker = functools.partial(cavity_identity_realization, mspec, law, n_cavity, cavity_sets,
                                experiment_id(seed, "cavity-identity"))
     rows = _map_replicates(worker, realizations, workers, mspec)
@@ -600,15 +613,23 @@ def multioverlap_sq_expectation(oracle: GibbsOracle, labels, fixed: dict[int, in
     return scalar * matrix.sum(axis=(-2, -1)) / n_sites ** 2
 
 
+def check_derivative_moment_sum(n_sites: int, n: int, m: int,
+                                function: TestFunction) -> dict[frozenset, int]:
+    """Refusals of the derivative sum; returns its tuple-sum table."""
+    if function.edges:
+        raise ExperimentError("derivative sums support constant or monomial F only")
+    if m < 1:
+        raise ExperimentError(f"m must be >= 1, got {m}")
+    function.check(n_sites, n)
+    return derivative_power_tuple_sum(m, n)
+
+
 def derivative_sum_realization(oracle: GibbsOracle, n: int, m: int, fn: TestFunction):
     """N**-2 sum over site pairs of <(derivative factor)**m F> for each row,
     evaluated through the squared-multi-overlap reformulation."""
-    if fn.edges:
-        raise ExperimentError("derivative sums support constant or monomial F only")
-    fn.check(oracle.n_sites, n)
     fixed = fn.masks
     total = 0.0
-    for labels, coeff in derivative_power_tuple_sum(m, n).items():
+    for labels, coeff in check_derivative_moment_sum(oracle.n_sites, n, m, fn).items():
         total += coeff * multioverlap_sq_expectation(oracle, labels, fixed)
     return total
 
@@ -617,11 +638,6 @@ def derivative_moment_sum(mspec: ModelSpec, law: DisorderSpec, n: int, m: int,
                           fn: TestFunction, replicates: int, seed: int,
                           workers: int | None = 1) -> EstimatorResult:
     """Disorder average of the tuple-summed m-th derivative of <F>."""
-    if fn.edges:
-        raise ExperimentError("derivative sums support constant or monomial F only")
-    _require_positive("m", m)
-    fn.check(mspec.n_sites, n)
-    derivative_power_tuple_sum(m, n)  # checks its size before any worker starts
     realization = functools.partial(derivative_sum_realization, n=n, m=m, fn=fn)
     return _estimate("derivative-moment-sum",
                      functools.partial(_on_batch, realization, mspec, law, 0),
@@ -633,14 +649,17 @@ def derivative_moment_sum(mspec: ModelSpec, law: DisorderSpec, n: int, m: int,
 # -- free energy fluctuation -------------------------------------------------
 
 
+def check_free_energy_fluctuation(replicates: int) -> None:
+    if replicates < 2:
+        raise ExperimentError(f"a variance needs at least 2 replicates, got {replicates}")
+
+
 def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int, seed: int,
                             workers: int | None = 1) -> EstimatorResult:
     """Sample variance of the free energy density across disorder draws.
 
     The standard error of the variance uses the distribution-free fourth
     central moment formula."""
-    if replicates < 2:
-        raise ExperimentError(f"a variance needs at least 2 replicates, got {replicates}")
     exp_id = experiment_id(seed, "free-energy-fluctuation")
     worker = functools.partial(_on_batch, operator.attrgetter("free_energy_density"),
                                mspec, law, 0, exp_id)
@@ -665,14 +684,25 @@ def _vb_replicates(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime
     return (dressed.log_z - base.log_z) / (alpha * mspec.n_sites)
 
 
+MAX_ALPHA = 1 << 10
+"""Largest dilution alpha.  A range holds at most 2**12 site-rows, since
+rows * N <= (BATCH_ELEMS >> N) * N, so it draws about alpha * N * rows <=
+MAX_COUPLING_ENTRIES diluted edges."""
+
+
+def check_vb_logz_increment(alpha: float) -> None:
+    if alpha <= 0:
+        raise ExperimentError(f"alpha must be positive, got {alpha}")
+    if alpha > MAX_ALPHA:
+        raise ResourceCapError(f"alpha = {alpha} requested (cap {MAX_ALPHA})")
+
+
 def vb_logz_increment(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
                       replicates: int, seed: int, workers: int | None = 1) -> EstimatorResult:
     """Per-edge log-partition gain from adding the diluted interaction.
 
     The population value lies in [0, beta'] for the Rademacher edge couplings.
     """
-    if alpha <= 0:
-        raise ExperimentError(f"alpha must be positive, got {alpha}")
     return _estimate("vb-logz-increment",
                      functools.partial(_vb_replicates, mspec, law, alpha, beta_prime),
                      mspec, replicates, seed, workers,
@@ -714,12 +744,26 @@ MAX_GRADED_REPLICAS = 8
 2**(n+1) pair-weighted matrices a range, 0.6 s for one replicate at N = 8."""
 
 
-def _check_graded(fn: TestFunction, n_sites: int, n: int) -> None:
-    """Check n, F and F's expansion before any worker starts."""
+def check_taylor_coefficients(n_sites: int, n: int, function: TestFunction,
+                              m_values=()) -> ReplicaFunctional:
+    """Refusals of the Taylor check; with no orders, those of the graded pair
+    sums shared with the Poisson identity.  Returns F's functional on n replicas."""
+    for m in m_values:
+        if not 1 <= m <= 5:
+            raise ExperimentError(f"coefficient order must be in 1..5, got {m}")
     if n > MAX_GRADED_REPLICAS:
         raise ResourceCapError(f"the identity over n = {n} replicas sums 2**{n + 1} pair "
                                f"matrices (cap n = {MAX_GRADED_REPLICAS})")
-    fn.functional(n_sites, n)
+    return function.functional(n_sites, n)
+
+
+def check_poisson_ibp(n_sites: int, alpha: float, beta_prime: float, n: int,
+                      function: TestFunction) -> ReplicaFunctional:
+    """Refusals of the Poisson identity; returns F's functional on n replicas."""
+    if beta_prime == 0.0:
+        raise ExperimentError("the identity needs beta_prime != 0")
+    check_vb_logz_increment(alpha)
+    return check_taylor_coefficients(n_sites, n, function)
 
 
 TILT_FLOOR = 1e-4
@@ -754,7 +798,7 @@ def poisson_ibp_realization(oracle: GibbsOracle, vbs, alpha: float, beta_prime: 
     separately.
     """
     n_sites = oracle.n_sites
-    delta = replica_difference(fn.functional(n_sites, n), 1)
+    delta = replica_difference(check_poisson_ibp(n_sites, alpha, beta_prime, n, fn), 1)
     graded = _graded_pair_sums(oracle, delta, n)
     # left side: sum_k J_k * W[u_k, v_k] with W = G_0, the per-edge coupling
     # matrix (S = {} puts the pair monomial on replica 1 alone); each row has
@@ -797,9 +841,6 @@ def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
                       workers: int | None = 1) -> EstimatorResult:
     """Paired difference of the two sides; consistent with zero when the
     identity holds."""
-    if alpha <= 0 or beta_prime == 0.0:
-        raise ExperimentError("the identity needs alpha > 0 and beta_prime != 0")
-    _check_graded(fn, mspec.n_sites, n)
     return _estimate("poisson-ibp",
                      functools.partial(_poisson_ibp_replicates, mspec, law, alpha, beta_prime,
                                        n, fn),
@@ -822,7 +863,7 @@ def taylor_coefficient_realization(oracle: GibbsOracle, n: int, m_values,
     endpoint-averaged value against the squared-multi-overlap route.
     """
     n_sites = oracle.n_sites
-    delta = replica_difference(fn.functional(n_sites, n), 1)
+    delta = replica_difference(check_taylor_coefficients(n_sites, n, fn, m_values), 1)
     p0 = oracle.pair_moment_matrix(0)
     graded = _graded_pair_sums(oracle, delta, n)
     out = []
@@ -862,6 +903,17 @@ TREND_SIZES = (4, 8, 12, 16)
 TREND_REPLICATES = 4000
 TREND_FIELD = 0.3
 TREND_BETA = 1.0
+TREND_MONOMIAL = spin_monomial(((0, 1, 2),))
+
+
+def check_trend_suite(n_values, replicates: int) -> None:
+    """Refusals of the trend series at every size; the gaps and the
+    self-averaging series take parameters that hold at every N."""
+    for n_sites in n_values:
+        ModelSpec(n_sites, {2: TREND_BETA}, TREND_FIELD)
+        for m in (3, 4):
+            check_derivative_moment_sum(n_sites, 1, m, TREND_MONOMIAL)
+    check_free_energy_fluctuation(replicates)
 
 
 def trend_suite(n_values=TREND_SIZES, replicates: int = TREND_REPLICATES, seed: int = 7,
@@ -878,11 +930,9 @@ def trend_suite(n_values=TREND_SIZES, replicates: int = TREND_REPLICATES, seed: 
     sum at these sizes (the order-3 decay is steep for every choice).
     """
     fn_overlap = overlap_square()
-    fn_mono = spin_monomial(((0, 1, 2),))
     rows: list[EstimatorResult] = []
-    specs = [ModelSpec(n_sites, {2: TREND_BETA}, TREND_FIELD)
-             for n_sites in n_values]  # every size is checked before any runs
-    for mspec in specs:
+    for n_sites in n_values:
+        mspec = ModelSpec(n_sites, {2: TREND_BETA}, TREND_FIELD)
         rows.append(gg_gap(mspec, dis.rademacher(), 2, 2, fn_overlap,
                            replicates, seed, workers))
         rows.append(universality_gap(mspec, dis.gaussian(), dis.rademacher(), fn_overlap,
@@ -890,7 +940,7 @@ def trend_suite(n_values=TREND_SIZES, replicates: int = TREND_REPLICATES, seed: 
         rows.append(self_averaging(mspec, dis.gaussian(), 2, replicates, seed,
                                    mode="thermal", workers=workers))
         for m in (3, 4):
-            rows.append(derivative_moment_sum(mspec, dis.gaussian(), 1, m, fn_mono,
+            rows.append(derivative_moment_sum(mspec, dis.gaussian(), 1, m, TREND_MONOMIAL,
                                               replicates, seed, workers))
         rows.append(free_energy_fluctuation(mspec, dis.rademacher(), replicates, seed,
                                             workers))
@@ -902,10 +952,6 @@ def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
                              realizations: int, seed: int) -> dict[int, dict[str, float]]:
     """Worst residuals of the coefficient identity per expansion order."""
     m_values = tuple(m_values)
-    for m in m_values:
-        if not 1 <= m <= 5:
-            raise ExperimentError(f"coefficient order must be in 1..5, got {m}")
-    _check_graded(fn, mspec.n_sites, n)
     worker = functools.partial(_taylor_replicates, mspec, law, alpha, beta_prime, n, fn,
                                m_values, experiment_id(seed, "taylor-coefficients"))
     rows = _map_replicates(worker, realizations, 1, mspec)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +274,21 @@ _BAD_VALUES = {
     "oversize": {"experiment": "gg-gap",
                  "model": {"n_sites": 100000, "betas": {"3": 1.0}},
                  "disorder": {"family": "gaussian"}},
+    # numpy's Poisson draw fails on a huge mean, or allocates exabytes of edges
+    "hugealphavb": minimal_config(experiment="vb-logz-increment", params={"alpha": 1e17}),
+    "overflowalphavb": minimal_config(experiment="vb-logz-increment", params={"alpha": 1e300}),
+    "hugealphaibp": minimal_config(experiment="poisson-ibp", params={"alpha": 1e17}),
+    "overflowalphaibp": minimal_config(experiment="poisson-ibp", params={"alpha": 1e300}),
+    # refused at the second size of a sweep only, so the first must not run
+    "sweepoverlappower": minimal_config(
+        experiment="poisson-ibp", model={"n_sites": [4, 8], "betas": {"2": 1.0}},
+        params={"function": {"kind": "overlap-power", "power": 7}}, replicates=24),
+    "sweepbulksite": minimal_config(experiment="cavity-identity", replicates=2000,
+                                    model={"n_sites": [4, 1], "betas": {"2": 1.0}},
+                                    params={"n_cavity": 1, "cavity_sets": [[0]]}),
+    "trendsite": {"experiment": "trend-suite", "params": {"n_values": [4, 2]}, "replicates": 8},
+    "trendonereplicate": {"experiment": "trend-suite", "params": {"n_values": [4]},
+                          "replicates": 1},
 }
 
 
@@ -317,7 +333,8 @@ _FUZZ_VALUES = st.one_of(
 @given(data=st.data())
 def test_fuzzed_config_exits_cleanly(data):
     """One value of a small config replaced by an arbitrary JSON value: the run
-    exits 0, 1 only for a non-finite estimate, or 2 with one error line."""
+    exits 0, 1 only for a non-finite estimate, or 2 with one error line and
+    no replicate map made: every refusal comes before the work."""
     name = data.draw(st.sampled_from(
         sorted(n for n, e in cli.EXPERIMENTS.items() if not e.self_contained)))
     raw = minimal_config(experiment=name, params={}, workers=1)
@@ -337,19 +354,28 @@ def test_fuzzed_config_exits_cleanly(data):
                             **{data.draw(st.sampled_from(["n_sites", "betas", "field"])): value})
     else:
         raw[section] = value
-    err = io.StringIO()
+    err, maps = io.StringIO(), []
+    real_map = ex._map_replicates
+
+    def spy(*args, **kwargs):
+        maps.append(args[1])
+        return real_map(*args, **kwargs)
+
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as handle:
             json.dump(dict(raw, output=os.path.join(tmp, "out")), handle)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                mock.patch.object(ex, "_map_replicates", spy):
             code = cli.main(["run", path])
+        made_output = os.path.exists(os.path.join(tmp, "out"))
     err = err.getvalue()
     assert code in (0, 1, 2), err
     if code == 1:
         assert "non-finite" in err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert maps == [] and not made_output, (maps, err)
 
 
 def test_list_prints_known_experiments(capsys):
@@ -409,20 +435,31 @@ def test_worker_count_above_cap_exits_2_before_any_pool(tmp_path, capsys, monkey
     assert str(ex.MAX_WORKERS) in err
 
 
-@pytest.mark.parametrize("refused", ["output", "order", "site", "trend"])
+@pytest.mark.parametrize("refused", ["output", "order", "site", "trend", "repeatedkeys"]
+                         + sorted(_BAD_VALUES))
 def test_refused_run_exits_2_before_any_estimator(tmp_path, capsys, monkeypatch, refused):
     """An output path under a file, an order past the coupling-entry cap at
     the second size of a sweep, a test-function site past the second size,
-    or a trend size past the enumeration cap exits 2 with one error line and
-    computes nothing."""
-    def no_estimate(*args, **kwargs):
-        raise AssertionError("an estimator ran")
+    a trend size past the enumeration cap, a key given twice in one object,
+    or any bad value exits 2 with one error line, computes nothing and
+    leaves no output directory."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("replicate work started")
 
-    for name in ("gg_thermal_gap", "gg_gap", "_map_replicates"):
-        monkeypatch.setattr(ex, name, no_estimate)
+    monkeypatch.setattr(ex, "_map_replicates", no_work)
+    monkeypatch.setattr(ex.GibbsOracle, "build", no_work)
     (tmp_path / "file").write_text("")
     raw = minimal_config(output=str(tmp_path / "file" / "out"))
-    if refused == "order":
+    text = None
+    if refused in _BAD_VALUES:
+        raw = dict(_BAD_VALUES[refused], output=str(tmp_path / "out"))
+    elif refused == "repeatedkeys":
+        raw = minimal_config(experiment="free-energy-fluctuation", params={},
+                             output=str(tmp_path / "out"))
+        text = json.dumps(raw).replace('"2": 1.0', '"2": 1.0, "2": 5.0').replace(
+            '"replicates": 3', '"replicates": 3, "replicates": 4')
+        assert text.count('"2"') == 2 and text.count('"replicates"') == 2
+    elif refused == "order":
         raw = minimal_config(model={"n_sites": [3, 20], "betas": {"7": 1.0}},
                              output=str(tmp_path / "out"))
     elif refused == "site":
@@ -433,7 +470,10 @@ def test_refused_run_exits_2_before_any_estimator(tmp_path, capsys, monkeypatch,
     elif refused == "trend":
         raw = {"experiment": "trend-suite", "params": {"n_values": [8, 21]},
                "replicates": 200, "output": str(tmp_path / "out")}
-    assert cli.main(["run", write_config(tmp_path, raw)]) == cli.USAGE_ERROR
+    path = write_config(tmp_path, raw)
+    if text is not None:
+        (tmp_path / "config.json").write_text(text)
+    assert cli.main(["run", path]) == cli.USAGE_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not os.path.exists(raw["output"])

@@ -167,9 +167,9 @@ def test_gg_estimators_on_constant_function():
 def test_self_averaging_validation():
     mspec = ModelSpec(4, {2: 1.0}, 0.3)
     with pytest.raises(ex.ExperimentError):
-        ex.self_averaging(mspec, dis.gaussian(), 3, 4, seed=0)
+        ex.check_self_averaging(mspec, 3, "thermal")
     with pytest.raises(ex.ExperimentError):
-        ex.self_averaging(mspec, dis.gaussian(), 2, 4, seed=0, mode="bogus")
+        ex.check_self_averaging(mspec, 2, "bogus")
 
 
 @pytest.mark.parametrize("mode", ["thermal", "full"])
@@ -209,8 +209,7 @@ def test_universality_same_law_consistent():
 def test_interpolation_validation_and_shape():
     mspec = ModelSpec(3, {2: 1.0}, 0.3)
     with pytest.raises(ex.ExperimentError):
-        ex.interpolation_sweep(mspec, dis.rademacher(), (0.0, 1.5),
-                               ex.overlap_square(), 4, seed=5)
+        ex.check_interpolation_sweep(3, ex.overlap_square(), (0.0, 1.5))
     rows = ex.interpolation_sweep(mspec, dis.rademacher(), (0.0, 0.5, 1.0),
                                   ex.overlap_square(), 5, seed=5)
     assert [r.params["t"] for r in rows] == [0.0, 0.5, 1.0]
@@ -251,21 +250,18 @@ def test_cavity_identity_pair_sets():
 
 
 def test_cavity_identity_validation(monkeypatch):
-    """Every bad input is refused by the check, before any draw."""
+    """Every bad input is refused by the check, which makes no draw."""
     def no_draw(*args, **kwargs):
         raise AssertionError("a draw was made before the inputs were checked")
 
     monkeypatch.setattr(ex, "sample_replicates", no_draw)
     monkeypatch.setattr(ex, "replicate_generators", no_draw)
-    mspec = ModelSpec(4, {2: 0.8}, 0.3)
-    bad = [(mspec, 4, ((0,),)), (mspec, 1, ((3,),)), (mspec, -1, ()), (mspec, 0, ()),
-           (ModelSpec(5, {2: 0.8}, 0.25), 2, ((0, 0),))]
-    for spec, n_cavity, sets in bad:
+    bad = [(4, 4, ((0,),)), (4, 1, ((3,),)), (4, -1, ()), (4, 0, ()), (5, 2, ((0, 0),))]
+    for n_sites, n_cavity, sets in bad:
         with pytest.raises(ex.ExperimentError):
-            ex.cavity_identity_check(spec, dis.gaussian(), n_cavity, sets, 4, seed=1)
+            ex.check_cavity_identity(n_sites, n_cavity, sets)
     with pytest.raises(ResourceCapError):
-        ex.cavity_identity_check(ModelSpec(21, {2: 1.0}, 0.0), dis.gaussian(), 1, ((0,),), 4,
-                                 seed=1)
+        ModelSpec(21, {2: 1.0}, 0.0)
 
 
 def _cavity_residuals_one_draw(mspec, law, n_cavity, cavity_sets, exp_id, r):
@@ -440,7 +436,10 @@ def test_free_energy_fluctuation_positive():
 def test_vb_increment_validation_and_zero_coupling():
     mspec = ModelSpec(5, {2: 0.5}, 0.2)
     with pytest.raises(ex.ExperimentError):
-        ex.vb_logz_increment(mspec, dis.gaussian(), 0.0, 0.5, 4, seed=17)
+        ex.check_vb_logz_increment(0.0)
+    with pytest.raises(ResourceCapError):
+        ex.check_vb_logz_increment(ex.MAX_ALPHA * 1.5)
+    ex.check_vb_logz_increment(ex.MAX_ALPHA)
     out = ex.vb_logz_increment(mspec, dis.gaussian(), 0.5, 0.0, 5, seed=17)
     assert out.value == 0.0
 
@@ -455,13 +454,12 @@ def test_vb_increment_within_bracket():
 
 
 def test_poisson_ibp_validation():
-    mspec = ModelSpec(4, {2: 0.5}, 0.2)
     with pytest.raises(ex.ExperimentError):
-        ex.poisson_ibp_check(mspec, dis.gaussian(), 0.0, 0.5, 2,
-                             ex.overlap_square(), 4, seed=19)
+        ex.check_poisson_ibp(4, 0.0, 0.5, 2, ex.overlap_square())
     with pytest.raises(ex.ExperimentError):
-        ex.poisson_ibp_check(mspec, dis.gaussian(), 0.5, 0.0, 2,
-                             ex.overlap_square(), 4, seed=19)
+        ex.check_poisson_ibp(4, 0.5, 0.0, 2, ex.overlap_square())
+    with pytest.raises(ResourceCapError):
+        ex.check_poisson_ibp(4, 1e300, 0.5, 2, ex.overlap_square())
 
 
 def test_poisson_ibp_constant_function_exact_zero():
@@ -508,11 +506,9 @@ def test_taylor_coefficient_identity(m, n):
 
 
 def test_taylor_coefficient_order_guard():
-    mspec = ModelSpec(3, {2: 0.6}, 0.3)
     for m_values in ((0,), (2, 6)):
         with pytest.raises(ex.ExperimentError):
-            ex.taylor_coefficient_check(mspec, dis.gaussian(), 0.6, 0.5, 1, ex.constant_one(),
-                                        m_values, 4, seed=23)
+            ex.check_taylor_coefficients(3, 1, ex.constant_one(), m_values)
 
 
 # -- determinism --------------------------------------------------------------
@@ -527,42 +523,33 @@ def test_estimators_reproduce_bit_for_bit():
     assert c.value != a.value
 
 
-def test_estimators_check_before_starting_workers(monkeypatch, assert_pooled):
-    """Every run maps enough ranges to fork the pool on two workers, so a
-    check made after the work started would meet no_pool."""
+def test_estimators_check_before_starting_workers(monkeypatch):
+    """Each estimator's refusals are raised by its check function, which
+    starts no worker; the CLI calls it for every size before any run."""
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool started before the inputs were checked")
 
-    mspec, big = ModelSpec(13, {2: 1.0}, 0.3), ModelSpec(8, {2: 1.0}, 0.3)
-    assert_pooled(8, mspec)
-    assert_pooled(64, big)
     ex._shutdown_pool()  # a pool left by an earlier test would never call no_pool
     monkeypatch.setattr(ex, "ProcessPoolExecutor", no_pool)
-    law, far = dis.rademacher(), ex.spin_monomial(((13,),))
+    far = ex.spin_monomial(((13,),))
     runs = [
-        lambda: ex.gg_thermal_gap(mspec, law, 1, 2, ex.overlap_square(), 8, seed=1, workers=2),
-        lambda: ex.gg_thermal_gap(mspec, law, 2, 0, ex.constant_one(), 8, seed=1, workers=2),
-        lambda: ex.gg_gap(mspec, law, 1, 2, ex.constant_one(), 8, seed=1, workers=2),
-        lambda: ex.gg_gap(mspec, law, 2, -1, far, 8, seed=1, workers=2),
-        lambda: ex.derivative_moment_sum(mspec, law, 2, 0, ex.constant_one(), 8, seed=1,
-                                         workers=2),
-        lambda: ex.derivative_moment_sum(mspec, law, 2, 3, far, 8, seed=1, workers=2),
-        lambda: ex.universality_gap(mspec, law, law, far, 8, seed=1, workers=2),
-        lambda: ex.interpolation_sweep(mspec, law, (), ex.overlap_square(), 8, seed=1,
-                                       workers=2),
-        lambda: ex.poisson_ibp_check(mspec, law, 0.5, 0.5, 1, ex.overlap_square(), 8, seed=1,
-                                     workers=2),
+        lambda: ex.check_gg_thermal_gap(13, 1, 2, ex.overlap_square()),
+        lambda: ex.check_gg_thermal_gap(13, 2, 0, ex.constant_one()),
+        lambda: ex.check_gg_gap(13, 1, 2, ex.constant_one()),
+        lambda: ex.check_gg_gap(13, 2, -1, far),
+        lambda: ex.check_derivative_moment_sum(13, 2, 0, ex.constant_one()),
+        lambda: ex.check_derivative_moment_sum(13, 2, 3, far),
+        lambda: far.check(13, far.min_replicas),  # universality-gap
+        lambda: ex.check_interpolation_sweep(13, ex.overlap_square(), ()),
+        lambda: ex.check_poisson_ibp(13, 0.5, 0.5, 1, ex.overlap_square()),
     ]
     for run in runs:
         with pytest.raises(ex.ExperimentError):
             run()
     # symbolic expansions past their caps: R**7 over 8**7 site tuples, n + m = 17 labels
     capped = [
-        lambda: ex.poisson_ibp_check(big, law, 0.5, 0.5, 2,
-                                     ex.TestFunction("overlap-power", power=7), 64, seed=1,
-                                     workers=2),
-        lambda: ex.derivative_moment_sum(big, law, 2, 15, ex.constant_one(), 64, seed=1,
-                                         workers=2),
+        lambda: ex.check_poisson_ibp(8, 0.5, 0.5, 2, ex.TestFunction("overlap-power", power=7)),
+        lambda: ex.check_derivative_moment_sum(8, 2, 15, ex.constant_one()),
     ]
     for run in capped:
         with pytest.raises(ResourceCapError):
