@@ -413,7 +413,7 @@ def _self_avg_replicates(mspec: ModelSpec, law: DisorderSpec, p: int, mode: str,
                          center: float, exp_id: int, rows: range):
     """``_self_avg_value`` of the replicates' draws, on stream 1 for "center"."""
     draws = sample_replicates(mspec, law, exp_id, rows, 1 if mode == "center" else 0)
-    energies_p = fwht(tuple_coefficients(mspec.betas[p] * mspec.scale(p) * draws.tables[p], p))
+    energies_p = fwht(tuple_coefficients(mspec.betas[p] * mspec.scale(p) * draws.tables[p], p), p)
     return _self_avg_value(GibbsOracle.build(mspec, draws), energies_p, mode, center)
 
 
@@ -432,6 +432,7 @@ def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int,
     (1/N) E<|H_p - c|> with the centering c estimated from an independent
     replicate batch first.
     """
+    check_self_averaging(mspec, p, mode)
     name = f"self-averaging-{mode}"
     center = 0.0
     if mode == "full":
@@ -547,9 +548,11 @@ def cavity_identity_realization(mspec: ModelSpec, law: DisorderSpec, n_cavity: i
     coeffs = np.zeros((count, 1 << n_cavity, size))  # row E holds the masks B | E << n_bulk
     coeffs[:, 0] = bulk
     coeffs[:, np.left_shift(1, np.arange(n_cavity))] = -fields
-    joint = GibbsOracle(mspec.n_sites, fwht(coeffs.reshape(count, -1)))
-    shifted = fwht(fields)
-    reweighted = GibbsOracle(n_bulk, fwht(bulk) + np.logaddexp(shifted, -shifted).sum(axis=1))
+    degree = max(mspec.orders, default=1)  # the fields have one degree less
+    joint = GibbsOracle(mspec.n_sites, fwht(coeffs.reshape(count, -1), degree))
+    shifted = fwht(fields, degree - 1)
+    reweighted = GibbsOracle(n_bulk, fwht(bulk, degree)
+                             + np.logaddexp(shifted, -shifted).sum(axis=1))
     tanh_fields = np.tanh(shifted)
 
     worst = np.zeros(count)
@@ -660,6 +663,7 @@ def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int
 
     The standard error of the variance uses the distribution-free fourth
     central moment formula."""
+    check_free_energy_fluctuation(replicates)
     exp_id = experiment_id(seed, "free-energy-fluctuation")
     worker = functools.partial(_on_batch, operator.attrgetter("free_energy_density"),
                                mspec, law, 0, exp_id)
@@ -703,6 +707,7 @@ def vb_logz_increment(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
 
     The population value lies in [0, beta'] for the Rademacher edge couplings.
     """
+    check_vb_logz_increment(alpha)
     return _estimate("vb-logz-increment",
                      functools.partial(_vb_replicates, mspec, law, alpha, beta_prime),
                      mspec, replicates, seed, workers,

@@ -416,6 +416,20 @@ def test_derivative_moment_sum_estimator_params():
 # -- free energy fluctuation --------------------------------------------------
 
 
+def test_estimators_called_directly_run_their_checks():
+    """An estimator called outside the CLI refuses what its check refuses,
+    before it maps a replicate: a nonpositive alpha (not a NaN value), one
+    replicate for a variance (not a ZeroDivisionError) and an order the
+    model lacks (not a KeyError)."""
+    mspec = ModelSpec(4, {2: 1.0})
+    with pytest.raises(ex.ExperimentError, match="alpha must be positive"):
+        ex.vb_logz_increment(mspec, dis.gaussian(), 0.0, 0.5, 4, seed=0)
+    with pytest.raises(ex.ExperimentError, match="at least 2 replicates"):
+        ex.free_energy_fluctuation(mspec, dis.gaussian(), 1, seed=0)
+    with pytest.raises(ex.ExperimentError, match="no order-3 interaction"):
+        ex.self_averaging(mspec, dis.gaussian(), 3, 4, seed=0)
+
+
 def test_free_energy_fluctuation_zero_without_disorder():
     mspec = ModelSpec(4, {2: 0.0}, 0.5)
     out = ex.free_energy_fluctuation(mspec, dis.gaussian(), 6, seed=15)
@@ -779,10 +793,33 @@ def test_free_energy_fluctuation_transforms_no_spectrum(monkeypatch):
     of 64 replicates (BATCH_ELEMS >> 4 = 512 rows fit), no weight transform."""
     calls = []
     real = gibbs.fwht
-    monkeypatch.setattr(gibbs, "fwht", lambda vec: calls.append(np.shape(vec)) or real(vec))
+    monkeypatch.setattr(gibbs, "fwht", lambda vec, *args, **kwargs:
+                        calls.append(np.shape(vec)) or real(vec, *args, **kwargs))
     ex.free_energy_fluctuation(ModelSpec(4, {2: 1.0}, 0.3), dis.rademacher(), 64, seed=3,
                                workers=1)
     assert calls == [(64, 16)]
+
+
+def test_energy_transforms_pass_their_degree(monkeypatch):
+    """On the p = 2+3 model, self-averaging at p = 2 transforms the order-2
+    energies at degree 2 and the model energies at degree 3; the cavity
+    check transforms the joint coefficients at 3, the cavity fields at 2 and
+    the bulk at 3, and its spectrum, of the weights, with the full passes."""
+    degrees = []
+    real = gibbs.fwht
+
+    def recorded(vec, degree=None):
+        degrees.append(degree)
+        return real(vec, degree)
+
+    monkeypatch.setattr(gibbs, "fwht", recorded)
+    monkeypatch.setattr(ex, "fwht", recorded)
+    mspec = ModelSpec(6, {2: 1.0, 3: 0.5}, 0.3)
+    ex.self_averaging(mspec, dis.gaussian(), 2, 4, seed=1)
+    assert degrees == [2, 3]
+    degrees.clear()
+    ex.cavity_identity_check(mspec, dis.gaussian(), 1, ((0,),), 4, seed=1)
+    assert degrees == [3, 2, 3, None]
 
 
 def test_trend_draws_make_no_seed_sequence_and_no_choice(monkeypatch):

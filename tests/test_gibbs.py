@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 
 import pspinlab.gibbs as gibbs
+from conftest import bits_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pspinlab.model import (
     CouplingAssignment,
+    DilutedPairAssignment,
     ModelSpec,
     ModelValidationError,
     ResourceCapError,
+    energy_coefficients,
     spin_matrix,
+    tuple_coefficients,
 )
 from pspinlab.gibbs import (
     GibbsOracle,
@@ -284,7 +288,7 @@ def test_fwht_involution():
     rng = np.random.default_rng(0)
     for n_bits in (0, 1, 4, 7, 12):
         x = rng.integers(-8, 9, size=1 << n_bits).astype(np.float64)
-        assert np.array_equal(fwht(fwht(x)), (1 << n_bits) * x)
+        assert bits_equal(fwht(fwht(x)), (1 << n_bits) * x)
 
 
 def _radix2_fwht(vec):
@@ -309,15 +313,15 @@ def test_fwht_bit_identical_to_radix2(n_bits):
     x = rng.normal(size=1 << n_bits)
     x[rng.random(x.size) < 0.25] = 0.0
     before = x.copy()
-    assert np.array_equal(fwht(x), _radix2_fwht(x))
-    assert np.array_equal(x, before)
+    assert bits_equal(fwht(x), _radix2_fwht(x))
+    assert bits_equal(x, before)
 
 
 def test_fwht_integer_input_gives_float64():
     x = np.arange(8)
     out = fwht(x)
     assert out.dtype == np.float64
-    assert np.array_equal(out, _radix2_fwht(x.astype(np.float64)))
+    assert bits_equal(out, _radix2_fwht(x.astype(np.float64)))
     assert np.array_equal(x, np.arange(8))
 
 
@@ -331,14 +335,113 @@ def test_fwht_stack_bit_identical_row_by_row(n_bits):
         before = x.copy()
         got = fwht(x)
         assert got.shape == x.shape
-        assert all(np.array_equal(got[i], fwht(x[i])) for i in range(rows))
-        assert np.array_equal(x, before)
+        assert all(bits_equal(got[i], fwht(x[i])) for i in range(rows))
+        assert bits_equal(x, before)
 
 
 def test_fwht_transforms_last_axis_of_a_strided_stack():
     """A transposed (Fortran-ordered) stack is copied to C order first."""
     x = np.random.default_rng(7).normal(size=(16, 3))
-    assert np.array_equal(fwht(x.T), np.array([fwht(col) for col in x.T]))
+    assert bits_equal(fwht(x.T), np.array([fwht(col) for col in x.T]))
+
+
+def _degree_cases(n_sites, rows, rng):
+    """(name, coefficient stack, degree) for the pruned transform: model
+    energies at p = 2, 3 and 2+3, with VB edges (self-loops included), raw
+    odd-order tuple coefficients, whose entries no tuple hits are -0.0, and
+    Rademacher pair couplings at field 0, whose mask sums cancel to exact
+    zeros."""
+    def tables(betas, draw=rng.normal):
+        return CouplingAssignment({p: draw(size=(rows,) + (n_sites,) * p) for p in betas})
+
+    for betas in ({2: 1.0}, {3: 0.7}, {2: 1.0, 3: 0.5}):
+        spec = ModelSpec(n_sites, betas, 0.3)
+        yield f"orders {sorted(betas)}", energy_coefficients(spec, tables(betas)), max(betas)
+    spec = ModelSpec(n_sites, {2: 1.0}, 0.3)
+    vbs = []
+    for _ in range(rows):
+        left = rng.integers(0, n_sites, size=2 * n_sites)
+        right = np.where(rng.random(left.size) < 0.25, left, rng.integers(0, n_sites, left.size))
+        vbs.append(DilutedPairAssignment(0.8, rng.choice([-1.0, 1.0], left.size), left, right))
+    yield "VB edges", energy_coefficients(spec, tables({2: 1.0}), vbs), 2
+    for p in (1, 3):
+        yield f"raw order {p}", tuple_coefficients(rng.normal(size=(rows,) + (n_sites,) * p), p), p
+    signs = tables({2: 1.0}, lambda size: rng.choice([-1.0, 1.0], size))
+    yield "rademacher", energy_coefficients(ModelSpec(n_sites, {2: 1.0}), signs), 2
+
+
+@pytest.mark.parametrize("n_bits", range(1, 21))
+def test_fwht_degree_pruning_is_bit_identical(n_bits):
+    """Pruned low passes give every bit of the full passes, for each row of
+    a stack and for a lone row, at every size, odd N included."""
+    rng = np.random.default_rng(300 + n_bits)
+    for rows in (1, 3, 16):
+        if rows << n_bits > 1 << 20:
+            continue
+        for name, coeffs, degree in _degree_cases(n_bits, rows, rng):
+            before = coeffs.copy()
+            assert bits_equal(fwht(coeffs, degree), fwht(coeffs)), (name, rows)
+            assert bits_equal(coeffs, before)
+            if rows == 1:
+                assert bits_equal(fwht(coeffs[0], degree), fwht(coeffs[0])), name
+
+
+def test_fwht_pruning_keeps_the_sign_of_zeros():
+    """Entries in {-1, -0.0, +0.0, 1} on masks of at most ``degree`` sites,
+    sparse at a density drawn per row, and one signed zero per dead block:
+    the high passes add dead zeros to live ones, whose sums keep the sign
+    only when the pruned blocks hold what the low passes would leave."""
+    rng = np.random.default_rng(9)
+    for n_bits, degree, rows in ((6, 1, 1024), (8, 1, 512), (12, 1, 64)):
+        lo = 2 * (n_bits // 4)
+        values = rng.integers(-1, 2, size=(rows, 1 << n_bits)).astype(np.float64)
+        values[rng.random(values.shape) < rng.random((rows, 1))] = 0.0
+        values[rng.random(values.shape) < 0.5] *= -1.0
+        dead_signs = np.where(rng.random((rows, 1 << (n_bits - lo))) < 0.5, -0.0, 0.0)
+        x = np.where(gibbs._popcounts(n_bits) <= degree, values,
+                     np.repeat(dead_signs, 1 << lo, axis=1))
+        assert bits_equal(fwht(x, degree), fwht(x)), n_bits
+
+
+def test_fwht_prunes_below_half_the_blocks_live():
+    """The full passes at p = 2 up to N = 8 (16 of 32 blocks live at N = 7,
+    11 of 16 at N = 8) and at degree 3 for N = 12 (42 of 64); pruned passes
+    at p = 2 for N = 12 (22 of 64 live) and N = 16 (37 of 256)."""
+    assert all(gibbs._live_blocks(n, 2) is None for n in range(1, 9))
+    assert gibbs._live_blocks(12, 3) is None
+    assert [len(gibbs._live_blocks(n, 2)[0]) for n in (12, 16)] == [22, 37]
+
+
+def test_fwht_runs_low_passes_on_live_blocks_alone(monkeypatch):
+    """At N = 16 and p = 2 the four low passes see the 37 live blocks of 256
+    entries, and the four high passes the whole row; without a degree every
+    pass sees the whole row."""
+    passes = []
+    real = gibbs._radix4_pass
+    monkeypatch.setattr(gibbs, "_radix4_pass",
+                        lambda a, h: passes.append((a.shape, h)) or real(a, h))
+    fwht(np.zeros(1 << 16), degree=2)
+    high = [((1 << 16,), h) for h in (256, 1024, 4096, 16384)]
+    assert passes == [((1, 37, 256), h) for h in (1, 4, 16, 64)] + high
+    passes.clear()
+    fwht(np.zeros(1 << 16))
+    assert passes == [((1 << 16,), h) for h in (1, 4, 16, 64)] + high
+
+
+def test_build_passes_the_hamiltonian_degree(monkeypatch):
+    """The energy transform gets the largest order, 2 for VB edges on a
+    field-only model, and 1 for the field alone."""
+    degrees = []
+    real = gibbs.fwht
+    monkeypatch.setattr(gibbs, "fwht", lambda vec, degree=None:
+                        degrees.append(degree) or real(vec, degree))
+    rng = np.random.default_rng(4)
+    for betas in ({2: 1.0, 3: 0.5}, {2: 1.0}, {}):
+        spec = ModelSpec(5, betas, 0.3)
+        GibbsOracle.build(spec, random_assignment(spec, rng))
+    vb = DilutedPairAssignment(0.5, np.ones(2), np.array([0, 1]), np.array([2, 1]))
+    GibbsOracle.build(ModelSpec(5, {}, 0.3), CouplingAssignment({}), vb)
+    assert degrees == [3, 2, 1, 2]
 
 
 def test_stacked_oracles_match_single_builds_and_share_one_spectrum(monkeypatch):
@@ -376,7 +479,8 @@ def test_stacked_oracles_match_single_builds_and_share_one_spectrum(monkeypatch)
 
     calls = []
     real = gibbs.fwht
-    monkeypatch.setattr(gibbs, "fwht", lambda vec: calls.append(np.shape(vec)) or real(vec))
+    monkeypatch.setattr(gibbs, "fwht", lambda vec, *args, **kwargs:
+                        calls.append(np.shape(vec)) or real(vec, *args, **kwargs))
     stacked = CouplingAssignment({p: np.stack([d.tables[p] for d in draws]) for p in spec.betas})
     batch = GibbsOracle.build(spec, stacked)
     assert isinstance(batch, GibbsOracle)
