@@ -12,7 +12,11 @@ size.  Reductions use exact summation (math.fsum), so results do not
 depend on reduction order or on the worker count.  ``_estimate`` is that
 pattern for every estimator that reports a mean with its standard error.
 Each estimator's refusals live in one ``check_*`` function, which does no
-work; the CLI calls it for every size first, and the estimator does not.
+work; the CLI calls it for every size first.  ``vb_logz_increment``,
+``free_energy_fluctuation`` and ``self_averaging`` call theirs as well, the
+gap realizations call theirs as a guard, and the realizations that need F's
+functional (the Poisson and Taylor identities) or the derivative sum's
+tuple-sum table get it from their check.
 """
 
 from __future__ import annotations
@@ -738,27 +742,33 @@ def _pair_weighted_matrix(oracle: GibbsOracle, fn: ReplicaFunctional, k_labels) 
 
 def _graded_pair_sums(oracle: GibbsOracle, delta: ReplicaFunctional, n: int) -> list[np.ndarray]:
     """G_a = sum over S in {1..n+1} with |S| = a of the pair-weighted matrix
-    of ``delta`` with the pair monomial on the replicas of S ^ {1}, a = 0..n+1."""
-    return [sum(_pair_weighted_matrix(oracle, delta, set(subset) ^ {1})
-                for subset in itertools.combinations(range(1, n + 2), size))
-            for size in range(0, n + 2)]
+    of ``delta`` with the pair monomial on the replicas of S ^ {1}, a = 0..n+1.
 
-
-MAX_GRADED_REPLICAS = 8
-"""Largest n of the Poisson and Taylor checks: ``_graded_pair_sums`` builds
-2**(n+1) pair-weighted matrices a range, 0.6 s for one replicate at N = 8."""
+    Each term of ``delta`` adds, entrywise, the z**a coefficient of
+    (P_1 + z m_1) * prod_{l=2..n+1} (m_l + z P_l), where P_l is the
+    pair-moment matrix of replica l's mask and m_l its moment: O(n**2)
+    matrix products per term."""
+    graded = [np.zeros(oracle.weights.shape[:-1] + (oracle.n_sites,) * 2)
+              for _ in range(n + 2)]
+    for key, coeff in delta.terms.items():
+        masks = dict(key)
+        series = [coeff]
+        for l in range(1, n + 2):
+            pair = oracle.pair_moment_matrix(masks.get(l, 0))
+            moment = np.expand_dims(oracle.moment(masks.get(l, 0)), (-2, -1))
+            low, high = (pair, moment) if l == 1 else (moment, pair)
+            series = [low * a + high * b for a, b in zip(series + [0.0], [0.0] + series)]
+        for g, s in zip(graded, series):
+            g += s
+    return graded
 
 
 def check_taylor_coefficients(n_sites: int, n: int, function: TestFunction,
-                              m_values=()) -> ReplicaFunctional:
-    """Refusals of the Taylor check; with no orders, those of the graded pair
-    sums shared with the Poisson identity.  Returns F's functional on n replicas."""
+                              m_values) -> ReplicaFunctional:
+    """Refusals of the Taylor check; returns F's functional on n replicas."""
     for m in m_values:
         if not 1 <= m <= 5:
             raise ExperimentError(f"coefficient order must be in 1..5, got {m}")
-    if n > MAX_GRADED_REPLICAS:
-        raise ResourceCapError(f"the identity over n = {n} replicas sums 2**{n + 1} pair "
-                               f"matrices (cap n = {MAX_GRADED_REPLICAS})")
     return function.functional(n_sites, n)
 
 
@@ -768,7 +778,7 @@ def check_poisson_ibp(n_sites: int, alpha: float, beta_prime: float, n: int,
     if beta_prime == 0.0:
         raise ExperimentError("the identity needs beta_prime != 0")
     check_vb_logz_increment(alpha)
-    return check_taylor_coefficients(n_sites, n, function)
+    return function.functional(n_sites, n)
 
 
 TILT_FLOOR = 1e-4
@@ -783,12 +793,14 @@ def _tilted_pair_value(weights: np.ndarray, delta: ReplicaFunctional, u: int, v:
     with every replica tilted by exp(t sigma_u sigma_v).
 
     The tilt is added to the log-weights, so no small difference of moments
-    is formed however large |t| is."""
+    is formed however large |t| is.  The one entry is the factorized
+    expectation of the pair monomial times ``delta``."""
     codes = np.arange(weights.size)
     pair = 1 - 2 * (((codes >> u) ^ (codes >> v)) & 1)
     with np.errstate(divide="ignore"):  # an underflowed weight stays 0
         tilted = GibbsOracle(weights.size.bit_length() - 1, np.log(weights) + t * pair)
-    return float(_pair_weighted_matrix(tilted, delta, {1})[u, v])
+    return float((delta * ReplicaFunctional.monomial({1: (u, v)}, delta.n_replicas)
+                  ).evaluate(tilted))
 
 
 def poisson_ibp_realization(oracle: GibbsOracle, vbs, alpha: float, beta_prime: float,

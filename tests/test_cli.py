@@ -262,12 +262,13 @@ _BAD_VALUES = {
     "hugereplicates": minimal_config(replicates=(1 << 20) + 1),
     "hugeorder": minimal_config(experiment="free-energy-fluctuation", params={},
                                 model={"n_sites": 20, "betas": {"7": 1.0}}),
-    # without the replica caps, each of these runs for more than 20 s
+    # without the replica cap, this one runs for more than 20 s
+    "hugethermalreplicas": minimal_config(params={"n": 100000000}),
+    # past the 16-replica cap (expansion.MAX_EXPANSION_REPLICAS), far and by one
     "hugeibpreplicas": minimal_config(experiment="poisson-ibp",
                                       model={"n_sites": 8, "betas": {"2": 1.0}},
                                       params={"n": 40}),
-    "hugethermalreplicas": minimal_config(params={"n": 100000000}),
-    "gradedreplicas": minimal_config(experiment="poisson-ibp", params={"n": 9}),
+    "ibpreplicacap": minimal_config(experiment="poisson-ibp", params={"n": 17}),
     "duplicatebetakey": minimal_config(model={"n_sites": 3, "betas": {"2": 1.0, "02": 5.0}}),
     "underscorebetakey": minimal_config(model={"n_sites": 3, "betas": {"1_0": 1.0}}),
     "spacedbetakey": minimal_config(model={"n_sites": 3, "betas": {" 2": 1.0}}),
@@ -540,6 +541,14 @@ def test_worker_count_below_one_exits_2(tmp_path, capsys, experiment, way, count
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def test_poisson_ibp_runs_at_the_replica_cap(tmp_path):
+    """n = 16, the expansion cap, is the largest n the Poisson identity takes."""
+    raw = minimal_config(experiment="poisson-ibp", params={"n": 16},
+                         output=str(tmp_path / "out"))
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+    assert (tmp_path / "out" / "poisson-ibp-42.csv").exists()
 
 
 @pytest.mark.parametrize("beta_prime", [15.0, -40.0])

@@ -508,6 +508,48 @@ def test_tilted_pair_value_matches_the_divided_ratio(t):
             ratio[u, v], abs=1e-13)
 
 
+def test_tilted_pair_value_builds_no_pair_matrix(monkeypatch):
+    """The one tilted entry is a factorized expectation, so no N x N pair
+    matrix is gathered for any mask of Delta_1 F."""
+    _, oracle = draw_oracle(4, seed=24)
+    delta = ex.replica_difference(ex.overlap_square().functional(4, 2), 1)
+    calls = []
+    real = GibbsOracle.pair_moment_matrix
+    monkeypatch.setattr(GibbsOracle, "pair_moment_matrix",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    assert math.isfinite(ex._tilted_pair_value(oracle.weights, delta, 0, 2, -9.0))
+    assert calls == []
+
+
+def _subset_graded_pair_sums(oracle, delta, n):
+    """The reference for ``_graded_pair_sums``: the pair-weighted matrix
+    summed over every subset S of {1..n+1}, graded by |S|."""
+    return [sum(ex._pair_weighted_matrix(oracle, delta, set(subset) ^ {1})
+                for subset in itertools.combinations(range(1, n + 2), size))
+            for size in range(0, n + 2)]
+
+
+@pytest.fixture(scope="module")
+def dressed_stack():
+    """Eight stacked VB-dressed rows of the p = 2 + 3 model at N = 6."""
+    mspec = ModelSpec(6, {2: 1.0, 3: 0.5}, 0.3)
+    couplings, vbs = ex._draw_dressed(mspec, dis.rademacher(), 0.5, 0.5,
+                                      experiment_id(7, "graded"), range(8))
+    return GibbsOracle.build(mspec, couplings, vbs)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_graded_pair_sums_match_the_subset_loop(dressed_stack, n):
+    fn = ex.overlap_square() if n >= 2 else ex.spin_monomial(((0, 2),))
+    delta = ex.replica_difference(fn.functional(6, n), 1)
+    got = ex._graded_pair_sums(dressed_stack, delta, n)
+    want = _subset_graded_pair_sums(dressed_stack, delta, n)
+    assert len(got) == len(want) == n + 2
+    for g, w in zip(got, want):
+        assert g.shape == (8, 6, 6)
+        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2])
 def test_taylor_coefficient_identity(m, n):

@@ -392,7 +392,8 @@ def test_fwht_pruning_keeps_the_sign_of_zeros():
     the high passes add dead zeros to live ones, whose sums keep the sign
     only when the pruned blocks hold what the low passes would leave."""
     rng = np.random.default_rng(9)
-    for n_bits, degree, rows in ((6, 1, 1024), (8, 1, 512), (12, 1, 64)):
+    for n_bits, degree, rows in ((8, 1, 512), (9, 1, 512), (12, 1, 64)):
+        assert gibbs._live_blocks(n_bits, degree) is not None, n_bits  # pruned passes run
         lo = 2 * (n_bits // 4)
         values = rng.integers(-1, 2, size=(rows, 1 << n_bits)).astype(np.float64)
         values[rng.random(values.shape) < rng.random((rows, 1))] = 0.0
@@ -405,10 +406,13 @@ def test_fwht_pruning_keeps_the_sign_of_zeros():
 
 def test_fwht_prunes_below_half_the_blocks_live():
     """The full passes at p = 2 up to N = 8 (16 of 32 blocks live at N = 7,
-    11 of 16 at N = 8) and at degree 3 for N = 12 (42 of 64); pruned passes
-    at p = 2 for N = 12 (22 of 64 live) and N = 16 (37 of 256)."""
+    11 of 16 at N = 8), at degree 3 for N = 12 (42 of 64), and at degree 1
+    for N = 6 and 7, where lo = 2 leaves one low pass to skip (5 of 16 and
+    6 of 32 live); pruned passes at p = 2 for N = 12 (22 of 64 live) and
+    N = 16 (37 of 256)."""
     assert all(gibbs._live_blocks(n, 2) is None for n in range(1, 9))
-    assert gibbs._live_blocks(12, 3) is None
+    for n_bits, degree in ((12, 3), (6, 1), (7, 1)):
+        assert gibbs._live_blocks(n_bits, degree) is None, (n_bits, degree)
     assert [len(gibbs._live_blocks(n, 2)[0]) for n in (12, 16)] == [22, 37]
 
 
