@@ -390,14 +390,15 @@ def sample_couplings(spec: ModelSpec, law: DisorderSpec, rng: np.random.Generato
 def sample_replicates(spec: ModelSpec, law: DisorderSpec, experiment: int, replicates: range,
                       stream: int) -> CouplingAssignment:
     """The tables ``sample_couplings`` draws on each path (experiment, r,
-    stream), stacked: order p has shape (len(replicates),) + (N,)*p.  A stack
-    beyond MAX_COUPLING_ENTRIES raises ResourceCapError before any draw."""
+    stream), stacked: order p has shape (len(replicates),) + (N,)*p.  Each
+    row's draws, in the same order, are written straight into the stack.  A
+    stack beyond MAX_COUPLING_ENTRIES raises ResourceCapError before any draw."""
     spec.check_draws(len(replicates))
-    n = spec.n_sites
-    tables = {p: np.empty((len(replicates),) + (n,) * p) for p in spec.orders}
+    shapes = [(p, (spec.n_sites,) * p) for p in spec.orders]
+    tables = {p: np.empty((len(replicates),) + shape) for p, shape in shapes}
     for row, rng in enumerate(replicate_generators(experiment, replicates, stream)):
-        for p, table in sample_couplings(spec, law, rng).tables.items():
-            tables[p][row] = table
+        for p, shape in shapes:
+            tables[p][row] = law.sample(rng, shape)
     return CouplingAssignment(tables)
 
 

@@ -9,8 +9,11 @@ index's stream in turn, draws the chunk's tables, they make one oracle over
 a stack of rows, and a realization answers every row in one call.  Each
 row is bit-identical to its own oracle, so no value depends on the chunk
 size.  Reductions use exact summation (math.fsum), so results do not
-depend on reduction order or on the worker count.  ``_estimate`` is that
-pattern for every estimator that reports a mean with its standard error.
+depend on reduction order or on the worker count.  An estimator's work is
+a list of jobs, one replicate function each, that ``_map_replicates`` maps;
+``trend_suite`` maps the jobs of all its series in one call.  ``_estimate``
+is the pattern for every estimator that reports a mean with its standard
+error.
 Each estimator's refusals live in one ``check_*`` function, which does no
 work; the CLI calls it for every size first.  ``vb_logz_increment``,
 ``free_energy_fluctuation`` and ``self_averaging`` call theirs as well, the
@@ -203,13 +206,15 @@ def _shared_pool(n_workers: int) -> ProcessPoolExecutor:
 
     Workers are forked when the executor is built, so they see module state
     as it was then; later changes to it in this process do not reach them.
-    Results do not depend on which worker ran a replicate, since every
-    replicate draws from its own stream.
+    ``numpy.random`` is imported first, so the workers share the parent's
+    copy instead of each loading its own.  Results do not depend on which
+    worker ran a replicate, since every replicate draws from its own stream.
     """
     global _pool, _pool_workers
     if _pool is not None and _pool_workers != n_workers:
         _shutdown_pool()
     if _pool is None:
+        import numpy.random  # noqa: F401
         _pool = ProcessPoolExecutor(max_workers=n_workers)
         _pool_workers = n_workers
     return _pool
@@ -242,45 +247,62 @@ def check_replicates(count: int) -> None:
         raise ResourceCapError(f"{count} replicates requested (cap {MAX_REPLICATES})")
 
 
-def _map_replicates(fn, count: int, workers: int | None, mspec: ModelSpec) -> list:
-    """The values of replicates 0..count-1, in index order regardless of
-    scheduling: ``fn(rows)`` returns the values of a range of indices as an
-    array whose first axis runs over the range, or one value for all of it.
+def _map_replicates(jobs, count: int, workers: int | None):
+    """The values of replicates 0..count-1 of every job, as an iterator that
+    yields one list per job, in job order, each in index order regardless of
+    scheduling.  A job is a pair ``(fn, mspec)``: ``fn(rows)`` returns the
+    values of a range of indices as an array whose first axis runs over the
+    range, or one value for all of it.
 
-    A range holds min(BATCH_ELEMS >> N, mspec.max_draws) indices, at least one,
-    for any count and workers: its draws fit MAX_COUPLING_ENTRIES if one does.
-    A pooled task groups len(ranges) // (workers * 8) whole ranges, at least
-    one; a single range or worker runs in process.  Pooled maps share one
+    A job's range holds min(BATCH_ELEMS >> N, mspec.max_draws) indices, at
+    least one, for any count and workers: its draws fit MAX_COUPLING_ENTRIES
+    if one does.  On more than one worker, with at least two ranges in all,
+    every job's ranges go to the pool in one map, whose tasks group
+    len(ranges) // (workers * 8) consecutive ranges, at least one; otherwise
+    the ranges run in process.  Either way a job's ranges are computed, or
+    awaited, when the iterator reaches the job.  Pooled maps share one
     executor (``_shared_pool``); a broken one is discarded and its error
-    propagates.  A count above MAX_REPLICATES raises ResourceCapError.
+    propagates.  A count above MAX_REPLICATES raises ResourceCapError, and a
+    bad worker count its error, before any range is made.
     """
     check_replicates(count)
     n_workers = resolve_workers(workers)
-    size = max(1, min(BATCH_ELEMS >> mspec.n_sites, mspec.max_draws))
-    chunks = [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
-    if n_workers <= 1 or len(chunks) < 2:
-        parts = map(fn, chunks)
-    else:
-        pool = _shared_pool(n_workers)
-        try:
-            parts = list(pool.map(fn, chunks, chunksize=max(1, len(chunks) // (n_workers * 8))))
-        except BrokenProcessPool:
-            _shutdown_pool()
-            raise
-    return [value for rows, part in zip(chunks, parts)
-            for value in np.broadcast_to(part, (len(rows),) + np.shape(part)[1:]).tolist()]
+    ranges = [[range(lo, min(lo + size, count)) for lo in range(0, count, size)]
+              for size in (max(1, min(BATCH_ELEMS >> mspec.n_sites, mspec.max_draws))
+                           for _, mspec in jobs)]
+    return _job_values([fn for fn, _ in jobs], ranges, n_workers)
 
 
-def _estimate(name: str, replicates_fn, mspec: ModelSpec, replicates: int, seed: int,
-              workers: int | None, params: dict, key: str | None = None) -> EstimatorResult:
-    """Mean and standard error of the values ``replicates_fn(exp_id, rows)``
-    returns for every replicate (see ``_map_replicates``).
+def _call(fn, rows):
+    return fn(rows)
 
-    The seed stream is keyed by ``key``, or by ``name`` when that is None.
-    """
-    exp_id = experiment_id(seed, key or name)
-    values = _map_replicates(functools.partial(replicates_fn, exp_id), replicates, workers,
-                             mspec)
+
+def _job_values(fns, ranges, n_workers: int):
+    """``_map_replicates``'s iterator: ``ranges[i]`` are the ranges of ``fns[i]``."""
+    calls = [fn for fn, job in zip(fns, ranges) for _ in job]
+    flat = [rows for job in ranges for rows in job]
+    try:
+        if n_workers <= 1 or len(flat) < 2:
+            parts = map(_call, calls, flat)
+        else:
+            parts = _shared_pool(n_workers).map(_call, calls, flat,
+                                                chunksize=max(1, len(flat) // (n_workers * 8)))
+        for job in ranges:
+            # zip ends at the job's last range before it takes another part
+            yield [value for rows, part in zip(job, parts)
+                   for value in np.broadcast_to(part, (len(rows),) + np.shape(part)[1:]).tolist()]
+    except BrokenProcessPool:
+        _shutdown_pool()
+        raise
+
+
+def _job(mspec: ModelSpec, seed: int, key: str, replicates_fn):
+    """The job of ``replicates_fn(exp_id, rows)`` on the seed stream keyed by ``key``."""
+    return functools.partial(replicates_fn, experiment_id(seed, key)), mspec
+
+
+def _estimate(name: str, values, replicates: int, seed: int, params: dict) -> EstimatorResult:
+    """Mean and standard error of ``values``."""
     value, err = mean_stderr(values)
     return EstimatorResult(name, value, err, replicates, {**params, "seed": seed})
 
@@ -357,12 +379,21 @@ def check_gg_gap(n_sites: int, n: int, p: int, function: TestFunction) -> None:
     check_gg_thermal_gap(n_sites, n, p, function)
 
 
+def _gg_gap_jobs(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction,
+                 seed: int) -> list:
+    return [_job(mspec, seed, "gg-gap",
+                 functools.partial(_gg_gap_replicates, mspec, law, n, p, fn))]
+
+
 def gg_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction,
-           replicates: int, seed: int, workers: int | None = 1) -> EstimatorResult:
+           replicates: int, seed: int, workers: int | None = 1, *,
+           mapped=None) -> EstimatorResult:
     """Disorder average of the replica-coupling gap; the product term uses an
-    independent realization per replicate so it is unbiased for E<R^p> E<F>."""
-    return _estimate("gg-gap", functools.partial(_gg_gap_replicates, mspec, law, n, p, fn),
-                     mspec, replicates, seed, workers,
+    independent realization per replicate so it is unbiased for E<R^p> E<F>.
+    ``mapped`` is as in ``trend_suite``."""
+    if mapped is None:
+        mapped = _map_replicates(_gg_gap_jobs(mspec, law, n, p, fn, seed), replicates, workers)
+    return _estimate("gg-gap", next(mapped), replicates, seed,
                      {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
 
 
@@ -390,8 +421,10 @@ def check_gg_thermal_gap(n_sites: int, n: int, p: int, function: TestFunction) -
 def gg_thermal_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction,
                    replicates: int, seed: int, workers: int | None = 1) -> EstimatorResult:
     realization = functools.partial(gg_thermal_gap_realization, n=n, p=p, fn=fn)
-    return _estimate("gg-thermal-gap", functools.partial(_on_batch, realization, mspec, law, 0),
-                     mspec, replicates, seed, workers,
+    job = _job(mspec, seed, "gg-thermal-gap",
+               functools.partial(_on_batch, realization, mspec, law, 0))
+    (values,) = _map_replicates([job], replicates, workers)
+    return _estimate("gg-thermal-gap", values, replicates, seed,
                      {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
 
 
@@ -428,44 +461,68 @@ def check_self_averaging(mspec: ModelSpec, p: int, mode: str) -> None:
         raise ExperimentError(f"unknown self-averaging mode {mode!r}")
 
 
+def _self_avg_jobs(mspec: ModelSpec, law: DisorderSpec, p: int, seed: int,
+                   mode: str = "thermal", center: float = 0.0) -> list:
+    """The job of the statistic ``mode`` (see ``_self_avg_value``); "center"
+    is the first pass of mode "full" and shares its stream key."""
+    key = "self-averaging-" + ("full" if mode == "center" else mode)
+    return [_job(mspec, seed, key,
+                 functools.partial(_self_avg_replicates, mspec, law, p, mode, center))]
+
+
 def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int, seed: int,
-                   mode: str = "thermal", workers: int | None = 1) -> EstimatorResult:
+                   mode: str = "thermal", workers: int | None = 1, *,
+                   mapped=None) -> EstimatorResult:
     """Concentration of the order-p interaction energy.
 
     mode "thermal": (1/N**2) E[<H_p**2> - <H_p>**2].  mode "full":
     (1/N) E<|H_p - c|> with the centering c estimated from an independent
-    replicate batch first.
+    replicate batch first.  ``mapped`` (see ``trend_suite``) serves mode
+    "thermal" only: the second pass of "full" needs the first's centering.
     """
     check_self_averaging(mspec, p, mode)
-    name = f"self-averaging-{mode}"
     center = 0.0
     if mode == "full":
-        centers = functools.partial(_self_avg_replicates, mspec, law, p, "center", 0.0)
-        center = _estimate(name, centers, mspec, replicates, seed, workers, {}).value
-    return _estimate(name, functools.partial(_self_avg_replicates, mspec, law, p, mode, center),
-                     mspec, replicates, seed, workers, {"N": mspec.n_sites, "p": p})
+        if mapped is not None:
+            raise ValueError('mode "full" maps its own passes')
+        (centers,) = _map_replicates(_self_avg_jobs(mspec, law, p, seed, "center"), replicates,
+                                     workers)
+        center = mean_stderr(centers)[0]
+    if mapped is None:
+        mapped = _map_replicates(_self_avg_jobs(mspec, law, p, seed, mode, center), replicates,
+                                 workers)
+    return _estimate(f"self-averaging-{mode}", next(mapped), replicates, seed,
+                     {"N": mspec.n_sites, "p": p})
 
 
 # -- universality and interpolation -----------------------------------------
 
 
+def _universality_jobs(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
+                       fn: TestFunction, seed: int) -> list:
+    realization = functools.partial(_f_expectation, fn=fn)
+    return [_job(mspec, seed, "universality-gap",
+                 functools.partial(_on_batch, realization, mspec, law, stream))
+            for stream, law in enumerate((law_a, law_b))]
+
+
 def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
                      fn: TestFunction, replicates: int, seed: int,
-                     workers: int | None = 1) -> EstimatorResult:
+                     workers: int | None = 1, *, mapped=None) -> EstimatorResult:
     """|E<F>_A - E<F>_B| across two disorder families, independent batches.
 
     No common random numbers: the laws differ, so pairing would be fiction.
+    ``mapped`` is as in ``trend_suite``; this series takes two value lists.
     """
-    realization = functools.partial(_f_expectation, fn=fn)
-    a, b = (_estimate("universality-gap",
-                      functools.partial(_on_batch, realization, mspec, law, stream),
-                      mspec, replicates, seed, workers, {})
-            for stream, law in enumerate((law_a, law_b)))
-    return EstimatorResult("universality-gap", abs(a.value - b.value),
-                           math.sqrt(a.std_error ** 2 + b.std_error ** 2), replicates,
+    if mapped is None:
+        mapped = _map_replicates(_universality_jobs(mspec, law_a, law_b, fn, seed), replicates,
+                                 workers)
+    (mean_a, err_a), (mean_b, err_b) = (mean_stderr(next(mapped)) for _ in range(2))
+    return EstimatorResult("universality-gap", abs(mean_a - mean_b),
+                           math.sqrt(err_a ** 2 + err_b ** 2), replicates,
                            {"N": mspec.n_sites, "F": fn.label,
                             "family_a": law_a.family, "family_b": law_b.family,
-                            "mean_a": a.value, "mean_b": b.value, "seed": seed})
+                            "mean_a": mean_a, "mean_b": mean_b, "seed": seed})
 
 
 def _sweep_replicates(mspec: ModelSpec, law: DisorderSpec, t_grid: tuple[float, ...],
@@ -500,9 +557,8 @@ def interpolation_sweep(mspec: ModelSpec, law: DisorderSpec, t_grid, fn: TestFun
     the pair across the grid makes the curve smooth in t.
     """
     t_grid = tuple(float(t) for t in t_grid)
-    exp_id = experiment_id(seed, "interpolation-sweep")
-    worker = functools.partial(_sweep_replicates, mspec, law, t_grid, fn, exp_id)
-    rows = _map_replicates(worker, replicates, workers, mspec)
+    (rows,) = _map_replicates([_job(mspec, seed, "interpolation-sweep", functools.partial(
+        _sweep_replicates, mspec, law, t_grid, fn))], replicates, workers)
     results = []
     for k, t in enumerate(t_grid):
         value, err = mean_stderr([row[k] for row in rows])
@@ -587,9 +643,8 @@ def cavity_identity_check(mspec: ModelSpec, law: DisorderSpec, n_cavity: int, ca
                           realizations: int, seed: int,
                           workers: int | None = 1) -> dict[str, float]:
     """Worst residuals of the cavity identity over many realizations."""
-    worker = functools.partial(cavity_identity_realization, mspec, law, n_cavity, cavity_sets,
-                               experiment_id(seed, "cavity-identity"))
-    rows = _map_replicates(worker, realizations, workers, mspec)
+    (rows,) = _map_replicates([_job(mspec, seed, "cavity-identity", functools.partial(
+        cavity_identity_realization, mspec, law, n_cavity, cavity_sets))], realizations, workers)
     return {key: max([0.0] + [row[k] for row in rows])
             for k, key in enumerate(("max_factor_residual", "product_residual"))}
 
@@ -641,16 +696,23 @@ def derivative_sum_realization(oracle: GibbsOracle, n: int, m: int, fn: TestFunc
     return total
 
 
+def _derivative_jobs(mspec: ModelSpec, law: DisorderSpec, n: int, m: int, fn: TestFunction,
+                     seed: int) -> list:
+    realization = functools.partial(derivative_sum_realization, n=n, m=m, fn=fn)
+    return [_job(mspec, seed, f"derivative-moment-sum-m{m}",
+                 functools.partial(_on_batch, realization, mspec, law, 0))]
+
+
 def derivative_moment_sum(mspec: ModelSpec, law: DisorderSpec, n: int, m: int,
                           fn: TestFunction, replicates: int, seed: int,
-                          workers: int | None = 1) -> EstimatorResult:
-    """Disorder average of the tuple-summed m-th derivative of <F>."""
-    realization = functools.partial(derivative_sum_realization, n=n, m=m, fn=fn)
-    return _estimate("derivative-moment-sum",
-                     functools.partial(_on_batch, realization, mspec, law, 0),
-                     mspec, replicates, seed, workers,
-                     {"N": mspec.n_sites, "n": n, "m": m, "F": fn.label},
-                     key=f"derivative-moment-sum-m{m}")
+                          workers: int | None = 1, *, mapped=None) -> EstimatorResult:
+    """Disorder average of the tuple-summed m-th derivative of <F>; ``mapped``
+    is as in ``trend_suite``."""
+    if mapped is None:
+        mapped = _map_replicates(_derivative_jobs(mspec, law, n, m, fn, seed), replicates,
+                                 workers)
+    return _estimate("derivative-moment-sum", next(mapped), replicates, seed,
+                     {"N": mspec.n_sites, "n": n, "m": m, "F": fn.label})
 
 
 # -- free energy fluctuation -------------------------------------------------
@@ -661,17 +723,21 @@ def check_free_energy_fluctuation(replicates: int) -> None:
         raise ExperimentError(f"a variance needs at least 2 replicates, got {replicates}")
 
 
+def _free_energy_jobs(mspec: ModelSpec, law: DisorderSpec, seed: int) -> list:
+    return [_job(mspec, seed, "free-energy-fluctuation", functools.partial(
+        _on_batch, operator.attrgetter("free_energy_density"), mspec, law, 0))]
+
+
 def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int, seed: int,
-                            workers: int | None = 1) -> EstimatorResult:
+                            workers: int | None = 1, *, mapped=None) -> EstimatorResult:
     """Sample variance of the free energy density across disorder draws.
 
     The standard error of the variance uses the distribution-free fourth
-    central moment formula."""
+    central moment formula.  ``mapped`` is as in ``trend_suite``."""
     check_free_energy_fluctuation(replicates)
-    exp_id = experiment_id(seed, "free-energy-fluctuation")
-    worker = functools.partial(_on_batch, operator.attrgetter("free_energy_density"),
-                               mspec, law, 0, exp_id)
-    values = _map_replicates(worker, replicates, workers, mspec)
+    if mapped is None:
+        mapped = _map_replicates(_free_energy_jobs(mspec, law, seed), replicates, workers)
+    values = next(mapped)
     m = len(values)
     mean = math.fsum(values) / m
     var = math.fsum((v - mean) ** 2 for v in values) / (m - 1)
@@ -712,9 +778,10 @@ def vb_logz_increment(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
     The population value lies in [0, beta'] for the Rademacher edge couplings.
     """
     check_vb_logz_increment(alpha)
-    return _estimate("vb-logz-increment",
-                     functools.partial(_vb_replicates, mspec, law, alpha, beta_prime),
-                     mspec, replicates, seed, workers,
+    job = _job(mspec, seed, "vb-logz-increment",
+               functools.partial(_vb_replicates, mspec, law, alpha, beta_prime))
+    (values,) = _map_replicates([job], replicates, workers)
+    return _estimate("vb-logz-increment", values, replicates, seed,
                      {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime})
 
 
@@ -858,10 +925,10 @@ def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
                       workers: int | None = 1) -> EstimatorResult:
     """Paired difference of the two sides; consistent with zero when the
     identity holds."""
-    return _estimate("poisson-ibp",
-                     functools.partial(_poisson_ibp_replicates, mspec, law, alpha, beta_prime,
-                                       n, fn),
-                     mspec, replicates, seed, workers,
+    job = _job(mspec, seed, "poisson-ibp", functools.partial(
+        _poisson_ibp_replicates, mspec, law, alpha, beta_prime, n, fn))
+    (values,) = _map_replicates([job], replicates, workers)
+    return _estimate("poisson-ibp", values, replicates, seed,
                      {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime,
                       "n": n, "F": fn.label})
 
@@ -945,23 +1012,32 @@ def trend_suite(n_values=TREND_SIZES, replicates: int = TREND_REPLICATES, seed: 
     The derivative sums use the three-site single-replica monomial: among the
     monomial test functions it shows the strongest size decay of the order-4
     sum at these sizes (the order-3 decay is steep for every choice).
+
+    Every series' jobs, at every size, are built first and mapped in one
+    call, so on a pool all their ranges are in flight at once.  Each series
+    then runs its own estimator with ``mapped``, the map's iterator, and the
+    estimator takes its series' value lists from it (two for the
+    universality gap, one otherwise) in place of a map of its own.  So the
+    reductions stay the estimators' own, and each estimator call reads, or
+    on one worker computes, its series' values: a profile or perfbench's
+    per-series spans still see each series' work inside its call.
     """
     fn_overlap = overlap_square()
-    rows: list[EstimatorResult] = []
+    series = []  # (estimator, its job builder, their leading arguments)
     for n_sites in n_values:
         mspec = ModelSpec(n_sites, {2: TREND_BETA}, TREND_FIELD)
-        rows.append(gg_gap(mspec, dis.rademacher(), 2, 2, fn_overlap,
-                           replicates, seed, workers))
-        rows.append(universality_gap(mspec, dis.gaussian(), dis.rademacher(), fn_overlap,
-                                     replicates, seed, workers))
-        rows.append(self_averaging(mspec, dis.gaussian(), 2, replicates, seed,
-                                   mode="thermal", workers=workers))
-        for m in (3, 4):
-            rows.append(derivative_moment_sum(mspec, dis.gaussian(), 1, m, TREND_MONOMIAL,
-                                              replicates, seed, workers))
-        rows.append(free_energy_fluctuation(mspec, dis.rademacher(), replicates, seed,
-                                            workers))
-    return rows
+        series += [
+            (gg_gap, _gg_gap_jobs, (mspec, dis.rademacher(), 2, 2, fn_overlap)),
+            (universality_gap, _universality_jobs,
+             (mspec, dis.gaussian(), dis.rademacher(), fn_overlap)),
+            (self_averaging, _self_avg_jobs, (mspec, dis.gaussian(), 2)),
+            *((derivative_moment_sum, _derivative_jobs,
+               (mspec, dis.gaussian(), 1, m, TREND_MONOMIAL)) for m in (3, 4)),
+            (free_energy_fluctuation, _free_energy_jobs, (mspec, dis.rademacher())),
+        ]
+    mapped = _map_replicates([job for _, jobs, args in series for job in jobs(*args, seed)],
+                             replicates, workers)
+    return [estimator(*args, replicates, seed, mapped=mapped) for estimator, _, args in series]
 
 
 def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
@@ -969,9 +1045,8 @@ def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
                              realizations: int, seed: int) -> dict[int, dict[str, float]]:
     """Worst residuals of the coefficient identity per expansion order."""
     m_values = tuple(m_values)
-    worker = functools.partial(_taylor_replicates, mspec, law, alpha, beta_prime, n, fn,
-                               m_values, experiment_id(seed, "taylor-coefficients"))
-    rows = _map_replicates(worker, realizations, 1, mspec)
+    (rows,) = _map_replicates([_job(mspec, seed, "taylor-coefficients", functools.partial(
+        _taylor_replicates, mspec, law, alpha, beta_prime, n, fn, m_values))], realizations, 1)
     return {m: {key: max([0.0] + [row[i][k] for row in rows])
                 for k, key in enumerate(("pointwise", "averaged"))}
             for i, m in enumerate(m_values)}

@@ -13,7 +13,8 @@ def assert_pooled():
     the test process or passing it without a pool."""
     def check(count, mspec):
         ranges = []
-        ex._map_replicates(lambda rows: ranges.append(rows) or list(rows), count, 1, mspec)
+        list(ex._map_replicates([(lambda rows: ranges.append(rows) or list(rows), mspec)],
+                                count, 1))
         assert len(ranges) >= 2, f"{count} replicates at N={mspec.n_sites} make one range"
     return check
 

@@ -3,6 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
+from conftest import bits_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -310,6 +311,24 @@ def test_chunk_draws_equal_per_replicate_numpy_draws(name):
         single = sample_couplings(spec, law, SeedPath(exp, rows[-1], stream).generator())
         for p in spec.orders:
             assert np.array_equal(single.tables[p], chunk.tables[p][-1])
+
+
+@pytest.mark.parametrize("law", [dis.gaussian(), dis.rademacher(), dis.uniform_scaled(),
+                                 dis.golden_skew()], ids=lambda law: law.family)
+def test_stacked_draws_equal_per_path_sample_couplings(law):
+    """``sample_replicates`` writes each row's draws straight into the stack;
+    on p = 2 + 3 they are the bits ``sample_couplings`` draws on the row's
+    own path, for ranges of 1 and 32 rows."""
+    spec = ModelSpec(4, {3: 0.5, 2: 1.0})
+    exp = experiment_id(12, "stacked-draws")
+    for rows in (range(7, 8), range(40, 72)):
+        stack = sample_replicates(spec, law, exp, rows, 2)
+        assert {p: t.shape for p, t in stack.tables.items()} == {
+            2: (len(rows), 4, 4), 3: (len(rows), 4, 4, 4)}
+        for row, r in enumerate(rows):
+            single = sample_couplings(spec, law, SeedPath(exp, r, 2).generator())
+            for p in (2, 3):
+                assert bits_equal(stack.tables[p][row], single.tables[p]), (rows, r, p)
 
 
 def test_sample_replicates_refuses_a_stack_past_the_entry_cap(monkeypatch):

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -13,6 +15,7 @@ import pspinlab.cli as cli
 import pspinlab.disorder as dis
 import pspinlab.experiments as ex
 import pspinlab.gibbs as gibbs
+from conftest import bits_equal
 from pspinlab.disorder import SeedPath, experiment_id
 from pspinlab.expansion import derivative_power
 from pspinlab.gibbs import GibbsOracle
@@ -617,7 +620,7 @@ def test_replicate_cap_checked_before_any_work():
         raise AssertionError("a replicate range was computed")
 
     with pytest.raises(ResourceCapError):
-        ex._map_replicates(never, ex.MAX_REPLICATES + 1, 2, ModelSpec(4))
+        ex._map_replicates([(never, ModelSpec(4))], ex.MAX_REPLICATES + 1, 2)
 
 
 def test_worker_count_does_not_change_values(assert_pooled):
@@ -668,8 +671,8 @@ def test_one_pool_serves_every_map_until_the_worker_count_changes(counted_pools,
 def test_broken_pool_is_replaced(counted_pools, assert_pooled):
     assert_pooled(8, ModelSpec(13))  # else _kill_own_process would kill the test process
     with pytest.raises(BrokenProcessPool):
-        ex._map_replicates(_kill_own_process, 8, 2, ModelSpec(13))
-    assert ex._map_replicates(list, 8, 2, ModelSpec(13)) == list(range(8))
+        list(ex._map_replicates([(_kill_own_process, ModelSpec(13))], 8, 2))
+    assert list(ex._map_replicates([(list, ModelSpec(13))], 8, 2)) == [list(range(8))]
     assert counted_pools == [2, 2]
 
 
@@ -696,7 +699,8 @@ def test_map_replicates_chunks_consecutive_ranges(count, n_sites, size):
         seen.append(rows)
         return [10 * r for r in rows]
 
-    assert ex._map_replicates(values, count, 1, ModelSpec(n_sites)) == [10 * r for r in range(count)]
+    assert list(ex._map_replicates([(values, ModelSpec(n_sites))], count, 1)) == [
+        [10 * r for r in range(count)]]
     assert size == ex.BATCH_ELEMS >> n_sites
     whole, rest = divmod(count, size)
     assert [len(rows) for rows in seen] == [size] * whole + [rest] * (rest > 0)
@@ -705,48 +709,196 @@ def test_map_replicates_chunks_consecutive_ranges(count, n_sites, size):
 
 def test_one_range_map_builds_no_pool(counted_pools):
     """A count that fits one range runs in this process on two workers."""
-    assert ex._map_replicates(list, 400, 2, ModelSpec(4)) == list(range(400))
-    assert ex._map_replicates(list, 1, 2, ModelSpec(16)) == [0]
+    assert list(ex._map_replicates([(list, ModelSpec(4))], 400, 2)) == [list(range(400))]
+    assert list(ex._map_replicates([(list, ModelSpec(16))], 1, 2)) == [[0]]
     assert counted_pools == []
 
 
-def test_recorded_trend_run_keeps_its_task_grouping(monkeypatch):
-    """``configs/trend-baseline.json`` on two workers: at N = 8, 12 and 16
-    the pool gets the tasks the count // 16 rule gave (ranges of 32, 2 and 1
-    replicates, 224, 250 and 250 replicates a task); at N = 4, 8 tasks of
-    one 512-replicate range each, not 16 of 250."""
-    tasks = {}
+class RecordingExecutor:
+    """A stand-in executor that records, for each ``map`` call, its tasks as
+    lists of (function, range) pairs, and runs them in this process."""
 
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
+    maps: list = []
+    built: list = []
 
-        def map(self, fn, ranges, chunksize=1):
-            ranges = list(ranges)
-            tasks[n_sites] = [(group[0].start, group[-1].stop) for group in
-                              (ranges[i:i + chunksize] for i in range(0, len(ranges), chunksize))]
-            return map(fn, ranges)
+    def __init__(self, max_workers):
+        self.built.append("numpy.random" in sys.modules)
 
-        def shutdown(self):
-            pass
+    def map(self, fn, calls, ranges, chunksize=1):
+        calls, ranges = list(calls), list(ranges)
+        self.maps.append([list(zip(calls[i:i + chunksize], ranges[i:i + chunksize]))
+                          for i in range(0, len(ranges), chunksize)])
+        return map(fn, calls, ranges)
 
+    def shutdown(self):
+        pass
+
+
+@pytest.fixture
+def recording_executor(monkeypatch):
+    """RecordingExecutor in place of the process pool, with empty records."""
+    monkeypatch.setattr(RecordingExecutor, "maps", [])
+    monkeypatch.setattr(RecordingExecutor, "built", [])
+    ex._shutdown_pool()
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", RecordingExecutor)
+    yield RecordingExecutor
+    ex._shutdown_pool()
+
+
+def _trend_jobs(monkeypatch, n_values, count):
+    """The jobs ``trend_suite(n_values, count)`` maps, taken from its map
+    call, which is stopped before any range runs."""
+    class Stop(Exception):
+        pass
+
+    jobs = []
+
+    def recorded(suite_jobs, suite_count, workers):
+        assert suite_count == count
+        jobs.extend(suite_jobs)
+        raise Stop
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ex, "_map_replicates", recorded)
+        with pytest.raises(Stop):
+            ex.trend_suite(n_values, count, workers=2)
+    return jobs
+
+
+def test_recorded_trend_run_keeps_its_task_grouping(monkeypatch, recording_executor):
+    """``configs/trend-baseline.json`` on two workers.  One job a map: at
+    N = 8, 12 and 16 the pool gets the tasks the count // 16 rule gave
+    (ranges of 32, 2 and 1 replicates, 224, 250 and 250 replicates a task);
+    at N = 4, 8 tasks of one 512-replicate range each, not 16 of 250.  The
+    suite's one map: 7 jobs at each size make 42931 ranges, so 16 tasks of
+    2683 consecutive ranges and one of 3."""
     with open(os.path.join(os.path.dirname(__file__), "..", "configs", "trend-baseline.json"),
               encoding="utf-8") as handle:
         count = json.load(handle)["replicates"]
-    ex._shutdown_pool()
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", RecordingExecutor)
-    try:
-        for n_sites in ex.TREND_SIZES:
-            mspec = ModelSpec(n_sites, {2: ex.TREND_BETA}, ex.TREND_FIELD)
-            assert ex._map_replicates(list, count, 2, mspec) == list(range(count))
-    finally:
-        ex._shutdown_pool()
+    tasks = {}
+    for n_sites in ex.TREND_SIZES:
+        mspec = ModelSpec(n_sites, {2: ex.TREND_BETA}, ex.TREND_FIELD)
+        assert list(ex._map_replicates([(list, mspec)], count, 2)) == [list(range(count))]
+        tasks[n_sites] = [(group[0][1].start, group[-1][1].stop)
+                          for group in recording_executor.maps[-1]]
 
     def split(step):
         return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
     assert count == 4000
     assert tasks == {4: split(512), 8: split(224), 12: split(250), 16: split(250)}
+
+    jobs = _trend_jobs(monkeypatch, ex.TREND_SIZES, count)
+    assert [mspec.n_sites for _, mspec in jobs] == [n for n in ex.TREND_SIZES for _ in range(7)]
+    stand_ins = [(list, mspec) for _, mspec in jobs]
+    assert list(ex._map_replicates(stand_ins, count, 2)) == [list(range(count))] * 28
+    groups = recording_executor.maps[-1]
+    assert [len(group) for group in groups] == [2683] * 16 + [3]
+    assert sum(map(len, groups)) == 42931 == sum(-(-count // split_size) * 7 for split_size
+                                                 in (512, 32, 2, 1))
+
+
+def test_pooled_trend_suite_makes_one_map(recording_executor):
+    """``trend_suite((4, 8), 400)`` on two workers builds one executor and
+    makes one map: the 14 jobs' 98 ranges (one of 400 replicates for each
+    N = 4 series, 13 of up to 32 for each N = 8 one), consecutive, 6 a task.
+    Its rows are those of one worker."""
+    serial = ex.trend_suite((4, 8), 400, seed=2, workers=1)
+    assert recording_executor.built == [] and recording_executor.maps == []
+    pooled = ex.trend_suite((4, 8), 400, seed=2, workers=2)
+    assert cli.render_csv(pooled) == cli.render_csv(serial)
+    assert recording_executor.built == [True]
+    (groups,) = recording_executor.maps
+    assert [len(group) for group in groups] == [6] * 16 + [2]
+    calls = [fn for group in groups for fn, _ in group]
+    assert [len(list(run)) for _, run in itertools.groupby(calls)] == [1] * 7 + [13] * 7
+    assert [rows for group in groups for _, rows in group] == [
+        range(lo, min(lo + size, 400)) for size in [400] * 7 + [32] * 7
+        for lo in range(0, 400, size)]
+
+
+def test_pool_forks_after_numpy_random_is_loaded():
+    """A pooled trend suite builds its executor before any draw in this
+    process, so the pool loads ``numpy.random`` first and the forked workers
+    share the parent's copy.  Run in a fresh interpreter, where importing
+    the CLI leaves it unloaded."""
+    script = """if True:
+        import sys
+        import pspinlab.cli
+        import pspinlab.experiments as ex
+        built = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                built.append("numpy.random" in sys.modules)
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+            def shutdown(self):
+                pass
+
+        loaded = "numpy.random" in sys.modules
+        ex.ProcessPoolExecutor = Recording
+        ex.trend_suite((4, 8), 64, workers=2)
+        print(loaded, built)
+    """
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[0] == "False [True]"
+
+
+def test_pooled_trend_suite_equals_each_estimator_alone(assert_pooled):
+    """Each series of ``trend_suite((4, 8), 96)`` on two workers, one map
+    for all, has the bits of its estimator called alone on one worker."""
+    assert_pooled(96, ModelSpec(8, {2: ex.TREND_BETA}, ex.TREND_FIELD))
+    ex._shutdown_pool()
+    try:
+        suite = ex.trend_suite((4, 8), 96, seed=5, workers=2)
+    finally:
+        ex._shutdown_pool()
+    alone = []
+    fn = ex.overlap_square()
+    for n_sites in (4, 8):
+        mspec = ModelSpec(n_sites, {2: ex.TREND_BETA}, ex.TREND_FIELD)
+        alone += [ex.gg_gap(mspec, dis.rademacher(), 2, 2, fn, 96, 5),
+                  ex.universality_gap(mspec, dis.gaussian(), dis.rademacher(), fn, 96, 5),
+                  ex.self_averaging(mspec, dis.gaussian(), 2, 96, 5),
+                  *(ex.derivative_moment_sum(mspec, dis.gaussian(), 1, m, ex.TREND_MONOMIAL,
+                                             96, 5) for m in (3, 4)),
+                  ex.free_energy_fluctuation(mspec, dis.rademacher(), 96, 5)]
+    assert len(suite) == len(alone) == 12
+    for got, want in zip(suite, alone):
+        assert (got.experiment, got.params) == (want.experiment, want.params)
+        keys = ["mean_a", "mean_b"] if got.experiment == "universality-gap" else []
+        for a, b in [(got.value, want.value), (got.std_error, want.std_error)] + [
+                (got.params[k], want.params[k]) for k in keys]:
+            assert bits_equal(a, b), (got, want)
+
+
+def test_maps_run_without_operator_call(monkeypatch, recording_executor):
+    """``operator.call`` is new in Python 3.11; the package supports 3.10, so
+    neither the in-process nor the pooled map may need it."""
+    import operator
+
+    monkeypatch.delattr(operator, "call", raising=False)
+    serial = ex.trend_suite((4,), 8, seed=3, workers=1)
+    assert ex.trend_suite((4,), 8, seed=3, workers=2) == serial
+    assert len(recording_executor.maps) == 1
+
+
+def test_full_self_averaging_refuses_a_shared_map():
+    """Mode "full" centers on a first pass of its own, so a map built
+    beforehand (as ``trend_suite`` builds one) cannot hold its second."""
+    mspec = ModelSpec(4, {2: 1.0})
+    mapped = iter([[0.0] * 4])
+    with pytest.raises(ValueError):
+        ex.self_averaging(mspec, dis.gaussian(), 2, 4, 1, mode="full", mapped=mapped)
+    assert next(mapped) == [0.0] * 4
 
 
 def test_map_replicates_ranges_fit_the_coupling_cap():
@@ -761,7 +913,7 @@ def test_map_replicates_ranges_fit_the_coupling_cap():
         seen.append(len(rows))
         return list(rows)
 
-    assert ex._map_replicates(values, 400, 1, mspec) == list(range(400))
+    assert list(ex._map_replicates([(values, mspec)], 400, 1)) == [list(range(400))]
     assert seen == [16] * 25
 
 
