@@ -16,11 +16,14 @@ import io
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from . import __version__
 from . import disorder as dis
@@ -436,6 +439,8 @@ def write_outputs(config: RunConfig, results: list[ex.EstimatorResult],
         "version": __version__,
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "wall_clock_seconds": elapsed,
+        "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+                 "numpy": np.__version__},
         "outputs": [os.path.basename(result_path)],
         "status": "ok",
     }

@@ -3,11 +3,13 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,13 +179,24 @@ def test_run_writes_outputs_and_manifest(tmp_path):
 
 
 def test_rerun_is_byte_identical(tmp_path):
+    """Result bytes repeat across reruns; of the manifest, only the finish
+    time and the wall clock change."""
     raw = minimal_config(output=str(tmp_path / "out"))
     path = write_config(tmp_path, raw)
-    assert cli.main(["run", path]) == 0
-    first = (tmp_path / "out" / "gg-thermal-gap-42.csv").read_bytes()
-    assert cli.main(["run", path]) == 0
-    second = (tmp_path / "out" / "gg-thermal-gap-42.csv").read_bytes()
+    out = tmp_path / "out"
+    runs = []
+    for _ in range(2):
+        assert cli.main(["run", path]) == 0
+        runs.append(((out / "gg-thermal-gap-42.csv").read_bytes(),
+                     json.loads((out / "gg-thermal-gap-42-manifest.json").read_text())))
+    (first, manifest_a), (second, manifest_b) = runs
     assert first == second
+    assert set(manifest_a) == set(manifest_b)
+    assert {k for k in manifest_a if manifest_a[k] != manifest_b[k]} <= {
+        "finished_at", "wall_clock_seconds"}
+    assert manifest_a["host"] == {"cpu_count": os.cpu_count(),
+                                  "python": platform.python_version(),
+                                  "numpy": np.__version__}
 
 
 def test_run_json_format(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -42,10 +43,15 @@ def test_supplied_derivatives_chain(name):
     assert derivative_chain_residual(FUNCTIONS[name], points) <= 1e-6
 
 
+def _integrate(g, a, b):
+    """One integral of g(x) on [a, b] through the sweep."""
+    return adaptive_gauss_legendre(lambda rows, x: g(x), np.array([a]), np.array([b]))[0]
+
+
 def test_adaptive_quadrature_closed_forms():
-    assert adaptive_gauss_legendre(lambda x: x ** 2, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
-    assert adaptive_gauss_legendre(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-11)
-    assert adaptive_gauss_legendre(np.exp, 0.0, 0.0) == 0.0
+    assert _integrate(lambda x: x ** 2, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
+    assert _integrate(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-11)
+    assert _integrate(np.exp, 0.0, 0.0) == 0.0
 
 
 def test_taylor_tail_square_closed_form():
@@ -150,18 +156,143 @@ def test_battery_equals_three_pass_route():
     assert battery() == want
 
 
-def test_battery_integrates_each_tail_once_and_builds_rules_once(monkeypatch):
-    """Two taylor_tail calls (I2 and I3) per node per (law, function) pair,
-    and no quadrature rule built on a second battery call."""
+# -- the sweep against the scalar stack loop ---------------------------------
+
+
+LEGENDRE = {n: np.polynomial.legendre.leggauss(n) for n in (20, 40)}
+
+
+def _gl_segment(g, a: float, b: float, n: int) -> float:
+    nodes, weights = LEGENDRE[n]
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return half * float(weights @ g(mid + half * nodes))
+
+
+def scalar_adaptive(g, a: float, b: float, levels: list | None = None) -> float:
+    """The scalar adaptive Gauss-Legendre loop: one panel at a time off a
+    stack that pushes the right half last, accepted panels added in pop
+    order.  The bit-for-bit reference of ``ibp.adaptive_gauss_legendre``;
+    ``levels`` gets the bisection depth of every panel evaluated."""
+    if a == b:
+        return 0.0
+    stack = [(a, b, ibp.INNER_TOL, 0)]
+    total = 0.0
+    while stack:
+        lo, hi, budget, depth = stack.pop()
+        if levels is not None:
+            levels.append(depth)
+        coarse = _gl_segment(g, lo, hi, 20)
+        fine = _gl_segment(g, lo, hi, 40)
+        if abs(fine - coarse) <= max(budget, ibp._MACHINE_FLOOR * abs(fine)) \
+                or abs(hi - lo) < 1e-13:
+            total += fine
+        else:
+            mid = 0.5 * (lo + hi)
+            stack.append((lo, mid, budget / 2.0, depth + 1))
+            stack.append((mid, hi, budget / 2.0, depth + 1))
+    return total
+
+
+def scalar_tail(fn: SmoothFunction, xi: float, derivative: int, levels=None) -> float:
+    deriv = {2: fn.d2, 3: fn.d3}[derivative]
+    value = scalar_adaptive(lambda x: (xi - x) * deriv(x), *sorted((0.0, xi)), levels)
+    return value if xi >= 0.0 else -value
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def battery_nodes() -> np.ndarray:
+    return np.concatenate([law.nodes_weights()[0] for law in dis.standard_families()])
+
+
+@pytest.mark.parametrize("derivative", [2, 3])
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_tail_sweep_equals_scalar_loop_bit_for_bit(name, derivative):
+    fn, xi = FUNCTIONS[name], battery_nodes()
+    assert len(xi) == 135
+    want = [scalar_tail(fn, float(x), derivative) for x in xi]
+    assert bits(taylor_tail(fn, xi, derivative)) == bits(want)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_tail_sweep_signed_zero_and_far_nodes(name):
+    fn, xi = FUNCTIONS[name], [0.0, -0.0, 7.035, -7.035]
+    for derivative in (2, 3):
+        want = [scalar_tail(fn, x, derivative) for x in xi]
+        assert bits(taylor_tail(fn, np.array(xi), derivative)) == bits(want)
+        assert bits([taylor_tail(fn, x, derivative) for x in xi]) == bits(want)
+
+
+def test_sweep_adds_deep_panels_right_to_left():
+    # an oscillating integrand that bisects five levels: 53 panels, 27 of
+    # them accepted, so the order of the panel sums decides the last bits
+    def g(x):
+        return (7.0 - x) * np.sin(80.0 * x)
+    levels = []
+    want = [scalar_adaptive(g, 0.0, 7.0, levels), scalar_adaptive(g, 0.0, 3.5),
+            scalar_adaptive(g, 2.0, 2.0), scalar_adaptive(g, -1.0, 0.25)]
+    assert len(levels) == 53 and max(levels) == 5
+    got = adaptive_gauss_legendre(lambda rows, x: g(x), np.array([0.0, 0.0, 2.0, -1.0]),
+                                  np.array([7.0, 3.5, 2.0, 0.25]))
+    assert bits(got) == bits(want)
+
+
+def test_ibp_check_equals_its_battery_row():
+    rows = {(r["law"], r["function"]): r for r in battery()}
+    for law in dis.standard_families():
+        for fn in standard_functions():
+            row = {"law": law.family, "function": fn.name, **ibp_check(law, fn)}
+            assert row == rows[law.family, fn.name]
+
+
+@functools.lru_cache(maxsize=None)
+def battery_tail_levels() -> list[list[int]]:
+    """The bisection depths of every panel the scalar loop evaluates, for
+    each of the battery's tails (function, I2 then I3, node)."""
+    tails = []
+    for fn in standard_functions():
+        for derivative in (2, 3):
+            for x in battery_nodes():
+                tails.append([])
+                scalar_tail(fn, float(x), derivative, tails[-1])
+    return tails
+
+
+def test_battery_tail_levels():
+    # 2160 tails: 16 at xi = 0, 2030 accepted on their first panel, 76
+    # bisected once and 38 twice
+    depths = [max(levels, default=-1) for levels in battery_tail_levels()]
+    assert len(depths) == 2160
+    assert [depths.count(d) for d in (-1, 0, 1, 2)] == [16, 2030, 76, 38]
+
+
+def test_battery_sweeps_each_tail_once_and_builds_rules_once(monkeypatch):
+    """16 sweeps per battery call (I2 and I3 of each function), each over
+    the 135 nodes; every panel's two rules come from one evaluation, and no
+    panel is evaluated twice or left out; no quadrature rule is rebuilt."""
     battery()
-    built, tails = [], []
-    real_tail = ibp.taylor_tail
+    built, sweeps = [], []
+    real_sweep = ibp.adaptive_gauss_legendre
     for module, name in ((np.polynomial.hermite, "hermgauss"),
                          (np.polynomial.legendre, "leggauss")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, real=real: built.append(a) or real(*a))
-    monkeypatch.setattr(ibp, "taylor_tail", lambda *a: tails.append(a) or real_tail(*a))
+
+    def sweep(g, a, b):
+        panels = []
+
+        def traced(rows, x):
+            assert x.shape == (len(rows), 60)
+            panels.extend(zip(rows.tolist(), x[:, 0].tolist()))
+            return g(rows, x)
+        sweeps.append((len(a), panels))
+        return real_sweep(traced, a, b)
+    monkeypatch.setattr(ibp, "adaptive_gauss_legendre", sweep)
     battery()
     assert built == []
-    nodes = sum(len(law.nodes_weights()[0]) for law in dis.standard_families())
-    assert len(tails) == 2 * nodes * len(standard_functions())
+    assert [n for n, _ in sweeps] == [135] * 16
+    assert all(len(set(panels)) == len(panels) for _, panels in sweeps)
+    assert sum(len(panels) for _, panels in sweeps) == sum(map(len, battery_tail_levels()))
