@@ -133,8 +133,8 @@ def parse_config(raw: dict) -> RunConfig:
         _reject_unknown(model, _MODEL_KEYS, "model")
         n_raw = model.get("n_sites")
         sizes = tuple(n_raw) if isinstance(n_raw, list) else (n_raw,)
-        if not sizes or not all(_is_int(n) and n >= 1 for n in sizes):
-            raise ConfigError(f"model.n_sites must be a positive integer or list, got {n_raw!r}")
+        if not sizes or not all(_is_int(n) for n in sizes):
+            raise ConfigError(f"model.n_sites must be an integer or a nonempty list, got {n_raw!r}")
         betas_raw = model.get("betas", {})
         if not isinstance(betas_raw, dict):
             raise ConfigError("model.betas must be an object of p: beta pairs")
@@ -147,8 +147,6 @@ def parse_config(raw: dict) -> RunConfig:
             if p is None or str(p) != key:  # so no two keys name one order
                 raise ConfigError(f"model.betas key {key!r} is not an integer order written "
                                   "plainly, like '2'")
-            if p < 2:
-                raise ConfigError(f"model.betas key {key!r}: p must be >= 2")
             betas[p] = _convert(value, 0.0, f"model.betas[{key!r}]")
         field_h = _convert(model.get("field", 0.0), 0.0, "model.field")
         disorder = raw.get("disorder")
@@ -163,8 +161,8 @@ def parse_config(raw: dict) -> RunConfig:
               for key, default in entry.params.items()}
 
     replicates = raw.get("replicates", 1)
-    if not _is_int(replicates) or replicates < 1:
-        raise ConfigError(f"replicates must be a positive integer, got {replicates!r}")
+    if not _is_int(replicates):
+        raise ConfigError(f"replicates must be an integer, got {replicates!r}")
     seed = raw.get("seed", 0)
     if not _is_int(seed) or not 0 <= seed < (1 << 64):
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
@@ -172,8 +170,8 @@ def parse_config(raw: dict) -> RunConfig:
     if emit not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {emit!r}")
     workers = raw.get("workers")
-    if workers is not None and (not _is_int(workers) or workers < 1):
-        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+    if workers is not None and not _is_int(workers):
+        raise ConfigError(f"workers must be an integer, got {workers!r}")
     output = raw.get("output", "results")
     if not isinstance(output, str) or not output:
         raise ConfigError(f"output must be a directory path, got {output!r}")
@@ -197,24 +195,15 @@ def _build_law(spec: dict) -> dis.DisorderSpec:
 
 
 def _build_function(spec) -> ex.TestFunction:
-    if spec is None:
-        return ex.overlap_square()
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("'function' must be an object with a 'kind'")
     _reject_unknown(spec, _FUNCTION_KEYS, "function")
-    kind = spec["kind"]
-    if kind == "one":
-        return ex.constant_one()
-    if kind == "overlap-power":
-        power = _convert(spec.get("power", 2), 0, "power")
-        return ex.TestFunction("overlap-power", power=power)
-    if kind == "spin-monomial":
-        sites = spec.get("sites", [])
-        if not isinstance(sites, list) or not all(
-                isinstance(block, list) and all(_is_int(s) for s in block) for block in sites):
-            raise ConfigError(f"function sites must be a list of lists of integers, got {sites!r}")
-        return ex.spin_monomial(sites)
-    raise ConfigError(f"unknown function kind {kind!r}")
+    power = _convert(spec["power"], 0, "function power") if "power" in spec else None
+    sites = spec.get("sites", [])
+    if not isinstance(sites, list) or not all(
+            isinstance(block, list) and all(_is_int(s) for s in block) for block in sites):
+        raise ConfigError(f"function sites must be a list of lists of integers, got {sites!r}")
+    return ex.TestFunction(spec["kind"], power, tuple(map(tuple, sites)))
 
 
 _BUILDERS = {ex.TestFunction: _build_function, dis.DisorderSpec: _build_law}

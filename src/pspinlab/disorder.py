@@ -405,9 +405,7 @@ def sample_replicates(spec: ModelSpec, law: DisorderSpec, experiment: int, repli
 def sample_vb(alpha: float, n_sites: int, beta_prime: float,
               rng: np.random.Generator) -> DilutedPairAssignment:
     """Draw a diluted pair interaction: Poisson(alpha*N) edges, uniform
-    endpoints, Rademacher edge couplings."""
-    if alpha < 0:
-        raise DisorderValidationError(f"alpha must be nonnegative, got {alpha!r}")
+    endpoints, Rademacher edge couplings; numpy's draw refuses alpha < 0 or NaN."""
     k = int(rng.poisson(alpha * n_sites))
     left = rng.integers(0, n_sites, size=k)
     right = rng.integers(0, n_sites, size=k)

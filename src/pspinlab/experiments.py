@@ -54,7 +54,8 @@ from .gibbs import (
     replica_difference,
     sites_to_mask,
 )
-from .model import ModelSpec, ResourceCapError, interpolated_couplings, tuple_coefficients
+from .model import (CouplingAssignment, ModelSpec, ResourceCapError, interpolated_couplings,
+                    tuple_coefficients)
 
 
 class ExperimentError(ValueError):
@@ -78,18 +79,24 @@ class TestFunction:
 
     kinds:
         "one": the constant functional.
-        "overlap-power": R_{1,2}**power (range within [0, 1] for even powers).
+        "overlap-power": R_{1,2}**power (default power 2; in [0, 1] for even powers).
         "spin-monomial": prod_l prod_{j in sites[l]} sigma_j^l with 0-based
             sites, at most two sites per replica in the standard suite.
     """
 
     kind: str
-    power: int = 2
+    power: int | None = None
     sites: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         if self.kind not in ("one", "overlap-power", "spin-monomial"):
             raise ExperimentError(f"unknown test-function kind {self.kind!r}")
+        if self.kind != "overlap-power" and self.power is not None:
+            raise ExperimentError(f"test function {self.kind!r} takes no power")
+        if self.kind != "spin-monomial" and self.sites:  # masks would read them as F's
+            raise ExperimentError(f"test function {self.kind!r} takes no sites")
+        if self.kind == "overlap-power" and self.power is None:
+            object.__setattr__(self, "power", 2)
         if self.kind == "overlap-power" and self.power < 1:
             raise ExperimentError(f"overlap power must be >= 1, got {self.power}")
 
@@ -243,6 +250,8 @@ is one replicate."""
 
 
 def check_replicates(count: int) -> None:
+    if count < 1:
+        raise ExperimentError(f"the replicate count must be >= 1, got {count}")
     if count > MAX_REPLICATES:
         raise ResourceCapError(f"{count} replicates requested (cap {MAX_REPLICATES})")
 
@@ -262,8 +271,8 @@ def _map_replicates(jobs, count: int, workers: int | None):
     the ranges run in process.  Either way a job's ranges are computed, or
     awaited, when the iterator reaches the job.  Pooled maps share one
     executor (``_shared_pool``); a broken one is discarded and its error
-    propagates.  A count above MAX_REPLICATES raises ResourceCapError, and a
-    bad worker count its error, before any range is made.
+    propagates.  A count outside 1..MAX_REPLICATES, or a bad worker count,
+    raises its error before any range is made.
     """
     check_replicates(count)
     n_workers = resolve_workers(workers)
@@ -514,6 +523,7 @@ def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
     No common random numbers: the laws differ, so pairing would be fiction.
     ``mapped`` is as in ``trend_suite``; this series takes two value lists.
     """
+    fn.check(mspec.n_sites, fn.min_replicas)
     if mapped is None:
         mapped = _map_replicates(_universality_jobs(mspec, law_a, law_b, fn, seed), replicates,
                                  workers)
@@ -542,9 +552,8 @@ def _sweep_replicates(mspec: ModelSpec, law: DisorderSpec, t_grid: tuple[float, 
 def check_interpolation_sweep(n_sites: int, function: TestFunction, t_grid) -> None:
     if not t_grid:
         raise ExperimentError("the interpolation grid needs at least one point")
-    for t in t_grid:
-        if not 0.0 <= t <= 1.0:
-            raise ExperimentError(f"interpolation points must lie in [0, 1], got {t}")
+    for t in t_grid:  # refused outside [0, 1] by the interpolation itself, on empty tables
+        interpolated_couplings(CouplingAssignment({}), CouplingAssignment({}), t)
     function.check(n_sites, function.min_replicas)
 
 
@@ -631,6 +640,8 @@ def check_cavity_identity(n_sites: int, n_cavity: int, cavity_sets) -> None:
         raise ExperimentError(f"cavity check needs at least one cavity site, got {n_cavity}")
     if n_sites - n_cavity < 1:
         raise ExperimentError("cavity check needs at least one bulk site")
+    if not cavity_sets or not all(cavity_sets):
+        raise ExperimentError(f"cavity check needs nonempty blocks, got {list(cavity_sets)}")
     for block in cavity_sets:
         if len(set(block)) != len(block):
             raise ExperimentError(f"cavity block {list(block)} repeats a site")
@@ -993,6 +1004,8 @@ TREND_MONOMIAL = spin_monomial(((0, 1, 2),))
 def check_trend_suite(n_values, replicates: int) -> None:
     """Refusals of the trend series at every size; the gaps and the
     self-averaging series take parameters that hold at every N."""
+    if not n_values:
+        raise ExperimentError("the trend suite needs at least one size")
     for n_sites in n_values:
         ModelSpec(n_sites, {2: TREND_BETA}, TREND_FIELD)
         for m in (3, 4):

@@ -57,14 +57,14 @@ def test_parse_self_contained_round_trip():
     {"model": {"n_sites": 3, "volume": 2}},
     {"params": {"n": 2, "mystery": 1}},
     {"experiment": "nope"},
-    {"replicates": 0},
+    {"replicates": "3"},  # a count below 1 is check_replicates' (see _BAD_VALUES)
     {"replicates": 2.5},
     {"seed": -1},
     {"seed": 1 << 64},
     {"format": "yaml"},
-    {"workers": 0},
+    {"workers": 1.5},  # a count below 1 is resolve_workers'
     {"output": ""},
-    {"model": {"n_sites": 0}},
+    {"model": {"n_sites": []}},  # a size below 1 is ModelSpec's
     {"model": {"n_sites": [3, "x"]}},
     {"model": {"n_sites": 3, "betas": [2]}},
     {"disorder": {"atoms": [1]}},
@@ -76,10 +76,14 @@ def test_parse_rejects_malformed(mutate):
         cli.parse_config(minimal_config(**mutate))
 
 
-def test_parse_rejects_low_order_with_message():
-    raw = minimal_config(model={"n_sites": 3, "betas": {"1": 1.0}})
-    with pytest.raises(cli.ConfigError, match="p must be >= 2"):
-        cli.parse_config(raw)
+def test_low_order_exits_2_with_the_model_message(tmp_path, capsys):
+    """parse_config reads a betas key's shape only; ModelSpec refuses p < 2,
+    in the preflight, before the output directory is made."""
+    raw = minimal_config(model={"n_sites": 3, "betas": {"1": 1.0}}, output=str(tmp_path / "out"))
+    assert cli.parse_config(raw).betas == {1: 1.0}
+    assert cli.main(["run", write_config(tmp_path, raw)]) == cli.USAGE_ERROR
+    assert capsys.readouterr().err == "error: interaction orders must be integers >= 2, got 1\n"
+    assert not (tmp_path / "out").exists()
     raw = minimal_config(model={"n_sites": 3, "betas": {"x": 1.0}})
     with pytest.raises(cli.ConfigError, match="not an integer order"):
         cli.parse_config(raw)
@@ -93,18 +97,21 @@ def test_parse_accepts_size_list():
 
 
 def test_build_function_variants():
-    assert cli._build_function(None).kind == "overlap-power"
-    assert cli._build_function({"kind": "one"}).kind == "one"
+    assert cli._build_function({"kind": "one"}) == ex.constant_one()
+    assert cli._build_function({"kind": "overlap-power"}) == ex.overlap_square()
     fn = cli._build_function({"kind": "overlap-power", "power": 4})
     assert fn.power == 4
     mono = cli._build_function({"kind": "spin-monomial", "sites": [[0], [1]]})
-    assert mono.sites == ((0,), (1,))
-    with pytest.raises(cli.ConfigError):
-        cli._build_function({"kind": "mystery"})
-    with pytest.raises(cli.ConfigError):
-        cli._build_function({"power": 2})
-    with pytest.raises(cli.ConfigError):
-        cli._build_function({"kind": "one", "extra": 1})
+    assert mono == ex.spin_monomial(((0,), (1,)))
+    # TestFunction owns the kinds and which keys each takes
+    for spec in ({"kind": "mystery"}, {"kind": "one", "power": 2},
+                 {"kind": "overlap-power", "sites": [[0], [1]]}):
+        with pytest.raises(ex.ExperimentError):
+            cli._build_function(spec)
+    for spec in (None, {"power": 2}, {"kind": "one", "extra": 1},
+                 {"kind": "overlap-power", "power": True}, {"kind": "one", "sites": "01"}):
+        with pytest.raises(cli.ConfigError):
+            cli._build_function(spec)
 
 
 def test_build_law_errors():
@@ -303,6 +310,25 @@ _BAD_VALUES = {
     "trendsite": {"experiment": "trend-suite", "params": {"n_values": [4, 2]}, "replicates": 8},
     "trendonereplicate": {"experiment": "trend-suite", "params": {"n_values": [4]},
                           "replicates": 1},
+    # empty lists that leave nothing to compute or check
+    "emptytrend": {"experiment": "trend-suite", "params": {"n_values": []}, "replicates": 8},
+    "emptycavitysets": minimal_config(experiment="cavity-identity", params={"cavity_sets": []}),
+    "emptycavityblock": minimal_config(experiment="cavity-identity",
+                                       params={"cavity_sets": [[]]}),
+    # a key the function's kind does not take, and no function object at all
+    "poweronone": minimal_config(params={"function": {"kind": "one", "power": 2}}),
+    "stringpoweronone": minimal_config(params={"function": {"kind": "one", "power": "x"}}),
+    "poweronmonomial": minimal_config(
+        params={"function": {"kind": "spin-monomial", "sites": [[0], [1]], "power": 3}}),
+    "sitesonone": minimal_config(params={"function": {"kind": "one", "sites": [[0]]}}),
+    "sitesonoverlap": minimal_config(
+        params={"function": {"kind": "overlap-power", "sites": [[0], [1]]}}),
+    "nullfunction": minimal_config(params={"function": None}),
+    # counts and sizes below 1, each refused by its library home
+    "zeroreplicates": minimal_config(replicates=0),
+    "zeroworkers": minimal_config(workers=0),
+    "zerosites": minimal_config(model={"n_sites": 0, "betas": {"2": 1.0}}),
+    "loworder": minimal_config(model={"n_sites": 3, "betas": {"1": 1.0}}),
 }
 
 
@@ -346,17 +372,26 @@ _FUZZ_VALUES = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fuzzed_config_exits_cleanly(data):
-    """One value of a small config replaced by an arbitrary JSON value: the run
-    exits 0, 1 only for a non-finite estimate, or 2 with one error line and
-    no replicate map made: every refusal comes before the work."""
+    """One value of a small config replaced by an arbitrary JSON value (a
+    function object's power or sites on any kind, and a trend suite's sizes,
+    among them): the run exits 0, 1 only for a non-finite estimate, or 2
+    with one error line and no replicate map made: every refusal comes
+    before the work."""
     name = data.draw(st.sampled_from(
-        sorted(n for n, e in cli.EXPERIMENTS.items() if not e.self_contained)))
+        sorted(n for n, e in cli.EXPERIMENTS.items() if not e.self_contained) + ["trend-suite"]))
+    params = cli.EXPERIMENTS[name].params
     raw = minimal_config(experiment=name, params={}, workers=1)
-    sections = ["model", "disorder", "replicates", "seed"] + (
-        ["params"] if cli.EXPERIMENTS[name].params else [])
+    sections = ["model", "disorder", "replicates", "seed"] + (["params"] if params else []) + (
+        ["function"] if "function" in params else [])
     section = data.draw(st.sampled_from(sections))
     value = data.draw(_FUZZ_VALUES)
-    if section == "disorder":
+    if name == "trend-suite":
+        raw = {"experiment": name, "params": {"n_values": value}, "replicates": 2, "workers": 1}
+    elif section == "function":
+        kind = data.draw(st.sampled_from(["one", "overlap-power", "spin-monomial"]))
+        raw["params"] = {"function": {"kind": kind,
+                                      data.draw(st.sampled_from(["power", "sites"])): value}}
+    elif section == "disorder":
         key = data.draw(st.sampled_from(
             ["size", "fourth_moment", "atoms", "probs", "skew", "mystery"]))
         raw["disorder"] = {"family": data.draw(st.sampled_from(sorted(dis._FAMILIES))),
@@ -390,6 +425,18 @@ def test_fuzzed_config_exits_cleanly(data):
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert maps == [] and not made_output, (maps, err)
+
+
+def test_zero_workers_refused_alike_from_flag_and_config(tmp_path, capsys):
+    """resolve_workers holds the rule, so both routes print the same line."""
+    raw = minimal_config(output=str(tmp_path / "out"))
+    errors = []
+    for argv in (["run", write_config(tmp_path, raw), "--workers", "0"],
+                 ["run", write_config(tmp_path, dict(raw, workers=0), "zero.json")]):
+        assert cli.main(argv) == cli.USAGE_ERROR
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: the worker count must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_list_prints_known_experiments(capsys):

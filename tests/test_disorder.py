@@ -177,9 +177,9 @@ def test_sample_couplings_shapes_and_determinism():
 
 
 def test_sample_vb_edge_law_constraints():
-    rng = SeedPath(8, 0, 0).generator()
-    with pytest.raises(DisorderValidationError):
-        sample_vb(-0.1, 6, 1.0, rng)
+    for alpha in (-0.1, float("nan")):  # refused by numpy's Poisson draw
+        with pytest.raises(ValueError, match="lam < 0 or lam is NaN"):
+            sample_vb(alpha, 6, 1.0, SeedPath(8, 0, 0).generator())
     # edges are Rademacher, drawn after the count and the endpoints
     rng = SeedPath(8, 3, 0).generator()
     k = int(rng.poisson(2.0 * 6))

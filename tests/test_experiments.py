@@ -23,6 +23,7 @@ from pspinlab.model import (
     MAX_COUPLING_ENTRIES,
     CouplingAssignment,
     ModelSpec,
+    ModelValidationError,
     ResourceCapError,
     tuple_coefficients,
 )
@@ -43,6 +44,13 @@ def test_test_function_validation():
         ex.TestFunction("bogus")
     with pytest.raises(ex.ExperimentError):
         ex.TestFunction("overlap-power", power=0)
+    # a power or sites on a kind that does not take them would be dropped or,
+    # for sites, read as F's monomial
+    for kind, power, sites in (("one", 2, ()), ("spin-monomial", 2, ((0,),)),
+                               ("one", None, ((0,),)), ("overlap-power", 2, ((0,), (1,)))):
+        with pytest.raises(ex.ExperimentError, match="takes no"):
+            ex.TestFunction(kind, power, sites)
+    assert ex.TestFunction("overlap-power") == ex.overlap_square()
 
 
 def test_test_function_min_replicas_and_labels():
@@ -211,8 +219,9 @@ def test_universality_same_law_consistent():
 
 def test_interpolation_validation_and_shape():
     mspec = ModelSpec(3, {2: 1.0}, 0.3)
-    with pytest.raises(ex.ExperimentError):
-        ex.check_interpolation_sweep(3, ex.overlap_square(), (0.0, 1.5))
+    for t in (-0.1, 1.5, float("nan")):  # refused by model.interpolated_couplings
+        with pytest.raises(ModelValidationError, match="must lie in"):
+            ex.check_interpolation_sweep(3, ex.overlap_square(), (0.0, t))
     rows = ex.interpolation_sweep(mspec, dis.rademacher(), (0.0, 0.5, 1.0),
                                   ex.overlap_square(), 5, seed=5)
     assert [r.params["t"] for r in rows] == [0.0, 0.5, 1.0]
@@ -431,6 +440,26 @@ def test_estimators_called_directly_run_their_checks():
         ex.free_energy_fluctuation(mspec, dis.gaussian(), 1, seed=0)
     with pytest.raises(ex.ExperimentError, match="no order-3 interaction"):
         ex.self_averaging(mspec, dis.gaussian(), 3, 4, seed=0)
+
+
+def test_library_calls_meet_the_count_and_site_rules():
+    """A replicate count below 1 is refused by ``check_replicates`` inside
+    every map, and a site past N by ``universality_gap`` itself: each raises
+    ExperimentError before any range, not a ZeroDivisionError, a residual
+    of 0 over no realization or numpy's IndexError."""
+    def never(rows):
+        raise AssertionError("a replicate range was computed")
+
+    mspec = ModelSpec(4, {2: 1.0})
+    with pytest.raises(ex.ExperimentError, match="replicate count must be >= 1"):
+        ex._map_replicates([(never, mspec)], 0, 1)
+    with pytest.raises(ex.ExperimentError, match="replicate count must be >= 1"):
+        ex.gg_gap(mspec, dis.gaussian(), 2, 2, ex.overlap_square(), replicates=0, seed=0)
+    with pytest.raises(ex.ExperimentError, match="replicate count must be >= 1"):
+        ex.cavity_identity_check(mspec, dis.gaussian(), 1, ((0,),), realizations=0, seed=0)
+    with pytest.raises(ex.ExperimentError, match="site 4 out of range"):
+        ex.universality_gap(mspec, dis.gaussian(), dis.rademacher(),
+                            ex.spin_monomial(((4,),)), replicates=2, seed=0)
 
 
 def test_free_energy_fluctuation_zero_without_disorder():

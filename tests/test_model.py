@@ -251,7 +251,8 @@ def test_interpolated_couplings_endpoints_and_variance():
     mid = interpolated_couplings(first, second, 0.4)
     want = np.sqrt(0.4) * first.tables[2] + np.sqrt(0.6) * second.tables[2]
     assert np.allclose(mid.tables[2], want)
-    with pytest.raises(ModelValidationError):
-        interpolated_couplings(first, second, 1.5)
+    for t in (-0.1, 1.5, float("nan")):  # the one check of t, for every caller
+        with pytest.raises(ModelValidationError, match="must lie in"):
+            interpolated_couplings(first, second, t)
     with pytest.raises(ModelValidationError):
         interpolated_couplings(first, CouplingAssignment({3: np.zeros((3, 3, 3))}), 0.5)
