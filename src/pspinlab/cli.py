@@ -10,8 +10,10 @@ pass/fail lines and exit code 1 on numeric failure.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import datetime
+import gc
 import io
 import json
 import math
@@ -38,6 +40,10 @@ from .expansion import (
 from .gibbs import GibbsOracle
 from .ibp import battery
 from .model import ModelSpec, ModelValidationError, ResourceCapError
+
+# Freeze the heap at exit, so the shutdown collection skips it; this runs before
+# experiments' pool shutdown, registered earlier.  No output may rely on a finalizer.
+atexit.register(gc.freeze)
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 1
@@ -160,12 +166,8 @@ def parse_config(raw: dict) -> RunConfig:
     values = {key: _convert(params[key], default, f"params.{key}") if key in params else default
               for key, default in entry.params.items()}
 
-    replicates = raw.get("replicates", 1)
-    if not _is_int(replicates):
-        raise ConfigError(f"replicates must be an integer, got {replicates!r}")
-    seed = raw.get("seed", 0)
-    if not _is_int(seed) or not 0 <= seed < (1 << 64):
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    replicates = _convert(raw.get("replicates", 1), 1, "replicates")
+    seed = _convert(raw.get("seed", 0), 0, "seed")
     emit = raw.get("format", "csv")
     if emit not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {emit!r}")
@@ -622,6 +624,7 @@ def run_config_file(path: str, workers_override: int | None = None) -> int:
             config = replace(config, workers=workers_override)
         ex.resolve_workers(config.workers)  # a bad count exits before any work
         ex.check_replicates(config.replicates)
+        experiment_id(config.seed, config.experiment)  # and a seed outside 64 bits
         started = time.monotonic()
         results = _dispatch(config)
         paths = _on_output(write_outputs, config, results, time.monotonic() - started)

@@ -151,8 +151,10 @@ def replicate_generators(experiment: int, replicates: range, stream: int):
 
 
 def experiment_id(seed: int, name: str) -> int:
-    """Stable 64-bit experiment id from a user seed and an experiment name."""
-    return ((seed & _MASK64) ^ (zlib.crc32(name.encode("utf-8")) << 32)) & _MASK64
+    """Stable 64-bit experiment id from a 64-bit unsigned seed and an experiment name."""
+    if not 0 <= seed <= _MASK64:
+        raise DisorderValidationError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    return (seed ^ (zlib.crc32(name.encode("utf-8")) << 32)) & _MASK64
 
 
 @dataclass(frozen=True)
@@ -229,10 +231,6 @@ class DisorderSpec:
         nodes = (atoms[:, None] + g_nodes[None, :] * self.gaussian_weight).ravel()
         weights = (probs[:, None] * g_weights[None, :]).ravel()
         return nodes, weights
-
-    def quadrature_moment(self, k: int) -> float:
-        nodes, weights = self.nodes_weights()
-        return float(weights @ nodes ** k)
 
     def support_interval(self) -> tuple[float, float]:
         """Working interval covering the law up to the 1 - 1e-12 tail."""

@@ -654,6 +654,7 @@ def cavity_identity_check(mspec: ModelSpec, law: DisorderSpec, n_cavity: int, ca
                           realizations: int, seed: int,
                           workers: int | None = 1) -> dict[str, float]:
     """Worst residuals of the cavity identity over many realizations."""
+    check_cavity_identity(mspec.n_sites, n_cavity, cavity_sets)
     (rows,) = _map_replicates([_job(mspec, seed, "cavity-identity", functools.partial(
         cavity_identity_realization, mspec, law, n_cavity, cavity_sets))], realizations, workers)
     return {key: max([0.0] + [row[k] for row in rows])
@@ -1035,6 +1036,7 @@ def trend_suite(n_values=TREND_SIZES, replicates: int = TREND_REPLICATES, seed: 
     on one worker computes, its series' values: a profile or perfbench's
     per-series spans still see each series' work inside its call.
     """
+    check_trend_suite(n_values, replicates)
     fn_overlap = overlap_square()
     series = []  # (estimator, its job builder, their leading arguments)
     for n_sites in n_values:

@@ -40,9 +40,8 @@ class SmoothFunction:
     d2: object
     d3: object
 
-    def sup_norms(self, intervals: list[tuple[float, float]]) -> tuple[list[float], list[float]]:
-        """(sup|f'|, sup|f''|) on each working interval, by dense grid max."""
-        grid = np.linspace(*np.array(intervals, dtype=float).T, _GRID_POINTS, axis=-1)
+    def sup_norms(self, grid: np.ndarray) -> tuple[list[float], list[float]]:
+        """(sup|f'|, sup|f''|) on each row of a grid, by dense grid max."""
         return tuple(np.max(np.abs(d(grid)), axis=-1).tolist() for d in (self.d1, self.d2))
 
 
@@ -128,14 +127,17 @@ def _min_envelope_integral(t: float, sup1: float, sup2: float) -> float:
     return 0.5 * sup2 * knee ** 2 + 2.0 * sup1 * (t - knee)
 
 
-def _checks(laws: list[DisorderSpec], fn: SmoothFunction) -> list[dict[str, float]]:
-    """``ibp_check`` of each law with fn, from one sweep per Taylor tail over
-    the nodes of every law and one sup-norm grid."""
+def _checks(laws: list[DisorderSpec], fn: SmoothFunction, grid: np.ndarray) -> list[dict]:
+    """The identity E[xi f] = E[f'] + gamma for each law with fn: its residual,
+    the defect gamma, the value |E[xi * I2(xi)]| of its first remainder term,
+    that term's envelope bound by the sup norms on ``grid`` (a row per law),
+    and their slack (bound - value, nonnegative up to rounding).  One sweep
+    per Taylor tail covers the nodes of every law."""
     quadratures = [law.nodes_weights() for law in laws]
     cuts = np.cumsum([len(nodes) for nodes, _ in quadratures])[:-1]
     xi = np.concatenate([nodes for nodes, _ in quadratures])
     i2s, i3s = (np.split(taylor_tail(fn, xi, j), cuts) for j in (2, 3))
-    sups = fn.sup_norms([law.support_interval() for law in laws])
+    sups = fn.sup_norms(grid)
     rows = []
     for (nodes, weights), i2, i3, sup1, sup2 in zip(quadratures, i2s, i3s, *sups):
         first = sum(w * x * t for x, w, t in zip(nodes, weights, i2))
@@ -150,17 +152,11 @@ def _checks(laws: list[DisorderSpec], fn: SmoothFunction) -> list[dict[str, floa
     return rows
 
 
-def ibp_check(law: DisorderSpec, fn: SmoothFunction) -> dict[str, float]:
-    """The identity E[xi f] = E[f'] + gamma for this law and function: its
-    residual, the defect gamma, the value |E[xi * I2(xi)]| of its first
-    remainder term, that term's sup-norm envelope bound, and their slack
-    (bound - value, which must be nonnegative up to rounding)."""
-    return _checks([law], fn)[0]
-
-
 def battery() -> list[dict]:
-    """``ibp_check`` of every standard law with every standard function."""
+    """``_checks`` of every standard law with every standard function, on one grid."""
     laws, functions = standard_families(), standard_functions()
-    checks = [_checks(laws, fn) for fn in functions]
+    grid = np.linspace(*np.array([law.support_interval() for law in laws]).T, _GRID_POINTS,
+                       axis=-1)  # each law's working interval
+    checks = [_checks(laws, fn, grid) for fn in functions]
     return [{"law": law.family, "function": fn.name, **rows[i]}
             for i, law in enumerate(laws) for fn, rows in zip(functions, checks)]

@@ -59,8 +59,8 @@ def test_parse_self_contained_round_trip():
     {"experiment": "nope"},
     {"replicates": "3"},  # a count below 1 is check_replicates' (see _BAD_VALUES)
     {"replicates": 2.5},
-    {"seed": -1},
-    {"seed": 1 << 64},
+    {"seed": "7"},  # a seed outside 64 bits is experiment_id's (see _BAD_VALUES)
+    {"seed": 2.5},
     {"format": "yaml"},
     {"workers": 1.5},  # a count below 1 is resolve_workers'
     {"output": ""},
@@ -315,6 +315,9 @@ _BAD_VALUES = {
     "emptycavitysets": minimal_config(experiment="cavity-identity", params={"cavity_sets": []}),
     "emptycavityblock": minimal_config(experiment="cavity-identity",
                                        params={"cavity_sets": [[]]}),
+    # seeds outside 64 bits, which experiment_id refuses
+    "negativeseed": minimal_config(seed=-1),
+    "hugeseed": minimal_config(seed=1 << 64),
     # a key the function's kind does not take, and no function object at all
     "poweronone": minimal_config(params={"function": {"kind": "one", "power": 2}}),
     "stringpoweronone": minimal_config(params={"function": {"kind": "one", "power": "x"}}),
@@ -623,6 +626,13 @@ def test_poisson_ibp_stays_finite_at_large_beta_prime(tmp_path, beta_prime):
     assert abs(value) <= 4.0 * err
 
 
+def _package_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+
+
 def test_output_independent_of_blas_threads_and_workers(tmp_path, assert_pooled):
     """N = 4 and 8 run in process on any worker count; N = 12 and 16 fork
     the pool on two workers."""
@@ -634,23 +644,55 @@ def test_output_independent_of_blas_threads_and_workers(tmp_path, assert_pooled)
     n16 = {"experiment": "self-averaging",
            "model": {"n_sites": 16, "betas": {"2": 1.0}, "field": 0.3},
            "disorder": {"family": "gaussian"}, "params": {"p": 2}, "replicates": 4, "seed": 7}
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     for raw, runs in ((trend, (("1", "1"), ("2", "1"), ("1", "2"), ("2", "2"))),
                       (n16, (("1", "1"), ("2", "1")))):
         blobs = {}
         for threads, workers in runs:
             tag = f"{raw['experiment']}-t{threads}-w{workers}"
             path = write_config(tmp_path, dict(raw, output=str(tmp_path / tag)), f"{tag}.json")
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src,
-                                                                os.environ.get("PYTHONPATH")])))
+            env = dict(_package_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
             done = subprocess.run([sys.executable, "-m", "pspinlab.cli", "run", path,
                                    "--workers", workers], env=env, capture_output=True,
                                   text=True, timeout=300)
             assert done.returncode == 0, done.stderr
             blobs[tag] = (tmp_path / tag / f"{raw['experiment']}-7.csv").read_bytes()
         assert len(set(blobs.values())) == 1, sorted(blobs)
+
+
+def test_heap_is_frozen_at_exit_before_earlier_callbacks():
+    """Importing the CLI registers ``gc.freeze`` at exit.  Exit callbacks run
+    last in, first out, so one registered before the import sees the frozen
+    heap, and the pool's shutdown, registered by ``experiments`` before the
+    freeze, still runs after it."""
+    script = ("import atexit, gc\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+              "import pspinlab.cli\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "frozen True\n"
+
+
+def test_pooled_run_exits_with_its_workers_joined(tmp_path, assert_pooled):
+    """A pooled trend suite in its own session exits 0, writes the bytes an
+    in-process run writes, and leaves no process behind in that session."""
+    assert_pooled(40, ModelSpec(8, {2: ex.TREND_BETA}, ex.TREND_FIELD))
+    raw = {"experiment": "trend-suite", "params": {"n_values": [4, 8]}, "replicates": 40,
+           "seed": 7}
+    pooled = write_config(tmp_path, dict(raw, output=str(tmp_path / "pooled")), "pooled.json")
+    proc = subprocess.Popen([sys.executable, "-m", "pspinlab.cli", "run", pooled,
+                             "--workers", "2"], env=_package_env(), start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    local = write_config(tmp_path, dict(raw, output=str(tmp_path / "local")), "local.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", local, "--workers", "1"]) == 0
+    assert ((tmp_path / "pooled" / "trend-suite-7.csv").read_bytes()
+            == (tmp_path / "local" / "trend-suite-7.csv").read_bytes())
 
 
 def test_verify_gg_suite_passes(capsys, tmp_path):

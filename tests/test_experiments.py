@@ -462,6 +462,36 @@ def test_library_calls_meet_the_count_and_site_rules():
                             ex.spin_monomial(((4,),)), replicates=2, seed=0)
 
 
+def _no_map(*args, **kwargs):
+    raise AssertionError("a replicate map was made")
+
+
+def test_library_calls_refuse_empty_sizes_and_cavity_blocks(monkeypatch):
+    """``trend_suite`` and ``cavity_identity_check`` run their own checks:
+    no size, no cavity block or an empty one raises ExperimentError before
+    any map, not an empty result or residuals of 0 over nothing."""
+    monkeypatch.setattr(ex, "_map_replicates", _no_map)
+    with pytest.raises(ex.ExperimentError, match="at least one size"):
+        ex.trend_suite((), 2, seed=0, workers=1)
+    for cavity_sets in ((), ((),)):
+        with pytest.raises(ex.ExperimentError, match="nonempty blocks"):
+            ex.cavity_identity_check(ModelSpec(4, {2: 1.0}), dis.gaussian(), 1, cavity_sets, 2,
+                                     seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_library_calls_refuse_a_seed_past_64_bits(monkeypatch, seed):
+    """``experiment_id`` holds the 64-bit seed rule, so an estimator refuses
+    -1 (which a mask would alias to 2**64 - 1) and 2**64 before any map."""
+    monkeypatch.setattr(ex, "_map_replicates", _no_map)
+    for call in (lambda: experiment_id(seed, "gg-gap"),
+                 lambda: ex.gg_gap(ModelSpec(4, {2: 1.0}), dis.gaussian(), 2, 2,
+                                   ex.overlap_square(), 3, seed=seed),
+                 lambda: ex.trend_suite((4,), 2, seed=seed, workers=1)):
+        with pytest.raises(dis.DisorderValidationError, match="seed must be a 64-bit"):
+            call()
+
+
 def test_free_energy_fluctuation_zero_without_disorder():
     mspec = ModelSpec(4, {2: 0.0}, 0.5)
     out = ex.free_energy_fluctuation(mspec, dis.gaussian(), 6, seed=15)

@@ -10,12 +10,23 @@ from pspinlab.ibp import (
     SmoothFunction,
     adaptive_gauss_legendre,
     battery,
-    ibp_check,
     standard_functions,
     taylor_tail,
 )
 
 FUNCTIONS = {fn.name: fn for fn in standard_functions()}
+
+
+def sup_grid(laws) -> np.ndarray:
+    """A sup-norm grid of ``ibp._GRID_POINTS`` points across each law's
+    working interval, one row per law, as ``battery`` builds it."""
+    intervals = np.array([law.support_interval() for law in laws], dtype=float)
+    return np.linspace(*intervals.T, ibp._GRID_POINTS, axis=-1)
+
+
+def ibp_check(law: dis.DisorderSpec, fn: SmoothFunction) -> dict[str, float]:
+    """The battery's checks of one law with one function, on its own grid."""
+    return ibp._checks([law], fn, sup_grid([law]))[0]
 
 
 def derivative_chain_residual(fn: SmoothFunction, points: np.ndarray, step: float = 1e-4) -> float:
@@ -142,7 +153,7 @@ def _three_pass_row(law, fn):
     lhs = float(weights @ (nodes * fn.f(nodes)))
     mid = float(weights @ fn.d1(nodes))
     value = abs(sum(w * x * taylor_tail(fn, float(x), 2) for x, w in zip(nodes, weights)))
-    sup1, sup2 = fn.sup_norms(law.support_interval())
+    sup1, sup2 = fn.sup_norms(np.linspace(*law.support_interval(), ibp._GRID_POINTS))
     bound = float(sum(w * abs(x) * ibp._min_envelope_integral(abs(float(x)), sup1, sup2)
                       for x, w in zip(nodes, weights)))
     return {"law": law.family, "function": fn.name, "residual": lhs - mid - gamma,
@@ -154,6 +165,21 @@ def test_battery_equals_three_pass_route():
     want = [_three_pass_row(law, fn)
             for law in dis.standard_families() for fn in standard_functions()]
     assert battery() == want
+
+
+def test_battery_shared_grid_equals_a_grid_per_function():
+    """``battery`` builds one sup-norm grid for all eight functions; a grid
+    built again for each function, as each function once built its own,
+    gives every field of every row bit for bit."""
+    laws = dis.standard_families()
+    per_function = [ibp._checks(laws, fn, sup_grid(laws)) for fn in standard_functions()]
+    want = [{"law": law.family, "function": fn.name, **rows[i]}
+            for i, law in enumerate(laws) for fn, rows in zip(standard_functions(), per_function)]
+    got = battery()
+    assert [list(row) for row in got] == [list(row) for row in want]
+    for row, ref in zip(got, want):
+        assert row["law"] == ref["law"] and row["function"] == ref["function"]
+        assert all(bits([row[key]]) == bits([ref[key]]) for key in list(row)[2:]), row
 
 
 # -- the sweep against the scalar stack loop ---------------------------------
