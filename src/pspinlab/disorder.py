@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import zlib
 from dataclasses import dataclass
 
@@ -120,9 +121,7 @@ class SeedPath:
 
     def __post_init__(self):
         for name in ("experiment", "replicate", "stream"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or not 0 <= v <= _MASK64:
-                raise DisorderValidationError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
+            object.__setattr__(self, name, _uint64(getattr(self, name), name))
 
     def generator(self) -> np.random.Generator:
         """Counter-based generator for this path (Philox keyed by the triple)."""
@@ -150,11 +149,19 @@ def replicate_generators(experiment: int, replicates: range, stream: int):
         yield rng
 
 
+def _uint64(value, name: str) -> int:
+    """``value``, an integer by ``operator.index`` but not a bool, as an int in 0..2**64 - 1."""
+    try:
+        if not isinstance(value, bool) and 0 <= (out := operator.index(value)) <= _MASK64:
+            return out
+    except TypeError:
+        pass
+    raise DisorderValidationError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+
+
 def experiment_id(seed: int, name: str) -> int:
     """Stable 64-bit experiment id from a 64-bit unsigned seed and an experiment name."""
-    if not 0 <= seed <= _MASK64:
-        raise DisorderValidationError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    return (seed ^ (zlib.crc32(name.encode("utf-8")) << 32)) & _MASK64
+    return _uint64(seed, "seed") ^ (zlib.crc32(name.encode("utf-8")) << 32)
 
 
 @dataclass(frozen=True)

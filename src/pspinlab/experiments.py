@@ -15,11 +15,7 @@ a list of jobs, one replicate function each, that ``_map_replicates`` maps;
 is the pattern for every estimator that reports a mean with its standard
 error.
 Each estimator's refusals live in one ``check_*`` function, which does no
-work; the CLI calls it for every size first.  ``vb_logz_increment``,
-``free_energy_fluctuation`` and ``self_averaging`` call theirs as well, the
-gap realizations call theirs as a guard, and the realizations that need F's
-functional (the Poisson and Taylor identities) or the derivative sum's
-tuple-sum table get it from their check.
+work; every estimator calls it before it builds its first job.
 """
 
 from __future__ import annotations
@@ -390,6 +386,7 @@ def check_gg_gap(n_sites: int, n: int, p: int, function: TestFunction) -> None:
 
 def _gg_gap_jobs(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction,
                  seed: int) -> list:
+    check_gg_gap(mspec.n_sites, n, p, fn)
     return [_job(mspec, seed, "gg-gap",
                  functools.partial(_gg_gap_replicates, mspec, law, n, p, fn))]
 
@@ -400,9 +397,9 @@ def gg_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction
     """Disorder average of the replica-coupling gap; the product term uses an
     independent realization per replicate so it is unbiased for E<R^p> E<F>.
     ``mapped`` is as in ``trend_suite``."""
-    if mapped is None:
-        mapped = _map_replicates(_gg_gap_jobs(mspec, law, n, p, fn, seed), replicates, workers)
-    return _estimate("gg-gap", next(mapped), replicates, seed,
+    (values,) = (_map_replicates(_gg_gap_jobs(mspec, law, n, p, fn, seed), replicates, workers)
+                 if mapped is None else mapped)
+    return _estimate("gg-gap", values, replicates, seed,
                      {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
 
 
@@ -429,6 +426,7 @@ def check_gg_thermal_gap(n_sites: int, n: int, p: int, function: TestFunction) -
 
 def gg_thermal_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction,
                    replicates: int, seed: int, workers: int | None = 1) -> EstimatorResult:
+    check_gg_thermal_gap(mspec.n_sites, n, p, fn)
     realization = functools.partial(gg_thermal_gap_realization, n=n, p=p, fn=fn)
     job = _job(mspec, seed, "gg-thermal-gap",
                functools.partial(_on_batch, realization, mspec, law, 0))
@@ -497,10 +495,9 @@ def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int,
         (centers,) = _map_replicates(_self_avg_jobs(mspec, law, p, seed, "center"), replicates,
                                      workers)
         center = mean_stderr(centers)[0]
-    if mapped is None:
-        mapped = _map_replicates(_self_avg_jobs(mspec, law, p, seed, mode, center), replicates,
-                                 workers)
-    return _estimate(f"self-averaging-{mode}", next(mapped), replicates, seed,
+    (values,) = (_map_replicates(_self_avg_jobs(mspec, law, p, seed, mode, center), replicates,
+                                 workers) if mapped is None else mapped)
+    return _estimate(f"self-averaging-{mode}", values, replicates, seed,
                      {"N": mspec.n_sites, "p": p})
 
 
@@ -524,10 +521,9 @@ def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
     ``mapped`` is as in ``trend_suite``; this series takes two value lists.
     """
     fn.check(mspec.n_sites, fn.min_replicas)
-    if mapped is None:
-        mapped = _map_replicates(_universality_jobs(mspec, law_a, law_b, fn, seed), replicates,
-                                 workers)
-    (mean_a, err_a), (mean_b, err_b) = (mean_stderr(next(mapped)) for _ in range(2))
+    (mean_a, err_a), (mean_b, err_b) = map(mean_stderr, _map_replicates(
+        _universality_jobs(mspec, law_a, law_b, fn, seed), replicates, workers)
+        if mapped is None else mapped)
     return EstimatorResult("universality-gap", abs(mean_a - mean_b),
                            math.sqrt(err_a ** 2 + err_b ** 2), replicates,
                            {"N": mspec.n_sites, "F": fn.label,
@@ -566,6 +562,7 @@ def interpolation_sweep(mspec: ModelSpec, law: DisorderSpec, t_grid, fn: TestFun
     the pair across the grid makes the curve smooth in t.
     """
     t_grid = tuple(float(t) for t in t_grid)
+    check_interpolation_sweep(mspec.n_sites, fn, t_grid)
     (rows,) = _map_replicates([_job(mspec, seed, "interpolation-sweep", functools.partial(
         _sweep_replicates, mspec, law, t_grid, fn))], replicates, workers)
     results = []
@@ -652,13 +649,14 @@ def check_cavity_identity(n_sites: int, n_cavity: int, cavity_sets) -> None:
 
 def cavity_identity_check(mspec: ModelSpec, law: DisorderSpec, n_cavity: int, cavity_sets,
                           realizations: int, seed: int,
-                          workers: int | None = 1) -> dict[str, float]:
-    """Worst residuals of the cavity identity over many realizations."""
+                          workers: int | None = 1) -> EstimatorResult:
+    """The worst single-block residual of the cavity identity, with the product's as a param."""
     check_cavity_identity(mspec.n_sites, n_cavity, cavity_sets)
     (rows,) = _map_replicates([_job(mspec, seed, "cavity-identity", functools.partial(
         cavity_identity_realization, mspec, law, n_cavity, cavity_sets))], realizations, workers)
-    return {key: max([0.0] + [row[k] for row in rows])
-            for k, key in enumerate(("max_factor_residual", "product_residual"))}
+    worst, product = (max([0.0] + [row[k] for row in rows]) for k in range(2))
+    return EstimatorResult("cavity-identity", worst, 0.0, realizations, {
+        "N": mspec.n_sites, "n_cavity": n_cavity, "product_residual": product, "seed": seed})
 
 
 # -- derivative moment sums --------------------------------------------------
@@ -710,6 +708,7 @@ def derivative_sum_realization(oracle: GibbsOracle, n: int, m: int, fn: TestFunc
 
 def _derivative_jobs(mspec: ModelSpec, law: DisorderSpec, n: int, m: int, fn: TestFunction,
                      seed: int) -> list:
+    check_derivative_moment_sum(mspec.n_sites, n, m, fn)
     realization = functools.partial(derivative_sum_realization, n=n, m=m, fn=fn)
     return [_job(mspec, seed, f"derivative-moment-sum-m{m}",
                  functools.partial(_on_batch, realization, mspec, law, 0))]
@@ -720,10 +719,9 @@ def derivative_moment_sum(mspec: ModelSpec, law: DisorderSpec, n: int, m: int,
                           workers: int | None = 1, *, mapped=None) -> EstimatorResult:
     """Disorder average of the tuple-summed m-th derivative of <F>; ``mapped``
     is as in ``trend_suite``."""
-    if mapped is None:
-        mapped = _map_replicates(_derivative_jobs(mspec, law, n, m, fn, seed), replicates,
-                                 workers)
-    return _estimate("derivative-moment-sum", next(mapped), replicates, seed,
+    (values,) = (_map_replicates(_derivative_jobs(mspec, law, n, m, fn, seed), replicates,
+                                 workers) if mapped is None else mapped)
+    return _estimate("derivative-moment-sum", values, replicates, seed,
                      {"N": mspec.n_sites, "n": n, "m": m, "F": fn.label})
 
 
@@ -747,9 +745,8 @@ def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int
     The standard error of the variance uses the distribution-free fourth
     central moment formula.  ``mapped`` is as in ``trend_suite``."""
     check_free_energy_fluctuation(replicates)
-    if mapped is None:
-        mapped = _map_replicates(_free_energy_jobs(mspec, law, seed), replicates, workers)
-    values = next(mapped)
+    (values,) = (_map_replicates(_free_energy_jobs(mspec, law, seed), replicates, workers)
+                 if mapped is None else mapped)
     m = len(values)
     mean = math.fsum(values) / m
     var = math.fsum((v - mean) ** 2 for v in values) / (m - 1)
@@ -937,6 +934,7 @@ def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
                       workers: int | None = 1) -> EstimatorResult:
     """Paired difference of the two sides; consistent with zero when the
     identity holds."""
+    check_poisson_ibp(mspec.n_sites, alpha, beta_prime, n, fn)
     job = _job(mspec, seed, "poisson-ibp", functools.partial(
         _poisson_ibp_replicates, mspec, law, alpha, beta_prime, n, fn))
     (values,) = _map_replicates([job], replicates, workers)
@@ -1029,12 +1027,11 @@ def trend_suite(n_values=TREND_SIZES, replicates: int = TREND_REPLICATES, seed: 
 
     Every series' jobs, at every size, are built first and mapped in one
     call, so on a pool all their ranges are in flight at once.  Each series
-    then runs its own estimator with ``mapped``, the map's iterator, and the
-    estimator takes its series' value lists from it (two for the
-    universality gap, one otherwise) in place of a map of its own.  So the
-    reductions stay the estimators' own, and each estimator call reads, or
-    on one worker computes, its series' values: a profile or perfbench's
-    per-series spans still see each series' work inside its call.
+    then runs its own estimator with ``mapped``, its slice of the map's
+    iterator, one value list per job it built, in place of a map of its own.
+    So the reductions stay the estimators' own, and each estimator call
+    reads, or on one worker computes, its series' values: a profile or
+    perfbench's per-series spans still see each series' work inside its call.
     """
     check_trend_suite(n_values, replicates)
     fn_overlap = overlap_square()
@@ -1050,9 +1047,10 @@ def trend_suite(n_values=TREND_SIZES, replicates: int = TREND_REPLICATES, seed: 
                (mspec, dis.gaussian(), 1, m, TREND_MONOMIAL)) for m in (3, 4)),
             (free_energy_fluctuation, _free_energy_jobs, (mspec, dis.rademacher())),
         ]
-    mapped = _map_replicates([job for _, jobs, args in series for job in jobs(*args, seed)],
-                             replicates, workers)
-    return [estimator(*args, replicates, seed, mapped=mapped) for estimator, _, args in series]
+    jobs = [build(*args, seed) for _, build, args in series]
+    mapped = _map_replicates([job for own in jobs for job in own], replicates, workers)
+    return [estimator(*args, replicates, seed, mapped=itertools.islice(mapped, len(own)))
+            for (estimator, _, args), own in zip(series, jobs)]
 
 
 def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
@@ -1060,6 +1058,7 @@ def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
                              realizations: int, seed: int) -> dict[int, dict[str, float]]:
     """Worst residuals of the coefficient identity per expansion order."""
     m_values = tuple(m_values)
+    check_taylor_coefficients(mspec.n_sites, n, fn, m_values)
     (rows,) = _map_replicates([_job(mspec, seed, "taylor-coefficients", functools.partial(
         _taylor_replicates, mspec, law, alpha, beta_prime, n, fn, m_values))], realizations, 1)
     return {m: {key: max([0.0] + [row[i][k] for row in rows])

@@ -141,10 +141,16 @@ def test_validate_moments_catches_lies():
 
 
 def test_seed_path_validation():
-    with pytest.raises(DisorderValidationError):
-        SeedPath(-1)
-    with pytest.raises(DisorderValidationError):
-        SeedPath(0, replicate=1 << 64)
+    for bad in ({"experiment": -1}, {"experiment": 0, "replicate": 1 << 64},
+                {"experiment": True}, {"experiment": 0, "stream": np.True_},
+                {"experiment": 2.5}, {"experiment": "7"}):
+        with pytest.raises(DisorderValidationError, match="64-bit unsigned integer"):
+            SeedPath(**bad)
+    # a numpy integer is its value, stored as a Python int
+    path = SeedPath(np.int64(7), np.uint64(3))
+    assert path == SeedPath(7, 3) and all(type(v) is int for v in vars(path).values())
+    assert np.array_equal(path.generator().standard_normal(4),
+                          SeedPath(7, 3).generator().standard_normal(4))
 
 
 def test_experiment_id_construction():

@@ -250,15 +250,17 @@ def test_interpolation_gaussian_endpoints_agree():
 def test_cavity_identity_exact_small():
     mspec = ModelSpec(4, {2: 0.8, 3: 0.4}, 0.3)
     out = ex.cavity_identity_check(mspec, dis.gaussian(), 1, ((0,),), 10, seed=8)
-    assert out["max_factor_residual"] <= 1e-10
-    assert out["product_residual"] <= 1e-10
+    assert (out.experiment, out.std_error, out.replicates) == ("cavity-identity", 0.0, 10)
+    assert sorted(out.params) == ["N", "n_cavity", "product_residual", "seed"]
+    assert out.value <= 1e-10
+    assert out.params["product_residual"] <= 1e-10
 
 
 def test_cavity_identity_pair_sets():
     mspec = ModelSpec(5, {2: 0.6}, 0.2)
     out = ex.cavity_identity_check(mspec, dis.rademacher(), 2, ((0,), (1,), (0, 1)),
                                    8, seed=9)
-    assert out["max_factor_residual"] <= 1e-10
+    assert out.value <= 1e-10
 
 
 def test_cavity_identity_validation(monkeypatch):
@@ -460,6 +462,13 @@ def test_library_calls_meet_the_count_and_site_rules():
     with pytest.raises(ex.ExperimentError, match="site 4 out of range"):
         ex.universality_gap(mspec, dis.gaussian(), dis.rademacher(),
                             ex.spin_monomial(((4,),)), replicates=2, seed=0)
+    # ``interpolation_sweep`` calls its own check: not numpy's "need at least
+    # one array to stack", nor an IndexError past the 2**N states
+    with pytest.raises(ex.ExperimentError, match="at least one point"):
+        ex.interpolation_sweep(mspec, dis.gaussian(), (), ex.overlap_square(), 2, seed=0)
+    with pytest.raises(ex.ExperimentError, match="site 9 out of range"):
+        ex.interpolation_sweep(mspec, dis.gaussian(), (0.5,), ex.spin_monomial(((9,),)), 2,
+                               seed=0)
 
 
 def _no_map(*args, **kwargs):
@@ -479,10 +488,12 @@ def test_library_calls_refuse_empty_sizes_and_cavity_blocks(monkeypatch):
                                      seed=0)
 
 
-@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, True, np.True_, 2.5, "7"])
 def test_library_calls_refuse_a_seed_past_64_bits(monkeypatch, seed):
     """``experiment_id`` holds the 64-bit seed rule, so an estimator refuses
-    -1 (which a mask would alias to 2**64 - 1) and 2**64 before any map."""
+    -1 (which a mask would alias to 2**64 - 1) and 2**64 before any map, and
+    so it does a bool (not run as seed 1) and a float or a string (not a
+    TypeError)."""
     monkeypatch.setattr(ex, "_map_replicates", _no_map)
     for call in (lambda: experiment_id(seed, "gg-gap"),
                  lambda: ex.gg_gap(ModelSpec(4, {2: 1.0}), dis.gaussian(), 2, 2,
@@ -490,6 +501,51 @@ def test_library_calls_refuse_a_seed_past_64_bits(monkeypatch, seed):
                  lambda: ex.trend_suite((4,), 2, seed=seed, workers=1)):
         with pytest.raises(dis.DisorderValidationError, match="seed must be a 64-bit"):
             call()
+
+
+def test_a_numpy_integer_seed_draws_what_the_int_draws():
+    """A seed is read by ``operator.index``, so ``np.int64(7)`` is seed 7,
+    not an OverflowError."""
+    assert experiment_id(np.int64(7), "gg-gap") == experiment_id(7, "gg-gap")
+    assert type(experiment_id(np.uint64(7), "gg-gap")) is int
+    mspec = ModelSpec(4, {2: 1.0})
+    got, want = (ex.gg_gap(mspec, dis.gaussian(), 2, 2, ex.overlap_square(), 3, seed=seed)
+                 for seed in (np.int64(7), 7))
+    assert bits_equal(got.value, want.value) and bits_equal(got.std_error, want.std_error)
+
+
+_N4 = ModelSpec(4, {2: 1.0})
+_REFUSED_BEFORE_ANY_JOB = {  # each on two workers, 2000 replicates at N = 4
+    "gg-gap n=1": lambda: ex.gg_gap(
+        _N4, dis.gaussian(), 1, 2, ex.overlap_square(), 2000, 0, 2),
+    "gg-thermal-gap n=1": lambda: ex.gg_thermal_gap(
+        _N4, dis.gaussian(), 1, 2, ex.overlap_square(), 2000, 0, 2),
+    "derivative-moment-sum m=0": lambda: ex.derivative_moment_sum(
+        _N4, dis.gaussian(), 2, 0, ex.constant_one(), 2000, 0, 2),
+    "poisson-ibp beta'=0": lambda: ex.poisson_ibp_check(
+        _N4, dis.gaussian(), 0.5, 0.0, 2, ex.overlap_square(), 2000, 0, 2),
+    "interpolation-sweep t=1.5": lambda: ex.interpolation_sweep(
+        _N4, dis.gaussian(), (0.0, 1.5), ex.overlap_square(), 2000, 0, 2),
+    "taylor-coefficients m=6": lambda: ex.taylor_coefficient_check(  # runs on one worker
+        _N4, dis.gaussian(), 0.5, 0.5, 2, ex.overlap_square(), (1, 6), 2000, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED_BEFORE_ANY_JOB))
+def test_library_refusals_come_before_any_map(monkeypatch, name):
+    """Each estimator calls its check before it builds its first job, so a
+    bad call raises with no map made: no draw, no oracle and no pool."""
+    monkeypatch.setattr(ex, "_map_replicates", _no_map)
+    with pytest.raises((ex.ExperimentError, ModelValidationError)):
+        _REFUSED_BEFORE_ANY_JOB[name]()
+
+
+def test_pooled_refusal_builds_no_executor(recording_executor):
+    """A gap with n = 1 on two workers is refused before the executor is
+    built, not by its realization inside the pool."""
+    with pytest.raises(ex.ExperimentError, match="n >= 2"):
+        _REFUSED_BEFORE_ANY_JOB["gg-gap n=1"]()
+    assert recording_executor.built == [] and recording_executor.maps == []
 
 
 def test_free_energy_fluctuation_zero_without_disorder():
@@ -948,6 +1004,33 @@ def test_maps_run_without_operator_call(monkeypatch, recording_executor):
     serial = ex.trend_suite((4,), 8, seed=3, workers=1)
     assert ex.trend_suite((4,), 8, seed=3, workers=2) == serial
     assert len(recording_executor.maps) == 1
+
+
+def test_trend_estimators_read_one_list_per_job(monkeypatch):
+    """``trend_suite`` hands each estimator its slice of the one map: it pulls
+    two value lists for the universality gap's two laws, one otherwise."""
+    pulls = []
+
+    def counted(estimator):
+        def run(*args, mapped, **kwargs):
+            taken = []
+            estimator(*args, mapped=(taken.append(v) or v for v in mapped), **kwargs)
+            pulls.append(len(taken))
+        return run
+
+    for name in ("gg_gap", "universality_gap", "self_averaging", "derivative_moment_sum",
+                 "free_energy_fluctuation"):
+        monkeypatch.setattr(ex, name, counted(getattr(ex, name)))
+    ex.trend_suite((4, 8), 8, seed=1, workers=1)
+    assert pulls == [1, 2, 1, 1, 1, 1] * 2
+
+
+def test_universality_gap_refuses_a_map_of_one_list():
+    """The universality gap unpacks two value lists, so a map that holds one
+    fails at the unpacking instead of reading another series' list."""
+    with pytest.raises(ValueError, match="not enough values to unpack"):
+        ex.universality_gap(ModelSpec(4, {2: 1.0}), dis.gaussian(), dis.rademacher(),
+                            ex.overlap_square(), 4, 1, mapped=iter([[0.0] * 4]))
 
 
 def test_full_self_averaging_refuses_a_shared_map():
