@@ -39,7 +39,7 @@ from .expansion import (
 )
 from .gibbs import GibbsOracle
 from .ibp import battery
-from .model import ModelSpec, ModelValidationError, ResourceCapError
+from .model import ModelSpec, ModelValidationError, ResourceCapError, is_count
 
 # Freeze the heap at exit, so the shutdown collection skips it; this runs before
 # experiments' pool shutdown, registered earlier.  No output may rely on a finalizer.
@@ -100,11 +100,6 @@ class RunConfig:
         return out
 
 
-def _is_int(value) -> bool:
-    """JSON integers only: true and false are not counts."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     """A finite JSON number: no string, boolean, NaN or infinity."""
     try:
@@ -139,7 +134,7 @@ def parse_config(raw: dict) -> RunConfig:
         _reject_unknown(model, _MODEL_KEYS, "model")
         n_raw = model.get("n_sites")
         sizes = tuple(n_raw) if isinstance(n_raw, list) else (n_raw,)
-        if not sizes or not all(_is_int(n) for n in sizes):
+        if not sizes or not all(is_count(n) for n in sizes):
             raise ConfigError(f"model.n_sites must be an integer or a nonempty list, got {n_raw!r}")
         betas_raw = model.get("betas", {})
         if not isinstance(betas_raw, dict):
@@ -172,7 +167,7 @@ def parse_config(raw: dict) -> RunConfig:
     if emit not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {emit!r}")
     workers = raw.get("workers")
-    if workers is not None and not _is_int(workers):
+    if workers is not None and not is_count(workers):
         raise ConfigError(f"workers must be an integer, got {workers!r}")
     output = raw.get("output", "results")
     if not isinstance(output, str) or not output:
@@ -203,7 +198,7 @@ def _build_function(spec) -> ex.TestFunction:
     power = _convert(spec["power"], 0, "function power") if "power" in spec else None
     sites = spec.get("sites", [])
     if not isinstance(sites, list) or not all(
-            isinstance(block, list) and all(_is_int(s) for s in block) for block in sites):
+            isinstance(block, list) and all(is_count(s) for s in block) for block in sites):
         raise ConfigError(f"function sites must be a list of lists of integers, got {sites!r}")
     return ex.TestFunction(spec["kind"], power, tuple(map(tuple, sites)))
 
@@ -222,7 +217,7 @@ def _convert(value, default, where: str):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
         return tuple(_convert(v, default[0], where) for v in value)
-    if _is_int(default) and not _is_int(value):
+    if is_count(default) and not is_count(value):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     if isinstance(default, float) and not _is_number(value):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
@@ -330,7 +325,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         "the recorded six-series finite-size trend battery",
         {"n_values": ex.TREND_SIZES},
         lambda c, n_values: ex.trend_suite(n_values, c.replicates, c.seed, c.workers),
-        lambda c, n_values: ex.check_trend_suite(n_values, c.replicates),
+        lambda c, n_values: ex.check_trend_suite(n_values, c.replicates, c.seed),
         self_contained=True),
 }
 
@@ -626,8 +621,7 @@ def run_config_file(path: str, workers_override: int | None = None) -> int:
             ex.ExperimentError, ResourceCapError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    for row in result_rows(results):
-        print(",".join(row))
+    print(render_csv(results).partition("\n")[2], end="")  # quoted as in the CSV file
     for p in paths:
         print(f"wrote {p}")
     if any(not math.isfinite(float(r.value)) for r in results):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CouplingAssignment, ModelSpec, DilutedPairAssignment
+from .model import CouplingAssignment, DilutedPairAssignment, ModelSpec, is_count
 
 _MASK64 = (1 << 64) - 1
 _GH_NODES = 64
@@ -125,8 +125,8 @@ class SeedPath:
 
     def generator(self) -> np.random.Generator:
         """Counter-based generator for this path (Philox keyed by the triple)."""
-        key = stream_keys(self.experiment, range(self.replicate, self.replicate + 1), self.stream)
-        return np.random.Generator(np.random.Philox(key=key[0]))
+        return next(replicate_generators(self.experiment, range(self.replicate, self.replicate + 1),
+                                         self.stream))
 
 
 def replicate_generators(experiment: int, replicates: range, stream: int):
@@ -150,12 +150,9 @@ def replicate_generators(experiment: int, replicates: range, stream: int):
 
 
 def _uint64(value, name: str) -> int:
-    """``value``, an integer by ``operator.index`` but not a bool, as an int in 0..2**64 - 1."""
-    try:
-        if not isinstance(value, bool) and 0 <= (out := operator.index(value)) <= _MASK64:
-            return out
-    except TypeError:
-        pass
+    """``value``, a count (``model.is_count``), as an int in 0..2**64 - 1."""
+    if is_count(value) and 0 <= (out := operator.index(value)) <= _MASK64:
+        return out
     raise DisorderValidationError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
 
 
@@ -186,10 +183,12 @@ class DisorderSpec:
     def __post_init__(self):
         if self.atoms and len(self.atoms) != len(self.probs):
             raise DisorderValidationError("atoms and probs must have equal lengths")
+        if not all(math.isfinite(a) for a in self.atoms):
+            raise DisorderValidationError(f"atoms must be finite, got {list(self.atoms)!r}")
         if self.probs:
-            if any(q < 0 for q in self.probs):
+            if not all(q >= 0 for q in self.probs):  # so a NaN fails too
                 raise DisorderValidationError("atom probabilities must be nonnegative")
-            if abs(sum(self.probs) - 1.0) > 1e-12:
+            if not abs(sum(self.probs) - 1.0) <= 1e-12:
                 raise DisorderValidationError(f"atom probabilities sum to {sum(self.probs)!r}, not 1")
 
     # -- sampling -----------------------------------------------------------
@@ -282,10 +281,9 @@ def uniform_scaled() -> DisorderSpec:
 
 def three_point(fourth_moment: float = 9.0) -> DisorderSpec:
     """Symmetric atoms {-a, 0, +a} with unit variance and chosen m4 = a**2."""
-    if fourth_moment < 1.0:
+    if not fourth_moment >= 1.0:
         raise DisorderValidationError(
-            f"a symmetric three-point law needs fourth moment >= 1, got {fourth_moment!r}"
-        )
+            f"a symmetric three-point law needs fourth moment >= 1, got {fourth_moment!r}")
     a = math.sqrt(fourth_moment)
     p = 1.0 / (2.0 * fourth_moment)
     return DisorderSpec("three-point", (0.0, 1.0, 0.0, fourth_moment),
@@ -302,10 +300,9 @@ def discrete(atoms, probs) -> DisorderSpec:
         raise DisorderValidationError(
             f"custom law's moments overflow a float: atoms {list(atoms)!r}") from None
     spec = DisorderSpec("discrete", moments, atoms=atoms, probs=probs)
-    if abs(moments[0]) > 1e-10 or abs(moments[1] - 1.0) > 1e-10:
+    if not (abs(moments[0]) <= 1e-10 and abs(moments[1] - 1.0) <= 1e-10):
         raise DisorderValidationError(
-            f"custom law must be standardized: got mean {moments[0]!r}, variance {moments[1]!r}"
-        )
+            f"custom law must be standardized: got mean {moments[0]!r}, variance {moments[1]!r}")
     return spec
 
 
@@ -327,10 +324,9 @@ def skewed_three_point(fourth_moment: float = 9.0) -> DisorderSpec:
     Solving the moment system with support {a, b, 0} forces a + b = 1 and
     ab = 1 - m4, so the outer atoms are the roots of x**2 - x - (m4 - 1).
     """
-    if fourth_moment <= 2.0:
+    if not fourth_moment > 2.0:
         raise DisorderValidationError(
-            f"the skewed three-point family needs fourth moment > 2, got {fourth_moment!r}"
-        )
+            f"the skewed three-point family needs fourth moment > 2, got {fourth_moment!r}")
     disc = math.sqrt(1.0 + 4.0 * (fourth_moment - 1.0))
     a = (1.0 + disc) / 2.0
     b = (1.0 - disc) / 2.0
@@ -348,7 +344,7 @@ def near_gaussian_family(size: int) -> DisorderSpec:
     The declared moments are m3 = size**(-1/2) and
     m4 = size**(-2/3) * (E zeta**4 - 3) + 3.
     """
-    if size < 2:
+    if not size >= 2:
         raise DisorderValidationError(f"the near-Gaussian family needs size >= 2, got {size}")
     skew = golden_skew()
     a = float(size) ** (-1.0 / 6.0)

@@ -15,8 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-
-import numpy as np
+import operator
 
 from .gibbs import (
     GibbsOracle,
@@ -24,7 +23,8 @@ from .gibbs import (
     multi_overlap,
     sites_to_mask,
 )
-from .model import CouplingAssignment, ModelSpec, ModelValidationError, ResourceCapError
+from .model import (CouplingAssignment, ModelSpec, ModelValidationError, ResourceCapError,
+                    is_count)
 
 # Rows are cheap integer work, but the basis sizes explode combinatorially;
 # the cap keeps accidental huge requests from hanging a run.
@@ -43,15 +43,14 @@ def coefficient_row(m: int) -> list[int]:
     """Integer coefficients [A(m, 0), A(m, 1), ..., A(m, m)] of order m.
 
     The returned list is cached; callers must not mutate it."""
-    if not isinstance(m, int) or m < 1:
+    if not is_count(m) or m < 1:
         raise ModelValidationError(f"derivative order must be a positive integer, got {m!r}")
     if m > MAX_DERIVATIVE_ORDER:
         raise ModelValidationError(
-            f"derivative order {m} exceeds the supported cap {MAX_DERIVATIVE_ORDER}"
-        )
+            f"derivative order {m} exceeds the supported cap {MAX_DERIVATIVE_ORDER}")
     if m == 1:
         return [0, 1]  # A(1, 0) = 0, A(1, 1) = 1
-    row, prev = coefficient_row(m - 1), m - 1
+    row, prev = coefficient_row(m - 1), operator.index(m) - 1  # an int, so no entry wraps
     nxt = [0] * (m + 1)
     for a in range(1, m + 1):
         keep = row[a] if a <= prev else 0

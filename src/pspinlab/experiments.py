@@ -14,8 +14,8 @@ a list of jobs, one replicate function each, that ``_map_replicates`` maps;
 ``trend_suite`` maps the jobs of all its series in one call.  ``_estimate``
 is the pattern for every estimator that reports a mean with its standard
 error.
-Each estimator's refusals live in one ``check_*`` function, which does no
-work; every estimator calls it before it builds its first job.
+Each estimator's refusals live in one ``check_*`` function, which draws
+nothing; every estimator calls it before it builds its first job.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .gibbs import (
     sites_to_mask,
 )
 from .model import (CouplingAssignment, ModelSpec, ResourceCapError, interpolated_couplings,
-                    tuple_coefficients)
+                    is_count, tuple_coefficients)
 
 
 class ExperimentError(ValueError):
@@ -91,10 +91,11 @@ class TestFunction:
             raise ExperimentError(f"test function {self.kind!r} takes no power")
         if self.kind != "spin-monomial" and self.sites:  # masks would read them as F's
             raise ExperimentError(f"test function {self.kind!r} takes no sites")
-        if self.kind == "overlap-power" and self.power is None:
-            object.__setattr__(self, "power", 2)
-        if self.kind == "overlap-power" and self.power < 1:
-            raise ExperimentError(f"overlap power must be >= 1, got {self.power}")
+        if self.kind == "overlap-power":
+            power = 2 if self.power is None else self.power
+            if not is_count(power) or power < 1:
+                raise ExperimentError(f"overlap power must be an integer >= 1, got {power!r}")
+            object.__setattr__(self, "power", operator.index(power))
 
     @property
     def min_replicas(self) -> int:
@@ -187,16 +188,17 @@ launches every worker at once, so the cap is checked before any fork."""
 
 def resolve_workers(workers: int | None) -> int:
     """The worker count: ``workers``, else the CPU count capped at
-    MAX_WORKERS.  A requested count below 1 raises ExperimentError, one
-    above the cap ResourceCapError."""
+    MAX_WORKERS.  A requested count that is no integer (``is_count``) or is
+    below 1 raises ExperimentError, one above the cap ResourceCapError."""
     if workers is None:
         return min(os.cpu_count() or 1, MAX_WORKERS)
-    n_workers = int(workers)
-    if n_workers < 1:
-        raise ExperimentError(f"the worker count must be >= 1, got {n_workers}")
-    if n_workers > MAX_WORKERS:
-        raise ResourceCapError(f"{n_workers} workers requested (cap {MAX_WORKERS})")
-    return n_workers
+    if not is_count(workers):
+        raise ExperimentError(f"the worker count must be an integer, got {workers!r}")
+    if workers < 1:
+        raise ExperimentError(f"the worker count must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ResourceCapError(f"{workers} workers requested (cap {MAX_WORKERS})")
+    return operator.index(workers)
 
 
 _pool: ProcessPoolExecutor | None = None
@@ -246,8 +248,8 @@ is one replicate."""
 
 
 def check_replicates(count: int) -> None:
-    if count < 1:
-        raise ExperimentError(f"the replicate count must be >= 1, got {count}")
+    if not is_count(count) or count < 1:
+        raise ExperimentError(f"the replicate count must be >= 1 and an integer, got {count!r}")
     if count > MAX_REPLICATES:
         raise ResourceCapError(f"{count} replicates requested (cap {MAX_REPLICATES})")
 
@@ -419,8 +421,8 @@ def gg_thermal_gap_realization(oracle: GibbsOracle, n: int, p: int, fn: TestFunc
 
 
 def check_gg_thermal_gap(n_sites: int, n: int, p: int, function: TestFunction) -> None:
-    if p < 1:
-        raise ExperimentError(f"p must be >= 1, got {p}")
+    if not is_count(p) or p < 1:
+        raise ExperimentError(f"p must be an integer >= 1, got {p!r}")
     function.check(n_sites, n)
 
 
@@ -428,9 +430,8 @@ def gg_thermal_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: Test
                    replicates: int, seed: int, workers: int | None = 1) -> EstimatorResult:
     check_gg_thermal_gap(mspec.n_sites, n, p, fn)
     realization = functools.partial(gg_thermal_gap_realization, n=n, p=p, fn=fn)
-    job = _job(mspec, seed, "gg-thermal-gap",
-               functools.partial(_on_batch, realization, mspec, law, 0))
-    (values,) = _map_replicates([job], replicates, workers)
+    (values,) = _map_replicates([_job(mspec, seed, "gg-thermal-gap", functools.partial(
+        _on_batch, realization, mspec, law, 0))], replicates, workers)
     return _estimate("gg-thermal-gap", values, replicates, seed,
                      {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
 
@@ -469,12 +470,13 @@ def check_self_averaging(mspec: ModelSpec, p: int, mode: str) -> None:
 
 
 def _self_avg_jobs(mspec: ModelSpec, law: DisorderSpec, p: int, seed: int,
-                   mode: str = "thermal", center: float = 0.0) -> list:
-    """The job of the statistic ``mode`` (see ``_self_avg_value``); "center"
-    is the first pass of mode "full" and shares its stream key."""
-    key = "self-averaging-" + ("full" if mode == "center" else mode)
-    return [_job(mspec, seed, key,
-                 functools.partial(_self_avg_replicates, mspec, law, p, mode, center))]
+                   mode: str = "thermal", center: float | None = None) -> list:
+    """The job of the statistic ``mode`` (see ``_self_avg_value``); mode
+    "full" without a ``center`` is its first pass, "center", on its stream key."""
+    check_self_averaging(mspec, p, mode)
+    statistic = "center" if mode == "full" and center is None else mode
+    return [_job(mspec, seed, f"self-averaging-{mode}",
+                 functools.partial(_self_avg_replicates, mspec, law, p, statistic, center))]
 
 
 def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int, seed: int,
@@ -487,12 +489,11 @@ def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int,
     replicate batch first.  ``mapped`` (see ``trend_suite``) serves mode
     "thermal" only: the second pass of "full" needs the first's centering.
     """
-    check_self_averaging(mspec, p, mode)
-    center = 0.0
+    center = None
     if mode == "full":
         if mapped is not None:
             raise ValueError('mode "full" maps its own passes')
-        (centers,) = _map_replicates(_self_avg_jobs(mspec, law, p, seed, "center"), replicates,
+        (centers,) = _map_replicates(_self_avg_jobs(mspec, law, p, seed, mode), replicates,
                                      workers)
         center = mean_stderr(centers)[0]
     (values,) = (_map_replicates(_self_avg_jobs(mspec, law, p, seed, mode, center), replicates,
@@ -506,6 +507,7 @@ def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int,
 
 def _universality_jobs(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
                        fn: TestFunction, seed: int) -> list:
+    fn.check(mspec.n_sites, fn.min_replicas)
     realization = functools.partial(_f_expectation, fn=fn)
     return [_job(mspec, seed, "universality-gap",
                  functools.partial(_on_batch, realization, mspec, law, stream))
@@ -520,7 +522,6 @@ def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
     No common random numbers: the laws differ, so pairing would be fiction.
     ``mapped`` is as in ``trend_suite``; this series takes two value lists.
     """
-    fn.check(mspec.n_sites, fn.min_replicas)
     (mean_a, err_a), (mean_b, err_b) = map(mean_stderr, _map_replicates(
         _universality_jobs(mspec, law_a, law_b, fn, seed), replicates, workers)
         if mapped is None else mapped)
@@ -774,7 +775,7 @@ MAX_COUPLING_ENTRIES diluted edges."""
 
 
 def check_vb_logz_increment(alpha: float) -> None:
-    if alpha <= 0:
+    if not alpha > 0:  # so a NaN fails too
         raise ExperimentError(f"alpha must be positive, got {alpha}")
     if alpha > MAX_ALPHA:
         raise ResourceCapError(f"alpha = {alpha} requested (cap {MAX_ALPHA})")
@@ -787,9 +788,8 @@ def vb_logz_increment(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
     The population value lies in [0, beta'] for the Rademacher edge couplings.
     """
     check_vb_logz_increment(alpha)
-    job = _job(mspec, seed, "vb-logz-increment",
-               functools.partial(_vb_replicates, mspec, law, alpha, beta_prime))
-    (values,) = _map_replicates([job], replicates, workers)
+    (values,) = _map_replicates([_job(mspec, seed, "vb-logz-increment", functools.partial(
+        _vb_replicates, mspec, law, alpha, beta_prime))], replicates, workers)
     return _estimate("vb-logz-increment", values, replicates, seed,
                      {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime})
 
@@ -842,6 +842,8 @@ def _graded_pair_sums(oracle: GibbsOracle, delta: ReplicaFunctional, n: int) -> 
 def check_taylor_coefficients(n_sites: int, n: int, function: TestFunction,
                               m_values) -> ReplicaFunctional:
     """Refusals of the Taylor check; returns F's functional on n replicas."""
+    if not m_values:
+        raise ExperimentError("the Taylor check needs at least one coefficient order")
     for m in m_values:
         if not 1 <= m <= 5:
             raise ExperimentError(f"coefficient order must be in 1..5, got {m}")
@@ -935,9 +937,8 @@ def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
     """Paired difference of the two sides; consistent with zero when the
     identity holds."""
     check_poisson_ibp(mspec.n_sites, alpha, beta_prime, n, fn)
-    job = _job(mspec, seed, "poisson-ibp", functools.partial(
-        _poisson_ibp_replicates, mspec, law, alpha, beta_prime, n, fn))
-    (values,) = _map_replicates([job], replicates, workers)
+    (values,) = _map_replicates([_job(mspec, seed, "poisson-ibp", functools.partial(
+        _poisson_ibp_replicates, mspec, law, alpha, beta_prime, n, fn))], replicates, workers)
     return _estimate("poisson-ibp", values, replicates, seed,
                      {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime,
                       "n": n, "F": fn.label})
@@ -1000,16 +1001,27 @@ TREND_BETA = 1.0
 TREND_MONOMIAL = spin_monomial(((0, 1, 2),))
 
 
-def check_trend_suite(n_values, replicates: int) -> None:
-    """Refusals of the trend series at every size; the gaps and the
-    self-averaging series take parameters that hold at every N."""
+def check_trend_suite(n_values, replicates: int, seed: int) -> list:
+    """The trend series at every size, as (estimator, leading arguments,
+    jobs).  Each job builder makes its series' refusals, so a bad size,
+    count or seed raises here, before any job is mapped."""
     if not n_values:
         raise ExperimentError("the trend suite needs at least one size")
+    fn_overlap = overlap_square()
+    series = []  # (estimator, its job builder, their leading arguments)
     for n_sites in n_values:
-        ModelSpec(n_sites, {2: TREND_BETA}, TREND_FIELD)
-        for m in (3, 4):
-            check_derivative_moment_sum(n_sites, 1, m, TREND_MONOMIAL)
+        mspec = ModelSpec(n_sites, {2: TREND_BETA}, TREND_FIELD)
+        series += [
+            (gg_gap, _gg_gap_jobs, (mspec, dis.rademacher(), 2, 2, fn_overlap)),
+            (universality_gap, _universality_jobs,
+             (mspec, dis.gaussian(), dis.rademacher(), fn_overlap)),
+            (self_averaging, _self_avg_jobs, (mspec, dis.gaussian(), 2)),
+            *((derivative_moment_sum, _derivative_jobs,
+               (mspec, dis.gaussian(), 1, m, TREND_MONOMIAL)) for m in (3, 4)),
+            (free_energy_fluctuation, _free_energy_jobs, (mspec, dis.rademacher())),
+        ]
     check_free_energy_fluctuation(replicates)
+    return [(estimator, args, build(*args, seed)) for estimator, build, args in series]
 
 
 def trend_suite(n_values=TREND_SIZES, replicates: int = TREND_REPLICATES, seed: int = 7,
@@ -1025,7 +1037,7 @@ def trend_suite(n_values=TREND_SIZES, replicates: int = TREND_REPLICATES, seed: 
     monomial test functions it shows the strongest size decay of the order-4
     sum at these sizes (the order-3 decay is steep for every choice).
 
-    Every series' jobs, at every size, are built first and mapped in one
+    The jobs of every series, from ``check_trend_suite``, are mapped in one
     call, so on a pool all their ranges are in flight at once.  Each series
     then runs its own estimator with ``mapped``, its slice of the map's
     iterator, one value list per job it built, in place of a map of its own.
@@ -1033,24 +1045,10 @@ def trend_suite(n_values=TREND_SIZES, replicates: int = TREND_REPLICATES, seed: 
     reads, or on one worker computes, its series' values: a profile or
     perfbench's per-series spans still see each series' work inside its call.
     """
-    check_trend_suite(n_values, replicates)
-    fn_overlap = overlap_square()
-    series = []  # (estimator, its job builder, their leading arguments)
-    for n_sites in n_values:
-        mspec = ModelSpec(n_sites, {2: TREND_BETA}, TREND_FIELD)
-        series += [
-            (gg_gap, _gg_gap_jobs, (mspec, dis.rademacher(), 2, 2, fn_overlap)),
-            (universality_gap, _universality_jobs,
-             (mspec, dis.gaussian(), dis.rademacher(), fn_overlap)),
-            (self_averaging, _self_avg_jobs, (mspec, dis.gaussian(), 2)),
-            *((derivative_moment_sum, _derivative_jobs,
-               (mspec, dis.gaussian(), 1, m, TREND_MONOMIAL)) for m in (3, 4)),
-            (free_energy_fluctuation, _free_energy_jobs, (mspec, dis.rademacher())),
-        ]
-    jobs = [build(*args, seed) for _, build, args in series]
-    mapped = _map_replicates([job for own in jobs for job in own], replicates, workers)
-    return [estimator(*args, replicates, seed, mapped=itertools.islice(mapped, len(own)))
-            for (estimator, _, args), own in zip(series, jobs)]
+    series = check_trend_suite(n_values, replicates, seed)
+    mapped = _map_replicates([job for *_, jobs in series for job in jobs], replicates, workers)
+    return [estimator(*args, replicates, seed, mapped=itertools.islice(mapped, len(jobs)))
+            for estimator, args, jobs in series]
 
 
 def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
@@ -1058,6 +1056,7 @@ def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
                              realizations: int, seed: int) -> dict[int, dict[str, float]]:
     """Worst residuals of the coefficient identity per expansion order."""
     m_values = tuple(m_values)
+    check_vb_logz_increment(alpha)
     check_taylor_coefficients(mspec.n_sites, n, fn, m_values)
     (rows,) = _map_replicates([_job(mspec, seed, "taylor-coefficients", functools.partial(
         _taylor_replicates, mspec, law, alpha, beta_prime, n, fn, m_values))], realizations, 1)

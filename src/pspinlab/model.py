@@ -25,6 +25,7 @@ independent reference for it.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -38,6 +39,15 @@ EXACT_ENUMERATION_CAP = 20
 MAX_COUPLING_ENTRIES = 1 << 22
 """Most coupling entries, sum_p rows * N**p, that one range of draws
 allocates: 32 MB of float64.  Order 5 fits at N = 20, order 7 does not."""
+
+
+def is_count(value) -> bool:
+    """An integer by ``operator.index`` that is not a bool: the package's one integer rule."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
 
 
 class ModelValidationError(ValueError):
@@ -64,20 +74,22 @@ class ModelSpec:
     field_h: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n_sites, int) or self.n_sites < 1:
+        if not is_count(self.n_sites) or self.n_sites < 1:
             raise ModelValidationError(f"n_sites must be a positive integer, got {self.n_sites!r}")
         if self.n_sites > EXACT_ENUMERATION_CAP:
             raise ResourceCapError(
                 f"N={self.n_sites} needs 2**{self.n_sites} configurations "
-                f"(cap N <= {EXACT_ENUMERATION_CAP})"
-            )
+                f"(cap N <= {EXACT_ENUMERATION_CAP})")
         for p, beta in self.betas.items():
-            if not isinstance(p, int) or p < 2:
+            if not is_count(p) or p < 2:
                 raise ModelValidationError(f"interaction orders must be integers >= 2, got {p!r}")
             if not math.isfinite(beta):
                 raise ModelValidationError(f"beta_{p} must be finite, got {beta!r}")
         if not math.isfinite(self.field_h):
             raise ModelValidationError(f"field must be finite, got {self.field_h!r}")
+        # numpy integers are held as ints, so no size or order arithmetic wraps
+        object.__setattr__(self, "n_sites", operator.index(self.n_sites))
+        object.__setattr__(self, "betas", {operator.index(p): b for p, b in self.betas.items()})
         self.check_draws(1)
 
     @property

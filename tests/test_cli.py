@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -719,3 +720,18 @@ def test_run_reports_rows_on_stdout(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "gg-thermal-gap" in out
     assert "wrote" in out
+
+
+def test_stdout_rows_are_the_files_rows(tmp_path, capsys):
+    """A label with a comma, monomial[0,1;2], is quoted on stdout as in the
+    file, so each printed row parses to the header's 10 fields."""
+    raw = minimal_config(params={"function": {"kind": "spin-monomial", "sites": [[0, 1], [2]]}},
+                         output=str(tmp_path / "out"))
+    assert cli.main(["run", write_config(tmp_path, raw)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if not line.startswith("wrote ")]
+    rows = list(csv.reader(printed))
+    with open(tmp_path / "out" / "gg-thermal-gap-42.csv", newline="") as handle:
+        header, *filed = csv.reader(handle)
+    assert len(header) == 10 and [len(row) for row in rows] == [10]
+    assert rows == filed and "monomial[0,1;2]" in rows[0]

@@ -140,6 +140,24 @@ def test_validate_moments_catches_lies():
         validate_moments(law)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: dis.discrete([1.0, -1.0], [math.nan, math.nan]),
+    lambda: dis.three_point(math.nan),
+    lambda: dis.three_point(math.inf),
+    lambda: dis.skewed_three_point(math.nan),
+    lambda: dis.near_gaussian_family(math.nan),
+    *(lambda atom=atom: dis.DisorderSpec("discrete", (0.0, 1.0, 0.0, 1.0),
+                                         atoms=(atom, -1.0), probs=(0.5, 0.5))
+      for atom in (math.nan, math.inf)),
+], ids=["discrete-nan-probs", "three-point-nan", "three-point-inf", "skewed-three-point-nan",
+        "near-gaussian-nan", "nan-atom", "infinite-atom"])
+def test_a_law_with_nan_or_infinite_parts_is_refused(build):
+    """Each range rule is written so that a NaN fails it, and atoms must be
+    finite: no law is built without probabilities or with a NaN atom."""
+    with pytest.raises(DisorderValidationError):
+        build()
+
+
 def test_seed_path_validation():
     for bad in ({"experiment": -1}, {"experiment": 0, "replicate": 1 << 64},
                 {"experiment": True}, {"experiment": 0, "stream": np.True_},

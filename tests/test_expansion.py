@@ -68,10 +68,18 @@ def test_expansion_coefficient_edges():
         expansion_coefficient(3, -1)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.0, "3", MAX_DERIVATIVE_ORDER + 1])
+@pytest.mark.parametrize("bad", [0, -1, 2.0, "3", True, MAX_DERIVATIVE_ORDER + 1])
 def test_coefficient_row_rejects_bad_orders(bad):
     with pytest.raises(ModelValidationError):
         coefficient_row(bad)
+
+
+def test_coefficient_row_of_a_numpy_order_is_the_int_row():
+    """A numpy order is a count; its row is built in Python ints, so the
+    order-30 entries, past int64, come out exact."""
+    row = coefficient_row(np.int64(MAX_DERIVATIVE_ORDER))
+    assert row == coefficient_row(MAX_DERIVATIVE_ORDER) and {type(a) for a in row} == {int}
+    assert max(map(abs, row)) > np.iinfo(np.int64).max
 
 
 # -- signed basis and the derivative operator ---------------------------------

@@ -1,8 +1,10 @@
 import collections
+import functools
 import itertools
 import json
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -442,6 +444,9 @@ def test_estimators_called_directly_run_their_checks():
         ex.free_energy_fluctuation(mspec, dis.gaussian(), 1, seed=0)
     with pytest.raises(ex.ExperimentError, match="no order-3 interaction"):
         ex.self_averaging(mspec, dis.gaussian(), 3, 4, seed=0)
+    # "center" is the first pass of mode "full", not a mode a caller may ask for
+    with pytest.raises(ex.ExperimentError, match="unknown self-averaging mode 'center'"):
+        ex.self_averaging(mspec, dis.gaussian(), 2, 4, seed=0, mode="center")
 
 
 def test_library_calls_meet_the_count_and_site_rules():
@@ -469,6 +474,31 @@ def test_library_calls_meet_the_count_and_site_rules():
     with pytest.raises(ex.ExperimentError, match="site 9 out of range"):
         ex.interpolation_sweep(mspec, dis.gaussian(), (0.5,), ex.spin_monomial(((9,),)), 2,
                                seed=0)
+    # ``model.is_count`` is every count's rule: a power of 2.5 is not read as 2,
+    # a p of 2.5 is not a NaN, a worker count of 2.5, True or "2" is not run,
+    # one replicate given as True is not written as true, and N = True is no size
+    with pytest.raises(ex.ExperimentError, match="overlap power must be an integer"):
+        ex.TestFunction("overlap-power", power=2.5)
+    with pytest.raises(ex.ExperimentError, match="p must be an integer"):
+        ex.gg_gap(mspec, dis.gaussian(), 2, 2.5, ex.overlap_square(), 3, seed=0)
+    for workers in (2.5, True, "2"):
+        with pytest.raises(ex.ExperimentError, match="worker count must be an integer"):
+            ex.gg_gap(mspec, dis.gaussian(), 2, 2, ex.overlap_square(), 3, 0, workers)
+    with pytest.raises(ex.ExperimentError, match="replicate count must be >= 1 and an integer"):
+        ex.gg_gap(mspec, dis.gaussian(), 2, 2, ex.overlap_square(), replicates=True, seed=0)
+    with pytest.raises(ModelValidationError, match="n_sites must be a positive integer"):
+        ModelSpec(True)
+
+
+def test_numpy_integer_counts_are_read_as_ints():
+    """A numpy integer passes ``is_count`` and is held as a Python int, so no
+    cap's arithmetic wraps in int64: 20**22 coupling entries stay refused."""
+    mspec = ModelSpec(np.int64(4), {np.int64(2): 1.0})
+    assert type(mspec.n_sites) is int and [type(p) for p in mspec.betas] == [int]
+    with pytest.raises(ResourceCapError):
+        ModelSpec(np.int64(20), {np.int64(22): 1.0})
+    assert type(ex.TestFunction("overlap-power", power=np.int64(3)).power) is int
+    assert ex.resolve_workers(np.int64(2)) == 2
 
 
 def _no_map(*args, **kwargs):
@@ -528,6 +558,15 @@ _REFUSED_BEFORE_ANY_JOB = {  # each on two workers, 2000 replicates at N = 4
         _N4, dis.gaussian(), (0.0, 1.5), ex.overlap_square(), 2000, 0, 2),
     "taylor-coefficients m=6": lambda: ex.taylor_coefficient_check(  # runs on one worker
         _N4, dis.gaussian(), 0.5, 0.5, 2, ex.overlap_square(), (1, 6), 2000, 0),
+    "taylor-coefficients no order": lambda: ex.taylor_coefficient_check(
+        _N4, dis.gaussian(), 0.5, 0.5, 2, ex.overlap_square(), (), 2000, 0),
+    **{f"taylor-coefficients alpha={alpha}": functools.partial(
+        ex.taylor_coefficient_check, _N4, dis.gaussian(), alpha, 0.5, 2, ex.overlap_square(),
+        (1,), 2000, 0) for alpha in (-1.0, 0.0, math.nan)},
+    "vb-logz-increment alpha=nan": lambda: ex.vb_logz_increment(
+        _N4, dis.gaussian(), math.nan, 0.5, 2000, 0, 2),
+    "poisson-ibp alpha=nan": lambda: ex.poisson_ibp_check(
+        _N4, dis.gaussian(), math.nan, 0.5, 2, ex.overlap_square(), 2000, 0, 2),
 }
 
 
@@ -538,6 +577,15 @@ def test_library_refusals_come_before_any_map(monkeypatch, name):
     monkeypatch.setattr(ex, "_map_replicates", _no_map)
     with pytest.raises((ex.ExperimentError, ModelValidationError)):
         _REFUSED_BEFORE_ANY_JOB[name]()
+
+
+def test_taylor_check_meets_the_alpha_cap(monkeypatch):
+    """The Taylor check shares the dilution's alpha cap: alpha = 1e6 is
+    refused before any map, not drawn."""
+    monkeypatch.setattr(ex, "_map_replicates", _no_map)
+    with pytest.raises(ResourceCapError, match="cap 1024"):
+        ex.taylor_coefficient_check(_N4, dis.gaussian(), 1e6, 0.5, 2, ex.overlap_square(),
+                                    (1,), 2, 0)
 
 
 def test_pooled_refusal_builds_no_executor(recording_executor):
@@ -911,6 +959,20 @@ def test_recorded_trend_run_keeps_its_task_grouping(monkeypatch, recording_execu
     assert [len(group) for group in groups] == [2683] * 16 + [3]
     assert sum(map(len, groups)) == 42931 == sum(-(-count // split_size) * 7 for split_size
                                                  in (512, 32, 2, 1))
+
+
+def test_trend_preflight_returns_the_jobs_the_suite_maps(monkeypatch):
+    """``check_trend_suite`` builds the suite: its 12 series at N = 4 and 8
+    hold, in order, exactly the jobs ``trend_suite`` maps at its default
+    seed 7 (pickled alike: same functions, laws, sizes and seed streams)."""
+    series = ex.check_trend_suite((4, 8), 2, 7)
+    assert [estimator.__name__ for estimator, _, _ in series] == [
+        "gg_gap", "universality_gap", "self_averaging", "derivative_moment_sum",
+        "derivative_moment_sum", "free_energy_fluctuation"] * 2
+    assert [len(jobs) for *_, jobs in series] == [1, 2, 1, 1, 1, 1] * 2
+    assert [args[0].n_sites for _, args, _ in series] == [4] * 6 + [8] * 6
+    mapped = _trend_jobs(monkeypatch, (4, 8), 2)
+    assert pickle.dumps([job for *_, jobs in series for job in jobs]) == pickle.dumps(mapped)
 
 
 def test_pooled_trend_suite_makes_one_map(recording_executor):
