@@ -10,10 +10,10 @@ a stack of rows, and a realization answers every row in one call.  Each
 row is bit-identical to its own oracle, so no value depends on the chunk
 size.  Reductions use exact summation (math.fsum), so results do not
 depend on reduction order or on the worker count.  An estimator's work is
-a list of jobs, one replicate function each, that ``_map_replicates`` maps;
-``trend_suite`` maps the jobs of all its series in one call.  ``_estimate``
-is the pattern for every estimator that reports a mean with its standard
-error.
+one job, a replicate function that names the (law, stream) draws it reads,
+and ``_map_replicates`` maps it to one value list; ``trend_suite`` maps one
+job per series in one call.  ``_estimate`` is the pattern for every
+estimator that reports a mean with its standard error.
 Each estimator's refusals live in one ``check_*`` function, which draws
 nothing; every estimator calls it before it builds its first job.
 """
@@ -91,6 +91,9 @@ class TestFunction:
             raise ExperimentError(f"test function {self.kind!r} takes no power")
         if self.kind != "spin-monomial" and self.sites:  # masks would read them as F's
             raise ExperimentError(f"test function {self.kind!r} takes no sites")
+        if not all(map(is_count, itertools.chain(*self.sites))):
+            raise ExperimentError(f"monomial sites must be integers, got {self.sites!r}")
+        object.__setattr__(self, "sites", tuple(tuple(map(operator.index, b)) for b in self.sites))
         if self.kind == "overlap-power":
             power = 2 if self.power is None else self.power
             if not is_count(power) or power < 1:
@@ -127,6 +130,8 @@ class TestFunction:
     def check(self, n_sites: int, n_replicas: int) -> None:
         """Raise ExperimentError unless F lives on n_replicas replicas of N sites;
         more than MAX_EXPANSION_REPLICAS replicas raise ResourceCapError."""
+        if not is_count(n_replicas):
+            raise ExperimentError(f"the replica count must be an integer, got {n_replicas!r}")
         if n_replicas > MAX_EXPANSION_REPLICAS:
             raise ResourceCapError(
                 f"{n_replicas} replicas requested (cap {MAX_EXPANSION_REPLICAS})")
@@ -158,7 +163,7 @@ def overlap_square() -> TestFunction:
 
 
 def spin_monomial(sites) -> TestFunction:
-    return TestFunction("spin-monomial", sites=tuple(tuple(int(s) for s in b) for b in sites))
+    return TestFunction("spin-monomial", sites=tuple(map(tuple, sites)))
 
 
 def default_suite(n_sites: int) -> list[TestFunction]:
@@ -314,16 +319,12 @@ def _estimate(name: str, values, replicates: int, seed: int, params: dict) -> Es
     return EstimatorResult(name, value, err, replicates, {**params, "seed": seed})
 
 
-def _draw_oracles(mspec: ModelSpec, law: DisorderSpec, stream: int, exp_id: int,
-                  rows: range) -> GibbsOracle:
-    """One oracle over the coupling draws on ``stream`` of replicates ``rows``."""
-    return GibbsOracle.build(mspec, sample_replicates(mspec, law, exp_id, rows, stream))
-
-
-def _on_batch(realization, mspec: ModelSpec, law: DisorderSpec, stream: int,
-              exp_id: int, rows: range):
-    """``realization`` of the oracle over the coupling draws on ``stream``."""
-    return realization(_draw_oracles(mspec, law, stream, exp_id, rows))
+def _on_batch(realization, mspec: ModelSpec, draws, exp_id: int, rows: range):
+    """``realization`` of one oracle per ``(law, stream)`` pair of ``draws``,
+    in order, each over that stream's coupling draws of replicates ``rows``."""
+    oracles = [GibbsOracle.build(mspec, sample_replicates(mspec, law, exp_id, rows, stream))
+               for law, stream in draws]
+    return realization(*oracles)
 
 
 def _fsum(terms):
@@ -337,14 +338,13 @@ def _fsum(terms):
     return np.reshape(sums, rows.shape[:-1])[()]
 
 
-def _draw_dressed(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
-                  exp_id: int, rows: range):
-    """The replicates' stacked couplings (stream 0) and their diluted pair
-    interactions, one per row (stream 1)."""
+def _on_dressed(realization, mspec: ModelSpec, law: DisorderSpec, alpha: float,
+                beta_prime: float, exp_id: int, rows: range):
+    """``realization`` of the replicates' stacked couplings (stream 0) and
+    their diluted pair interactions, one per row (stream 1)."""
     couplings = sample_replicates(mspec, law, exp_id, rows, 0)
-    vbs = [sample_vb(alpha, mspec.n_sites, beta_prime, rng)
-           for rng in replicate_generators(exp_id, rows, 1)]
-    return couplings, vbs
+    return realization(couplings, [sample_vb(alpha, mspec.n_sites, beta_prime, rng)
+                                   for rng in replicate_generators(exp_id, rows, 1)])
 
 
 # -- replica-coupling gaps ---------------------------------------------------
@@ -374,23 +374,18 @@ def gg_gap_realization(oracle: GibbsOracle, oracle_indep: GibbsOracle, n: int, p
     return lead - boundary / n - inner / n
 
 
-def _gg_gap_replicates(mspec: ModelSpec, law: DisorderSpec, n: int, p: int,
-                       fn: TestFunction, exp_id: int, rows: range):
-    return gg_gap_realization(_draw_oracles(mspec, law, 0, exp_id, rows),
-                              _draw_oracles(mspec, law, 1, exp_id, rows), n, p, fn)
-
-
 def check_gg_gap(n_sites: int, n: int, p: int, function: TestFunction) -> None:
     if n < 2:
         raise ExperimentError(f"the gap needs n >= 2 replicas, got {n}")
     check_gg_thermal_gap(n_sites, n, p, function)
 
 
-def _gg_gap_jobs(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction,
-                 seed: int) -> list:
+def _gg_gap_job(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction,
+                seed: int):
     check_gg_gap(mspec.n_sites, n, p, fn)
-    return [_job(mspec, seed, "gg-gap",
-                 functools.partial(_gg_gap_replicates, mspec, law, n, p, fn))]
+    realization = functools.partial(gg_gap_realization, n=n, p=p, fn=fn)
+    return _job(mspec, seed, "gg-gap", functools.partial(
+        _on_batch, realization, mspec, ((law, 0), (law, 1))))
 
 
 def gg_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction,
@@ -399,8 +394,8 @@ def gg_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: TestFunction
     """Disorder average of the replica-coupling gap; the product term uses an
     independent realization per replicate so it is unbiased for E<R^p> E<F>.
     ``mapped`` is as in ``trend_suite``."""
-    (values,) = (_map_replicates(_gg_gap_jobs(mspec, law, n, p, fn, seed), replicates, workers)
-                 if mapped is None else mapped)
+    values = next(_map_replicates([_gg_gap_job(mspec, law, n, p, fn, seed)], replicates,
+                                  workers) if mapped is None else mapped)
     return _estimate("gg-gap", values, replicates, seed,
                      {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
 
@@ -431,7 +426,7 @@ def gg_thermal_gap(mspec: ModelSpec, law: DisorderSpec, n: int, p: int, fn: Test
     check_gg_thermal_gap(mspec.n_sites, n, p, fn)
     realization = functools.partial(gg_thermal_gap_realization, n=n, p=p, fn=fn)
     (values,) = _map_replicates([_job(mspec, seed, "gg-thermal-gap", functools.partial(
-        _on_batch, realization, mspec, law, 0))], replicates, workers)
+        _on_batch, realization, mspec, ((law, 0),)))], replicates, workers)
     return _estimate("gg-thermal-gap", values, replicates, seed,
                      {"N": mspec.n_sites, "n": n, "p": p, "F": fn.label})
 
@@ -469,14 +464,14 @@ def check_self_averaging(mspec: ModelSpec, p: int, mode: str) -> None:
         raise ExperimentError(f"unknown self-averaging mode {mode!r}")
 
 
-def _self_avg_jobs(mspec: ModelSpec, law: DisorderSpec, p: int, seed: int,
-                   mode: str = "thermal", center: float | None = None) -> list:
+def _self_avg_job(mspec: ModelSpec, law: DisorderSpec, p: int, seed: int,
+                  mode: str = "thermal", center: float | None = None):
     """The job of the statistic ``mode`` (see ``_self_avg_value``); mode
     "full" without a ``center`` is its first pass, "center", on its stream key."""
     check_self_averaging(mspec, p, mode)
     statistic = "center" if mode == "full" and center is None else mode
-    return [_job(mspec, seed, f"self-averaging-{mode}",
-                 functools.partial(_self_avg_replicates, mspec, law, p, statistic, center))]
+    return _job(mspec, seed, f"self-averaging-{mode}",
+                functools.partial(_self_avg_replicates, mspec, law, p, statistic, center))
 
 
 def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int, seed: int,
@@ -493,11 +488,11 @@ def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int,
     if mode == "full":
         if mapped is not None:
             raise ValueError('mode "full" maps its own passes')
-        (centers,) = _map_replicates(_self_avg_jobs(mspec, law, p, seed, mode), replicates,
+        (centers,) = _map_replicates([_self_avg_job(mspec, law, p, seed, mode)], replicates,
                                      workers)
         center = mean_stderr(centers)[0]
-    (values,) = (_map_replicates(_self_avg_jobs(mspec, law, p, seed, mode, center), replicates,
-                                 workers) if mapped is None else mapped)
+    values = next(_map_replicates([_self_avg_job(mspec, law, p, seed, mode, center)],
+                                  replicates, workers) if mapped is None else mapped)
     return _estimate(f"self-averaging-{mode}", values, replicates, seed,
                      {"N": mspec.n_sites, "p": p})
 
@@ -505,13 +500,17 @@ def self_averaging(mspec: ModelSpec, law: DisorderSpec, p: int, replicates: int,
 # -- universality and interpolation -----------------------------------------
 
 
-def _universality_jobs(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
-                       fn: TestFunction, seed: int) -> list:
+def _f_expectations(*oracles: GibbsOracle, fn: TestFunction) -> np.ndarray:
+    """<F> under each oracle (columns), for each row."""
+    return np.stack([np.broadcast_to(_f_expectation(oracle, fn), oracle.weights.shape[:-1])
+                     for oracle in oracles], axis=-1)
+
+
+def _universality_job(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
+                      fn: TestFunction, seed: int):
     fn.check(mspec.n_sites, fn.min_replicas)
-    realization = functools.partial(_f_expectation, fn=fn)
-    return [_job(mspec, seed, "universality-gap",
-                 functools.partial(_on_batch, realization, mspec, law, stream))
-            for stream, law in enumerate((law_a, law_b))]
+    return _job(mspec, seed, "universality-gap", functools.partial(
+        _on_batch, functools.partial(_f_expectations, fn=fn), mspec, ((law_a, 0), (law_b, 1))))
 
 
 def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
@@ -520,11 +519,11 @@ def universality_gap(mspec: ModelSpec, law_a: DisorderSpec, law_b: DisorderSpec,
     """|E<F>_A - E<F>_B| across two disorder families, independent batches.
 
     No common random numbers: the laws differ, so pairing would be fiction.
-    ``mapped`` is as in ``trend_suite``; this series takes two value lists.
+    ``mapped`` is as in ``trend_suite``; each value is the row (<F>_A, <F>_B).
     """
-    (mean_a, err_a), (mean_b, err_b) = map(mean_stderr, _map_replicates(
-        _universality_jobs(mspec, law_a, law_b, fn, seed), replicates, workers)
-        if mapped is None else mapped)
+    (mean_a, err_a), (mean_b, err_b) = map(mean_stderr, zip(*next(_map_replicates(
+        [_universality_job(mspec, law_a, law_b, fn, seed)], replicates, workers)
+        if mapped is None else mapped)))
     return EstimatorResult("universality-gap", abs(mean_a - mean_b),
                            math.sqrt(err_a ** 2 + err_b ** 2), replicates,
                            {"N": mspec.n_sites, "F": fn.label,
@@ -634,8 +633,8 @@ def cavity_identity_realization(mspec: ModelSpec, law: DisorderSpec, n_cavity: i
 
 
 def check_cavity_identity(n_sites: int, n_cavity: int, cavity_sets) -> None:
-    if n_cavity < 1:
-        raise ExperimentError(f"cavity check needs at least one cavity site, got {n_cavity}")
+    if not is_count(n_cavity) or n_cavity < 1:
+        raise ExperimentError(f"cavity check needs an integer n_cavity >= 1, got {n_cavity!r}")
     if n_sites - n_cavity < 1:
         raise ExperimentError("cavity check needs at least one bulk site")
     if not cavity_sets or not all(cavity_sets):
@@ -644,8 +643,8 @@ def check_cavity_identity(n_sites: int, n_cavity: int, cavity_sets) -> None:
         if len(set(block)) != len(block):
             raise ExperimentError(f"cavity block {list(block)} repeats a site")
         for j in block:
-            if not 0 <= j < n_cavity:
-                raise ExperimentError(f"cavity site {j} outside 0..{n_cavity - 1}")
+            if not is_count(j) or not 0 <= j < n_cavity:
+                raise ExperimentError(f"cavity site {j!r} is no integer in 0..{n_cavity - 1}")
 
 
 def cavity_identity_check(mspec: ModelSpec, law: DisorderSpec, n_cavity: int, cavity_sets,
@@ -707,12 +706,12 @@ def derivative_sum_realization(oracle: GibbsOracle, n: int, m: int, fn: TestFunc
     return total
 
 
-def _derivative_jobs(mspec: ModelSpec, law: DisorderSpec, n: int, m: int, fn: TestFunction,
-                     seed: int) -> list:
+def _derivative_job(mspec: ModelSpec, law: DisorderSpec, n: int, m: int, fn: TestFunction,
+                    seed: int):
     check_derivative_moment_sum(mspec.n_sites, n, m, fn)
     realization = functools.partial(derivative_sum_realization, n=n, m=m, fn=fn)
-    return [_job(mspec, seed, f"derivative-moment-sum-m{m}",
-                 functools.partial(_on_batch, realization, mspec, law, 0))]
+    return _job(mspec, seed, f"derivative-moment-sum-m{m}",
+                functools.partial(_on_batch, realization, mspec, ((law, 0),)))
 
 
 def derivative_moment_sum(mspec: ModelSpec, law: DisorderSpec, n: int, m: int,
@@ -720,8 +719,8 @@ def derivative_moment_sum(mspec: ModelSpec, law: DisorderSpec, n: int, m: int,
                           workers: int | None = 1, *, mapped=None) -> EstimatorResult:
     """Disorder average of the tuple-summed m-th derivative of <F>; ``mapped``
     is as in ``trend_suite``."""
-    (values,) = (_map_replicates(_derivative_jobs(mspec, law, n, m, fn, seed), replicates,
-                                 workers) if mapped is None else mapped)
+    values = next(_map_replicates([_derivative_job(mspec, law, n, m, fn, seed)], replicates,
+                                  workers) if mapped is None else mapped)
     return _estimate("derivative-moment-sum", values, replicates, seed,
                      {"N": mspec.n_sites, "n": n, "m": m, "F": fn.label})
 
@@ -734,9 +733,9 @@ def check_free_energy_fluctuation(replicates: int) -> None:
         raise ExperimentError(f"a variance needs at least 2 replicates, got {replicates}")
 
 
-def _free_energy_jobs(mspec: ModelSpec, law: DisorderSpec, seed: int) -> list:
-    return [_job(mspec, seed, "free-energy-fluctuation", functools.partial(
-        _on_batch, operator.attrgetter("free_energy_density"), mspec, law, 0))]
+def _free_energy_job(mspec: ModelSpec, law: DisorderSpec, seed: int):
+    return _job(mspec, seed, "free-energy-fluctuation", functools.partial(
+        _on_batch, operator.attrgetter("free_energy_density"), mspec, ((law, 0),)))
 
 
 def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int, seed: int,
@@ -746,8 +745,8 @@ def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int
     The standard error of the variance uses the distribution-free fourth
     central moment formula.  ``mapped`` is as in ``trend_suite``."""
     check_free_energy_fluctuation(replicates)
-    (values,) = (_map_replicates(_free_energy_jobs(mspec, law, seed), replicates, workers)
-                 if mapped is None else mapped)
+    values = next(_map_replicates([_free_energy_job(mspec, law, seed)], replicates, workers)
+                  if mapped is None else mapped)
     m = len(values)
     mean = math.fsum(values) / m
     var = math.fsum((v - mean) ** 2 for v in values) / (m - 1)
@@ -760,9 +759,7 @@ def free_energy_fluctuation(mspec: ModelSpec, law: DisorderSpec, replicates: int
 # -- diluted pair interactions ----------------------------------------------
 
 
-def _vb_replicates(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
-                   exp_id: int, rows: range) -> np.ndarray:
-    couplings, vbs = _draw_dressed(mspec, law, alpha, beta_prime, exp_id, rows)
+def _vb_replicates(mspec: ModelSpec, alpha: float, couplings, vbs) -> np.ndarray:
     base = GibbsOracle.build(mspec, couplings)
     dressed = GibbsOracle.build(mspec, couplings, vbs)
     return (dressed.log_z - base.log_z) / (alpha * mspec.n_sites)
@@ -789,7 +786,8 @@ def vb_logz_increment(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
     """
     check_vb_logz_increment(alpha)
     (values,) = _map_replicates([_job(mspec, seed, "vb-logz-increment", functools.partial(
-        _vb_replicates, mspec, law, alpha, beta_prime))], replicates, workers)
+        _on_dressed, functools.partial(_vb_replicates, mspec, alpha), mspec, law, alpha,
+        beta_prime))], replicates, workers)
     return _estimate("vb-logz-increment", values, replicates, seed,
                      {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime})
 
@@ -845,8 +843,8 @@ def check_taylor_coefficients(n_sites: int, n: int, function: TestFunction,
     if not m_values:
         raise ExperimentError("the Taylor check needs at least one coefficient order")
     for m in m_values:
-        if not 1 <= m <= 5:
-            raise ExperimentError(f"coefficient order must be in 1..5, got {m}")
+        if not is_count(m) or not 1 <= m <= 5:
+            raise ExperimentError(f"coefficient order must be an integer in 1..5, got {m!r}")
     return function.functional(n_sites, n)
 
 
@@ -922,10 +920,8 @@ def poisson_ibp_realization(oracle: GibbsOracle, vbs, alpha: float, beta_prime: 
     return left, right
 
 
-def _poisson_ibp_replicates(mspec: ModelSpec, law: DisorderSpec, alpha: float,
-                            beta_prime: float, n: int, fn: TestFunction,
-                            exp_id: int, rows: range) -> np.ndarray:
-    couplings, vbs = _draw_dressed(mspec, law, alpha, beta_prime, exp_id, rows)
+def _poisson_ibp_replicates(mspec: ModelSpec, alpha: float, beta_prime: float, n: int,
+                            fn: TestFunction, couplings, vbs) -> np.ndarray:
     left, right = poisson_ibp_realization(GibbsOracle.build(mspec, couplings, vbs), vbs,
                                           alpha, beta_prime, n, fn)
     return left - right
@@ -938,7 +934,8 @@ def poisson_ibp_check(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_pr
     identity holds."""
     check_poisson_ibp(mspec.n_sites, alpha, beta_prime, n, fn)
     (values,) = _map_replicates([_job(mspec, seed, "poisson-ibp", functools.partial(
-        _poisson_ibp_replicates, mspec, law, alpha, beta_prime, n, fn))], replicates, workers)
+        _on_dressed, functools.partial(_poisson_ibp_replicates, mspec, alpha, beta_prime, n, fn),
+        mspec, law, alpha, beta_prime))], replicates, workers)
     return _estimate("poisson-ibp", values, replicates, seed,
                      {"N": mspec.n_sites, "alpha": alpha, "beta_prime": beta_prime,
                       "n": n, "F": fn.label})
@@ -984,10 +981,8 @@ def taylor_coefficient_realization(oracle: GibbsOracle, n: int, m_values,
     return np.stack(out, axis=-2)
 
 
-def _taylor_replicates(mspec: ModelSpec, law: DisorderSpec, alpha: float, beta_prime: float,
-                       n: int, fn: TestFunction, m_values, exp_id: int,
-                       rows: range) -> np.ndarray:
-    couplings, vbs = _draw_dressed(mspec, law, alpha, beta_prime, exp_id, rows)
+def _taylor_replicates(mspec: ModelSpec, n: int, fn: TestFunction, m_values, couplings,
+                       vbs) -> np.ndarray:
     return taylor_coefficient_realization(GibbsOracle.build(mspec, couplings, vbs), n,
                                           m_values, fn)
 
@@ -1003,7 +998,7 @@ TREND_MONOMIAL = spin_monomial(((0, 1, 2),))
 
 def check_trend_suite(n_values, replicates: int, seed: int) -> list:
     """The trend series at every size, as (estimator, leading arguments,
-    jobs).  Each job builder makes its series' refusals, so a bad size,
+    job).  Each job builder makes its series' refusals, so a bad size,
     count or seed raises here, before any job is mapped."""
     if not n_values:
         raise ExperimentError("the trend suite needs at least one size")
@@ -1012,13 +1007,13 @@ def check_trend_suite(n_values, replicates: int, seed: int) -> list:
     for n_sites in n_values:
         mspec = ModelSpec(n_sites, {2: TREND_BETA}, TREND_FIELD)
         series += [
-            (gg_gap, _gg_gap_jobs, (mspec, dis.rademacher(), 2, 2, fn_overlap)),
-            (universality_gap, _universality_jobs,
+            (gg_gap, _gg_gap_job, (mspec, dis.rademacher(), 2, 2, fn_overlap)),
+            (universality_gap, _universality_job,
              (mspec, dis.gaussian(), dis.rademacher(), fn_overlap)),
-            (self_averaging, _self_avg_jobs, (mspec, dis.gaussian(), 2)),
-            *((derivative_moment_sum, _derivative_jobs,
+            (self_averaging, _self_avg_job, (mspec, dis.gaussian(), 2)),
+            *((derivative_moment_sum, _derivative_job,
                (mspec, dis.gaussian(), 1, m, TREND_MONOMIAL)) for m in (3, 4)),
-            (free_energy_fluctuation, _free_energy_jobs, (mspec, dis.rademacher())),
+            (free_energy_fluctuation, _free_energy_job, (mspec, dis.rademacher())),
         ]
     check_free_energy_fluctuation(replicates)
     return [(estimator, args, build(*args, seed)) for estimator, build, args in series]
@@ -1037,18 +1032,18 @@ def trend_suite(n_values=TREND_SIZES, replicates: int = TREND_REPLICATES, seed: 
     monomial test functions it shows the strongest size decay of the order-4
     sum at these sizes (the order-3 decay is steep for every choice).
 
-    The jobs of every series, from ``check_trend_suite``, are mapped in one
-    call, so on a pool all their ranges are in flight at once.  Each series
-    then runs its own estimator with ``mapped``, its slice of the map's
-    iterator, one value list per job it built, in place of a map of its own.
-    So the reductions stay the estimators' own, and each estimator call
-    reads, or on one worker computes, its series' values: a profile or
-    perfbench's per-series spans still see each series' work inside its call.
+    Each series is one job, from ``check_trend_suite``, and the jobs of
+    every series are mapped in one call, so on a pool all their ranges are
+    in flight at once.  Each series then runs its own estimator with
+    ``mapped``, the map's iterator, from which it takes the next value list
+    in place of a map of its own.  So the reductions stay the estimators'
+    own, and each estimator call reads, or on one worker computes, its
+    series' values: a profile or perfbench's per-series spans still see each
+    series' work inside its call.
     """
     series = check_trend_suite(n_values, replicates, seed)
-    mapped = _map_replicates([job for *_, jobs in series for job in jobs], replicates, workers)
-    return [estimator(*args, replicates, seed, mapped=itertools.islice(mapped, len(jobs)))
-            for estimator, args, jobs in series]
+    mapped = _map_replicates([job for *_, job in series], replicates, workers)
+    return [estimator(*args, replicates, seed, mapped=mapped) for estimator, args, _ in series]
 
 
 def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
@@ -1059,7 +1054,8 @@ def taylor_coefficient_check(mspec: ModelSpec, law: DisorderSpec, alpha: float,
     check_vb_logz_increment(alpha)
     check_taylor_coefficients(mspec.n_sites, n, fn, m_values)
     (rows,) = _map_replicates([_job(mspec, seed, "taylor-coefficients", functools.partial(
-        _taylor_replicates, mspec, law, alpha, beta_prime, n, fn, m_values))], realizations, 1)
+        _on_dressed, functools.partial(_taylor_replicates, mspec, n, fn, m_values), mspec, law,
+        alpha, beta_prime))], realizations, 1)
     return {m: {key: max([0.0] + [row[i][k] for row in rows])
                 for k, key in enumerate(("pointwise", "averaged"))}
             for i, m in enumerate(m_values)}

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -317,6 +318,7 @@ def overlap_power(l1: int, l2: int, power: int, n_sites: int,
     so does a power above MAX_OVERLAP_POWER at N = 1, a tuple that long."""
     if l1 == l2:
         raise ValueError("overlap needs two distinct replicas")
+    power = operator.index(power)  # a numpy power would wrap in the cap's arithmetic
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
     if power > MAX_OVERLAP_POWER or n_sites ** power > 1 << MAX_OVERLAP_POWER:

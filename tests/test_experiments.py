@@ -449,7 +449,7 @@ def test_estimators_called_directly_run_their_checks():
         ex.self_averaging(mspec, dis.gaussian(), 2, 4, seed=0, mode="center")
 
 
-def test_library_calls_meet_the_count_and_site_rules():
+def test_library_calls_meet_the_count_and_site_rules(monkeypatch):
     """A replicate count below 1 is refused by ``check_replicates`` inside
     every map, and a site past N by ``universality_gap`` itself: each raises
     ExperimentError before any range, not a ZeroDivisionError, a residual
@@ -488,6 +488,31 @@ def test_library_calls_meet_the_count_and_site_rules():
         ex.gg_gap(mspec, dis.gaussian(), 2, 2, ex.overlap_square(), replicates=True, seed=0)
     with pytest.raises(ModelValidationError, match="n_sites must be a positive integer"):
         ModelSpec(True)
+    # so is every replica count, coefficient order, cavity count and site,
+    # refused before any map: n = True is not run as n = 1, nor 2.5 left to a
+    # TypeError, and a site of 1.5, True or 0.0 is not computed as site 1 or 0
+    monkeypatch.setattr(ex, "_map_replicates", _no_map)
+    one, square = ex.constant_one(), ex.overlap_square()
+    for n in (True, 2.5):
+        for estimator in (
+                functools.partial(ex.gg_thermal_gap, mspec, dis.gaussian(), n, 2, one),
+                functools.partial(ex.derivative_moment_sum, mspec, dis.gaussian(), n, 3, one),
+                functools.partial(ex.poisson_ibp_check, mspec, dis.gaussian(), 0.5, 0.5, n, one)):
+            with pytest.raises(ex.ExperimentError, match="replica count must be an integer"):
+                estimator(2, 0)
+        with pytest.raises(ex.ExperimentError, match="coefficient order must be an integer"):
+            ex.taylor_coefficient_check(mspec, dis.gaussian(), 0.5, 0.5, 2, square, (n,), 2, 0)
+        with pytest.raises(ex.ExperimentError, match="integer n_cavity"):
+            ex.cavity_identity_check(mspec, dis.gaussian(), n, ((0,),), 2, 0)
+    with pytest.raises(ex.ExperimentError, match="replica count must be an integer"):
+        ex.gg_gap(mspec, dis.gaussian(), 2.5, 2, square, 2, 0)
+    with pytest.raises(ex.ExperimentError, match="cavity site 0.0 is no integer"):
+        ex.cavity_identity_check(mspec, dis.gaussian(), 1, ((0.0,),), 2, 0)
+    for site in (1.5, True, 0.0):
+        with pytest.raises(ex.ExperimentError, match="monomial sites must be integers"):
+            ex.spin_monomial([[site]])
+        with pytest.raises(ex.ExperimentError, match="monomial sites must be integers"):
+            ex.TestFunction("spin-monomial", sites=((site,),))
 
 
 def test_numpy_integer_counts_are_read_as_ints():
@@ -498,6 +523,8 @@ def test_numpy_integer_counts_are_read_as_ints():
     with pytest.raises(ResourceCapError):
         ModelSpec(np.int64(20), {np.int64(22): 1.0})
     assert type(ex.TestFunction("overlap-power", power=np.int64(3)).power) is int
+    sites = ex.TestFunction("spin-monomial", sites=((np.int64(1),),)).sites
+    assert sites == ((1,),) and type(sites[0][0]) is int
     assert ex.resolve_workers(np.int64(2)) == 2
 
 
@@ -699,9 +726,8 @@ def _subset_graded_pair_sums(oracle, delta, n):
 def dressed_stack():
     """Eight stacked VB-dressed rows of the p = 2 + 3 model at N = 6."""
     mspec = ModelSpec(6, {2: 1.0, 3: 0.5}, 0.3)
-    couplings, vbs = ex._draw_dressed(mspec, dis.rademacher(), 0.5, 0.5,
-                                      experiment_id(7, "graded"), range(8))
-    return GibbsOracle.build(mspec, couplings, vbs)
+    return ex._on_dressed(functools.partial(GibbsOracle.build, mspec), mspec, dis.rademacher(),
+                          0.5, 0.5, experiment_id(7, "graded"), range(8))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -933,8 +959,8 @@ def test_recorded_trend_run_keeps_its_task_grouping(monkeypatch, recording_execu
     N = 8, 12 and 16 the pool gets the tasks the count // 16 rule gave
     (ranges of 32, 2 and 1 replicates, 224, 250 and 250 replicates a task);
     at N = 4, 8 tasks of one 512-replicate range each, not 16 of 250.  The
-    suite's one map: 7 jobs at each size make 42931 ranges, so 16 tasks of
-    2683 consecutive ranges and one of 3."""
+    suite's one map: 6 jobs at each size, one a series, make 36798 ranges,
+    so 16 tasks of 2299 consecutive ranges and one of 14."""
     with open(os.path.join(os.path.dirname(__file__), "..", "configs", "trend-baseline.json"),
               encoding="utf-8") as handle:
         count = json.load(handle)["replicates"]
@@ -952,33 +978,34 @@ def test_recorded_trend_run_keeps_its_task_grouping(monkeypatch, recording_execu
     assert tasks == {4: split(512), 8: split(224), 12: split(250), 16: split(250)}
 
     jobs = _trend_jobs(monkeypatch, ex.TREND_SIZES, count)
-    assert [mspec.n_sites for _, mspec in jobs] == [n for n in ex.TREND_SIZES for _ in range(7)]
+    assert [mspec.n_sites for _, mspec in jobs] == [n for n in ex.TREND_SIZES for _ in range(6)]
     stand_ins = [(list, mspec) for _, mspec in jobs]
-    assert list(ex._map_replicates(stand_ins, count, 2)) == [list(range(count))] * 28
+    assert list(ex._map_replicates(stand_ins, count, 2)) == [list(range(count))] * 24
     groups = recording_executor.maps[-1]
-    assert [len(group) for group in groups] == [2683] * 16 + [3]
-    assert sum(map(len, groups)) == 42931 == sum(-(-count // split_size) * 7 for split_size
+    assert [len(group) for group in groups] == [2299] * 16 + [14]
+    assert sum(map(len, groups)) == 36798 == sum(-(-count // split_size) * 6 for split_size
                                                  in (512, 32, 2, 1))
 
 
 def test_trend_preflight_returns_the_jobs_the_suite_maps(monkeypatch):
     """``check_trend_suite`` builds the suite: its 12 series at N = 4 and 8
-    hold, in order, exactly the jobs ``trend_suite`` maps at its default
-    seed 7 (pickled alike: same functions, laws, sizes and seed streams)."""
+    are, in order, exactly the jobs ``trend_suite`` maps at its default
+    seed 7, one a series (pickled alike: same functions, laws, sizes and
+    seed streams)."""
     series = ex.check_trend_suite((4, 8), 2, 7)
     assert [estimator.__name__ for estimator, _, _ in series] == [
         "gg_gap", "universality_gap", "self_averaging", "derivative_moment_sum",
         "derivative_moment_sum", "free_energy_fluctuation"] * 2
-    assert [len(jobs) for *_, jobs in series] == [1, 2, 1, 1, 1, 1] * 2
     assert [args[0].n_sites for _, args, _ in series] == [4] * 6 + [8] * 6
     mapped = _trend_jobs(monkeypatch, (4, 8), 2)
-    assert pickle.dumps([job for *_, jobs in series for job in jobs]) == pickle.dumps(mapped)
+    assert len(mapped) == len(series) == 12
+    assert pickle.dumps([job for *_, job in series]) == pickle.dumps(mapped)
 
 
 def test_pooled_trend_suite_makes_one_map(recording_executor):
     """``trend_suite((4, 8), 400)`` on two workers builds one executor and
-    makes one map: the 14 jobs' 98 ranges (one of 400 replicates for each
-    N = 4 series, 13 of up to 32 for each N = 8 one), consecutive, 6 a task.
+    makes one map: the 12 jobs' 84 ranges (one of 400 replicates for each
+    N = 4 series, 13 of up to 32 for each N = 8 one), consecutive, 5 a task.
     Its rows are those of one worker."""
     serial = ex.trend_suite((4, 8), 400, seed=2, workers=1)
     assert recording_executor.built == [] and recording_executor.maps == []
@@ -986,11 +1013,11 @@ def test_pooled_trend_suite_makes_one_map(recording_executor):
     assert cli.render_csv(pooled) == cli.render_csv(serial)
     assert recording_executor.built == [True]
     (groups,) = recording_executor.maps
-    assert [len(group) for group in groups] == [6] * 16 + [2]
+    assert [len(group) for group in groups] == [5] * 16 + [4]
     calls = [fn for group in groups for fn, _ in group]
-    assert [len(list(run)) for _, run in itertools.groupby(calls)] == [1] * 7 + [13] * 7
+    assert [len(list(run)) for _, run in itertools.groupby(calls)] == [1] * 6 + [13] * 6
     assert [rows for group in groups for _, rows in group] == [
-        range(lo, min(lo + size, 400)) for size in [400] * 7 + [32] * 7
+        range(lo, min(lo + size, 400)) for size in [400] * 6 + [32] * 6
         for lo in range(0, 400, size)]
 
 
@@ -1069,8 +1096,9 @@ def test_maps_run_without_operator_call(monkeypatch, recording_executor):
 
 
 def test_trend_estimators_read_one_list_per_job(monkeypatch):
-    """``trend_suite`` hands each estimator its slice of the one map: it pulls
-    two value lists for the universality gap's two laws, one otherwise."""
+    """``trend_suite`` hands each estimator the one map, and each pulls one
+    value list from it: every series, the universality gap's two laws
+    included, is one job."""
     pulls = []
 
     def counted(estimator):
@@ -1084,15 +1112,7 @@ def test_trend_estimators_read_one_list_per_job(monkeypatch):
                  "free_energy_fluctuation"):
         monkeypatch.setattr(ex, name, counted(getattr(ex, name)))
     ex.trend_suite((4, 8), 8, seed=1, workers=1)
-    assert pulls == [1, 2, 1, 1, 1, 1] * 2
-
-
-def test_universality_gap_refuses_a_map_of_one_list():
-    """The universality gap unpacks two value lists, so a map that holds one
-    fails at the unpacking instead of reading another series' list."""
-    with pytest.raises(ValueError, match="not enough values to unpack"):
-        ex.universality_gap(ModelSpec(4, {2: 1.0}), dis.gaussian(), dis.rademacher(),
-                            ex.overlap_square(), 4, 1, mapped=iter([[0.0] * 4]))
+    assert pulls == [1] * 12
 
 
 def test_full_self_averaging_refuses_a_shared_map():

@@ -154,6 +154,21 @@ def test_overlap_power_refuses_large_expansions():
             overlap_power(1, 2, power, n_sites)
 
 
+def test_overlap_power_cap_holds_for_a_numpy_power(monkeypatch):
+    """``20 ** np.int64(18)`` wraps in int64 to a negative number, so the cap
+    reads the power as an int first: the 20**18-tuple expansion is refused,
+    never begun."""
+    class Expanded(Exception):
+        pass
+
+    def expand(*args):
+        raise Expanded
+
+    monkeypatch.setattr(gibbs, "_tuple_sum", expand)
+    with pytest.raises(ResourceCapError):
+        overlap_power(1, 2, np.int64(18), 20, 2)
+
+
 def _tuple_sum_product(labels, power, n_sites, n_replicas):
     """The tuple sum over ``itertools.product`` of the sites: the reference
     for the ``model.tuple_masks`` route."""
