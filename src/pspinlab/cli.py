@@ -13,6 +13,7 @@ import argparse
 import atexit
 import csv
 import datetime
+import functools
 import gc
 import io
 import json
@@ -407,6 +408,16 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _blas_facts() -> dict:
+    """Name and version of the BLAS numpy was built with, each None where
+    numpy does not report it (``show_config`` takes ``mode`` from 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {"blas": blas.get("name"), "blas_version": blas.get("version")}
+
+
 def write_outputs(config: RunConfig, results: list[ex.EstimatorResult],
                   elapsed: float) -> list[str]:
     """Write the results and the manifest into the existing ``config.output``."""
@@ -420,7 +431,7 @@ def write_outputs(config: RunConfig, results: list[ex.EstimatorResult],
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "wall_clock_seconds": elapsed,
         "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
-                 "numpy": np.__version__},
+                 "numpy": np.__version__, **_blas_facts()},
         "outputs": [os.path.basename(result_path)],
         "status": "ok",
     }
@@ -637,7 +648,9 @@ def list_experiments() -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="pspinlab",
         description="Exact-oracle experiment runner for mixed p-spin models.")
@@ -650,7 +663,11 @@ def main(argv: list[str] | None = None) -> int:
     p_verify = sub.add_parser("verify", help="run a built-in check suite")
     p_verify.add_argument("suite", choices=VERIFY_SUITES)
     p_verify.add_argument("--output", default=None, help="directory for a results CSV")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "list":
         return list_experiments()
     if args.command == "verify":

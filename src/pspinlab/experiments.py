@@ -26,8 +26,6 @@ import itertools
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,13 +204,21 @@ def resolve_workers(workers: int | None) -> int:
     return operator.index(workers)
 
 
-_pool: ProcessPoolExecutor | None = None
+def _new_pool(max_workers: int):
+    """A process pool of ``max_workers`` workers.  ``concurrent.futures``,
+    which loads ``multiprocessing``, is imported here, so a run that maps
+    in process never loads either."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
+_pool = None
 _pool_workers = 0
 
 
-def _shared_pool(n_workers: int) -> ProcessPoolExecutor:
-    """The process's one executor, built on first use and rebuilt when the
-    worker count changes.
+def _shared_pool(n_workers: int):
+    """The process's one executor, built by ``_new_pool`` on first use and
+    rebuilt when the worker count changes.
 
     Workers are forked when the executor is built, so they see module state
     as it was then; later changes to it in this process do not reach them.
@@ -225,7 +231,7 @@ def _shared_pool(n_workers: int) -> ProcessPoolExecutor:
         _shutdown_pool()
     if _pool is None:
         import numpy.random  # noqa: F401
-        _pool = ProcessPoolExecutor(max_workers=n_workers)
+        _pool = _new_pool(max_workers=n_workers)
         _pool_workers = n_workers
     return _pool
 
@@ -293,17 +299,19 @@ def _job_values(fns, ranges, n_workers: int):
     """``_map_replicates``'s iterator: ``ranges[i]`` are the ranges of ``fns[i]``."""
     calls = [fn for fn, job in zip(fns, ranges) for _ in job]
     flat = [rows for job in ranges for rows in job]
+    broken = ()  # catches nothing: an in-process map has no pool to discard
     try:
         if n_workers <= 1 or len(flat) < 2:
             parts = map(_call, calls, flat)
         else:
+            from concurrent.futures.process import BrokenProcessPool as broken
             parts = _shared_pool(n_workers).map(_call, calls, flat,
                                                 chunksize=max(1, len(flat) // (n_workers * 8)))
         for job in ranges:
             # zip ends at the job's last range before it takes another part
             yield [value for rows, part in zip(job, parts)
                    for value in np.broadcast_to(part, (len(rows),) + np.shape(part)[1:]).tolist()]
-    except BrokenProcessPool:
+    except broken:
         _shutdown_pool()
         raise
 
@@ -453,7 +461,8 @@ def _self_avg_replicates(mspec: ModelSpec, law: DisorderSpec, p: int, mode: str,
                          center: float, exp_id: int, rows: range):
     """``_self_avg_value`` of the replicates' draws, on stream 1 for "center"."""
     draws = sample_replicates(mspec, law, exp_id, rows, 1 if mode == "center" else 0)
-    energies_p = fwht(tuple_coefficients(mspec.betas[p] * mspec.scale(p) * draws.tables[p], p), p)
+    energies_p = fwht(tuple_coefficients(mspec.betas[p] * mspec.scale(p) * draws.tables[p], p), p,
+                      copy=False)
     return _self_avg_value(GibbsOracle.build(mspec, draws), energies_p, mode, center)
 
 
@@ -615,9 +624,9 @@ def cavity_identity_realization(mspec: ModelSpec, law: DisorderSpec, n_cavity: i
     coeffs[:, 0] = bulk
     coeffs[:, np.left_shift(1, np.arange(n_cavity))] = -fields
     degree = max(mspec.orders, default=1)  # the fields have one degree less
-    joint = GibbsOracle(mspec.n_sites, fwht(coeffs.reshape(count, -1), degree))
-    shifted = fwht(fields, degree - 1)
-    reweighted = GibbsOracle(n_bulk, fwht(bulk, degree)
+    joint = GibbsOracle(mspec.n_sites, fwht(coeffs.reshape(count, -1), degree, copy=False))
+    shifted = fwht(fields, degree - 1, copy=False)
+    reweighted = GibbsOracle(n_bulk, fwht(bulk, degree, copy=False)
                              + np.logaddexp(shifted, -shifted).sum(axis=1))
     tanh_fields = np.tanh(shifted)
 

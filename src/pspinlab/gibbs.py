@@ -46,6 +46,7 @@ from .model import (
     ResourceCapError,
     DilutedPairAssignment,
     energy_coefficients,
+    is_count,
     spin_matrix,
     tuple_masks,
 )
@@ -56,7 +57,7 @@ NAIVE_MAX_BITS = 16  # brute-force replica sums enumerate 2**(n*N) tuples
 @lru_cache(maxsize=8)
 def _popcounts(n_sites: int) -> np.ndarray:
     codes = np.arange(1 << n_sites, dtype=np.uint32)
-    out = np.zeros(1 << n_sites, dtype=np.int64)
+    out = np.zeros(1 << n_sites, dtype=np.uint8)  # N <= 20 sites fit a byte
     for b in range(n_sites):
         out += (codes >> b) & 1
     return out
@@ -66,7 +67,7 @@ def _popcounts(n_sites: int) -> np.ndarray:
 def _kernel_spectrum(n_sites: int, power: int) -> np.ndarray:
     """Transform of the XOR kernel c -> R(c, 0)**power (8 MB an entry at N=20)."""
     overlaps = (n_sites - 2.0 * _popcounts(n_sites)) / n_sites
-    out = fwht(overlaps ** power)
+    out = fwht(overlaps ** power, copy=False)
     out.flags.writeable = False
     return out
 
@@ -104,11 +105,14 @@ def _radix4_pass(a: np.ndarray, h: int) -> None:
     np.subtract(d01, d23, out=x3)
 
 
-def fwht(vec: np.ndarray, degree: int | None = None) -> np.ndarray:
+def fwht(vec: np.ndarray, degree: int | None = None, *, copy: bool = True) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform of the last axis
     (involution up to 1/len).
 
-    Returns a new C-contiguous float64 array; ``vec`` is not modified.  The
+    Returns a new C-contiguous float64 array; ``vec`` is not modified.  With
+    ``copy=False`` a C-contiguous float64 ``vec`` is transformed in place and
+    returned, for a caller that drops its input (any other input is
+    converted first); the output bytes are the same either way.  The
     butterfly stages run at strides 1, 2, 4, ... as in the textbook radix-2
     loop, but each pass does two of them: stage h forms x0 +- x1 and
     x2 +- x3 in the four quarters of a (-1, 4, h) view, and stage 2h
@@ -139,7 +143,8 @@ def fwht(vec: np.ndarray, degree: int | None = None) -> np.ndarray:
     the full passes whenever each dead block's zeros share one sign, as they
     do for every caller (``tuple_coefficients`` of odd order leaves -0.0).
     """
-    a = np.array(vec, dtype=np.float64, order="C", copy=True)
+    a = (np.array(vec, dtype=np.float64, order="C", copy=True) if copy
+         else np.asarray(vec, dtype=np.float64, order="C"))
     size = a.shape[-1]
     n_bits = size.bit_length() - 1
     h = 1
@@ -166,10 +171,13 @@ def fwht(vec: np.ndarray, degree: int | None = None) -> np.ndarray:
 
 
 def sites_to_mask(sites) -> int:
-    """Parity-reduce a site multiset to its odd-multiplicity bitmask."""
+    """Parity-reduce a site multiset to its odd-multiplicity bitmask.  A site
+    that is no integer (``is_count``) or is negative raises ValueError."""
     mask = 0
     for s in sites:
-        mask ^= 1 << int(s)
+        if not is_count(s) or s < 0:
+            raise ValueError(f"a site must be a nonnegative integer, got {s!r}")
+        mask ^= 1 << operator.index(s)
     return mask
 
 
@@ -396,7 +404,8 @@ class GibbsOracle:
         oracle over the (R, 2**N) stack, for one energy transform and at
         most one spectrum transform."""
         degree = max((*spec.orders, 1 if vb is None else 2))  # the field has degree 1
-        return GibbsOracle(spec.n_sites, fwht(energy_coefficients(spec, couplings, vb), degree))
+        return GibbsOracle(spec.n_sites,
+                           fwht(energy_coefficients(spec, couplings, vb), degree, copy=False))
 
     # -- basic queries ------------------------------------------------------
 
@@ -446,16 +455,20 @@ class GibbsOracle:
         got = self._leaf_kernels.get(power)
         if got is None:
             kernel_hat = _kernel_spectrum(self.n_sites, power)
-            got = fwht(self.spectrum * kernel_hat) / kernel_hat.size
+            got = fwht(self.spectrum * kernel_hat, copy=False)
+            got /= kernel_hat.size
             self._leaf_kernels[power] = got
         return got
 
     def star_overlap_expectation(self, leg_powers):
-        """< prod_k R_{center, leaf_k}**p_k > for distinct leaves of one center."""
-        value = np.ones(1 << self.n_sites)
-        for power in leg_powers:
-            value = value * self._leaf_values(power)
-        return (self.weights * value).sum(axis=-1)
+        """< prod_k R_{center, leaf_k}**p_k > for one or more distinct leaves
+        of one center: (u_p1 * u_p2 * ...) * weights, summed, in one buffer."""
+        first, *rest = leg_powers
+        value = self._leaf_values(first).copy()
+        for power in rest:
+            value *= self._leaf_values(power)
+        value *= self.weights
+        return value.sum(axis=-1)
 
     def overlap_power_moment(self, power: int, mask_a: int = 0, mask_b: int = 0):
         """<R_12**power sigma^1_A sigma^2_B> by masked Parseval:
@@ -464,8 +477,9 @@ class GibbsOracle:
         sigma_A times the weights has spectrum (-1)**|A| w^[. ^ A], an XOR
         gather that a zero mask skips."""
         kernel_hat = _kernel_spectrum(self.n_sites, power)
-        left, right = self._shifted_spectrum(mask_a), self._shifted_spectrum(mask_b)
-        value = (left * right * kernel_hat).sum(axis=-1) / kernel_hat.size
+        value = self._shifted_spectrum(mask_a) * self._shifted_spectrum(mask_b)
+        value *= kernel_hat
+        value = value.sum(axis=-1) / kernel_hat.size
         return -value if int(mask_a ^ mask_b).bit_count() & 1 else value
 
     def _shifted_spectrum(self, mask: int) -> np.ndarray:

@@ -19,6 +19,7 @@ orientation, so int_0^xi means -int_xi^0 when xi < 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,13 @@ def standard_functions() -> list[SmoothFunction]:
     ]
 
 
-_RULES = [np.polynomial.legendre.leggauss(n) for n in (20, 40)]
-_GL_NODES = np.concatenate([nodes for nodes, _ in _RULES])
+@functools.lru_cache(maxsize=None)
+def _gl_rules() -> tuple[tuple, np.ndarray]:
+    """The 20- and 40-point Gauss-Legendre rules and their nodes in one row,
+    built once per process on first use, so ``numpy.polynomial`` loads only
+    in a run that integrates."""
+    rules = tuple(np.polynomial.legendre.leggauss(n) for n in (20, 40))
+    return rules, np.concatenate([nodes for nodes, _ in rules])
 
 
 def adaptive_gauss_legendre(g, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,14 +93,15 @@ def adaptive_gauss_legendre(g, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     added right to left, as a depth-first stack that pushes the right half
     last pops them: each integral is that scalar loop's, bit for bit.
     """
+    rules, gl_nodes = _gl_rules()
     rows = np.flatnonzero(a != b)
     lo, hi, budget = a[rows], b[rows], INNER_TOL
     done = [(rows[:0], lo[:0], lo[:0])]
     while rows.size:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        values = g(rows, mid[:, None] + half[:, None] * _GL_NODES)[:, None, :]
+        values = g(rows, mid[:, None] + half[:, None] * gl_nodes)[:, None, :]
         coarse, fine = (half * np.matmul(values[..., cols], w[:, None])[:, 0, 0]
-                        for cols, (_, w) in zip((slice(20), slice(20, None)), _RULES))
+                        for cols, (_, w) in zip((slice(20), slice(20, None)), rules))
         ok = np.abs(fine - coarse) <= np.maximum(budget, _MACHINE_FLOOR * np.abs(fine))
         ok |= np.abs(hi - lo) < 1e-13
         done.append((rows[ok], lo[ok], fine[ok]))

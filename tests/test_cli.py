@@ -202,9 +202,21 @@ def test_rerun_is_byte_identical(tmp_path):
     assert set(manifest_a) == set(manifest_b)
     assert {k for k in manifest_a if manifest_a[k] != manifest_b[k]} <= {
         "finished_at", "wall_clock_seconds"}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest_a["host"] == {"cpu_count": os.cpu_count(),
                                   "python": platform.python_version(),
-                                  "numpy": np.__version__}
+                                  "numpy": np.__version__, "blas": blas["name"],
+                                  "blas_version": blas["version"]}
+
+
+def test_manifest_blas_facts_are_none_where_numpy_does_not_report_them(tmp_path, monkeypatch):
+    """numpy before 1.26 has no ``show_config(mode=...)``: the run still
+    writes its manifest, with None for the BLAS name and version."""
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    path = write_config(tmp_path, minimal_config(output=str(tmp_path / "out")))
+    assert cli.main(["run", path]) == 0
+    host = json.loads((tmp_path / "out" / "gg-thermal-gap-42-manifest.json").read_text())["host"]
+    assert host["blas"] is None and host["blas_version"] is None
 
 
 def test_run_json_format(tmp_path):
@@ -485,7 +497,7 @@ def test_worker_count_above_cap_exits_2_before_any_pool(tmp_path, capsys, monkey
 
     assert_pooled(8, ModelSpec(13, {2: 1.0}, 0.3))
     ex._shutdown_pool()
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(ex, "_new_pool", no_pool)
     raw = minimal_config(replicates=8, model={"n_sites": 13, "betas": {"2": 1.0}, "field": 0.3},
                          output=str(tmp_path / "out"))
     argv = ["run"]
@@ -694,6 +706,61 @@ def test_pooled_run_exits_with_its_workers_joined(tmp_path, assert_pooled):
         assert cli.main(["run", local, "--workers", "1"]) == 0
     assert ((tmp_path / "pooled" / "trend-suite-7.csv").read_bytes()
             == (tmp_path / "local" / "trend-suite-7.csv").read_bytes())
+
+
+def test_pool_and_quadrature_load_on_first_use(tmp_path, assert_pooled):
+    """In a fresh interpreter, importing the CLI and a one-worker run load
+    neither the process pool's modules nor ``numpy.polynomial``.  A pooled
+    map loads the first, ``ibp.battery`` the second, and each gives the
+    bytes it gives in this process: those of the in-process map, and the
+    battery computed here."""
+    assert_pooled(64, ModelSpec(8, {2: ex.TREND_BETA}, ex.TREND_FIELD))
+    serial = write_config(tmp_path, {"experiment": "trend-suite", "params": {"n_values": [4]},
+                                     "replicates": 8, "seed": 7, "workers": 1,
+                                     "output": str(tmp_path / "out")})
+    script = f"""if True:
+        import json, sys
+        import pspinlab.cli as cli
+        import pspinlab.experiments as ex
+        from pspinlab import ibp
+
+        def loaded():
+            return [name in sys.modules
+                    for name in ("concurrent.futures.process", "numpy.polynomial")]
+
+        steps = [loaded()]
+        assert cli.main(["run", {serial!r}]) == 0
+        steps.append(loaded())
+        pooled = cli.render_csv(ex.trend_suite((4, 8), 64, seed=3, workers=2))
+        steps.append(loaded())
+        battery = repr(ibp.battery())
+        steps.append(loaded())
+        print(json.dumps({{"steps": steps, "pooled": pooled, "battery": battery}}))
+    """
+    done = subprocess.run([sys.executable, "-c", script], env=_package_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert got["steps"] == [[False, False], [False, False], [True, False], [True, True]]
+    assert got["pooled"] == cli.render_csv(ex.trend_suite((4, 8), 64, seed=3, workers=1))
+    assert got["battery"] == repr(cli.battery())
+
+
+def test_main_twice_in_one_process_reuses_its_parser(tmp_path, capsys):
+    """``main`` builds its parser once per process, and the one parser
+    serves each subcommand in turn."""
+    path = write_config(tmp_path, minimal_config(output=str(tmp_path / "out")))
+    assert cli.main(["list"]) == 0
+    assert cli.main(["run", path]) == 0
+    assert cli.main(["verify", "gg"]) == 0
+    assert cli.main(["list"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("the recorded six-series") == 2 and "PASS gg-exact-zero" in out
+    assert (tmp_path / "out" / "gg-thermal-gap-42.csv").exists()
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit):
+        cli.main(["run"])  # a usage error leaves the parser fit for the next call
+    assert cli.main(["list"]) == 0
 
 
 def test_verify_gg_suite_passes(capsys, tmp_path):

@@ -349,8 +349,8 @@ def test_cavity_and_taylor_checks_identical_across_batch_sizes_and_workers(monke
     monkeypatch.setattr(ex, "BATCH_ELEMS", 1)
     assert_pooled(40, cavity_spec)
     built = []
-    real = ex.ProcessPoolExecutor
-    monkeypatch.setattr(ex, "ProcessPoolExecutor",
+    real = ex._new_pool
+    monkeypatch.setattr(ex, "_new_pool",
                         lambda *a, **k: built.append(k["max_workers"]) or real(*a, **k))
     cavity, taylor = {}, {}
     ex._shutdown_pool()
@@ -778,7 +778,7 @@ def test_estimators_check_before_starting_workers(monkeypatch):
         raise AssertionError("a worker pool started before the inputs were checked")
 
     ex._shutdown_pool()  # a pool left by an earlier test would never call no_pool
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(ex, "_new_pool", no_pool)
     far = ex.spin_monomial(((13,),))
     runs = [
         lambda: ex.check_gg_thermal_gap(13, 1, 2, ex.overlap_square()),
@@ -826,14 +826,14 @@ def counted_pools(monkeypatch):
     """Executor constructions, counted from a fresh start; the shared pool is
     shut down before and after."""
     built = []
-    real = ex.ProcessPoolExecutor
+    real = ex._new_pool
 
     def counting(*args, **kwargs):
         built.append(kwargs.get("max_workers"))
         return real(*args, **kwargs)
 
     ex._shutdown_pool()
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", counting)
+    monkeypatch.setattr(ex, "_new_pool", counting)
     yield built
     ex._shutdown_pool()
 
@@ -929,7 +929,7 @@ def recording_executor(monkeypatch):
     monkeypatch.setattr(RecordingExecutor, "maps", [])
     monkeypatch.setattr(RecordingExecutor, "built", [])
     ex._shutdown_pool()
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(ex, "_new_pool", RecordingExecutor)
     yield RecordingExecutor
     ex._shutdown_pool()
 
@@ -1043,7 +1043,7 @@ def test_pool_forks_after_numpy_random_is_loaded():
                 pass
 
         loaded = "numpy.random" in sys.modules
-        ex.ProcessPoolExecutor = Recording
+        ex._new_pool = Recording
         ex.trend_suite((4, 8), 64, workers=2)
         print(loaded, built)
     """
@@ -1226,9 +1226,9 @@ def test_energy_transforms_pass_their_degree(monkeypatch):
     degrees = []
     real = gibbs.fwht
 
-    def recorded(vec, degree=None):
+    def recorded(vec, degree=None, **kw):
         degrees.append(degree)
-        return real(vec, degree)
+        return real(vec, degree, **kw)
 
     monkeypatch.setattr(gibbs, "fwht", recorded)
     monkeypatch.setattr(ex, "fwht", recorded)

@@ -68,6 +68,21 @@ def test_sites_to_mask_parity_reduces():
     assert mask_to_sites(0b101) == (0, 2)
 
 
+@pytest.mark.parametrize("site", [1.5, True, 0.0, -1, "1", None])
+def test_sites_to_mask_refuses_a_site_that_is_no_nonnegative_integer(site):
+    """A site follows ``model.is_count`` and is >= 0: ``[1.5]`` and ``[True]``
+    are not site 1, and ``[0.0]`` is not site 0."""
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        sites_to_mask([0, site])
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        ReplicaFunctional.monomial({1: (site,)}, 1)
+
+
+def test_sites_to_mask_takes_numpy_integer_sites():
+    assert sites_to_mask([np.int64(3), np.uint8(1), np.int32(3)]) == 0b10
+    assert ReplicaFunctional.monomial({1: np.arange(3)}, 1).terms == {((1, 0b111),): 1.0}
+
+
 def test_monomial_drops_even_multiplicities():
     fn = ReplicaFunctional.monomial({1: (0, 0, 2), 2: (1, 1)}, 2)
     assert fn.terms == {((1, 0b100),): 1.0}
@@ -419,6 +434,35 @@ def test_fwht_pruning_keeps_the_sign_of_zeros():
         assert bits_equal(fwht(x, degree), fwht(x)), n_bits
 
 
+@pytest.mark.parametrize("n_bits", [4, 8, 12, 16])
+def test_fwht_in_place_equals_the_copying_transform(n_bits):
+    """``copy=False`` transforms a C-contiguous float64 stack in place and
+    returns it, with every bit of the copying transform, which leaves its
+    input as it was; with and without a degree."""
+    rng = np.random.default_rng(400 + n_bits)
+    rows = max(2, (1 << 14) >> n_bits)
+    cases = [("normal", rng.normal(size=(rows, 1 << n_bits)), None),
+             *_degree_cases(n_bits, rows, rng)]
+    for name, coeffs, degree in cases:
+        before = coeffs.copy()
+        want = fwht(coeffs, degree)
+        assert bits_equal(coeffs, before), name
+        got = fwht(coeffs, degree, copy=False)
+        assert got is coeffs and bits_equal(got, want), name
+
+
+def test_fwht_in_place_converts_other_inputs_first():
+    """An input that is not a C-contiguous float64 array is converted, and
+    only the converted copy is transformed."""
+    x = np.random.default_rng(8).normal(size=(16, 3))
+    before = x.copy()
+    assert bits_equal(fwht(x.T, copy=False), fwht(x.T))
+    assert bits_equal(x, before)
+    ints = np.arange(8)
+    assert bits_equal(fwht(ints, copy=False), fwht(ints.astype(np.float64)))
+    assert np.array_equal(ints, np.arange(8))
+
+
 def test_fwht_prunes_below_half_the_blocks_live():
     """The full passes at p = 2 up to N = 8 (16 of 32 blocks live at N = 7,
     11 of 16 at N = 8), at degree 3 for N = 12 (42 of 64), and at degree 1
@@ -452,8 +496,8 @@ def test_build_passes_the_hamiltonian_degree(monkeypatch):
     field-only model, and 1 for the field alone."""
     degrees = []
     real = gibbs.fwht
-    monkeypatch.setattr(gibbs, "fwht", lambda vec, degree=None:
-                        degrees.append(degree) or real(vec, degree))
+    monkeypatch.setattr(gibbs, "fwht", lambda vec, degree=None, **kw:
+                        degrees.append(degree) or real(vec, degree, **kw))
     rng = np.random.default_rng(4)
     for betas in ({2: 1.0, 3: 0.5}, {2: 1.0}, {}):
         spec = ModelSpec(5, betas, 0.3)
@@ -513,6 +557,38 @@ def test_stacked_oracles_match_single_builds_and_share_one_spectrum(monkeypatch)
     assert got.shape == (4,)
     assert all(np.array_equal(g, w) for g, w in zip(got, want_star))
     assert calls == [(4, 32)] * 3  # the leaf values of all four rows
+
+
+@pytest.mark.parametrize("n_bits", [4, 8, 12, 16])
+def test_one_buffer_reductions_keep_the_bits_of_the_expressions_they_replace(n_bits):
+    """The leaf kernel, the star and masked Parseval work in one buffer, and
+    the popcounts are bytes; each gives every bit of the expression with
+    fresh temporaries that it replaced, on a random (R, 2**N) stack."""
+    rng = np.random.default_rng(500 + n_bits)
+    size = 1 << n_bits
+    oracle = GibbsOracle(n_bits, rng.normal(scale=2.0, size=(max(2, (1 << 14) >> n_bits), size)))
+    popcounts = np.zeros(size, dtype=np.int64)
+    for b in range(n_bits):
+        popcounts += (np.arange(size) >> b) & 1
+    assert gibbs._popcounts(n_bits).dtype == np.uint8
+    assert np.array_equal(gibbs._popcounts(n_bits), popcounts)
+    for power in (1, 2, 3, 4):
+        kernel_hat = fwht(((n_bits - 2.0 * popcounts) / n_bits) ** power)
+        assert bits_equal(gibbs._kernel_spectrum(n_bits, power), kernel_hat), power
+        assert bits_equal(oracle._leaf_values(power),
+                          fwht(oracle.spectrum * kernel_hat) / size), power
+    for powers in ([2, 2], [2, 1], [3], [1, 2, 4]):
+        value = np.ones(size)
+        for power in powers:
+            value = value * oracle._leaf_values(power)
+        assert bits_equal(oracle.star_overlap_expectation(powers),
+                          (oracle.weights * value).sum(axis=-1)), powers
+    for power, mask_a, mask_b in ((2, 0, 0), (1, 0b11, 0), (3, 0b1, 0b110), (4, 0b101, 0b101)):
+        left, right = oracle._shifted_spectrum(mask_a), oracle._shifted_spectrum(mask_b)
+        want = (left * right * gibbs._kernel_spectrum(n_bits, power)).sum(axis=-1) / size
+        if (mask_a ^ mask_b).bit_count() & 1:
+            want = -want
+        assert bits_equal(oracle.overlap_power_moment(power, mask_a, mask_b), want), power
 
 
 def test_stacked_log_z_is_math_log_row_by_row():
