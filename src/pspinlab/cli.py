@@ -42,8 +42,8 @@ from .gibbs import GibbsOracle
 from .ibp import battery
 from .model import ModelSpec, ModelValidationError, ResourceCapError, is_count
 
-# Freeze the heap at exit, so the shutdown collection skips it; this runs before
-# experiments' pool shutdown, registered earlier.  No output may rely on a finalizer.
+# Freeze the heap at exit, so the shutdown collection skips it.  No output may rely on
+# a finalizer.
 atexit.register(gc.freeze)
 
 USAGE_ERROR = 2
@@ -427,6 +427,7 @@ def write_outputs(config: RunConfig, results: list[ex.EstimatorResult],
     _write_atomic(result_path, text)
     manifest = {
         "config": config.to_dict(),
+        "workers": ex.resolve_workers(config.workers),
         "version": __version__,
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "wall_clock_seconds": elapsed,
@@ -658,7 +659,8 @@ def _parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute one experiment from a JSON config")
     p_run.add_argument("config", help="path to the config file")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="worker processes (overrides the config's workers)")
+                       help="processes that compute replicates, this one included "
+                            "(overrides the config's workers)")
     sub.add_parser("list", help="list available experiments")
     p_verify = sub.add_parser("verify", help="run a built-in check suite")
     p_verify.add_argument("suite", choices=VERIFY_SUITES)

@@ -20,12 +20,12 @@ nothing; every estimator calls it before it builds its first job.
 
 from __future__ import annotations
 
-import atexit
 import functools
 import itertools
 import math
 import operator
 import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,8 +185,9 @@ def mean_stderr(values) -> tuple[float, float]:
 
 
 MAX_WORKERS = 64
-"""Largest worker count accepted.  Under the fork start method the executor
-launches every worker at once, so the cap is checked before any fork."""
+"""Largest worker count accepted.  The count is the processes that compute a
+map's ranges, the calling one included; a map forks at most one fewer
+children, and the cap is checked before any fork."""
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -204,53 +205,9 @@ def resolve_workers(workers: int | None) -> int:
     return operator.index(workers)
 
 
-def _new_pool(max_workers: int):
-    """A process pool of ``max_workers`` workers.  ``concurrent.futures``,
-    which loads ``multiprocessing``, is imported here, so a run that maps
-    in process never loads either."""
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=max_workers)
-
-
-_pool = None
-_pool_workers = 0
-
-
-def _shared_pool(n_workers: int):
-    """The process's one executor, built by ``_new_pool`` on first use and
-    rebuilt when the worker count changes.
-
-    Workers are forked when the executor is built, so they see module state
-    as it was then; later changes to it in this process do not reach them.
-    ``numpy.random`` is imported first, so the workers share the parent's
-    copy instead of each loading its own.  Results do not depend on which
-    worker ran a replicate, since every replicate draws from its own stream.
-    """
-    global _pool, _pool_workers
-    if _pool is not None and _pool_workers != n_workers:
-        _shutdown_pool()
-    if _pool is None:
-        import numpy.random  # noqa: F401
-        _pool = _new_pool(max_workers=n_workers)
-        _pool_workers = n_workers
-    return _pool
-
-
-def _shutdown_pool() -> None:
-    """Shut the shared executor down, if there is one; the next pooled map
-    builds a fresh one."""
-    global _pool
-    pool, _pool = _pool, None
-    if pool is not None:
-        pool.shutdown()
-
-
-atexit.register(_shutdown_pool)
-
-
 MAX_REPLICATES = 1 << 20
 """Largest replicate count one map accepts; it is checked before any range,
-value list or pool is made for the count."""
+value list or process is made for the count."""
 
 BATCH_ELEMS = 1 << 13
 """Entries in one stacked (rows, 2**N) array of a replicate chunk: 64 KB of
@@ -275,13 +232,11 @@ def _map_replicates(jobs, count: int, workers: int | None):
     A job's range holds min(BATCH_ELEMS >> N, mspec.max_draws) indices, at
     least one, for any count and workers: its draws fit MAX_COUPLING_ENTRIES
     if one does.  On more than one worker, with at least two ranges in all,
-    every job's ranges go to the pool in one map, whose tasks group
-    len(ranges) // (workers * 8) consecutive ranges, at least one; otherwise
-    the ranges run in process.  Either way a job's ranges are computed, or
-    awaited, when the iterator reaches the job.  Pooled maps share one
-    executor (``_shared_pool``); a broken one is discarded and its error
-    propagates.  A count outside 1..MAX_REPLICATES, or a bad worker count,
-    raises its error before any range is made.
+    every job's ranges make one fork-join map (``_forked_parts``), which
+    runs when the iterator first advances; otherwise each job's ranges run
+    in process when the iterator reaches the job.  A count outside
+    1..MAX_REPLICATES, or a bad worker count, raises its error before any
+    range is made.
     """
     check_replicates(count)
     n_workers = resolve_workers(workers)
@@ -299,21 +254,92 @@ def _job_values(fns, ranges, n_workers: int):
     """``_map_replicates``'s iterator: ``ranges[i]`` are the ranges of ``fns[i]``."""
     calls = [fn for fn, job in zip(fns, ranges) for _ in job]
     flat = [rows for job in ranges for rows in job]
-    broken = ()  # catches nothing: an in-process map has no pool to discard
+    if n_workers <= 1 or len(flat) < 2:
+        parts = map(_call, calls, flat)
+    else:
+        parts = iter(_forked_parts(calls, flat, min(n_workers, len(flat))))
+    for job in ranges:
+        # zip ends at the job's last range before it takes another part
+        yield [value for rows, part in zip(job, parts)
+               for value in np.broadcast_to(part, (len(rows),) + np.shape(part)[1:]).tolist()]
+
+
+def _fork() -> int:
+    """``os.fork``: the one call by which a map starts a process."""
+    return os.fork()
+
+
+def _forked_parts(calls, flat, width: int) -> list:
+    """The part of every range of ``flat``, in order, computed by ``width``
+    processes: range i runs in process i mod width, where process 0 is this
+    one and the others are children it forks through ``_fork``, after
+    loading ``numpy.random`` once for all of them.  A child sees module
+    state as it is at the fork.  It sends back its parts, or the exception
+    that stopped them, which is raised here with its type and message; a
+    child that dies without sending raises ChildProcessError with its
+    worker index and wait status.  This process computes its own share,
+    then reads and reaps each child in turn.  Whatever ends the map, every
+    child not yet reaped is killed and reaped, so none outlives it.
+    Results do not depend on which process ran a range, since every
+    replicate draws from its own stream.
+    """
+    import signal
+    import numpy.random  # noqa: F401
+    live, reads, caller = {}, [], os.getpid()
     try:
-        if n_workers <= 1 or len(flat) < 2:
-            parts = map(_call, calls, flat)
-        else:
-            from concurrent.futures.process import BrokenProcessPool as broken
-            parts = _shared_pool(n_workers).map(_call, calls, flat,
-                                                chunksize=max(1, len(flat) // (n_workers * 8)))
-        for job in ranges:
-            # zip ends at the job's last range before it takes another part
-            yield [value for rows, part in zip(job, parts)
-                   for value in np.broadcast_to(part, (len(rows),) + np.shape(part)[1:]).tolist()]
-    except broken:
-        _shutdown_pool()
-        raise
+        for worker in range(1, width):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = _fork()
+                if pid == 0:
+                    _child(write, calls[worker::width], flat[worker::width], caller)
+            finally:
+                os.close(write)
+            live[worker] = pid
+        parts = [None] * len(flat)
+        parts[::width] = map(_call, calls[::width], flat[::width])
+        for worker, read in enumerate(reads, 1):
+            with open(read, "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            status = os.waitpid(live.pop(worker), 0)[1]
+            if status:
+                raise ChildProcessError(f"map worker {worker} ended with wait status {status}")
+            got = pickle.loads(sent)
+            if isinstance(got, BaseException):
+                raise got
+            parts[worker::width] = got
+        return parts
+    finally:
+        for pid in live.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for read in reads:
+            os.close(read)
+
+
+def _child(write: int, calls, flat, caller: int):
+    """A forked map worker's whole life: it computes the parts of ``flat``,
+    sends them, or the exception that stopped them, pickled through the
+    pipe end ``write``, and leaves by ``os._exit``, so nothing of the
+    caller's stack, its exit callbacks or its buffered output runs here.
+    It leaves at once if, between two ranges, it finds that ``caller`` is
+    no longer its parent: a caller killed by a signal cannot reap it."""
+    status = 1
+    try:
+        try:
+            got = []
+            for fn, rows in zip(calls, flat):
+                if os.getppid() != caller:
+                    return
+                got.append(fn(rows))
+        except BaseException as err:  # sent on, the caller raises it
+            got = err
+        with open(write, "wb", closefd=False) as pipe:
+            pickle.dump(got, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _job(mspec: ModelSpec, seed: int, key: str, replicates_fn):

@@ -186,6 +186,21 @@ def test_run_writes_outputs_and_manifest(tmp_path):
     assert body.startswith(",".join(cli.CSV_HEADER))
 
 
+@pytest.mark.parametrize("in_config,flag", [(None, None), (3, None), (None, 2), (3, 1)])
+def test_manifest_records_the_resolved_worker_count(tmp_path, in_config, flag):
+    """The manifest records how many processes computed, also for a config
+    without a ``workers`` key, whose ``config`` record then has none."""
+    raw = minimal_config(output=str(tmp_path / "out"))
+    if in_config is not None:
+        raw["workers"] = in_config
+    argv = ["run", write_config(tmp_path, raw)] + ([] if flag is None else ["--workers",
+                                                                           str(flag)])
+    assert cli.main(argv) == 0
+    manifest = json.loads((tmp_path / "out" / "gg-thermal-gap-42-manifest.json").read_text())
+    assert manifest["workers"] == ex.resolve_workers(in_config if flag is None else flag)
+    assert ("workers" in manifest["config"]) == ((in_config, flag) != (None, None))
+
+
 def test_rerun_is_byte_identical(tmp_path):
     """Result bytes repeat across reruns; of the manifest, only the finish
     time and the wall clock change."""
@@ -490,14 +505,9 @@ def test_every_family_runs(tmp_path, family):
 
 
 @pytest.mark.parametrize("way", ["flag", "config"])
-def test_worker_count_above_cap_exits_2_before_any_pool(tmp_path, capsys, monkeypatch, way,
-                                                        assert_pooled):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool started for a refused worker count")
-
+def test_worker_count_above_cap_exits_2_before_any_pool(tmp_path, capsys, way, assert_pooled,
+                                                        no_fork):
     assert_pooled(8, ModelSpec(13, {2: 1.0}, 0.3))
-    ex._shutdown_pool()
-    monkeypatch.setattr(ex, "_new_pool", no_pool)
     raw = minimal_config(replicates=8, model={"n_sites": 13, "betas": {"2": 1.0}, "field": 0.3},
                          output=str(tmp_path / "out"))
     argv = ["run"]
@@ -710,10 +720,11 @@ def test_pooled_run_exits_with_its_workers_joined(tmp_path, assert_pooled):
 
 def test_pool_and_quadrature_load_on_first_use(tmp_path, assert_pooled):
     """In a fresh interpreter, importing the CLI and a one-worker run load
-    neither the process pool's modules nor ``numpy.polynomial``.  A pooled
-    map loads the first, ``ibp.battery`` the second, and each gives the
-    bytes it gives in this process: those of the in-process map, and the
-    battery computed here."""
+    none of ``concurrent.futures``, ``multiprocessing`` and
+    ``numpy.polynomial``.  A pooled map loads none of them either,
+    ``ibp.battery`` loads the last, and each gives the bytes it gives in
+    this process: those of the in-process map, and the battery computed
+    here."""
     assert_pooled(64, ModelSpec(8, {2: ex.TREND_BETA}, ex.TREND_FIELD))
     serial = write_config(tmp_path, {"experiment": "trend-suite", "params": {"n_values": [4]},
                                      "replicates": 8, "seed": 7, "workers": 1,
@@ -726,7 +737,8 @@ def test_pool_and_quadrature_load_on_first_use(tmp_path, assert_pooled):
 
         def loaded():
             return [name in sys.modules
-                    for name in ("concurrent.futures.process", "numpy.polynomial")]
+                    for name in ("concurrent.futures", "multiprocessing",
+                                 "numpy.polynomial")]
 
         steps = [loaded()]
         assert cli.main(["run", {serial!r}]) == 0
@@ -741,7 +753,7 @@ def test_pool_and_quadrature_load_on_first_use(tmp_path, assert_pooled):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout.splitlines()[-1])
-    assert got["steps"] == [[False, False], [False, False], [True, False], [True, True]]
+    assert got["steps"] == [[False] * 3] * 3 + [[False, False, True]]
     assert got["pooled"] == cli.render_csv(ex.trend_suite((4, 8), 64, seed=3, workers=1))
     assert got["battery"] == repr(cli.battery())
 

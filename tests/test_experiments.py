@@ -8,7 +8,7 @@ import pickle
 import signal
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
+import time
 
 import numpy as np
 import pytest
@@ -340,34 +340,45 @@ def test_stacked_cavity_residuals_equal_per_draw_reference(model):
 
 
 def test_cavity_and_taylor_checks_identical_across_batch_sizes_and_workers(monkeypatch,
-                                                                          assert_pooled):
+                                                                          assert_pooled,
+                                                                          counted_forks):
     """Chunks of one row and the default chunks give the same residuals, and
     for the cavity check so do one and two workers; it honours ``workers``.
     Its 40 realizations at N = 6 are one default range, run in process, and
-    40 one-row ranges on two workers."""
+    40 one-row ranges on two workers, which fork one child."""
     cavity_spec = ModelSpec(6, {2: 0.8, 3: 0.4}, 0.3)
+    default = ex.BATCH_ELEMS
     monkeypatch.setattr(ex, "BATCH_ELEMS", 1)
     assert_pooled(40, cavity_spec)
-    built = []
-    real = ex._new_pool
-    monkeypatch.setattr(ex, "_new_pool",
-                        lambda *a, **k: built.append(k["max_workers"]) or real(*a, **k))
     cavity, taylor = {}, {}
-    ex._shutdown_pool()
-    try:
-        for elems, workers in ((1, 1), (ex.BATCH_ELEMS, 1), (1, 2), (ex.BATCH_ELEMS, 2)):
-            monkeypatch.setattr(ex, "BATCH_ELEMS", elems)
-            cavity[elems, workers] = ex.cavity_identity_check(
-                cavity_spec, dis.gaussian(), 2, ((0,), (0, 1)), 40, seed=4, workers=workers)
-            if workers == 1:
-                taylor[elems] = ex.taylor_coefficient_check(
-                    ModelSpec(4, {2: 0.6}, 0.3), dis.gaussian(), 0.6, 0.5, 2,
-                    ex.overlap_square(), (1, 2, 3), 40, seed=4)
-    finally:
-        ex._shutdown_pool()
-    assert built == [2]
+    for elems, workers in ((1, 1), (default, 1), (1, 2), (default, 2)):
+        monkeypatch.setattr(ex, "BATCH_ELEMS", elems)
+        cavity[elems, workers] = ex.cavity_identity_check(
+            cavity_spec, dis.gaussian(), 2, ((0,), (0, 1)), 40, seed=4, workers=workers)
+        if workers == 1:
+            taylor[elems] = ex.taylor_coefficient_check(
+                ModelSpec(4, {2: 0.6}, 0.3), dis.gaussian(), 0.6, 0.5, 2,
+                ex.overlap_square(), (1, 2, 3), 40, seed=4)
+    assert len(counted_forks) == 1
     assert len({repr(run) for run in cavity.values()}) == 1, cavity
     assert len({repr(run) for run in taylor.values()}) == 1, taylor
+
+
+def test_trend_suite_and_cavity_check_identical_on_one_two_and_three_workers(monkeypatch,
+                                                                            counted_forks):
+    """``trend_suite((4, 8), 400)`` (84 ranges) and the cavity check in
+    one-row ranges (40) give the same bytes on 1, 2 and 3 workers, which
+    fork 0, 1 and 2 children a map."""
+    trend, cavity = set(), set()
+    for workers in (1, 2, 3):
+        trend.add(cli.render_csv(ex.trend_suite((4, 8), 400, seed=2, workers=workers)))
+        with monkeypatch.context() as patch:
+            patch.setattr(ex, "BATCH_ELEMS", 1)
+            cavity.add(repr(ex.cavity_identity_check(
+                ModelSpec(6, {2: 0.8, 3: 0.4}, 0.3), dis.gaussian(), 2, ((0,), (0, 1)), 40,
+                seed=4, workers=workers)))
+    assert len(trend) == len(cavity) == 1
+    assert len(counted_forks) == 6
 
 
 def test_taylor_check_equals_per_draw_realizations():
@@ -615,12 +626,11 @@ def test_taylor_check_meets_the_alpha_cap(monkeypatch):
                                     (1,), 2, 0)
 
 
-def test_pooled_refusal_builds_no_executor(recording_executor):
-    """A gap with n = 1 on two workers is refused before the executor is
-    built, not by its realization inside the pool."""
+def test_pooled_refusal_builds_no_executor(no_fork):
+    """A gap with n = 1 on two workers is refused before any fork, not by
+    its realization in a forked worker."""
     with pytest.raises(ex.ExperimentError, match="n >= 2"):
         _REFUSED_BEFORE_ANY_JOB["gg-gap n=1"]()
-    assert recording_executor.built == [] and recording_executor.maps == []
 
 
 def test_free_energy_fluctuation_zero_without_disorder():
@@ -771,14 +781,9 @@ def test_estimators_reproduce_bit_for_bit():
     assert c.value != a.value
 
 
-def test_estimators_check_before_starting_workers(monkeypatch):
+def test_estimators_check_before_starting_workers(no_fork):
     """Each estimator's refusals are raised by its check function, which
-    starts no worker; the CLI calls it for every size before any run."""
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool started before the inputs were checked")
-
-    ex._shutdown_pool()  # a pool left by an earlier test would never call no_pool
-    monkeypatch.setattr(ex, "_new_pool", no_pool)
+    forks no worker; the CLI calls it for every size before any run."""
     far = ex.spin_monomial(((13,),))
     runs = [
         lambda: ex.check_gg_thermal_gap(13, 1, 2, ex.overlap_square()),
@@ -821,29 +826,26 @@ def test_worker_count_does_not_change_values(assert_pooled):
     assert serial.std_error == pooled.std_error
 
 
-@pytest.fixture
-def counted_pools(monkeypatch):
-    """Executor constructions, counted from a fresh start; the shared pool is
-    shut down before and after."""
-    built = []
-    real = ex._new_pool
+def _in_child(action):
+    """A job that calls ``action()`` in a forked worker and returns its
+    rows' indices in the calling process, which runs range 0 itself."""
+    caller = os.getpid()
 
-    def counting(*args, **kwargs):
-        built.append(kwargs.get("max_workers"))
-        return real(*args, **kwargs)
-
-    ex._shutdown_pool()
-    monkeypatch.setattr(ex, "_new_pool", counting)
-    yield built
-    ex._shutdown_pool()
+    def job(rows):
+        if os.getpid() != caller:
+            action()
+        return list(rows)
+    return job
 
 
-def _kill_own_process(rows):
+def _kill_own_process():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def test_one_pool_serves_every_map_until_the_worker_count_changes(counted_pools,
-                                                                  assert_pooled):
+def test_each_pooled_map_forks_and_reaps_its_own_children(counted_forks, assert_pooled):
+    """A map on w workers forks w - 1 children and reaps them before it
+    returns, so the next map forks afresh; the values are those of one
+    worker."""
     mspec = ModelSpec(13, {2: 1.0}, 0.3)
     assert_pooled(8, mspec)
 
@@ -851,18 +853,115 @@ def test_one_pool_serves_every_map_until_the_worker_count_changes(counted_pools,
         return ex.self_averaging(mspec, dis.gaussian(), 2, 8, seed=32, workers=workers)
 
     first, second = run(2), run(2)
-    assert counted_pools == [2]
+    assert len(counted_forks) == 2
     assert first == second
-    assert run(3) == first
-    assert counted_pools == [2, 3]
+    assert run(3) == first == run(1)
+    assert len(counted_forks) == 4
 
 
-def test_broken_pool_is_replaced(counted_pools, assert_pooled):
-    assert_pooled(8, ModelSpec(13))  # else _kill_own_process would kill the test process
-    with pytest.raises(BrokenProcessPool):
-        list(ex._map_replicates([(_kill_own_process, ModelSpec(13))], 8, 2))
+def test_killed_child_raises_and_the_next_map_runs(counted_forks, assert_pooled):
+    assert_pooled(8, ModelSpec(13))
+    with pytest.raises(ChildProcessError, match=rf"worker 1 .*status {int(signal.SIGKILL)}\b"):
+        list(ex._map_replicates([(_in_child(_kill_own_process), ModelSpec(13))], 8, 2))
     assert list(ex._map_replicates([(list, ModelSpec(13))], 8, 2)) == [list(range(8))]
-    assert counted_pools == [2, 2]
+    assert len(counted_forks) == 2
+
+
+class _Refused(Exception):
+    pass
+
+
+def test_child_exception_reaches_the_caller(counted_forks, assert_pooled):
+    """An exception raised in a child is raised by the map with its type and
+    message."""
+    assert_pooled(8, ModelSpec(13))
+
+    def refuse():
+        raise _Refused("range refused in the child")
+
+    with pytest.raises(_Refused, match="^range refused in the child$"):
+        list(ex._map_replicates([(_in_child(refuse), ModelSpec(13))], 8, 2))
+    assert len(counted_forks) == 1
+
+
+def test_caller_exception_kills_and_reaps_a_sleeping_child(counted_forks, assert_pooled):
+    """An exception in the caller's own share ends the map at once: the
+    child, asleep in its first range, is killed and reaped."""
+    assert_pooled(8, ModelSpec(13))
+    caller = os.getpid()
+
+    def job(rows):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise _Refused("range refused in the caller")
+
+    began = time.monotonic()
+    with pytest.raises(_Refused, match="in the caller"):
+        list(ex._map_replicates([(job, ModelSpec(13))], 8, 2))
+    assert time.monotonic() - began < 30
+    (child,) = counted_forks
+    with pytest.raises(ProcessLookupError):
+        os.kill(child, 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_lambda_job_runs_on_two_workers(counted_forks):
+    """Jobs are not pickled: a child runs the function it forked with."""
+    assert list(ex._map_replicates([(lambda rows: [r * r for r in rows], ModelSpec(13))],
+                                   5, 2)) == [[r * r for r in range(5)]]
+    assert len(counted_forks) == 1
+
+
+def test_eight_workers_on_three_ranges_fork_two_children(counted_forks):
+    counted_forks.limit = 2
+    assert list(ex._map_replicates([(list, ModelSpec(13))], 3, 8)) == [[0, 1, 2]]
+    assert len(counted_forks) == 2
+
+
+@pytest.mark.parametrize("count,workers", [(7, 3), (3, 8), (9, 2), (2, 2)])
+def test_range_i_runs_in_process_i_mod_width(counted_forks, count, workers):
+    """On w workers and n one-replicate ranges, range i runs in process
+    i mod min(w, n): process 0 is the caller, the others its children, in
+    fork order."""
+    (pids,) = ex._map_replicates([(lambda rows: [os.getpid()] * len(rows), ModelSpec(13))],
+                                 count, workers)
+    width = min(workers, count)
+    assert len(counted_forks) == width - 1
+    assert pids == [([os.getpid()] + counted_forks)[i % width] for i in range(count)]
+
+
+def test_child_leaves_when_its_caller_is_killed():
+    """A caller SIGKILLed in its own share runs no ``finally``; its child,
+    which would take 100 ranges of 0.1 s, leaves at its next range.  It
+    holds the script's stdout, so the script's output ends when it exits.
+    Run in a fresh interpreter, which the caller may kill."""
+    script = """if True:
+        import os, signal, time
+        import pspinlab.experiments as ex
+        from pspinlab.model import ModelSpec
+        caller = os.getpid()
+
+        def job(rows):
+            if os.getpid() != caller:
+                print("range", flush=True)
+                time.sleep(0.1)
+            else:
+                time.sleep(0.5)
+                os.kill(caller, signal.SIGKILL)
+            return list(rows)
+
+        list(ex._map_replicates([(job, ModelSpec(13))], 200, 2))
+    """
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    began = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == -signal.SIGKILL, done.stderr
+    assert 1 <= done.stdout.count("range") < 50
+    assert time.monotonic() - began < 8
 
 
 def test_trend_suite_shape_tiny():
@@ -896,42 +995,12 @@ def test_map_replicates_chunks_consecutive_ranges(count, n_sites, size):
     assert [r for rows in seen for r in rows] == list(range(count))
 
 
-def test_one_range_map_builds_no_pool(counted_pools):
-    """A count that fits one range runs in this process on two workers."""
+def test_one_range_map_builds_no_pool(no_fork):
+    """A count that fits one range runs in this process on two workers, and
+    so does any map on one worker."""
     assert list(ex._map_replicates([(list, ModelSpec(4))], 400, 2)) == [list(range(400))]
     assert list(ex._map_replicates([(list, ModelSpec(16))], 1, 2)) == [[0]]
-    assert counted_pools == []
-
-
-class RecordingExecutor:
-    """A stand-in executor that records, for each ``map`` call, its tasks as
-    lists of (function, range) pairs, and runs them in this process."""
-
-    maps: list = []
-    built: list = []
-
-    def __init__(self, max_workers):
-        self.built.append("numpy.random" in sys.modules)
-
-    def map(self, fn, calls, ranges, chunksize=1):
-        calls, ranges = list(calls), list(ranges)
-        self.maps.append([list(zip(calls[i:i + chunksize], ranges[i:i + chunksize]))
-                          for i in range(0, len(ranges), chunksize)])
-        return map(fn, calls, ranges)
-
-    def shutdown(self):
-        pass
-
-
-@pytest.fixture
-def recording_executor(monkeypatch):
-    """RecordingExecutor in place of the process pool, with empty records."""
-    monkeypatch.setattr(RecordingExecutor, "maps", [])
-    monkeypatch.setattr(RecordingExecutor, "built", [])
-    ex._shutdown_pool()
-    monkeypatch.setattr(ex, "_new_pool", RecordingExecutor)
-    yield RecordingExecutor
-    ex._shutdown_pool()
+    assert list(ex._map_replicates([(list, ModelSpec(13))], 8, 1)) == [list(range(8))]
 
 
 def _trend_jobs(monkeypatch, n_values, count):
@@ -954,37 +1023,40 @@ def _trend_jobs(monkeypatch, n_values, count):
     return jobs
 
 
-def test_recorded_trend_run_keeps_its_task_grouping(monkeypatch, recording_executor):
+def _pids(rows):
+    return [os.getpid()] * len(rows)
+
+
+def test_recorded_trend_run_keeps_its_task_grouping(monkeypatch, counted_forks):
     """``configs/trend-baseline.json`` on two workers.  One job a map: at
-    N = 8, 12 and 16 the pool gets the tasks the count // 16 rule gave
-    (ranges of 32, 2 and 1 replicates, 224, 250 and 250 replicates a task);
-    at N = 4, 8 tasks of one 512-replicate range each, not 16 of 250.  The
-    suite's one map: 6 jobs at each size, one a series, make 36798 ranges,
-    so 16 tasks of 2299 consecutive ranges and one of 14."""
+    N = 4, 8, 12 and 16 its 8, 125, 2000 and 4000 ranges (of 512, 32, 2 and
+    1 replicates) alternate between this process and one child, range i in
+    process i mod 2.  The suite's one map: 6 jobs at each size, one a
+    series, make 36798 ranges, which alternate over the whole list, so each
+    series goes on from where the one before it ended."""
     with open(os.path.join(os.path.dirname(__file__), "..", "configs", "trend-baseline.json"),
               encoding="utf-8") as handle:
         count = json.load(handle)["replicates"]
-    tasks = {}
+    assert count == 4000
+    sizes = {4: 512, 8: 32, 12: 2, 16: 1}
     for n_sites in ex.TREND_SIZES:
         mspec = ModelSpec(n_sites, {2: ex.TREND_BETA}, ex.TREND_FIELD)
-        assert list(ex._map_replicates([(list, mspec)], count, 2)) == [list(range(count))]
-        tasks[n_sites] = [(group[0][1].start, group[-1][1].stop)
-                          for group in recording_executor.maps[-1]]
-
-    def split(step):
-        return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-    assert count == 4000
-    assert tasks == {4: split(512), 8: split(224), 12: split(250), 16: split(250)}
+        (got,) = ex._map_replicates([(_pids, mspec)], count, 2)
+        procs = [os.getpid(), counted_forks[-1]]
+        assert got == [procs[r // sizes[n_sites] % 2] for r in range(count)], n_sites
 
     jobs = _trend_jobs(monkeypatch, ex.TREND_SIZES, count)
     assert [mspec.n_sites for _, mspec in jobs] == [n for n in ex.TREND_SIZES for _ in range(6)]
-    stand_ins = [(list, mspec) for _, mspec in jobs]
-    assert list(ex._map_replicates(stand_ins, count, 2)) == [list(range(count))] * 24
-    groups = recording_executor.maps[-1]
-    assert [len(group) for group in groups] == [2299] * 16 + [14]
-    assert sum(map(len, groups)) == 36798 == sum(-(-count // split_size) * 6 for split_size
-                                                 in (512, 32, 2, 1))
+    got = list(ex._map_replicates([(_pids, mspec) for _, mspec in jobs], count, 2))
+    procs = [os.getpid(), counted_forks[-1]]
+    want, first = [], 0
+    for _, mspec in jobs:
+        size = sizes[mspec.n_sites]
+        want.append([procs[(first + r // size) % 2] for r in range(count)])
+        first += -(-count // size)
+    assert got == want
+    assert first == 36798
+    assert len(counted_forks) == 5
 
 
 def test_trend_preflight_returns_the_jobs_the_suite_maps(monkeypatch):
@@ -1002,50 +1074,47 @@ def test_trend_preflight_returns_the_jobs_the_suite_maps(monkeypatch):
     assert pickle.dumps([job for *_, job in series]) == pickle.dumps(mapped)
 
 
-def test_pooled_trend_suite_makes_one_map(recording_executor):
-    """``trend_suite((4, 8), 400)`` on two workers builds one executor and
-    makes one map: the 12 jobs' 84 ranges (one of 400 replicates for each
-    N = 4 series, 13 of up to 32 for each N = 8 one), consecutive, 5 a task.
-    Its rows are those of one worker."""
+def test_pooled_trend_suite_makes_one_map(monkeypatch, counted_forks):
+    """``trend_suite((4, 8), 400)`` on two workers makes one fork-join map,
+    which forks one child: the 12 jobs' 84 ranges (one of 400 replicates for
+    each N = 4 series, 13 of up to 32 for each N = 8 one), in order.  Its
+    rows are those of one worker."""
+    maps = []
+    real = ex._forked_parts
+    monkeypatch.setattr(ex, "_forked_parts", lambda calls, flat, width: (
+        maps.append((calls, flat, width)) or real(calls, flat, width)))
     serial = ex.trend_suite((4, 8), 400, seed=2, workers=1)
-    assert recording_executor.built == [] and recording_executor.maps == []
+    assert maps == [] and counted_forks == []
     pooled = ex.trend_suite((4, 8), 400, seed=2, workers=2)
     assert cli.render_csv(pooled) == cli.render_csv(serial)
-    assert recording_executor.built == [True]
-    (groups,) = recording_executor.maps
-    assert [len(group) for group in groups] == [5] * 16 + [4]
-    calls = [fn for group in groups for fn, _ in group]
+    assert len(counted_forks) == 1
+    ((calls, flat, width),) = maps
+    assert width == 2
     assert [len(list(run)) for _, run in itertools.groupby(calls)] == [1] * 6 + [13] * 6
-    assert [rows for group in groups for _, rows in group] == [
-        range(lo, min(lo + size, 400)) for size in [400] * 6 + [32] * 6
-        for lo in range(0, 400, size)]
+    assert flat == [range(lo, min(lo + size, 400)) for size in [400] * 6 + [32] * 6
+                    for lo in range(0, 400, size)]
 
 
 def test_pool_forks_after_numpy_random_is_loaded():
-    """A pooled trend suite builds its executor before any draw in this
-    process, so the pool loads ``numpy.random`` first and the forked workers
-    share the parent's copy.  Run in a fresh interpreter, where importing
-    the CLI leaves it unloaded."""
+    """A pooled trend suite forks before any draw in this process, so the
+    map loads ``numpy.random`` first and the forked workers share the
+    parent's copy.  Run in a fresh interpreter, where importing the CLI
+    leaves it unloaded."""
     script = """if True:
         import sys
         import pspinlab.cli
         import pspinlab.experiments as ex
-        built = []
+        forks = []
+        real = ex._fork
 
-        class Recording:
-            def __init__(self, max_workers):
-                built.append("numpy.random" in sys.modules)
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-            def shutdown(self):
-                pass
+        def recording():
+            forks.append("numpy.random" in sys.modules)
+            return real()
 
         loaded = "numpy.random" in sys.modules
-        ex._new_pool = Recording
+        ex._fork = recording
         ex.trend_suite((4, 8), 64, workers=2)
-        print(loaded, built)
+        print(loaded, forks)
     """
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
@@ -1060,11 +1129,7 @@ def test_pooled_trend_suite_equals_each_estimator_alone(assert_pooled):
     """Each series of ``trend_suite((4, 8), 96)`` on two workers, one map
     for all, has the bits of its estimator called alone on one worker."""
     assert_pooled(96, ModelSpec(8, {2: ex.TREND_BETA}, ex.TREND_FIELD))
-    ex._shutdown_pool()
-    try:
-        suite = ex.trend_suite((4, 8), 96, seed=5, workers=2)
-    finally:
-        ex._shutdown_pool()
+    suite = ex.trend_suite((4, 8), 96, seed=5, workers=2)
     alone = []
     fn = ex.overlap_square()
     for n_sites in (4, 8):
@@ -1084,7 +1149,7 @@ def test_pooled_trend_suite_equals_each_estimator_alone(assert_pooled):
             assert bits_equal(a, b), (got, want)
 
 
-def test_maps_run_without_operator_call(monkeypatch, recording_executor):
+def test_maps_run_without_operator_call(monkeypatch, counted_forks):
     """``operator.call`` is new in Python 3.11; the package supports 3.10, so
     neither the in-process nor the pooled map may need it."""
     import operator
@@ -1092,7 +1157,7 @@ def test_maps_run_without_operator_call(monkeypatch, recording_executor):
     monkeypatch.delattr(operator, "call", raising=False)
     serial = ex.trend_suite((4,), 8, seed=3, workers=1)
     assert ex.trend_suite((4,), 8, seed=3, workers=2) == serial
-    assert len(recording_executor.maps) == 1
+    assert len(counted_forks) == 1
 
 
 def test_trend_estimators_read_one_list_per_job(monkeypatch):
@@ -1149,14 +1214,10 @@ def test_trend_suite_identical_across_batch_sizes_and_workers(monkeypatch, asser
     default = ex.BATCH_ELEMS
     assert_pooled(512, ModelSpec(8, {2: ex.TREND_BETA}, ex.TREND_FIELD))
     runs = {}
-    ex._shutdown_pool()
-    try:
-        for elems, workers in ((1, 1), (default, 1), (64 << 8, 1), (default, 2)):
-            monkeypatch.setattr(ex, "BATCH_ELEMS", elems)
-            runs[elems, workers] = cli.render_csv(ex.trend_suite((4, 8), 512, seed=5,
-                                                                 workers=workers))
-    finally:
-        ex._shutdown_pool()
+    for elems, workers in ((1, 1), (default, 1), (64 << 8, 1), (default, 2)):
+        monkeypatch.setattr(ex, "BATCH_ELEMS", elems)
+        runs[elems, workers] = cli.render_csv(ex.trend_suite((4, 8), 512, seed=5,
+                                                             workers=workers))
     assert len(set(runs.values())) == 1, sorted(runs)
 
 
