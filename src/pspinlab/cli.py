@@ -418,8 +418,19 @@ def _blas_facts() -> dict:
     return {"blas": blas.get("name"), "blas_version": blas.get("version")}
 
 
+def _minor_faults() -> int | None:
+    """Minor page faults so far of this process and of its reaped children,
+    the map workers among them; None where there is no ``resource`` module."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    return sum(resource.getrusage(who).ru_minflt
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+
+
 def write_outputs(config: RunConfig, results: list[ex.EstimatorResult],
-                  elapsed: float) -> list[str]:
+                  elapsed: float, minor_faults: int | None = None) -> list[str]:
     """Write the results and the manifest into the existing ``config.output``."""
     ext = "csv" if config.emit_format == "csv" else "json"
     result_path = os.path.join(config.output, f"{config.experiment}-{config.seed}.{ext}")
@@ -431,6 +442,7 @@ def write_outputs(config: RunConfig, results: list[ex.EstimatorResult],
         "version": __version__,
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "wall_clock_seconds": elapsed,
+        "minor_faults": minor_faults,
         "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                  "numpy": np.__version__, **_blas_facts()},
         "outputs": [os.path.basename(result_path)],
@@ -626,9 +638,11 @@ def run_config_file(path: str, workers_override: int | None = None) -> int:
         ex.resolve_workers(config.workers)  # a bad count exits before any work
         ex.check_replicates(config.replicates)
         experiment_id(config.seed, config.experiment)  # and a seed outside 64 bits
-        started = time.monotonic()
+        started, faults = time.monotonic(), _minor_faults()
         results = _dispatch(config)
-        paths = _on_output(write_outputs, config, results, time.monotonic() - started)
+        if faults is not None:
+            faults = _minor_faults() - faults
+        paths = _on_output(write_outputs, config, results, time.monotonic() - started, faults)
     except (ConfigError, ModelValidationError, DisorderValidationError,
             ex.ExperimentError, ResourceCapError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -203,7 +203,7 @@ def test_manifest_records_the_resolved_worker_count(tmp_path, in_config, flag):
 
 def test_rerun_is_byte_identical(tmp_path):
     """Result bytes repeat across reruns; of the manifest, only the finish
-    time and the wall clock change."""
+    time, the wall clock and the minor fault count change."""
     raw = minimal_config(output=str(tmp_path / "out"))
     path = write_config(tmp_path, raw)
     out = tmp_path / "out"
@@ -216,7 +216,9 @@ def test_rerun_is_byte_identical(tmp_path):
     assert first == second
     assert set(manifest_a) == set(manifest_b)
     assert {k for k in manifest_a if manifest_a[k] != manifest_b[k]} <= {
-        "finished_at", "wall_clock_seconds"}
+        "finished_at", "wall_clock_seconds", "minor_faults"}
+    assert all(type(m["minor_faults"]) is int and m["minor_faults"] >= 0
+               for m in (manifest_a, manifest_b))
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert manifest_a["host"] == {"cpu_count": os.cpu_count(),
                                   "python": platform.python_version(),

@@ -1339,3 +1339,38 @@ def test_trend_draws_make_no_seed_sequence_and_no_choice(monkeypatch):
     chunk_indices = sum(len(range(0, 64, ex.BATCH_ELEMS >> n)) for n in (4, 8))
     assert counts["SeedSequence"] == counts["choice"] == 0
     assert counts["Philox"] == counts["validate"] == 8 * chunk_indices == 24
+
+
+@pytest.mark.skipif(gibbs._mallopt() is None, reason="the C library has no mallopt")
+def test_warm_n16_trend_pass_reuses_the_heap():
+    """The oracle pins the allocator's thresholds, so a second serial
+    ``trend_suite((16,), 2)`` pass in one process reuses the first pass's
+    2**N buffers: it makes fewer than 256 minor page faults, where glibc's
+    moving thresholds hand them back and fault them in again (thousands)."""
+    script = """if True:
+        import resource
+        import pspinlab.experiments as ex
+        ex.trend_suite((16,), 2, workers=1)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        ex.trend_suite((16,), 2, workers=1)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 256
+
+
+def test_heap_pin_does_nothing_without_mallopt(monkeypatch):
+    """Where the C library has no ``mallopt`` the pin sets nothing, and an
+    oracle is built as usual."""
+    gibbs._pin_heap.cache_clear()
+    monkeypatch.setattr(gibbs, "_mallopt", lambda: None)
+    try:
+        assert gibbs._pin_heap() is False
+        assert GibbsOracle(2, np.zeros(4)).log_z == math.log(4.0)
+    finally:
+        gibbs._pin_heap.cache_clear()

@@ -559,11 +559,42 @@ def test_stacked_oracles_match_single_builds_and_share_one_spectrum(monkeypatch)
     assert calls == [(4, 32)] * 3  # the leaf values of all four rows
 
 
+def dense_kernel_spectrum(n_bits, power):
+    """The float transform of c -> R(c, 0)**power over all 2**N masks."""
+    overlaps = (n_bits - 2.0 * gibbs._popcounts(n_bits)) / n_bits
+    return fwht(overlaps ** power)
+
+
+def test_kernel_spectrum_is_exact_on_the_masks_of_weight_at_most_p_and_parity_p():
+    """The integer kernel holds exactly the masks of weight <= p and parity
+    p, in ascending order, and each value is the float transform's within
+    1e-14 relative, for N <= 18 and p <= 6; at N = 4, 8 and 16, where the
+    float transform is exactly zero off that support, the two match bit for
+    bit at p = 2 and 4.  Its counts add up to N**p ordered tuples."""
+    for n_bits in range(1, 19):
+        weights = gibbs._popcounts(n_bits).astype(np.int64)
+        for power in range(1, 7):
+            support, values = gibbs._kernel_spectrum(n_bits, power)
+            want = np.flatnonzero((weights <= power) & ((weights & 1) == (power & 1)))
+            assert np.array_equal(support, want), (n_bits, power)
+            dense = dense_kernel_spectrum(n_bits, power)
+            assert np.all(np.abs(values - dense[support]) <= 1e-14 * np.abs(dense[support])), (
+                n_bits, power)
+            assert math.isclose(values.sum(), 1 << n_bits, rel_tol=1e-13)
+            if n_bits in (4, 8, 16) and power in (2, 4):
+                exact = np.zeros(1 << n_bits)
+                exact[support] = values
+                assert bits_equal(exact, dense), (n_bits, power)
+    assert gibbs._kernel_spectrum(16, 2)[0].size == 121
+
+
 @pytest.mark.parametrize("n_bits", [4, 8, 12, 16])
 def test_one_buffer_reductions_keep_the_bits_of_the_expressions_they_replace(n_bits):
-    """The leaf kernel, the star and masked Parseval work in one buffer, and
-    the popcounts are bytes; each gives every bit of the expression with
-    fresh temporaries that it replaced, on a random (R, 2**N) stack."""
+    """The star works in one buffer and gives every bit of the product with
+    fresh temporaries that it replaced, and the popcounts are bytes, on a
+    random (R, 2**N) stack.  The leaf kernel and masked Parseval read only
+    the kernel's support, so each equals the dense expression over all 2**N
+    masks within 1e-14."""
     rng = np.random.default_rng(500 + n_bits)
     size = 1 << n_bits
     oracle = GibbsOracle(n_bits, rng.normal(scale=2.0, size=(max(2, (1 << 14) >> n_bits), size)))
@@ -573,22 +604,54 @@ def test_one_buffer_reductions_keep_the_bits_of_the_expressions_they_replace(n_b
     assert gibbs._popcounts(n_bits).dtype == np.uint8
     assert np.array_equal(gibbs._popcounts(n_bits), popcounts)
     for power in (1, 2, 3, 4):
-        kernel_hat = fwht(((n_bits - 2.0 * popcounts) / n_bits) ** power)
-        assert bits_equal(gibbs._kernel_spectrum(n_bits, power), kernel_hat), power
-        assert bits_equal(oracle._leaf_values(power),
-                          fwht(oracle.spectrum * kernel_hat) / size), power
+        dense = fwht(oracle.spectrum * dense_kernel_spectrum(n_bits, power)) / size
+        assert np.abs(oracle._leaf_values(power) - dense).max() <= 1e-14, power
     for powers in ([2, 2], [2, 1], [3], [1, 2, 4]):
         value = np.ones(size)
         for power in powers:
             value = value * oracle._leaf_values(power)
         assert bits_equal(oracle.star_overlap_expectation(powers),
                           (oracle.weights * value).sum(axis=-1)), powers
+    masks = np.arange(size)
     for power, mask_a, mask_b in ((2, 0, 0), (1, 0b11, 0), (3, 0b1, 0b110), (4, 0b101, 0b101)):
-        left, right = oracle._shifted_spectrum(mask_a), oracle._shifted_spectrum(mask_b)
-        want = (left * right * gibbs._kernel_spectrum(n_bits, power)).sum(axis=-1) / size
+        left, right = oracle.spectrum[:, masks ^ mask_a], oracle.spectrum[:, masks ^ mask_b]
+        want = (left * right * dense_kernel_spectrum(n_bits, power)).sum(axis=-1) / size
         if (mask_a ^ mask_b).bit_count() & 1:
             want = -want
-        assert bits_equal(oracle.overlap_power_moment(power, mask_a, mask_b), want), power
+        got = oracle.overlap_power_moment(power, mask_a, mask_b)
+        assert np.abs(got - want).max() <= 1e-14, power
+
+
+@pytest.mark.parametrize("n_bits", [3, 6, 10, 12, 14])
+def test_sparse_parseval_equals_the_dense_masked_sum(n_bits):
+    """Masked Parseval over the kernel's support equals the sum over all
+    2**N masks within 1e-14, on random stacks and random masks, at sizes
+    whose float kernel carries rounding noise off the support."""
+    rng = np.random.default_rng(900 + n_bits)
+    size = 1 << n_bits
+    oracle = GibbsOracle(n_bits, rng.normal(scale=1.5, size=(3, size)))
+    masks = np.arange(size)
+    for power in (1, 2, 3, 4, 6):
+        dense = dense_kernel_spectrum(n_bits, power)
+        for mask_a, mask_b in rng.integers(0, size, size=(4, 2)).tolist():
+            want = (oracle.spectrum[:, masks ^ mask_a] * oracle.spectrum[:, masks ^ mask_b]
+                    * dense).sum(axis=-1) / size
+            if (mask_a ^ mask_b).bit_count() & 1:
+                want = -want
+            got = oracle.overlap_power_moment(power, mask_a, mask_b)
+            assert np.abs(got - want).max() <= 1e-14, (power, mask_a, mask_b)
+
+
+@pytest.mark.parametrize("n_bits", [3, 6, 10, 12, 14])
+def test_leaf_values_equal_the_dense_convolution(n_bits):
+    """The pruned leaf transform of w^ k^_p on the kernel's support equals
+    the transform of w^ times the dense float kernel within 1e-14."""
+    rng = np.random.default_rng(700 + n_bits)
+    size = 1 << n_bits
+    oracle = GibbsOracle(n_bits, rng.normal(scale=1.5, size=(3, size)))
+    for power in (1, 2, 3, 4, 6):
+        dense = fwht(oracle.spectrum * dense_kernel_spectrum(n_bits, power)) / size
+        assert np.abs(oracle._leaf_values(power) - dense).max() <= 1e-14, power
 
 
 def test_stacked_log_z_is_math_log_row_by_row():
