@@ -9,7 +9,8 @@ makes one oracle.  Those coefficients vanish on masks of more than p
 sites, p the Hamiltonian's degree, so the energy transforms pass p to
 ``fwht``, which then skips the low butterfly passes on the coefficient
 blocks that are all zeros, with the same output bytes; weight spectra have
-no such blocks and keep the full passes.  Any other
+no such blocks and keep the full passes, which run in constant geometry,
+one long loop a pass, again with the same output bytes.  Any other
 log-weight vector, such as the cavity check's joint and tanh-reweighted
 measures, goes straight to ``GibbsOracle(n_sites, log_weights)``.  One
 transform of the weights, the spectrum w^, holds every moment
@@ -157,16 +158,58 @@ def _live_blocks(n_sites: int, degree: int) -> tuple[np.ndarray, np.ndarray] | N
     return np.flatnonzero(live), np.flatnonzero(~live)
 
 
+def _radix4_butterflies(x, y) -> None:
+    """Butterfly stages h and 2h on the operands x = (x0, x1, x2, x3),
+    written to y: s01 + s23, d01 + d23, s01 - s23 and d01 - d23, where
+    s01, d01 = x0 +- x1 and s23, d23 = x2 +- x3.  Every operand is read
+    before any output is written, so y may be a view of x's memory."""
+    x0, x1, x2, x3 = x
+    s01, d01 = x0 + x1, x0 - x1
+    s23, d23 = x2 + x3, x2 - x3
+    y0, y1, y2, y3 = y
+    np.add(s01, s23, out=y0)
+    np.add(d01, d23, out=y1)
+    np.subtract(s01, s23, out=y2)
+    np.subtract(d01, d23, out=y3)
+
+
 def _radix4_pass(a: np.ndarray, h: int) -> None:
     """Butterfly stages h and 2h, in place, on every block of 4h entries of
     the C-contiguous array ``a``."""
-    x0, x1, x2, x3 = a.reshape(-1, 4, h).swapaxes(0, 1)
-    s01, d01 = x0 + x1, x0 - x1
-    s23, d23 = x2 + x3, x2 - x3
-    np.add(s01, s23, out=x0)
-    np.subtract(s01, s23, out=x2)
-    np.add(d01, d23, out=x1)
-    np.subtract(d01, d23, out=x3)
+    x = tuple(a.reshape(-1, 4, h).swapaxes(0, 1))
+    _radix4_butterflies(x, x)
+
+
+def _radix2_pass(a: np.ndarray, h: int) -> None:
+    """Butterfly stage h, in place, on every block of 2h entries of the
+    C-contiguous array ``a``."""
+    x0, x1 = a.reshape(-1, 2, h).swapaxes(0, 1)
+    even = x0 + x1
+    np.subtract(x0, x1, out=x1)
+    x0[...] = even
+
+
+def _rotating_pass(rows: np.ndarray) -> None:
+    """The butterfly stages of the two lowest index bits of every row of the
+    C-contiguous (R, n) array ``rows``, in constant geometry: the operands
+    are the four stride-4 columns of a row, and the outputs fill the row's
+    four quarters, in ``_radix4_pass``'s order, so the two bits move to the
+    top of the index."""
+    n_rows, n = rows.shape
+    _radix4_butterflies(rows.reshape(n_rows, n // 4, 4).transpose(2, 0, 1),
+                        rows.reshape(n_rows, 4, n // 4).swapaxes(0, 1))
+
+
+def _rotating_stage(rows: np.ndarray) -> None:
+    """The butterfly stage of the lowest index bit of every row of ``rows``,
+    in constant geometry: the two stride-2 columns' sum and difference fill
+    the row's two halves, so the bit moves to the top of the index."""
+    n_rows, n = rows.shape
+    x0, x1 = rows.reshape(n_rows, n // 2, 2).transpose(2, 0, 1)
+    even, odd = x0 + x1, x0 - x1
+    y0, y1 = rows.reshape(n_rows, 2, n // 2).swapaxes(0, 1)
+    y0[...] = even
+    y1[...] = odd
 
 
 def fwht(vec: np.ndarray, degree: int | None = None, *, copy: bool = True) -> np.ndarray:
@@ -179,16 +222,23 @@ def fwht(vec: np.ndarray, degree: int | None = None, *, copy: bool = True) -> np
     converted first); the output bytes are the same either way.  The
     butterfly stages run at strides 1, 2, 4, ... as in the textbook radix-2
     loop, but each pass does two of them: stage h forms x0 +- x1 and
-    x2 +- x3 in the four quarters of a (-1, 4, h) view, and stage 2h
-    combines those sums and differences and writes them back.  Every element
-    gets the same additions of the same operands in the same order as in the
-    radix-2 loop, so the output is bit-identical to it, in half the
-    full-array passes.  When log2(len) is odd, one radix-2 stage runs last.
+    x2 +- x3 from four operands h apart, and stage 2h combines those sums
+    and differences.  Every element gets the same additions of the same
+    operands in the same order as in the radix-2 loop, so the output is
+    bit-identical to it, in half the full-array passes.  When log2(len) is
+    odd, one radix-2 stage runs last.
 
-    A stack of shape (..., 2**N) is transformed row by row in the same
-    passes: the views cut the flattened array into blocks of 4h or 2h
-    entries, which divide 2**N, so no block crosses a row and every row is
-    bit-identical to its own transform.
+    The passes run in Pease's constant geometry (``_rotating_pass``): each
+    reads the row's four stride-4 columns and writes its four results into
+    the row's four quarters, which moves the two bits it combined to the
+    top of the index.  So every pass combines the two lowest bits of the
+    current index, whose operands are those of stages h and 2h at h = 4**k,
+    in loops of len / 4 entries; in place, a (-1, 4, h) view would loop over
+    h entries at a time and pay numpy's loop overhead len / 4h times.  After
+    N // 2 passes the row is back in natural order, and an odd N ends with
+    one radix-2 stage in the same geometry (``_rotating_stage``).  A stack
+    of shape (..., 2**N) is transformed as an (R, 2**N) array in the same
+    passes, every row bit-identical to its own transform.
 
     ``degree`` promises that every entry on a mask of more than ``degree``
     sites is zero, as for the Walsh coefficients of a polynomial of that
@@ -196,9 +246,11 @@ def fwht(vec: np.ndarray, degree: int | None = None, *, copy: bool = True) -> np
     lo = 2 * (N // 4), and a block whose high bits hold more than ``degree``
     sites is dead: all zeros.  The lo / 2 low passes, h = 1 ... 4**(lo/2 - 1),
     stay inside a block.  When there are at least two of them and fewer
-    than PRUNE_LIVE_FRACTION of the blocks are live, those passes run on a
-    gathered copy of the live blocks alone, which is scattered back, and
-    the passes from h = 2**lo run on the whole array as before: 4 of 8
+    than PRUNE_LIVE_FRACTION of the blocks are live, every pass runs in
+    place on (-1, 4, h) views (``_radix4_pass``), whose blocks of 4h entries
+    divide 2**N, so no block crosses a row: the low passes on a gathered
+    copy of the live blocks alone, which is scattered back, and the passes
+    from h = 2**lo on the whole array: 4 of 8
     passes skip 219 of 256 blocks at N = 16 and p = 2.  A skipped butterfly
     only adds zeros, so every live element gets the same additions in the
     same order.  The low passes turn a dead block
@@ -211,8 +263,15 @@ def fwht(vec: np.ndarray, degree: int | None = None, *, copy: bool = True) -> np
          else np.asarray(vec, dtype=np.float64, order="C"))
     size = a.shape[-1]
     n_bits = size.bit_length() - 1
-    h = 1
     pruned = None if degree is None or not a.size else _live_blocks(n_bits, degree)
+    if pruned is None and size > 1:
+        rows = a.reshape(a.size // size, size)
+        for _ in range(n_bits // 2):
+            _rotating_pass(rows)
+        if n_bits & 1:
+            _rotating_stage(rows)
+        return a
+    h = 1
     if pruned is not None:
         live, dead = pruned
         low = 1 << 2 * (n_bits // 4)
@@ -227,10 +286,7 @@ def fwht(vec: np.ndarray, degree: int | None = None, *, copy: bool = True) -> np
         _radix4_pass(a, h)
         h *= 4
     if 2 * h == size:
-        x0, x1 = a.reshape(-1, 2, h).swapaxes(0, 1)
-        even = x0 + x1
-        np.subtract(x0, x1, out=x1)
-        x0[...] = even
+        _radix2_pass(a, h)
     return a
 
 

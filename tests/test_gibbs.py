@@ -434,7 +434,7 @@ def test_fwht_pruning_keeps_the_sign_of_zeros():
         assert bits_equal(fwht(x, degree), fwht(x)), n_bits
 
 
-@pytest.mark.parametrize("n_bits", [4, 8, 12, 16])
+@pytest.mark.parametrize("n_bits", [4, 8, 12, 15, 16, 17, 19])
 def test_fwht_in_place_equals_the_copying_transform(n_bits):
     """``copy=False`` transforms a C-contiguous float64 stack in place and
     returns it, with every bit of the copying transform, which leaves its
@@ -475,20 +475,77 @@ def test_fwht_prunes_below_half_the_blocks_live():
     assert [len(gibbs._live_blocks(n, 2)[0]) for n in (12, 16)] == [22, 37]
 
 
+def _record_passes(monkeypatch):
+    """The passes ``fwht`` runs, as (kind, shape, h) for the in-place ones
+    and (kind, shape) for the constant-geometry ones, in call order."""
+    passes = []
+    for name in ("_radix4_pass", "_radix2_pass"):
+        real = getattr(gibbs, name)
+        monkeypatch.setattr(gibbs, name, lambda a, h, name=name, real=real:
+                            passes.append((name, a.shape, h)) or real(a, h))
+    for name in ("_rotating_pass", "_rotating_stage"):
+        real = getattr(gibbs, name)
+        monkeypatch.setattr(gibbs, name, lambda rows, name=name, real=real:
+                            passes.append((name, rows.shape)) or real(rows))
+    return passes
+
+
 def test_fwht_runs_low_passes_on_live_blocks_alone(monkeypatch):
     """At N = 16 and p = 2 the four low passes see the 37 live blocks of 256
-    entries, and the four high passes the whole row; without a degree every
-    pass sees the whole row."""
-    passes = []
-    real = gibbs._radix4_pass
-    monkeypatch.setattr(gibbs, "_radix4_pass",
-                        lambda a, h: passes.append((a.shape, h)) or real(a, h))
+    entries, and the four high passes the whole row, in place."""
+    passes = _record_passes(monkeypatch)
     fwht(np.zeros(1 << 16), degree=2)
-    high = [((1 << 16,), h) for h in (256, 1024, 4096, 16384)]
-    assert passes == [((1, 37, 256), h) for h in (1, 4, 16, 64)] + high
-    passes.clear()
+    high = [("_radix4_pass", (1 << 16,), h) for h in (256, 1024, 4096, 16384)]
+    assert passes == [("_radix4_pass", (1, 37, 256), h) for h in (1, 4, 16, 64)] + high
+
+
+def test_fwht_runs_dense_rows_in_constant_geometry(monkeypatch):
+    """A dense row of 2**16 entries, or a stack of rows of 2**15 or 2**4,
+    runs eight, seven or two constant-geometry passes, the odd N then one
+    radix-2 stage in the same geometry, and no in-place pass; rows of one
+    entry, or none, run none."""
+    passes = _record_passes(monkeypatch)
     fwht(np.zeros(1 << 16))
-    assert passes == [((1 << 16,), h) for h in (1, 4, 16, 64)] + high
+    assert passes == [("_rotating_pass", (1, 1 << 16))] * 8
+    passes.clear()
+    fwht(np.zeros((3, 1 << 15)))
+    assert passes == [("_rotating_pass", (3, 1 << 15))] * 7 + [("_rotating_stage", (3, 1 << 15))]
+    passes.clear()
+    fwht(np.zeros((512, 1 << 4)))
+    assert passes == [("_rotating_pass", (512, 1 << 4))] * 2
+    passes.clear()
+    fwht(np.zeros((5, 1)))
+    assert bits_equal(fwht(np.zeros((5, 0))), np.zeros((5, 0)))
+    assert passes == []
+
+
+@pytest.mark.parametrize("n_bits", [4, 14, 16])
+def test_fwht_of_an_empty_stack_is_an_empty_float64_stack(n_bits):
+    """A (0, 2**N) stack comes back empty, float64 and of the same shape,
+    with and without a degree, copying or in place."""
+    for degree in (None, 2):
+        for copy in (True, False):
+            x = np.zeros((0, 1 << n_bits))
+            got = fwht(x, degree, copy=copy)
+            assert got.shape == (0, 1 << n_bits) and got.dtype == np.float64
+            assert (got is x) == (not copy)
+
+
+@pytest.mark.parametrize("n_bits", [14, 15])
+def test_fwht_constant_geometry_keeps_the_sign_of_zeros(n_bits):
+    """Entries in {-1, -0.0, +0.0, 1}, sparser from row to row, then a row of
+    signed zeros and a row of -0.0, whose sum is the one -0.0 output: the
+    constant-geometry passes give every output, each signed zero included,
+    the bits of the radix-2 loop."""
+    rng = np.random.default_rng(600 + n_bits)
+    x = rng.integers(-1, 2, size=(5, 1 << n_bits)).astype(np.float64)
+    x[rng.random(x.shape) < np.array([[0.0], [0.9], [0.9999], [1.0], [1.0]])] = 0.0
+    x[rng.random(x.shape) < 0.5] *= -1.0
+    x[4] = -0.0
+    want = np.array([_radix2_fwht(row) for row in x])
+    assert np.signbit(want[want == 0.0]).any()  # some outputs are -0.0
+    assert bits_equal(fwht(x), want)
+    assert bits_equal(fwht(x, copy=False), want)
 
 
 def test_build_passes_the_hamiltonian_degree(monkeypatch):
